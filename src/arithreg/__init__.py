@@ -4,17 +4,15 @@ the graded real model of the K-theory of rings of integers."""
 
 __version__ = "0.1.0"
 
-from .arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
-                       arithmetic_degree, ideal_norm, index_quotient,
-                       standard_metric, tensor, transport, twist_metric)
+from .arakelov import (FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_degree,
+                       index_quotient, standard_metric, tensor, transport, twist_metric)
 from .dilog import bloch_wigner, li2
 from .heights import (DiffK0Class, c_hat_height, height, height_scaled_trivial,
                       scaling_alpha)
 from .kmodel import (GradedElement, GradedKAlgebra, build_model, dimension_table,
                      embed_k3, embed_unit, multiply, p_map, project_M,
                      rank_in_degree)
-from .nf import (EmbeddingSet, FieldElement, NumberField, arith, embeddings,
-                 evaluate, is_in_rcirc, is_unit, norm, parse_field)
+from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
 from .precision import PrecisionContext
 from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
@@ -25,8 +23,8 @@ from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation
 __all__ = [
     "PrecisionContext",
     # number field core
-    "NumberField", "FieldElement", "EmbeddingSet", "parse_field", "arith",
-    "norm", "is_unit", "is_in_rcirc", "embeddings", "evaluate",
+    "NumberField", "FieldElement", "EmbeddingSet", "parse_field", "embeddings",
+    "evaluate",
     # relation lattices and the wedge-map kernel
     "MultiplicativePresentation", "WedgeClass", "BlochElement", "ExteriorSquare",
     "relation_lattice", "exterior_square", "steinberg_image", "bloch_kernel",
@@ -36,8 +34,7 @@ __all__ = [
     # regulators
     "RegulatorVector", "unit_regulator", "k3_regulator", "s_map",
     # metrized bundles
-    "FractionalIdeal", "Metric", "MetrizedLineBundle", "ideal_norm",
-    "index_quotient", "arithmetic_degree", "tensor", "twist_metric",
+    "FractionalIdeal", "Metric", "MetrizedLineBundle", "index_quotient", "arithmetic_degree", "tensor", "twist_metric",
     "transport", "standard_metric",
     # heights
     "DiffK0Class", "height", "height_scaled_trivial", "scaling_alpha",

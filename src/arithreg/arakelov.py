@@ -130,10 +130,6 @@ class FractionalIdeal:
         return {"ideal_basis": [[str(x) for x in row] for row in self.basis_matrix]}
 
 
-def ideal_norm(ideal: FractionalIdeal) -> Fraction:
-    return ideal.norm
-
-
 def index_quotient(ideal: FractionalIdeal, s: FieldElement) -> Fraction:
     """#(L / R s) for a nonzero section s of L; always a positive integer."""
     if s.is_zero():

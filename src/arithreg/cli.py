@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_degree, ideal_norm, index_quotient
+from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_degree, index_quotient
 from .dilog import bloch_wigner, li2
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
                      SchemaError)
@@ -157,8 +158,10 @@ def parse_element(payload, field: NumberField) -> FieldElement:
     if isinstance(payload, dict) and "coeffs" in payload:
         payload = payload["coeffs"]
     if isinstance(payload, (list, tuple)):
-        from fractions import Fraction
-        return field.element([Fraction(str(c)) for c in payload])
+        try:
+            return field.element([Fraction(str(c)) for c in payload])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"cannot parse element coefficients {payload!r}") from exc
     raise SchemaError(f"cannot parse element payload {payload!r}")
 
 
@@ -169,22 +172,22 @@ def parse_complex(text: str) -> mpc:
     s = text.strip().replace(" ", "")
     if not s:
         raise SchemaError("empty complex number")
-    if not s.endswith("i"):
-        return mpc(mpf(s), 0)
-    body = s[:-1]
-    split = None
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            split = k
-            break
-    if split is None:
-        re_part, im_part = "0", body
-    else:
-        re_part, im_part = body[:split], body[split:]
-    if im_part in ("", "+"):
-        im_part = "1"
-    elif im_part == "-":
-        im_part = "-1"
+    re_part, im_part = s, "0"
+    if s.endswith("i"):
+        body = s[:-1]
+        split = None
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "eE":
+                split = k
+                break
+        if split is None:
+            re_part, im_part = "0", body
+        else:
+            re_part, im_part = body[:split], body[split:]
+        if im_part in ("", "+"):
+            im_part = "1"
+        elif im_part == "-":
+            im_part = "-1"
     try:
         return mpc(mpf(re_part), mpf(im_part))
     except ValueError as exc:
@@ -318,8 +321,7 @@ def _cmd_bloch_check(job, payload, precision):
     kernel = bloch_kernel(candidates, pres)
     flagged = torsion_only_kernel(candidates, pres)
     e = embeddings(field, precision)
-    ctx = PrecisionContext(precision)
-    regs = [k3_regulator(b, e, ctx).to_record() for b in kernel]
+    regs = [k3_regulator(b, e).to_record() for b in kernel]
     return {
         "schema": 1,
         "generators": [g.to_record() for g in pres.generators],
@@ -343,7 +345,7 @@ def _cmd_regulator(job, payload, precision):
     if not verify_bloch_element(x, pres):
         raise DomainError("formal sum is not in the wedge-map kernel")
     e = embeddings(field, precision)
-    rec = k3_regulator(x, e, PrecisionContext(precision)).to_record()
+    rec = k3_regulator(x, e).to_record()
     rec["schema"] = 1
     return rec
 
@@ -365,9 +367,16 @@ def _bundle_from(payload, field, e):
     metric_raw = _require(record, "metric", list)
     if len(metric_raw) != field.degree:
         raise SchemaError("key 'metric' must list one positive value per embedding")
+    try:
+        rows = [[Fraction(x) for x in row] for row in rows]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"key 'ideal_basis' must hold rational entries: {exc}") from exc
     ideal = FractionalIdeal.from_rows(field, rows)
-    with mp.workdps(e.working_dps):
-        values = tuple(mpf(str(v)) for v in metric_raw)
+    try:
+        with mp.workdps(e.working_dps):
+            values = tuple(mpf(str(v)) for v in metric_raw)
+    except ValueError as exc:
+        raise SchemaError(f"key 'metric' must hold decimal numbers: {exc}") from exc
     metric = Metric(values)
     metric.check_invariance(e)
     return MetrizedLineBundle(ideal, metric)
@@ -385,7 +394,7 @@ def _cmd_degree(job, payload, precision):
     return {
         "schema": 1,
         "degree": _num(value, precision),
-        "ideal_norm": str(ideal_norm(bundle.ideal)),
+        "ideal_norm": str(bundle.ideal.norm),
         "index_of_default_section": str(index_quotient(bundle.ideal, section or s0)),
     }
 

@@ -9,7 +9,7 @@ and entries above a pivot are reduced into [0, pivot).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -29,21 +29,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            t = ai[k]
-            if t:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += t * bk[j]
-    return out
 
 
 def hnf(rows: list[list[int]], transform: bool = False):
@@ -230,43 +215,6 @@ def snf(rows: list[list[int]]):
     return s, u, v
 
 
-def snf_diagonal(rows: list[list[int]]) -> list[int]:
-    if not rows or not rows[0]:
-        return []
-    s, _, _ = snf(rows)
-    return [s[i][i] for i in range(min(len(s), len(s[0])))]
-
-
-def invariant_factors_by_minors(rows: list[list[int]]) -> list[int]:
-    """Invariant factors via gcds of k x k minors (brute force).
-
-    Independent of snf(); only usable for small matrices. Returns the
-    diagonal d1, ..., dr of the nonzero invariant factors.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    from math import gcd
-
-    factors = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rsel in combinations(range(m), k):
-            for csel in combinations(range(n), k):
-                g = gcd(g, _det_int([[rows[i][j] for j in csel] for i in rsel]))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return factors
-
-
-def _det_int(mat: list[list[int]]) -> int:
-    d = det_fraction([[Fraction(x) for x in row] for row in mat])
-    assert d.denominator == 1
-    return abs(int(d))
-
-
 def det_fraction(mat: list[list[Fraction]]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination."""
     n = len(mat)
@@ -295,26 +243,20 @@ def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     n = len(a)
     # transpose to the usual a^T y = b form
     aug = [[a[j][i] for j in range(n)] + [b[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [t * inv for t in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [aug[i][j] - f * aug[col][j] for j in range(n + 1)]
-    return [aug[i][n] for i in range(n)]
+    return [row[0] for row in _gauss_jordan(aug)]
 
 
 def invert_fraction(a: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square Fraction matrix."""
     n = len(a)
-    aug = [[a[i][j] for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
+    return _gauss_jordan([list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
+                          for i in range(n)])
+
+
+def _gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Row-reduce an n-row augmented matrix until its left n x n block is the
+    identity; returns the columns to the right of that block."""
+    n = len(aug)
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
@@ -326,7 +268,7 @@ def invert_fraction(a: list[list[Fraction]]) -> list[list[Fraction]]:
         for i in range(n):
             if i != col and aug[i][col]:
                 f = aug[i][col]
-                aug[i] = [aug[i][j] - f * aug[col][j] for j in range(2 * n)]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
 
 
@@ -338,16 +280,10 @@ def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     for row in rows:
         for x in row:
             f = Fraction(x)
-            denom = denom * f.denominator // _gcd(denom, f.denominator)
+            denom = denom * f.denominator // gcd(denom, f.denominator)
     int_rows = [[int(Fraction(x) * denom) for x in row] for row in rows]
     h = hnf_rows(int_rows)
     return [[Fraction(x, denom) for x in row] for row in h]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def lll(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings
-from .precision import PrecisionContext
 from .regulator import k3_regulator, unit_regulator
 from .relations import BlochElement
 
@@ -147,21 +145,10 @@ def build_model(field: NumberField, max_p: int = 6,
                 e: EmbeddingSet | None = None, precision: int = 50) -> GradedKAlgebra:
     """Assemble the graded model; degrees beyond max_p stay available lazily."""
     if e is None:
-        e = _model_embeddings(field, precision)
+        e = embeddings(field, precision)
     elif e.field != field:
         raise DomainError("embedding set belongs to a different field")
     return GradedKAlgebra(field, e, max_p)
-
-
-@lru_cache(maxsize=32)
-def _model_embeddings(field: NumberField, precision: int) -> EmbeddingSet:
-    return embeddings(field, precision)
-
-
-def _embedding_weight(model: GradedKAlgebra, kind: str) -> int:
-    # a pair generator carries its coefficient at both members of the pair,
-    # so the per-embedding coefficient sum counts it twice
-    return 1 if kind == "real" else 2
 
 
 def p_map(b: GradedElement, model: GradedKAlgebra) -> Fraction:
@@ -170,7 +157,9 @@ def p_map(b: GradedElement, model: GradedKAlgebra) -> Fraction:
         raise DomainError("the coefficient functional is defined in degree -1")
     total = Fraction(0)
     for coeff, (kind, _) in zip(b.coords, model.generators(-1)):
-        total += coeff * _embedding_weight(model, kind)
+        # a pair generator carries its coefficient at both members of the
+        # pair, so the per-embedding coefficient sum counts it twice
+        total += coeff * (1 if kind == "real" else 2)
     return total
 
 
@@ -211,34 +200,22 @@ def multiply(a: GradedElement, b: GradedElement,
     return model.zero(a.degree + b.degree)
 
 
-def _resolve_embeddings(model: GradedKAlgebra, e: EmbeddingSet | None) -> EmbeddingSet:
-    if e is not None and e != model.embedding_set:
-        raise DomainError("embedding set does not match the model's ordering")
-    return model.embedding_set
-
-
-def embed_unit(lam: FieldElement, model: GradedKAlgebra,
-               e: EmbeddingSet | None = None,
-               ctx: PrecisionContext | None = None) -> GradedElement:
+def embed_unit(lam: FieldElement, model: GradedKAlgebra) -> GradedElement:
     """Degree -1 element with the unit's log-modulus as coefficients (shared
     coefficient per conjugate pair); lands in ker(p_map) up to the numerical
     accuracy of the logs."""
-    e = _resolve_embeddings(model, e)
-    vec = unit_regulator(lam, e)
+    vec = unit_regulator(lam, model.embedding_set)
     coords = []
     for kind, idx in model.generators(-1):
         coords.append(mpf_to_fraction(vec.values[idx]))
     return GradedElement(model, -1, tuple(coords))
 
 
-def embed_k3(x: BlochElement, model: GradedKAlgebra,
-             e: EmbeddingSet | None = None,
-             ctx: PrecisionContext | None = None) -> GradedElement:
+def embed_k3(x: BlochElement, model: GradedKAlgebra) -> GradedElement:
     """Degree -3 element carrying the dilogarithm values of a formal sum;
     only conjugate pairs contribute generators there, matching the exact
     vanishing of the dilogarithm on the real line."""
-    e = _resolve_embeddings(model, e)
-    vec = k3_regulator(x, e, ctx)
+    vec = k3_regulator(x, model.embedding_set)
     coords = []
     for kind, idx in model.generators(-3):
         coords.append(mpf_to_fraction(vec.values[idx]))

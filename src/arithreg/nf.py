@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache
 
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
-from .intmat import det_fraction, invert_fraction, solve_fraction
+from .intmat import det_fraction, invert_fraction
 from .precision import GUARD_DIGITS
 
 Rational = Fraction
@@ -174,16 +173,21 @@ class NumberField:
 
     def power_coords_to_integral(self, coeffs) -> list[Fraction]:
         """Coordinates of a power-basis vector over the integral basis."""
-        return solve_fraction([list(r) for r in self.integral_basis],
-                              [Fraction(c) for c in coeffs])
+        return _vec_mat(coeffs, self._basis_inverse)
 
     def integral_coords_to_power(self, coords) -> list[Fraction]:
-        out = [Fraction(0)] * self.degree
-        for c, row in zip(coords, self.integral_basis):
-            if c:
-                for j in range(self.degree):
-                    out[j] += Fraction(c) * row[j]
-        return out
+        return _vec_mat(coords, self.integral_basis)
+
+
+def _vec_mat(vec, rows) -> list[Fraction]:
+    """Exact product of a row vector with a square matrix given by its rows."""
+    out = [Fraction(0)] * len(rows)
+    for c, row in zip(vec, rows):
+        if c:
+            c = Fraction(c)
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return out
 
 
 @dataclass(frozen=True)
@@ -294,10 +298,11 @@ class FieldElement:
 # parsing
 
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
+    if isinstance(s, (int, Fraction, str)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise FormatError(f"cannot parse rational value {s!r}")
 
 
@@ -329,10 +334,14 @@ def parse_field(record: dict) -> NumberField:
     if basis is None:
         rows = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
     else:
-        if len(basis) != n or any(len(r) != n for r in basis):
+        if (not isinstance(basis, (list, tuple)) or len(basis) != n
+                or any(not isinstance(r, (list, tuple)) or len(r) != n for r in basis)):
             raise FormatError("integral_basis must be an n x n matrix")
         rows = tuple(tuple(_parse_rational(x) for x in r) for r in basis)
-    return NumberField(tuple(coeffs), rows, bool(record.get("maximal", True)))
+    maximal = record.get("maximal", True)
+    if not isinstance(maximal, bool):
+        raise FormatError("'maximal' must be a boolean")
+    return NumberField(tuple(coeffs), rows, maximal)
 
 
 def _screen_irreducible(coeffs: list[int]):
@@ -471,31 +480,6 @@ def _prime_divisors(n: int):
     return out
 
 
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatcher form of the four ring operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown operation {op!r}")
-
-
-def norm(a: FieldElement) -> Fraction:
-    return a.norm()
-
-
-def is_unit(a: FieldElement) -> bool:
-    return a.is_unit()
-
-
-def is_in_rcirc(a: FieldElement) -> bool:
-    return a.is_in_rcirc()
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -547,13 +531,16 @@ class EmbeddingSet:
         return self.precision + GUARD_DIGITS
 
 
+@lru_cache(maxsize=32)
 def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     """Compute all complex embeddings of the field at the given precision.
 
     Roots come from simultaneous (Aberth) iteration started at perturbed
     points on a circle of Cauchy-bound radius; every root is certified by a
     residual bound of 10^(-precision) (tighter than the documented
-    10^(-precision + guard) contract).
+    10^(-precision + guard) contract). Results are memoized per (field,
+    precision), the one embedding cache of the package; an EmbeddingSet is
+    immutable, so every caller can share it.
     """
     if precision < 16:
         raise DomainError("precision must be at least 16 digits")
@@ -605,11 +592,11 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
         canon = [None] * n
         for i in range(n):
             if pairing[i] == i:
-                canon[i] = mpc(_newton_real(fcoeffs, dcoeffs, mp.re(roots[i])), 0)
+                canon[i] = mpc(_newton(fcoeffs, dcoeffs, mp.re(roots[i])), 0)
             elif canon[i] is None:
                 j = pairing[i]
                 rep = roots[i] if mp.im(roots[i]) > 0 else roots[j]
-                rep = _newton_complex(fcoeffs, dcoeffs, rep)
+                rep = _newton(fcoeffs, dcoeffs, rep)
                 if mp.im(rep) < 0:
                     rep = mp.conj(rep)
                 canon[i] = rep if mp.im(roots[i]) > 0 else mp.conj(rep)
@@ -640,17 +627,8 @@ def _horner(coeffs, z):
     return acc
 
 
-def _newton_real(fcoeffs, dcoeffs, x):
-    for _ in range(8):
-        fx = _horner(fcoeffs, x)
-        dx = _horner(dcoeffs, x)
-        if dx == 0:
-            break
-        x = x - fx / dx
-    return x
-
-
-def _newton_complex(fcoeffs, dcoeffs, z):
+def _newton(fcoeffs, dcoeffs, z):
+    """Eight Newton steps; a real start stays on the real line."""
     for _ in range(8):
         fz = _horner(fcoeffs, z)
         dz = _horner(dcoeffs, z)

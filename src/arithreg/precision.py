@@ -1,8 +1,9 @@
 """Working-precision bookkeeping.
 
-Every numerical routine in the package computes with ``digits + guard``
-decimal digits internally and reports results at ``digits``. The default
-guard is 10 digits and is never user-visible in output formatting.
+Every numerical routine in the package computes with ``digits +
+GUARD_DIGITS`` decimal digits internally and reports results at ``digits``.
+The guard is fixed at 10 digits and is never user-visible in output
+formatting.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ GUARD_DIGITS = 10
 @dataclass(frozen=True)
 class PrecisionContext:
     digits: int = DEFAULT_DIGITS
-    guard: int = GUARD_DIGITS
 
     def __post_init__(self):
         if self.digits < 16:
             raise DomainError(f"precision must be at least 16 digits, got {self.digits}")
-        if self.guard < 10:
-            raise DomainError(f"guard digits must be at least 10, got {self.guard}")
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
     def workdps(self):
         """Context manager switching mpmath to the internal precision."""
@@ -39,8 +37,3 @@ class PrecisionContext:
     def outdps(self):
         """Context manager switching mpmath to the reporting precision."""
         return mp.workdps(self.digits)
-
-    def round_out(self, value):
-        """Re-round a value to the reporting precision."""
-        with self.outdps():
-            return +value

@@ -78,16 +78,14 @@ def unit_regulator(lam: FieldElement, e: EmbeddingSet) -> RegulatorVector:
     return RegulatorVector(e, tuple(values), WEIGHT_UNIT)
 
 
-def k3_regulator(x: BlochElement, e: EmbeddingSet,
-                 ctx: PrecisionContext | None = None) -> RegulatorVector:
+def k3_regulator(x: BlochElement, e: EmbeddingSet) -> RegulatorVector:
     """Vector sigma -> -sum_i n_i D(sigma(lambda_i)), coefficient of i.
 
     Exactly zero at real embeddings; values at conjugate embeddings are exact
     negatives. The kernel condition on x is the caller's responsibility (use
     relations.verify_bloch_element when a presentation is available).
     """
-    if ctx is None:
-        ctx = PrecisionContext(e.precision)
+    ctx = PrecisionContext(e.precision)
     n = e.degree
     values = [mpf(0)] * n
     with mp.workdps(e.working_dps):

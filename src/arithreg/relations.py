@@ -22,15 +22,10 @@ from mpmath import mp
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
 from .intmat import hnf_rows, identity, in_lattice, invert_fraction, left_kernel, lll, snf
-from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate
+from .nf import EmbeddingSet, FieldElement, _prime_divisors, embeddings, evaluate
 from .precision import GUARD_DIGITS
 
 DEFAULT_EXPONENT_BOUND = 64
-
-
-@lru_cache(maxsize=32)
-def _cached_embeddings(field: NumberField, precision: int) -> EmbeddingSet:
-    return embeddings(field, precision)
 
 
 @dataclass(frozen=True)
@@ -46,16 +41,6 @@ class MultiplicativePresentation:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def power_product(self, exponents) -> FieldElement:
-        if len(exponents) != self.rank:
-            raise DomainError("exponent vector has wrong length")
-        field = self.generators[0].field
-        out = field.one()
-        for g, e in zip(self.generators, exponents):
-            if e:
-                out = out * g ** int(e)
-        return out
 
 
 @dataclass(frozen=True)
@@ -131,7 +116,7 @@ def _relation_candidates(elems, precision: int, head: int = 0):
     10^((precision - guard)/2) mark candidate relations.
     """
     field = elems[0].field
-    e = _cached_embeddings(field, precision)
+    e = embeddings(field, precision)
     with mp.workdps(e.working_dps):
         logs, args = _embedding_columns(elems, e)
         scale = 10 ** (precision - GUARD_DIGITS)
@@ -182,7 +167,7 @@ def relation_lattice(elems, precision: int = 50,
     for exps in candidates:
         if max(abs(x) for x in exps) > bound:
             continue
-        if not _power_product(elems, exps).is_one():
+        if not power_product(elems, exps).is_one():
             raise PrecisionError(
                 "numerically discovered relation failed exact verification; "
                 "retry at higher precision")
@@ -195,12 +180,15 @@ def relation_lattice(elems, precision: int = 50,
     # the HNF rows are integer combinations of verified relations, but check
     # them directly anyway: the type invariant is exact
     for row in pres.relation_basis:
-        if not _power_product(elems, row).is_one():
+        if not power_product(elems, row).is_one():
             raise PrecisionError("relation basis failed exact re-verification")
     return pres
 
 
-def _power_product(elems, exponents) -> FieldElement:
+def power_product(elems, exponents) -> FieldElement:
+    """Exact product of elems[i] ** exponents[i]."""
+    if len(exponents) != len(elems):
+        raise DomainError("exponent vector has wrong length")
     field = elems[0].field
     out = field.one()
     for g, e in zip(elems, exponents):
@@ -225,27 +213,13 @@ def _certify_torsion(elems, basis, k: int) -> int:
     j = diag.index(w)
     v_inv = invert_fraction([[Fraction(x) for x in row] for row in v])
     gen_exps = [int(v_inv[j][i]) for i in range(k)]
-    t = _power_product(elems, gen_exps)
+    t = power_product(elems, gen_exps)
     if not (t ** w).is_one():
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
         if (t ** (w // q)).is_one():
             raise PrecisionError("torsion order certification failed")
     return w
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +338,7 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation,
     candidates = _relation_candidates(extended, p.precision)
     rows = []
     for exps in candidates:
-        if _power_product(extended, exps).is_one():
+        if power_product(extended, exps).is_one():
             rows.append(list(exps))
         else:
             raise PrecisionError(
@@ -402,34 +376,33 @@ def bloch_kernel(candidates, p: MultiplicativePresentation,
     if not candidates:
         return []
     images = [steinberg_image(lam, p, bound) for lam in candidates]
-    sq = exterior_square(p)
-    m = len(candidates)
-    dim = sq.dim
+    return [BlochElement(tuple(candidates), tuple(row))
+            for row in _strict_kernel(images, exterior_square(p))]
 
+
+def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
+    """HNF basis of the integer combinations of wedge classes that vanish
+    exactly, each basis row re-verified against the torsion invariants."""
+    m = len(images)
+    dim = sq.dim
     if dim == 0:
         basis = identity(m)
     else:
         stacked = [list(img.coords) for img in images]
-        torsion_rows = []
         for j, d in enumerate(sq.invariants):
             if d > 0:
-                torsion_rows.append([d if c == j else 0 for c in range(dim)])
-        stacked += torsion_rows
-        kernel = left_kernel(stacked)
-        projected = [row[:m] for row in kernel]
+                stacked.append([d if c == j else 0 for c in range(dim)])
+        projected = [row[:m] for row in left_kernel(stacked)]
         basis = hnf_rows([row for row in projected if any(row)])
 
-    out = []
     for row in basis:
-        elem = BlochElement(tuple(candidates), tuple(row))
         total = [0] * dim
         for n, img in zip(row, images):
             for c in range(dim):
                 total[c] += n * img.coords[c]
         if any(sq.reduce(total)):
             raise PrecisionError("kernel basis failed exact wedge verification")
-        out.append(elem)
-    return out
+    return basis
 
 
 def torsion_only_kernel(candidates, p: MultiplicativePresentation,
@@ -441,21 +414,16 @@ def torsion_only_kernel(candidates, p: MultiplicativePresentation,
         return []
     images = [steinberg_image(lam, p, bound) for lam in candidates]
     sq = exterior_square(p)
-    m = len(candidates)
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
     if free_cols:
         stacked = [[img.coords[j] for j in free_cols] for img in images]
         free_kernel = hnf_rows([r for r in left_kernel(stacked) if any(r)])
     else:
-        free_kernel = identity(m)
+        free_kernel = identity(len(candidates))
 
-    strict = bloch_kernel(candidates, p, bound)
-    strict_basis = [list(b.multiplicities) for b in strict]
-    out = []
-    for row in free_kernel:
-        if not in_lattice(row, strict_basis):
-            out.append(BlochElement(tuple(candidates), tuple(row)))
-    return out
+    strict_basis = _strict_kernel(images, sq)
+    return [BlochElement(tuple(candidates), tuple(row))
+            for row in free_kernel if not in_lattice(row, strict_basis)]
 
 
 def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation,

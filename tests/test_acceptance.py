@@ -18,12 +18,13 @@ from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
                                tensor, transport, twist_metric)
 from arithreg.dilog import PrecisionContext, bloch_wigner
 from arithreg.heights import c_hat_height, height_scaled_trivial, scaling_alpha
-from arithreg.intmat import in_lattice, invariant_factors_by_minors
+from arithreg.intmat import in_lattice
 from arithreg.kmodel import build_model, multiply, p_map, project_M, rank_in_degree
 from arithreg.nf import embeddings, evaluate, parse_field
 from arithreg.regulator import k3_regulator, unit_regulator
 from arithreg.relations import (BlochElement, bloch_kernel, exterior_square_of_lattice,
                                 relation_lattice, verify_bloch_element)
+from intmat_oracles import invariant_factors_by_minors
 
 CTX50 = PrecisionContext(50)
 TOL40 = mpf(10) ** -40
@@ -127,7 +128,7 @@ def test_criterion_03_bloch_example_family():
         assert verify_bloch_element(x, pres)
 
         e = embeddings(K, 50)
-        vec = k3_regulator(x, e, CTX50)
+        vec = k3_regulator(x, e)
         with mp.workdps(60):
             for idx in e.pair_representatives:
                 target = (n + 1) * (-bloch_wigner(evaluate(lam, e, idx), CTX50))

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
-                               arithmetic_degree, ideal_norm, index_quotient,
+                               arithmetic_degree, index_quotient,
                                standard_metric, tensor, transport, twist_metric)
 from arithreg.errors import DomainError, MembershipError
 
@@ -23,17 +23,17 @@ def bundles_q(fields, embset):
 class TestFractionalIdeal:
     def test_unit_ideal_norm(self, bundles_q):
         _, _, R, _ = bundles_q
-        assert ideal_norm(R) == 1
+        assert R.norm == 1
 
     def test_two_z(self, bundles_q):
         _, _, _, two = bundles_q
-        assert ideal_norm(two) == 2
+        assert two.norm == 2
 
     def test_one_plus_i(self, fields):
         K = fields["Qi"]
         L = FractionalIdeal.principal(K.one() + K.gen())
         # oracle: |det| of the 2x2 basis matrix for (1+i) is 2
-        assert ideal_norm(L) == 2
+        assert L.norm == 2
 
     def test_canonical_hnf(self, fields):
         K = fields["Qsqrtm5"]
@@ -42,7 +42,7 @@ class TestFractionalIdeal:
         a = FractionalIdeal.from_elements(K, [K.element([2]), K.one() + r5])
         b = FractionalIdeal.from_elements(K, [K.one() + r5, K.element([2]), (K.one() + r5) * r5])
         assert a.basis_matrix == b.basis_matrix
-        assert ideal_norm(a) == 2
+        assert a.norm == 2
 
     def test_module_closure_rejects_bad_lattice(self, fields):
         K = fields["Qi"]
@@ -53,7 +53,7 @@ class TestFractionalIdeal:
     def test_fractional(self, fields):
         K = fields["Q"]
         half = FractionalIdeal.principal(K.element([Fraction(1, 2)]))
-        assert ideal_norm(half) == Fraction(1, 2)
+        assert half.norm == Fraction(1, 2)
         assert half.contains(K.element([3]))
         assert not half.contains(K.element([Fraction(1, 3)]))
 
@@ -164,7 +164,7 @@ class TestTensor:
         b2 = MetrizedLineBundle(two, standard_metric(two, e))
         b3 = MetrizedLineBundle(three, standard_metric(three, e))
         t = tensor(b2, b3, e)
-        assert ideal_norm(t.ideal) == 6
+        assert t.ideal.norm == 6
         with mp.workdps(60):
             assert abs(arithmetic_degree(t, e) + mp.log(6)) < TOL
 

@@ -1,7 +1,10 @@
+import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -190,3 +193,75 @@ class TestErrorsAndDeterminism:
         code = run_job(job, out=buf)
         assert code == 0
         assert json.loads(buf.getvalue())["signature"] == [1, 0]
+
+
+MALFORMED_JOBS = {
+    "dilog-z-word": {"command": "dilog", "payload": {"z": "abc"}},
+    "dilog-z-exponent": {"command": "dilog", "payload": {"z": "1e"}},
+    "basis-entry": {"command": "field-info",
+                    "field": {"poly": [1, 0, 1],
+                              "integral_basis": [["1", "0"], ["abc", "1"]]}},
+    "basis-scalar": {"command": "field-info",
+                     "field": {"poly": [1, 0, 1], "integral_basis": 5}},
+    "maximal-string": {"command": "field-info",
+                       "field": {"poly": [1, 0, 1], "maximal": "no"}},
+    "metric-entry": {"command": "degree", "field": {"poly": [0, 1]},
+                     "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["zz"]}}},
+    "ideal-entry": {"command": "degree", "field": {"poly": [0, 1]},
+                    "payload": {"bundle": {"ideal_basis": [["x"]], "metric": ["4"]}}},
+    "coeffs-word": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                    "payload": {"element": {"coeffs": ["q", "1"]}}},
+    "coeffs-zero-denominator": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                                "payload": {"element": {"coeffs": ["1/0"]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JOBS))
+def test_malformed_input_is_one_schema_line(name, capsys):
+    buf = io.StringIO()
+    code = run_job(dict(MALFORMED_JOBS[name], schema=1), out=buf)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert buf.getvalue() == ""
+    assert err.startswith("error[schema]: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# sha256 of the stdout of each README "Command line" example, recorded before
+# the embedding cache and precision context were consolidated; every later
+# refactor must reproduce these bytes
+README_STDOUT_SHA256 = {
+    "field-info": "e3f50b55cbbc4bc20b99914c896d699dc643eabd59c5ead877aad4c83fb5370a",
+    "dilog": "fbd1982fca711cf1fdb574658995975e1706c98726c90a5964c8eee0af48aeb4",
+    "unit-reg": "2d85d11da26ad30b2ddf536fb0ac72234f385a30cfae0a56e3e227b255ded617",
+    "bloch-check": "26bca7bfe01eecc9f76b15ee5f2e56045efde3d1acb169824bd15e56ab25b6be",
+    "regulator": "c342cac4520c813833986f0fea24749582b5ac6e77233e6f53c03287599569a3",
+    "degree": "dce2bf8da5901879e2e96d54e571932160fe3af8b28ba512488b775f80bf2533",
+    "height": "a9091977d004b79208da661e0a6c0359eebf60ef9a56f517dbceede4207f0099",
+    "kranks": "8733cb1d98554343dd45d85a2afea60e22fd72d884d82dd9ab7920d7831496ff",
+}
+
+
+def readme_examples() -> list[list[str]]:
+    """Argument vectors of the README's command-line examples, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        if line.strip():
+            pending += line.rstrip().rstrip("\\") + " "
+            if not line.rstrip().endswith("\\"):
+                commands.append(shlex.split(pending))
+                pending = ""
+    return commands
+
+
+def test_readme_examples_are_byte_identical():
+    examples = readme_examples()
+    assert sorted(argv[1] for argv in examples) == sorted(README_STDOUT_SHA256)
+    for argv in examples:
+        assert argv[0] == "arithreg"
+        code, out, err = run_cli(*argv[1:])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[argv[1]], argv
