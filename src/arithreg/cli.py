@@ -30,8 +30,8 @@ from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, embeddings, parse_field
 from .precision import PrecisionContext
 from .regulator import k3_regulator, s_map, unit_regulator
-from .relations import (BlochElement, bloch_kernel, relation_lattice,
-                        torsion_only_kernel, verify_bloch_element)
+from .relations import (BlochElement, _bloch_kernels, relation_lattice,
+                        verify_bloch_element)
 
 COMMANDS = ("field-info", "dilog", "bloch-check", "regulator", "unit-reg",
             "degree", "height", "kranks")
@@ -318,8 +318,7 @@ def _cmd_bloch_check(job, payload, precision):
         if not lam.is_in_rcirc():
             raise DomainError(f"candidate {lam!r} or its complement is not a unit")
     pres = _candidate_presentation(field, candidates, precision)
-    kernel = bloch_kernel(candidates, pres)
-    flagged = torsion_only_kernel(candidates, pres)
+    kernel, flagged = _bloch_kernels(candidates, pres)
     e = embeddings(field, precision)
     regs = [k3_regulator(b, e).to_record() for b in kernel]
     return {

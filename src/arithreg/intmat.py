@@ -3,13 +3,17 @@
 Everything here works on plain lists of Python ints / Fractions, which keeps
 the routines exact for arbitrarily large entries. Matrices are row-major;
 "row HNF" means pivots move left to right down the rows, pivots are positive,
-and entries above a pivot are reduced into [0, pivot).
+and entries above a pivot are reduced into [0, pivot). LLL is the integral
+variant, whose Gram-Schmidt data are integers, and accepts only linearly
+independent rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import DomainError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -286,49 +290,59 @@ def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(x, denom) for x in row] for row in h]
 
 
-def lll(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Exact-arithmetic LLL reduction of an integer lattice basis.
+def lll(rows: list[list[int]]) -> list[list[int]]:
+    """LLL reduction (delta = 3/4) of a basis of linearly independent
+    integer rows, by de Weger's integral LLL (Cohen, Alg. 2.6.7).
 
-    Gram-Schmidt data is kept as Fractions so the reduction never suffers
-    floating loss; fine for the small dimensions used here.
+    Gram-Schmidt data lives in integers: d[i] is the Gram determinant of the
+    first i rows and lam[k][j] = d[j+1] * mu[k][j], both updated in place on
+    every size reduction and swap. Each row is fully size-reduced against
+    all earlier rows, rounding mu half away from zero, before its Lovasz
+    test. Raises DomainError when the rows are linearly dependent.
     """
     b = [list(r) for r in rows]
     m = len(b)
-    if m <= 1:
-        return b
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise DomainError("lll needs linearly independent rows")
+            else:
+                d[k + 1] = u
 
-    def dot(x, y):
-        return sum(Fraction(xi) * yi for xi, yi in zip(x, y))
-
-    def gso():
-        mu = [[Fraction(0)] * m for _ in range(m)]
-        bstar = []
-        norms = []
-        for i in range(m):
-            w = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = dot(b[i], bstar[j]) / norms[j]
-                w = [wv - mu[i][j] * sv for wv, sv in zip(w, bstar[j])]
-            bstar.append(w)
-            norms.append(dot(w, w))
-        return mu, norms
-
-    mu, norms = gso()
     k = 1
     while k < m:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = int(q + Fraction(1, 2)) if q >= 0 else -int(-q + Fraction(1, 2))
+            dj = d[j + 1]
+            t = lk[j]
+            r = (2 * t + dj) // (2 * dj) if t >= 0 else -((dj - 2 * t) // (2 * dj))
             if r:
-                b[k] = [bk - r * bj for bk, bj in zip(b[k], b[j])]
-                mu, norms = gso()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lk[j] = t - r * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        t = lk[k - 1]
+        # Lovasz test B_k < (3/4 - mu^2) B_{k-1}, multiplied out by 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * t * t:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gso()
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            new_d = (d[k + 1] * d[k - 1] + t * t) // d[k]
+            for i in range(k + 1, m):
+                li = lam[i]
+                s = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - t * s) // d[k]
+                li[k - 1] = (new_d * s + t * li[k]) // d[k + 1]
+            d[k] = new_d
             k = max(k - 1, 1)
+        else:
+            k += 1
     return b

@@ -98,7 +98,8 @@ def k3_regulator(x: BlochElement, e: EmbeddingSet) -> RegulatorVector:
                     raise PrecisionError(
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")
-                acc += mult * bloch_wigner(z, ctx)
+                if mult:
+                    acc += mult * bloch_wigner(z, ctx)
             values[idx] = -acc
             values[e.conjugate_index(idx)] = acc
     return RegulatorVector(e, tuple(values), WEIGHT_K3)

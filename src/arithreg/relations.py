@@ -372,12 +372,38 @@ def bloch_kernel(candidates, p: MultiplicativePresentation,
                  bound: int = DEFAULT_EXPONENT_BOUND) -> list[BlochElement]:
     """Basis of the lattice of integer combinations sum n_i [lambda_i] whose
     wedge images cancel exactly (torsion included)."""
+    return _bloch_kernels(candidates, p, bound)[0]
+
+
+def torsion_only_kernel(candidates, p: MultiplicativePresentation,
+                        bound: int = DEFAULT_EXPONENT_BOUND) -> list[BlochElement]:
+    """Combinations whose wedge images vanish modulo torsion but not exactly;
+    these are flagged rather than treated as kernel members."""
+    return _bloch_kernels(candidates, p, bound)[1]
+
+
+def _bloch_kernels(candidates, p: MultiplicativePresentation,
+                   bound: int = DEFAULT_EXPONENT_BOUND
+                   ) -> tuple[list[BlochElement], list[BlochElement]]:
+    """(bloch_kernel, torsion_only_kernel) of the candidates, both from one
+    list of Steinberg images."""
     candidates = list(candidates)
     if not candidates:
-        return []
+        return [], []
     images = [steinberg_image(lam, p, bound) for lam in candidates]
-    return [BlochElement(tuple(candidates), tuple(row))
-            for row in _strict_kernel(images, exterior_square(p))]
+    sq = exterior_square(p)
+    free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
+    if free_cols:
+        stacked = [[img.coords[j] for j in free_cols] for img in images]
+        free_kernel = hnf_rows([r for r in left_kernel(stacked) if any(r)])
+    else:
+        free_kernel = identity(len(candidates))
+
+    strict_basis = _strict_kernel(images, sq)
+    support = tuple(candidates)
+    return ([BlochElement(support, tuple(row)) for row in strict_basis],
+            [BlochElement(support, tuple(row))
+             for row in free_kernel if not in_lattice(row, strict_basis)])
 
 
 def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
@@ -403,27 +429,6 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
         if any(sq.reduce(total)):
             raise PrecisionError("kernel basis failed exact wedge verification")
     return basis
-
-
-def torsion_only_kernel(candidates, p: MultiplicativePresentation,
-                        bound: int = DEFAULT_EXPONENT_BOUND) -> list[BlochElement]:
-    """Combinations whose wedge images vanish modulo torsion but not exactly;
-    these are flagged rather than treated as kernel members."""
-    candidates = list(candidates)
-    if not candidates:
-        return []
-    images = [steinberg_image(lam, p, bound) for lam in candidates]
-    sq = exterior_square(p)
-    free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
-    if free_cols:
-        stacked = [[img.coords[j] for j in free_cols] for img in images]
-        free_kernel = hnf_rows([r for r in left_kernel(stacked) if any(r)])
-    else:
-        free_kernel = identity(len(candidates))
-
-    strict_basis = _strict_kernel(images, sq)
-    return [BlochElement(tuple(candidates), tuple(row))
-            for row in free_kernel if not in_lattice(row, strict_basis)]
 
 
 def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation,

@@ -52,3 +52,51 @@ def _det_int(mat: list[list[int]]) -> int:
     d = det_fraction([[Fraction(x) for x in row] for row in mat])
     assert d.denominator == 1
     return abs(int(d))
+
+
+def lll_fraction(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+    """Exact-arithmetic LLL reduction of an integer lattice basis.
+
+    Gram-Schmidt data is kept as Fractions so the reduction never suffers
+    floating loss; fine for the small dimensions used here.
+    """
+    b = [list(r) for r in rows]
+    m = len(b)
+    if m <= 1:
+        return b
+
+    def dot(x, y):
+        return sum(Fraction(xi) * yi for xi, yi in zip(x, y))
+
+    def gso():
+        mu = [[Fraction(0)] * m for _ in range(m)]
+        bstar = []
+        norms = []
+        for i in range(m):
+            w = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if norms[j] == 0:
+                    mu[i][j] = Fraction(0)
+                    continue
+                mu[i][j] = dot(b[i], bstar[j]) / norms[j]
+                w = [wv - mu[i][j] * sv for wv, sv in zip(w, bstar[j])]
+            bstar.append(w)
+            norms.append(dot(w, w))
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            r = int(q + Fraction(1, 2)) if q >= 0 else -int(-q + Fraction(1, 2))
+            if r:
+                b[k] = [bk - r * bj for bk, bj in zip(b[k], b[j])]
+                mu, norms = gso()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return b

@@ -265,3 +265,39 @@ def test_readme_examples_are_byte_identical():
         code, out, err = run_cli(*argv[1:])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[argv[1]], argv
+
+
+def test_bloch_check_work_counts(monkeypatch):
+    """The README bloch-check example computes each Steinberg image once and
+    one Bloch-Wigner value per nonzero (multiplicity, pair representative)
+    term of its kernel basis."""
+    import arithreg.regulator
+    import arithreg.relations
+    from arithreg.cli import _build_job
+    from arithreg.nf import embeddings, parse_field
+
+    calls = {"steinberg_image": 0, "bloch_wigner": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(arithreg.relations, "steinberg_image")
+    counting(arithreg.regulator, "bloch_wigner")
+    (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+    job = _build_job(argv[1:] + ["--output", "json"])
+    out = io.StringIO()
+    assert run_job(job, out=out) == 0
+    rec = json.loads(out.getvalue())
+
+    pairs = len(embeddings(parse_field(job["field"]), job["precision"]).pair_representatives)
+    nonzero = sum(1 for row in rec["kernel_basis"] for n in row if n)
+    # the example has a zero multiplicity, so a skipped term is observable
+    assert nonzero < sum(len(row) for row in rec["kernel_basis"])
+    assert calls == {"steinberg_image": len(job["payload"]["candidates"]),
+                     "bloch_wigner": nonzero * pairs}

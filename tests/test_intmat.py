@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from arithreg.errors import DomainError
 from arithreg.intmat import (det_fraction, hnf, hnf_rational, hnf_rows, in_lattice,
                              invert_fraction, left_kernel, lll, snf, solve_fraction, xgcd)
-from intmat_oracles import invariant_factors_by_minors, mat_mul
+from intmat_oracles import invariant_factors_by_minors, lll_fraction, mat_mul
 
 
 def test_xgcd_bezout():
@@ -110,3 +113,43 @@ def test_lll_preserves_lattice():
         rows = [[rng.randint(-50, 50) for _ in range(n + 1)] for _ in range(n)]
         red = lll(rows)
         assert hnf_rows([r for r in red if any(r)]) == hnf_rows([r for r in rows if any(r)])
+
+
+def assert_lll_reduced(rows):
+    """Size reduction |mu| <= 1/2 and the Lovasz condition at delta = 3/4,
+    checked on the exact Fraction Gram-Schmidt data of rows."""
+    bstar, norms = [], []
+    for i, row in enumerate(rows):
+        w = [Fraction(x) for x in row]
+        mu = []
+        for s, n in zip(bstar, norms):
+            mu.append(sum(x * y for x, y in zip(row, s)) / n)
+            w = [a - mu[-1] * b for a, b in zip(w, s)]
+        assert all(abs(c) <= Fraction(1, 2) for c in mu)
+        norm = sum(x * x for x in w)
+        if i:
+            assert norm >= (Fraction(3, 4) - mu[-1] ** 2) * norms[-1]
+        bstar.append(w)
+        norms.append(norm)
+
+
+def test_lll_matches_fraction_oracle_on_random_lattices():
+    rng = random.Random(7)
+    for _ in range(200):
+        m = rng.randint(2, 8)
+        n = m + rng.randint(0, 3)
+        size = 10 ** rng.randint(1, 12)
+        rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+        red = lll(rows)
+        assert red == lll_fraction(rows), rows
+        assert_lll_reduced(red)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]],
+    [[1, 0, 0], [0, 0, 0], [0, 1, 0]],
+    [[0, 0]],
+])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(DomainError, match="linearly independent"):
+        lll(rows)

@@ -1,15 +1,20 @@
+import hashlib
+import io
+import json
 import random
 
 import pytest
 
+import arithreg.relations
+from arithreg.cli import run_job
 from arithreg.errors import DomainError, PresentationIncompleteError
-from arithreg.intmat import in_lattice
+from arithreg.intmat import in_lattice, lll
 from arithreg.relations import (BlochElement, bloch_kernel, coordinates_of,
                                 exterior_square, exterior_square_of_lattice,
                                 power_product, relation_lattice, steinberg_image,
                                 torsion_only_kernel, verify_bloch_element,
                                 wedge_of_vectors)
-from intmat_oracles import invariant_factors_by_minors
+from intmat_oracles import invariant_factors_by_minors, lll_fraction
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +227,57 @@ class TestBlochKernel:
         rec = x.to_record()
         assert rec["multiplicities"] == [2]
         assert rec["support"][0]["coeffs"] == ["0", "1", "0"]
+
+
+class TestRelationSearchLattices:
+    """lll on the lattices _relation_candidates builds gives exactly the
+    basis of the Fraction Gram-Schmidt oracle."""
+
+    @staticmethod
+    def recorded_lattices(monkeypatch):
+        seen = []
+        real = arithreg.relations.lll
+
+        def recording(rows):
+            seen.append([list(r) for r in rows])
+            return real(rows)
+
+        monkeypatch.setattr(arithreg.relations, "lll", recording)
+        return seen
+
+    def test_readme_bloch_check_lattices(self, monkeypatch):
+        seen = self.recorded_lattices(monkeypatch)
+        job = {"schema": 1, "command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
+               "payload": {"candidates": ["x", "(1-x)^-1"]}}
+        assert run_job(job, out=io.StringIO()) == 0
+        assert seen
+        for rows in seen:
+            assert lll(rows) == lll_fraction(rows)
+
+    # sha256 of the JSON of the relation-search lattice for the 14 units
+    # below and of lll_fraction's output on it, recorded with
+    # tests/intmat_oracles.lll_fraction, which needs 20-35 s on this lattice
+    K14_LATTICE_SHA256 = "529d772518913f659705badc8bec017f107a2434f9a915c9240b0512c581da2a"
+    K14_REDUCED_SHA256 = "0fb7b01bd5b3f01374e543ab8d4ec1df1245ab16fa7cb2f6d2a01a118210673b"
+
+    def test_fourteen_units_of_x3_minus_3x_plus_1(self, monkeypatch):
+        from arithreg.nf import parse_field
+        K = parse_field({"poly": [1, -3, 0, 1]})
+        x, one = K.gen(), K.one()
+        rng = random.Random(14)
+        units = []
+        for _ in range(14):
+            u = one
+            for g in (K.element([-1]), x, x - one):
+                u = u * g ** rng.randint(-2, 2)
+            units.append(u)
+        seen = self.recorded_lattices(monkeypatch)
+        p = relation_lattice(units, 50)
+        assert (len(p.relation_basis), p.torsion_order) == (12, 2)
+
+        def digest(rows):
+            return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+        (rows,) = seen
+        assert digest(rows) == self.K14_LATTICE_SHA256
+        assert digest(lll(rows)) == self.K14_REDUCED_SHA256
