@@ -7,6 +7,9 @@ ideal (the reference section s0); the squared norm of any other section s is
 metric[sigma] * |sigma(s/s0)|^2. With this convention the degree of the
 trivial bundle with metric exp(-2*t_sigma) at each embedding is the mean of
 the t_sigma, which pins the normalization of the half in the degree formula.
+Metrics built here come from EmbeddingSet.invariant_vector and are invariant
+by construction; a metric from outside is checked with
+EmbeddingSet.check_invariant.
 
 The degree itself is
     (log #(L / R s) - (1/2) sum_sigma log h_sigma(s)) / degree(K)
@@ -24,6 +27,7 @@ from mpmath import mp, mpf
 from .errors import DomainError, MembershipError
 from .intmat import det_fraction, hnf_rational, solve_fraction
 from .nf import EmbeddingSet, FieldElement, NumberField, evaluate
+from .precision import DEFAULT_DIGITS
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,6 @@ class Metric:
         if any(not (v > 0) for v in self.values):
             raise DomainError("metric values must be positive")
 
-    def check_invariance(self, e: EmbeddingSet):
-        for i, j in enumerate(e.conjugation_pairing):
-            if self.values[i] != self.values[j]:
-                raise DomainError("metric is not conjugation invariant")
-
 
 @dataclass(frozen=True)
 class MetrizedLineBundle:
@@ -178,7 +177,7 @@ class MetrizedLineBundle:
         ratio = evaluate(s / s0, e, index)
         return self.metric.values[index] * abs(ratio) ** 2
 
-    def to_record(self, digits: int = 50) -> dict:
+    def to_record(self, digits: int = DEFAULT_DIGITS) -> dict:
         rec = self.ideal.to_record()
         rec["metric"] = [mp.nstr(v, digits) for v in self.metric.values]
         return rec
@@ -187,20 +186,14 @@ class MetrizedLineBundle:
 def standard_metric(ideal: FractionalIdeal, e: EmbeddingSet) -> Metric:
     """|sigma(s0)|^2 at each embedding: the metric pulled back from K."""
     s0 = ideal.reference_section()
-    vals = [None] * e.degree
-    with mp.workdps(e.working_dps):
-        for idx in e.class_representatives:
-            v = abs(evaluate(s0, e, idx)) ** 2
-            vals[idx] = v
-            vals[e.conjugate_index(idx)] = v
-    return Metric(tuple(vals))
+    return Metric(e.invariant_vector(lambda idx: abs(evaluate(s0, e, idx)) ** 2))
 
 
 def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
                       s: FieldElement | None = None) -> mpf:
     """Degree of a metrized bundle, via any nonzero section (default: the
     reference section). Independent of the choice of section."""
-    bundle.metric.check_invariance(e)
+    e.check_invariant(bundle.metric.values, "metric")
     if s is None:
         s = bundle.ideal.reference_section()
     idx_count = index_quotient(bundle.ideal, s)
@@ -224,14 +217,9 @@ def tensor(a: MetrizedLineBundle, b: MetrizedLineBundle,
     s0b = b.ideal.reference_section()
     s0 = ideal.reference_section()
     ratio = s0 / (s0a * s0b)
-    vals = [None] * e.degree
-    with mp.workdps(e.working_dps):
-        for i in e.class_representatives:
-            v = (a.metric.values[i] * b.metric.values[i]
-                 * abs(evaluate(ratio, e, i)) ** 2)
-            vals[i] = v
-            vals[e.conjugate_index(i)] = v
-    return MetrizedLineBundle(ideal, Metric(tuple(vals)))
+    vals = e.invariant_vector(lambda i: a.metric.values[i] * b.metric.values[i]
+                              * abs(evaluate(ratio, e, i)) ** 2)
+    return MetrizedLineBundle(ideal, Metric(vals))
 
 
 def twist_metric(bundle: MetrizedLineBundle, tuple_values,
@@ -239,18 +227,9 @@ def twist_metric(bundle: MetrizedLineBundle, tuple_values,
     """Rescale the metric by exp(-2 * t_sigma); t must be conjugation
     invariant. Twisting by t then -t restores the original bundle."""
     t = list(tuple_values)
-    if len(t) != e.degree:
-        raise DomainError("twist vector must supply one value per embedding")
-    for i, j in enumerate(e.conjugation_pairing):
-        if t[i] != t[j]:
-            raise DomainError("twist vector is not conjugation invariant")
-    with mp.workdps(e.working_dps):
-        vals = [None] * e.degree
-        for i in e.class_representatives:
-            v = bundle.metric.values[i] * mp.exp(-2 * t[i])
-            vals[i] = v
-            vals[e.conjugate_index(i)] = v
-    return MetrizedLineBundle(bundle.ideal, Metric(tuple(vals)))
+    e.check_invariant(t, "twist vector")
+    vals = e.invariant_vector(lambda i: bundle.metric.values[i] * mp.exp(-2 * t[i]))
+    return MetrizedLineBundle(bundle.ideal, Metric(vals))
 
 
 def transport(bundle: MetrizedLineBundle, a: FieldElement,
@@ -262,10 +241,5 @@ def transport(bundle: MetrizedLineBundle, a: FieldElement,
     s0_old = bundle.ideal.reference_section()
     s0_new = ideal.reference_section()
     ratio = s0_new / (a * s0_old)
-    vals = [None] * e.degree
-    with mp.workdps(e.working_dps):
-        for i in e.class_representatives:
-            v = bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2
-            vals[i] = v
-            vals[e.conjugate_index(i)] = v
-    return MetrizedLineBundle(ideal, Metric(tuple(vals)))
+    vals = e.invariant_vector(lambda i: bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2)
+    return MetrizedLineBundle(ideal, Metric(vals))

@@ -28,7 +28,7 @@ from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, embeddings, parse_field
-from .precision import PrecisionContext
+from .precision import DEFAULT_DIGITS, MIN_DIGITS, PrecisionContext
 from .regulator import k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, _bloch_kernels, relation_lattice,
                         verify_bloch_element)
@@ -189,19 +189,28 @@ def parse_complex(text: str) -> mpc:
         elif im_part == "-":
             im_part = "-1"
     try:
-        return mpc(mpf(re_part), mpf(im_part))
+        z = mpc(mpf(re_part), mpf(im_part))
     except ValueError as exc:
         raise SchemaError(f"cannot parse complex number {text!r}") from exc
+    if not mp.isfinite(z):
+        raise SchemaError(f"complex number {text!r} is not finite")
+    return z
 
 
 # ---------------------------------------------------------------------------
 # job runner
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(payload: dict, key: str, kind=None):
     if key not in payload:
         raise SchemaError(f"missing required key '{key}'")
     value = payload[key]
-    if kind is not None and not isinstance(value, kind):
+    # no key takes a boolean, so true and false never pass as integers
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"key '{key}' has the wrong type")
     return value
 
@@ -254,9 +263,9 @@ def _dispatch(job: dict) -> dict:
     command = _require(job, "command", str)
     if command not in COMMANDS:
         raise SchemaError(f"unknown command '{command}'")
-    precision = job.get("precision", 50)
-    if not isinstance(precision, int) or precision < 16:
-        raise SchemaError("key 'precision' must be an integer >= 16")
+    precision = job.get("precision", DEFAULT_DIGITS)
+    if not _is_int(precision) or precision < MIN_DIGITS:
+        raise SchemaError(f"key 'precision' must be an integer >= {MIN_DIGITS}")
     payload = job.get("payload", {})
     if not isinstance(payload, dict):
         raise SchemaError("key 'payload' must be an object")
@@ -337,7 +346,7 @@ def _cmd_regulator(job, payload, precision):
     record = _require(payload, "bloch", dict)
     support = [parse_element(s, field) for s in _require(record, "support", list)]
     mults = _require(record, "multiplicities", list)
-    if len(support) != len(mults) or any(not isinstance(n, int) for n in mults):
+    if len(support) != len(mults) or any(not _is_int(n) for n in mults):
         raise SchemaError("key 'multiplicities' must be integers matching the support")
     x = BlochElement(tuple(support), tuple(mults))
     pres = _candidate_presentation(field, support, precision)
@@ -376,8 +385,10 @@ def _bundle_from(payload, field, e):
             values = tuple(mpf(str(v)) for v in metric_raw)
     except ValueError as exc:
         raise SchemaError(f"key 'metric' must hold decimal numbers: {exc}") from exc
+    if not all(mp.isfinite(v) for v in values):
+        raise SchemaError("key 'metric' must hold finite decimal numbers")
     metric = Metric(values)
-    metric.check_invariance(e)
+    e.check_invariant(metric.values, "metric")
     return MetrizedLineBundle(ideal, metric)
 
 
@@ -419,7 +430,7 @@ def _cmd_height(job, payload, precision):
 def _cmd_kranks(job, payload, precision):
     field = _field_from(job)
     max_p = payload.get("max_p", 6)
-    if not isinstance(max_p, int) or max_p < 1:
+    if not _is_int(max_p) or max_p < 1:
         raise SchemaError("key 'max_p' must be a positive integer")
     model = build_model(field, max_p, precision=precision)
     table = dimension_table(model)
@@ -439,7 +450,7 @@ def _build_job(argv: list[str]) -> dict:
 
     parser = argparse.ArgumentParser(prog="arithreg", description=__doc__)
     parser.add_argument("--job", help="read a full JSON job from stdin ('-')")
-    parser.add_argument("--precision", type=int, default=50)
+    parser.add_argument("--precision", type=int, default=DEFAULT_DIGITS)
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command")
 

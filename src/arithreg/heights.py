@@ -6,6 +6,8 @@ embeddings (an H^(-1)-type class; with a zero-dimensional complex point set
 all differential-form data collapses to per-embedding numbers) together with
 a positive integer N recording that the N-th power of the underlying class
 is 1 + (that tuple). The height is the embedding average divided by N.
+Invariance of a supplied tuple is checked by EmbeddingSet.check_invariant;
+the tuples computed here come from EmbeddingSet.invariant_vector.
 
 c_hat_height computes the height of the class attached to a metrized line
 bundle through a caller-supplied trivialization of ideal^N and must equal
@@ -41,12 +43,7 @@ class DiffK0Class:
         if self.order_hint < 1:
             raise DomainError("order hint must be a positive integer")
         if self.embedding_set is not None:
-            pairing = self.embedding_set.conjugation_pairing
-            if len(self.scaling_vector) != len(pairing):
-                raise DomainError("scaling vector length does not match embeddings")
-            for i, j in enumerate(pairing):
-                if self.scaling_vector[i] != self.scaling_vector[j]:
-                    raise DomainError("scaling vector is not conjugation invariant")
+            self.embedding_set.check_invariant(self.scaling_vector, "scaling vector")
 
 
 def height(x: DiffK0Class) -> mpf:
@@ -77,13 +74,9 @@ def scaling_alpha(rank: int, f_values, e: EmbeddingSet) -> tuple:
 
 def _check_positive_invariant(f_values, e: EmbeddingSet):
     f = list(f_values)
-    if len(f) != e.degree:
-        raise DomainError("need one value per embedding")
+    e.check_invariant(f, "value vector")
     if any(not (v > 0) for v in f):
         raise DomainError("values must be positive")
-    for i, j in enumerate(e.conjugation_pairing):
-        if f[i] != f[j]:
-            raise DomainError("values are not conjugation invariant")
     return f
 
 
@@ -109,12 +102,7 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
     s0 = bundle.ideal.reference_section()
     s0_pow = s0 ** n_power
     ratio = generator / s0_pow
+    f = e.invariant_vector(lambda i: -mp.log(bundle.metric.values[i] ** n_power
+                                             * abs(evaluate(ratio, e, i)) ** 2) / 2)
     with mp.workdps(e.working_dps):
-        f = [None] * e.degree
-        for i in e.class_representatives:
-            norm_sq = (bundle.metric.values[i] ** n_power
-                       * abs(evaluate(ratio, e, i)) ** 2)
-            v = -mp.log(norm_sq) / 2
-            f[i] = v
-            f[e.conjugate_index(i)] = v
         return mp.fsum(f) / e.degree / n_power

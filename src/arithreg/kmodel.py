@@ -23,6 +23,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings
+from .precision import DEFAULT_DIGITS
 from .regulator import k3_regulator, unit_regulator
 from .relations import BlochElement
 
@@ -142,7 +143,7 @@ class GradedElement:
 
 
 def build_model(field: NumberField, max_p: int = 6,
-                e: EmbeddingSet | None = None, precision: int = 50) -> GradedKAlgebra:
+                e: EmbeddingSet | None = None, precision: int = DEFAULT_DIGITS) -> GradedKAlgebra:
     """Assemble the graded model; degrees beyond max_p stay available lazily."""
     if e is None:
         e = embeddings(field, precision)

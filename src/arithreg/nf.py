@@ -4,8 +4,9 @@ embeddings at configurable precision.
 Elements are coefficient vectors over the power basis, stored as exact
 Fractions and always reduced mod the defining polynomial. The embedding set
 carries the numerical side: certified roots of f, the complex-conjugation
-pairing, and the (r1, r2) signature. Exact predicates (integrality,
-norm = +-1) never touch floating point.
+pairing, and the (r1, r2) signature; it is also the one place that builds
+and checks conjugation-invariant per-embedding vectors. Exact predicates
+(integrality, norm = +-1) never touch floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import det_fraction, invert_fraction
-from .precision import GUARD_DIGITS
+from .precision import GUARD_DIGITS, MIN_DIGITS
 
 Rational = Fraction
 
@@ -530,6 +531,24 @@ class EmbeddingSet:
     def working_dps(self) -> int:
         return self.precision + GUARD_DIGITS
 
+    def invariant_vector(self, value) -> tuple:
+        """Per-embedding tuple of value(idx) at working precision, evaluated
+        once per conjugacy class and copied onto the partner embedding, so
+        conjugation invariance holds by construction."""
+        out = [None] * self.degree
+        with mp.workdps(self.working_dps):
+            for idx in self.class_representatives:
+                out[idx] = out[self.conjugation_pairing[idx]] = value(idx)
+        return tuple(out)
+
+    def check_invariant(self, values, what: str):
+        """DomainError unless values has one entry per embedding and
+        conjugate entries are equal; `what` names the vector in the message."""
+        if len(values) != self.degree:
+            raise DomainError(f"{what} must supply one value per embedding")
+        if any(values[i] != values[j] for i, j in enumerate(self.conjugation_pairing)):
+            raise DomainError(f"{what} is not conjugation invariant")
+
 
 @lru_cache(maxsize=32)
 def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
@@ -542,8 +561,8 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     precision), the one embedding cache of the package; an EmbeddingSet is
     immutable, so every caller can share it.
     """
-    if precision < 16:
-        raise DomainError("precision must be at least 16 digits")
+    if precision < MIN_DIGITS:
+        raise DomainError(f"precision must be at least {MIN_DIGITS} digits")
     n = field.degree
     coeffs = field.defining_poly
     wp = precision + GUARD_DIGITS
@@ -684,14 +703,7 @@ def evaluate(a: FieldElement, e: EmbeddingSet, index: int):
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
     with mp.workdps(e.working_dps):
+        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
         if e.is_real(index):
-            x = mp.re(e.roots[index])
-            acc = mpf(0)
-            for c in reversed(a.coeffs):
-                acc = acc * x + mpf(c.numerator) / mpf(c.denominator)
-            return mpc(acc, 0)
-        zroot = e.roots[index]
-        acc = mpc(0)
-        for c in reversed(a.coeffs):
-            acc = acc * zroot + mpf(c.numerator) / mpf(c.denominator)
-        return acc
+            return mpc(_horner(coeffs, mp.re(e.roots[index])), 0)
+        return _horner(coeffs, e.roots[index])

@@ -15,6 +15,7 @@ from mpmath import mp
 from .errors import DomainError
 
 DEFAULT_DIGITS = 50
+MIN_DIGITS = 16
 GUARD_DIGITS = 10
 
 
@@ -23,8 +24,8 @@ class PrecisionContext:
     digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
-        if self.digits < 16:
-            raise DomainError(f"precision must be at least 16 digits, got {self.digits}")
+        if self.digits < MIN_DIGITS:
+            raise DomainError(f"precision must be at least {MIN_DIGITS} digits, got {self.digits}")
 
     @property
     def working_dps(self) -> int:

@@ -6,7 +6,8 @@ vectors of formal sums under the single-valued dilogarithm, which flip sign
 under conjugation (the stored real number is the coefficient of i) and
 vanish identically at real embeddings. Conjugation equivariance is exact by
 construction: each value is computed once per conjugacy class and mirrored
-onto the partner embedding.
+onto the partner embedding, by EmbeddingSet.invariant_vector for the
+log-modulus vectors and with a sign flip in k3_regulator.
 """
 
 from __future__ import annotations
@@ -66,16 +67,8 @@ def unit_regulator(lam: FieldElement, e: EmbeddingSet) -> RegulatorVector:
     """Vector of log|sigma(lam)| over all embeddings of a unit."""
     if not lam.is_unit():
         raise DomainError("unit regulator requires a unit")
-    n = e.degree
-    values = [None] * n
-    with mp.workdps(e.working_dps):
-        for idx in e.real_indices:
-            values[idx] = mp.log(abs(evaluate(lam, e, idx)))
-        for idx in e.pair_representatives:
-            v = mp.log(abs(evaluate(lam, e, idx)))
-            values[idx] = v
-            values[e.conjugate_index(idx)] = v
-    return RegulatorVector(e, tuple(values), WEIGHT_UNIT)
+    values = e.invariant_vector(lambda idx: mp.log(abs(evaluate(lam, e, idx))))
+    return RegulatorVector(e, values, WEIGHT_UNIT)
 
 
 def k3_regulator(x: BlochElement, e: EmbeddingSet) -> RegulatorVector:

@@ -23,7 +23,7 @@ from mpmath import mp
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
 from .intmat import hnf_rows, identity, in_lattice, invert_fraction, left_kernel, lll, snf
 from .nf import EmbeddingSet, FieldElement, _prime_divisors, embeddings, evaluate
-from .precision import GUARD_DIGITS
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
 DEFAULT_EXPONENT_BOUND = 64
 
@@ -141,7 +141,7 @@ def _relation_candidates(elems, precision: int, head: int = 0):
     return out
 
 
-def relation_lattice(elems, precision: int = 50,
+def relation_lattice(elems, precision: int = DEFAULT_DIGITS,
                      bound: int = DEFAULT_EXPONENT_BOUND) -> MultiplicativePresentation:
     """Find the multiplicative relation lattice of a list of units.
 

@@ -145,6 +145,12 @@ class TestArithmeticDegree:
         with pytest.raises(DomainError):
             arithmetic_degree(bad, e)
 
+    def test_embeddings_of_another_degree_rejected(self, bundles_q, embset):
+        _, _, R, _ = bundles_q
+        bundle = MetrizedLineBundle(R, Metric((mpf(1),)))
+        with pytest.raises(DomainError):
+            arithmetic_degree(bundle, embset["cubic"])
+
 
 class TestTensor:
     def test_unit_element(self, fields, embset):

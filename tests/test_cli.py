@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from arithreg.cli import parse_complex, parse_element, parse_element_expr, run_job
+from arithreg.cli import _build_job, parse_complex, parse_element, parse_element_expr, run_job
 from arithreg.errors import SchemaError
 
 CUBIC = '{"poly":[1,-1,0,1]}'
@@ -213,6 +213,21 @@ MALFORMED_JOBS = {
                     "payload": {"element": {"coeffs": ["q", "1"]}}},
     "coeffs-zero-denominator": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
                                 "payload": {"element": {"coeffs": ["1/0"]}}},
+    "dilog-z-nan": {"command": "dilog", "payload": {"z": "nan"}},
+    "dilog-z-nan-real-part": {"command": "dilog", "payload": {"z": "nan+1i"}},
+    "dilog-z-inf": {"command": "dilog", "payload": {"z": "inf"}},
+    "metric-inf": {"command": "degree", "field": {"poly": [0, 1]},
+                   "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["inf"]}}},
+    "metric-nan": {"command": "degree", "field": {"poly": [0, 1]},
+                   "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["nan"]}}},
+    "max-p-boolean": {"command": "kranks", "field": {"poly": [0, 1]},
+                      "payload": {"max_p": True}},
+    "n-boolean": {"command": "height", "field": {"poly": [0, 1]},
+                  "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["4"]},
+                              "N": True, "generator": "2"}},
+    "multiplicity-boolean": {"command": "regulator", "field": {"poly": [1, -1, 0, 1]},
+                             "payload": {"bloch": {"support": ["x", "(1-x)^-1"],
+                                                   "multiplicities": [2, True]}}},
 }
 
 
@@ -240,6 +255,46 @@ README_STDOUT_SHA256 = {
     "height": "a9091977d004b79208da661e0a6c0359eebf60ef9a56f517dbceede4207f0099",
     "kranks": "8733cb1d98554343dd45d85a2afea60e22fd72d884d82dd9ab7920d7831496ff",
 }
+
+
+MIXED = '{"poly":[-1,-1,0,0,1]}'  # x^4 - x - 1, signature (2, 1)
+
+
+def _unit_ideal_bundle(metric):
+    rows = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return json.dumps({"ideal_basis": rows, "metric": metric})
+
+
+# sha256 of the stdout of jobs whose vectors pass through the mirrored complex
+# pair (embeddings 2 and 3) of a mixed-signature field, recorded before
+# conjugation symmetry moved into EmbeddingSet
+MIXED_SIGNATURE_JOBS = {
+    "unit-reg": (["unit-reg", "--field", MIXED, "--element", "x"],
+                 "3b821d067b65660e8dc1da93f8738064cbc4d573ec4d15f35e18748e76ec7b23"),
+    "degree": (["degree", "--field", MIXED, "--bundle", _unit_ideal_bundle(["2", "3", "5", "5"]),
+                "--section", "1+x^2"],
+               "0624b895820453ccc6705fec8f5f9ad206b56b75b1791344f03ce318b25f0a66"),
+    "height": (["height", "--field", MIXED, "--bundle", _unit_ideal_bundle(["2", "3", "5", "5"]),
+                "--N", "2", "--generator", "x"],
+               "bc7224bf2e10042a837a6938a4c904229801da0098f5abef3b060e3c8a3615ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SIGNATURE_JOBS))
+def test_mixed_signature_output_is_byte_identical(name, capsys):
+    argv, digest = MIXED_SIGNATURE_JOBS[name]
+    out = io.StringIO()
+    assert run_job(_build_job(argv), out=out) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_mixed_signature_metric_must_be_invariant(capsys):
+    job = _build_job(["degree", "--field", MIXED,
+                      "--bundle", _unit_ideal_bundle(["2", "3", "5", "7"])])
+    out = io.StringIO()
+    assert run_job(job, out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error[domain]: metric is not conjugation invariant\n"
 
 
 def readme_examples() -> list[list[str]]:

@@ -248,3 +248,47 @@ class TestEvaluate:
         K, e = fields["cubic"], embset["cubic"]
         for idx in e.real_indices:
             assert evaluate(K.gen(), e, idx).imag == 0
+
+    def test_matches_two_loop_horner(self, fields, embset):
+        """Bit-for-bit the Horner loop started at zero, real and complex."""
+        rng = random.Random(16)
+        for name, e in embset.items():
+            K = fields[name]
+            for _ in range(10):
+                a = K.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                               for _ in range(K.degree)])
+                with mp.workdps(e.working_dps):
+                    cs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
+                    for idx in range(e.degree):
+                        z = mp.re(e.roots[idx]) if e.is_real(idx) else e.roots[idx]
+                        acc = mpf(0) if e.is_real(idx) else mp.mpc(0)
+                        for c in reversed(cs):
+                            acc = acc * z + c
+                        got = evaluate(a, e, idx)
+                        assert (got.real, got.imag) == (mp.re(acc), mp.im(acc))
+                        assert type(got) is type(mp.mpc(0))
+
+
+class TestConjugationSymmetry:
+    def test_invariant_vector_one_call_per_class(self, embset):
+        e = embset["cubic"]
+        seen = []
+
+        def value(idx):
+            seen.append((idx, mp.dps))
+            return mpf(idx)
+
+        vec = e.invariant_vector(value)
+        assert seen == [(i, e.working_dps) for i in e.class_representatives]
+        assert all(vec[i] == vec[e.conjugate_index(i)] for i in range(e.degree))
+        e.check_invariant(vec, "vector")
+
+    def test_check_invariant_rejects(self, embset):
+        e = embset["cubic"]
+        with pytest.raises(DomainError, match="^vector must supply one value per embedding$"):
+            e.check_invariant((1, 1), "vector")
+        rep = e.pair_representatives[0]
+        bad = [1] * e.degree
+        bad[rep] = 2
+        with pytest.raises(DomainError, match="^vector is not conjugation invariant$"):
+            e.check_invariant(bad, "vector")
