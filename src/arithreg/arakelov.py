@@ -25,8 +25,8 @@ from functools import cached_property
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import det_fraction, hnf_rational, solve_fraction
-from .nf import EmbeddingSet, FieldElement, NumberField, evaluate
+from .intmat import det_fraction, hnf_rational, invert_fraction
+from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
 from .precision import DEFAULT_DIGITS
 
 
@@ -42,7 +42,7 @@ class FractionalIdeal:
         n = self.field.degree
         if len(self.basis_matrix) != n or any(len(r) != n for r in self.basis_matrix):
             raise DomainError("ideal basis must be square of size the field degree")
-        if det_fraction([list(r) for r in self.basis_matrix]) == 0:
+        if self.norm == 0:
             raise DomainError("ideal basis is singular")
 
     @classmethod
@@ -94,9 +94,13 @@ class FractionalIdeal:
         """First HNF basis vector; anchors metrics and default sections."""
         return self.element_from_coords(self.basis_matrix[0])
 
+    @cached_property
+    def _basis_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        inv = invert_fraction([list(r) for r in self.basis_matrix])
+        return tuple(tuple(row) for row in inv)
+
     def coords_of(self, elem: FieldElement) -> list[Fraction]:
-        y = elem.integral_coords()
-        return solve_fraction([list(r) for r in self.basis_matrix], y)
+        return _vec_mat(elem.integral_coords(), self._basis_inverse)
 
     def contains(self, elem: FieldElement) -> bool:
         if elem.is_zero():
@@ -171,12 +175,6 @@ class MetrizedLineBundle:
     def field(self) -> NumberField:
         return self.ideal.field
 
-    def section_norm_sq(self, s: FieldElement, e: EmbeddingSet, index: int):
-        """Squared metric norm of a section at one embedding."""
-        s0 = self.ideal.reference_section()
-        ratio = evaluate(s / s0, e, index)
-        return self.metric.values[index] * abs(ratio) ** 2
-
     def to_record(self, digits: int = DEFAULT_DIGITS) -> dict:
         rec = self.ideal.to_record()
         rec["metric"] = [mp.nstr(v, digits) for v in self.metric.values]
@@ -197,12 +195,14 @@ def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
     if s is None:
         s = bundle.ideal.reference_section()
     idx_count = index_quotient(bundle.ideal, s)
+    ratio = s / bundle.ideal.reference_section()
     with mp.workdps(e.working_dps):
         log_index = mp.log(mpf(idx_count.numerator)) - mp.log(mpf(idx_count.denominator))
         metric_part = mpf(0)
         for i in e.class_representatives:
             weight = 1 if e.is_real(i) else 2
-            metric_part += weight * mp.log(bundle.section_norm_sq(s, e, i))
+            norm_sq = bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2
+            metric_part += weight * mp.log(norm_sq)
         return (log_index - metric_part / 2) / e.degree
 
 

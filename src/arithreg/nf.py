@@ -348,10 +348,10 @@ def parse_field(record: dict) -> NumberField:
 def _screen_irreducible(coeffs: list[int]):
     """Cheap sanity screen; rejects only on a positive proof of reducibility.
 
-    Checks: squarefreeness (exact gcd with derivative), rational roots
-    (degree > 1 only), and hunts for a mod-p irreducibility certificate over
-    small primes. An inconclusive hunt is accepted; irreducibility is the
-    caller's assertion.
+    Rejects a repeated factor (exact gcd with the derivative), then, for
+    degree > 1, divisibility by x and a rational root. Any other reducible
+    polynomial (x^4 + 3x^2 + 2, say) is accepted: irreducibility stays the
+    caller's assertion until an exact certificate replaces this screen.
     """
     n = len(coeffs) - 1
     f = [Fraction(c) for c in coeffs]
@@ -364,11 +364,8 @@ def _screen_irreducible(coeffs: list[int]):
             raise FormatError("defining polynomial is divisible by x")
         for d in _divisors(abs(c0)):
             for root in (d, -d):
-                if _eval_int_poly(coeffs, root) == 0:
+                if _horner(coeffs, root) == 0:
                     raise FormatError(f"defining polynomial has rational root {root}")
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            if _irreducible_mod_p(coeffs, p):
-                return
 
 
 def _divisors(n: int):
@@ -381,90 +378,6 @@ def _divisors(n: int):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _eval_int_poly(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _irreducible_mod_p(coeffs: list[int], p: int) -> bool:
-    """Distinct-degree irreducibility test for a monic polynomial mod p."""
-    f = [c % p for c in coeffs]
-    n = len(f) - 1
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce mod f (monic)
-        while len(out) > n:
-            lead = out[-1]
-            if lead:
-                shift = len(out) - 1 - n
-                for i in range(n + 1):
-                    out[shift + i] = (out[shift + i] - lead * f[i]) % p
-            out.pop()
-        while out and out[-1] == 0:
-            out.pop()
-        return out or [0]
-
-    def powmod_x(e):
-        result = [1]
-        base = [0, 1] if n > 1 else [(-f[0]) % p]
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return result
-
-    def gcd_mod(a, b):
-        a, b = [c % p for c in a], [c % p for c in b]
-        while any(b):
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            inv = pow(b[-1], p - 2, p)
-            bm = [c * inv % p for c in b]
-            while len(a) >= len(bm) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(bm):
-                    break
-                lead = a[-1]
-                shift = len(a) - len(bm)
-                for i in range(len(bm)):
-                    a[shift + i] = (a[shift + i] - lead * bm[i]) % p
-            a, b = b, a
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    # x^(p^n) == x mod f, and gcd(x^(p^(n/q)) - x, f) == 1 for prime q | n
-    xpn = powmod_x(p ** n)
-    if _poly_sub_mod(xpn, [0, 1], p):
-        return False
-    for q in _prime_divisors(n):
-        d = n // q
-        xpd = powmod_x(p ** d)
-        g = gcd_mod(list(f), _poly_sub_mod(xpd, [0, 1], p) or [0])
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _poly_sub_mod(a, b, p):
-    m = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(m)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _prime_divisors(n: int):

@@ -8,6 +8,8 @@ from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
                                arithmetic_degree, index_quotient,
                                standard_metric, tensor, transport, twist_metric)
 from arithreg.errors import DomainError, MembershipError
+from arithreg.intmat import solve_fraction
+from arithreg.nf import FieldElement, embeddings, parse_field
 
 TOL = mpf(10) ** -40
 
@@ -56,6 +58,35 @@ class TestFractionalIdeal:
         assert half.norm == Fraction(1, 2)
         assert half.contains(K.element([3]))
         assert not half.contains(K.element([Fraction(1, 3)]))
+
+    def test_singular_basis_rejected(self, fields):
+        with pytest.raises(DomainError, match="^ideal basis is singular$"):
+            FractionalIdeal(fields["Qi"], ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
+
+    @pytest.mark.parametrize("poly", [[1, -1, 0, 1], [-1, -1, 0, 0, 0, 1]])
+    def test_coords_match_solve_oracle(self, poly):
+        # x^3 - x + 1 and x^5 - x - 1: random principal ideals and products,
+        # probed with integral, fractional and member elements
+        K = parse_field({"poly": poly})
+        rng = random.Random(2024 + len(poly))
+
+        def rand_el(span=4, den=1):
+            return K.element([Fraction(rng.randint(-span, span), rng.randint(1, den))
+                              for _ in range(K.degree)])
+
+        gens = [el for el in (rand_el() for _ in range(4)) if not el.is_zero()]
+        ideals = [FractionalIdeal.principal(g) for g in gens]
+        ideals.append(ideals[0].multiply(ideals[1]))
+        ideals.append(ideals[2].multiply(ideals[-1]))
+        for ideal in ideals:
+            probes = [rand_el(), rand_el(den=3)]
+            probes += [b * rand_el() for b in ideal.basis_elements()[:2]]
+            for el in probes:
+                oracle = solve_fraction([list(r) for r in ideal.basis_matrix],
+                                        el.integral_coords())
+                assert ideal.coords_of(el) == oracle
+                assert ideal.contains(el) == all(c.denominator == 1 for c in oracle)
+            assert all(ideal.contains(el) for el in probes[2:])
 
 
 class TestIndexQuotient:
@@ -150,6 +181,24 @@ class TestArithmeticDegree:
         bundle = MetrizedLineBundle(R, Metric((mpf(1),)))
         with pytest.raises(DomainError):
             arithmetic_degree(bundle, embset["cubic"])
+
+    def test_one_inverse_per_degree(self, monkeypatch):
+        # s / s0 is formed once, not once per conjugacy class
+        K = parse_field({"poly": [-1, -1, 0, 0, 0, 0, 0, 0, 1]})  # x^8 - x - 1
+        e = embeddings(K, 50)
+        L = FractionalIdeal.principal(K.gen() + K.element([2]))
+        b = MetrizedLineBundle(L, standard_metric(L, e))
+        calls = []
+        inverse = FieldElement.inverse
+
+        def counting(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(FieldElement, "inverse", counting)
+        arithmetic_degree(b, e)
+        arithmetic_degree(b, e, L.reference_section() * K.element([3]))
+        assert len(calls) == 2
 
 
 class TestTensor:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -13,11 +14,15 @@ from arithreg.cli import _build_job, parse_complex, parse_element, parse_element
 from arithreg.errors import SchemaError
 
 CUBIC = '{"poly":[1,-1,0,1]}'
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, stdin=None):
+    # the child interpreter imports the checkout's src/, as the tests do
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "arithreg.cli", *args],
-                          capture_output=True, text=True, input=stdin, timeout=300)
+                          capture_output=True, text=True, input=stdin, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -283,6 +288,35 @@ MIXED_SIGNATURE_JOBS = {
 @pytest.mark.parametrize("name", sorted(MIXED_SIGNATURE_JOBS))
 def test_mixed_signature_output_is_byte_identical(name, capsys):
     argv, digest = MIXED_SIGNATURE_JOBS[name]
+    out = io.StringIO()
+    assert run_job(_build_job(argv), out=out) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+QUINTIC = '{"poly":[-1,-1,0,0,0,1]}'  # x^5 - x - 1, signature (1, 2)
+
+# power-basis rows of (x+2) * x^i, i < 5: a non-identity basis of the
+# principal ideal (x+2), so membership and the index run through a real lattice
+PRINCIPAL_BUNDLE = json.dumps({
+    "ideal_basis": [["2", "1", "0", "0", "0"], ["0", "2", "1", "0", "0"],
+                    ["0", "0", "2", "1", "0"], ["0", "0", "0", "2", "1"],
+                    ["1", "1", "0", "0", "2"]],
+    "metric": ["3", "0.5", "0.5", "0.5", "0.5"]})
+
+# sha256 of the stdout of jobs on a non-identity ideal basis, recorded before
+# ideal coordinates moved to a cached basis inverse
+IDEAL_PATH_JOBS = {
+    "degree": (["degree", "--field", QUINTIC, "--bundle", PRINCIPAL_BUNDLE],
+               "9e7f62ee94e026ce44a15726a804cda4e411e6a80d7f9db85b09c94fe4ef78f7"),
+    "height": (["height", "--field", QUINTIC, "--bundle", PRINCIPAL_BUNDLE,
+                "--N", "2", "--generator", "(x+2)^2"],
+               "ea446cc1434050c6e68a39f0b4325937c66937314e57abbafbb5aa201f421dc3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_PATH_JOBS))
+def test_ideal_path_output_is_byte_identical(name, capsys):
+    argv, digest = IDEAL_PATH_JOBS[name]
     out = io.StringIO()
     assert run_job(_build_job(argv), out=out) == 0, capsys.readouterr().err
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

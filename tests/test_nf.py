@@ -42,6 +42,12 @@ class TestParseField:
         with pytest.raises(SquarefreeError):
             parse_field({"poly": [1, 2, 1]})  # (x+1)^2
 
+    @pytest.mark.parametrize("poly", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]])
+    def test_irreducible_without_mod_p_proof_accepted(self, poly):
+        # x^4 + 1 and x^4 - 10x^2 + 1 are irreducible over Q but reducible
+        # modulo every prime; a screen must not reject them on mod-p evidence
+        assert parse_field({"poly": poly}).degree == 4
+
     def test_integral_basis_record(self):
         K = parse_field({"poly": [5, 0, 1],
                          "integral_basis": [["1", "0"], ["0", "1"]],
