@@ -191,6 +191,13 @@ def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
                       s: FieldElement | None = None) -> mpf:
     """Degree of a metrized bundle, via any nonzero section (default: the
     reference section). Independent of the choice of section."""
+    return _degree_and_index(bundle, e, s)[0]
+
+
+def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
+                      s: FieldElement | None) -> tuple[mpf, Fraction]:
+    """arithmetic_degree together with the index_quotient of the section it
+    used, so a caller reporting both solves the membership once."""
     e.check_invariant(bundle.metric.values, "metric")
     if s is None:
         s = bundle.ideal.reference_section()
@@ -203,7 +210,7 @@ def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
             weight = 1 if e.is_real(i) else 2
             norm_sq = bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2
             metric_part += weight * mp.log(norm_sq)
-        return (log_index - metric_part / 2) / e.degree
+        return (log_index - metric_part / 2) / e.degree, idx_count
 
 
 def tensor(a: MetrizedLineBundle, b: MetrizedLineBundle,

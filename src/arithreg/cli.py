@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_degree, index_quotient
+from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
 from .dilog import bloch_wigner, li2
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
                      SchemaError)
@@ -399,13 +399,12 @@ def _cmd_degree(job, payload, precision):
     section = None
     if "section" in payload:
         section = parse_element(payload["section"], field)
-    value = arithmetic_degree(bundle, e, section)
-    s0 = bundle.ideal.reference_section()
+    value, index = _degree_and_index(bundle, e, section)
     return {
         "schema": 1,
         "degree": _num(value, precision),
         "ideal_norm": str(bundle.ideal.norm),
-        "index_of_default_section": str(index_quotient(bundle.ideal, section or s0)),
+        "index_of_default_section": str(index),
     }
 
 

@@ -4,13 +4,19 @@ D(z) = log|z| arg(1-z) + Im Li2(z).
 Li2 uses the principal branch everywhere, with the cut along (1, oo)
 following the principal logarithm; exactly-real arguments on the cut get the
 limit from below. Evaluation reduces the argument with the inversion
-(z -> 1/z) and reflection (z -> 1-z) identities, picking the orbit element
-of smallest modulus, then sums the defining series with an a-priori
-remainder bound. The series length is fixed in advance, never adapted at
-runtime. Near the two fixed points of the reduction group on the unit
-circle (where no orbit element has modulus < 1) the power series stalls, so
-the evaluation switches to the Bernoulli series in u = -log(1-z), again with
-an a-priori bound.
+(z -> 1/z) and reflection (z -> 1-z) identities to the orbit element w of
+smallest modulus, then sums one series for every w, the Bernoulli series
+Li2(w) = sum_n B_n u^(n+1) / (n+1)! in u = -log(1-w), which converges for
+|u| < 2 pi (Zagier, "The dilogarithm function", section 1).
+
+Reduction bound: 1/w, 1-w and w/(w-1) are in the orbit too, so |w| <= 1,
+Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and |arg(1-w)| <= pi/3,
+so |u| <= sqrt(log(2)^2 + pi^2/9) < 1.26 and q = |u|/(2 pi) < 0.2 on every
+reduced argument (q = 1/6 at the fixed points e^(+-i pi/3)). The series
+length follows from q a priori and is never adapted at runtime. Only B_0, B_1
+and the even B_n are nonzero, so the sum runs by Horner's rule in u^2 over
+the coefficients B_2k / (2k+1)!, which are rounded once per working binary
+precision (mp.prec) and cached.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import math
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import PrecisionError
 from .precision import PrecisionContext
 
 __all__ = ["PrecisionContext", "li2", "bloch_wigner"]
@@ -36,7 +41,7 @@ _CHAINS = (
     ("ref", "inv", "ref"),
 )
 
-_POWER_SERIES_LIMIT = 0.97  # switch to the Bernoulli series above this modulus
+_COEFFICIENTS: dict[int, list] = {}  # mp.prec -> [B_2/3!, B_4/5!, ...]
 
 
 def _orbit_value(z, chain):
@@ -46,42 +51,34 @@ def _orbit_value(z, chain):
     return w
 
 
-def _series_terms(absw: float, wp: int) -> int:
-    """Smallest N with |w|^(N+1) / ((N+1)^2 (1-|w|)) < 10^-wp (a priori)."""
-    if absw == 0:
-        return 1
-    need = wp * math.log(10) + math.log(1 / (1 - absw))
-    n = max(1, int(need / math.log(1 / absw)) + 2)
-    return n
+def _reduction_chain(z) -> tuple:
+    """Chain to the orbit element of smallest modulus (earliest on ties)."""
+    return min(_CHAINS, key=lambda chain: abs(_orbit_value(z, chain)))
 
 
-def _power_series(w) -> mpc:
-    wp = mp.dps
-    n_terms = _series_terms(float(abs(w)), wp)
-    acc = mpc(0)
-    power = mpc(1)
-    for n in range(1, n_terms + 1):
-        power *= w
-        acc += power / (n * n)
-    return acc
+def _coefficients(count: int) -> list:
+    """B_2k / (2k+1)! for k = 1 .. count (or more) at the current mp.prec."""
+    cached = _COEFFICIENTS.setdefault(mp.prec, [])
+    for k in range(len(cached) + 1, count + 1):
+        cached.append(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k + 1))
+    return cached
 
 
 def _bernoulli_series(w) -> mpc:
-    """Li2 via sum_n B_n u^(n+1) / (n+1)!, u = -log(1-w); needs |u| < 2*pi."""
-    wp = mp.dps
+    """Li2(w) = u - v/4 + u * sum_{k>=1} B_2k v^k / (2k+1)! with
+    u = -log(1-w), v = u^2, for a reduced w (q < 0.2, module docstring)."""
     u = -mp.log(1 - w)
-    q = float(abs(u)) / (2 * math.pi)
-    if q > 0.49:
-        raise PrecisionError("argument reduction failed; log-series out of range")
-    need = wp * math.log(10) + math.log(8 * (float(abs(u)) + 1) / (1 - q * q))
+    v = u * u
+    abs_u = float(abs(u))
+    q = abs_u / (2 * math.pi)
+    need = mp.dps * math.log(10) + math.log(8 * (abs_u + 1) / (1 - q * q))
     n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
+    count = n_terms // 2  # only B_0, B_1 and the even B_n are nonzero
+    coeffs = _coefficients(count)
     acc = mpc(0)
-    t = mpc(1)  # u^(n+1) / (n+1)! built incrementally
-    for n in range(n_terms + 1):
-        t = t * u / (n + 1)
-        if n % 2 == 0 or n == 1:
-            acc += mpmath.bernoulli(n) * t
-    return acc
+    for k in range(count - 1, -1, -1):
+        acc = acc * v + coeffs[k]
+    return u - v / 4 + u * v * acc
 
 
 def _li2_principal(z) -> mpc:
@@ -90,20 +87,11 @@ def _li2_principal(z) -> mpc:
     Caller guarantees z != 0, 1 and, for exactly real z, z <= 1 (the cut is
     handled one level up by conjugation).
     """
-    # choose the orbit element of smallest modulus; fixed preference order
-    best_chain = ()
-    best_abs = abs(z)
-    for chain in _CHAINS[1:]:
-        w = _orbit_value(z, chain)
-        a = abs(w)
-        if a < best_abs:
-            best_abs, best_chain = a, chain
-
     sign = 1
     const = mpc(0)
     w = z
     pi2_6 = mp.pi ** 2 / 6
-    for move in best_chain:
+    for move in _reduction_chain(z):
         if move == "inv":
             const += -sign * (pi2_6 + mp.log(-w) ** 2 / 2)
             sign = -sign
@@ -112,12 +100,7 @@ def _li2_principal(z) -> mpc:
             const += sign * (pi2_6 - mp.log(w) * mp.log(1 - w))
             sign = -sign
             w = 1 - w
-
-    if best_abs <= _POWER_SERIES_LIMIT:
-        core = _power_series(w)
-    else:
-        core = _bernoulli_series(w)
-    return sign * core + const
+    return sign * _bernoulli_series(w) + const
 
 
 def _as_mpc(z) -> mpc:

@@ -11,7 +11,7 @@ independent rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -220,25 +220,29 @@ def snf(rows: list[list[int]]):
 
 
 def det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, then Bareiss fraction-free elimination (Bareiss 1968)
+    divides exactly in the integers; the scales are divided out at the end."""
+    a, scale = [], 1
+    for row in mat:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        a.append([x.numerator * (m // x.denominator) for x in row])
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            f = a[i][col] * inv
-            if f:
-                for j in range(col, n):
-                    a[i][j] -= f * a[col][j]
-    return det
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak, akk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return Fraction(sign * prev, scale)
 
 
 def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -1,14 +1,12 @@
 """Brute-force reference computations that the tests compare intmat against.
 
-They are independent of the Smith/Hermite machinery in arithreg.intmat and
-only practical for small matrices.
+They are independent of the Smith/Hermite machinery and the fraction-free
+determinant in arithreg.intmat, and only practical for small matrices.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-
-from arithreg.intmat import det_fraction
 
 
 def mat_mul(a, b):
@@ -49,9 +47,31 @@ def invariant_factors_by_minors(rows: list[list[int]]) -> list[int]:
 
 
 def _det_int(mat: list[list[int]]) -> int:
-    d = det_fraction([[Fraction(x) for x in row] for row in mat])
+    d = det_by_elimination([[Fraction(x) for x in row] for row in mat])
     assert d.denominator == 1
     return abs(int(d))
+
+
+def det_by_elimination(mat: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] * inv
+            if f:
+                for j in range(col, n):
+                    a[i][j] -= f * a[col][j]
+    return det
 
 
 def lll_fraction(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:

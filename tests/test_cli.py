@@ -322,6 +322,53 @@ def test_ideal_path_output_is_byte_identical(name, capsys):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of dilog jobs, recorded while li2 still switched from
+# the power series to the Bernoulli series at reduced modulus 0.97: at the
+# fixed points e^(+-i pi/3) (as parsed doubles), at reduced modulus 0.96996,
+# on the cut and inside the disk, each at 30, 50, 100 and 200 digits
+DILOG_STDOUT_SHA256 = {
+    "0.5+0.8660254037844386i": {
+        30: "e860600356e32af9e3c4bd569d59c30337d8f29c1139d9499778c3b3ccff6c35",
+        50: "6863f823686a6544db007a3ed1f44cf5163e205566e90cef23ce077f93a7749c",
+        100: "f2e3f1c7d641ab576949ad5585483dfa0e2f9f576c52938caa3b551009b2a8a4",
+        200: "525a40444284064ee0bfb15081d17685aa7b350d9092cb1f9a30baa668b86935",
+    },
+    "0.5-0.8660254037844386i": {
+        30: "94331a821780fe7a5e32245b6b1af33233c0703d622cd951b6bdf8832889f285",
+        50: "700650956f109b8e388e8cc410d81c95a78eaf29933fc98a96e6ee5ce9f2e312",
+        100: "90efd7ed566bb5d3e2abad5be3915100629d54bac858982cbb3bb394c102ca6c",
+        200: "45b432b118b97d42b39ec4bdbc95eb434f5279f941e8ab1a13a0377e2780a2e9",
+    },
+    "0.485+0.84i": {
+        30: "9a230683944f74caa5c8a900d940f6aa897ecd41fd65f993b9d39c4006717b25",
+        50: "093de15e44282dc6e6653f73625c377a9d70645b1a23283ddc58c75beca4fc5b",
+        100: "085625c53a6f0fb093585d51fad7b96ae66ef17cd4400b3cf0e45731afc8a7ed",
+        200: "79cfeef9fb819ef35407c85e9f041c4dc9867c4450641d28f736b7864fb24f20",
+    },
+    "3": {
+        30: "3015ae18df1eff35157b8f3fa90a375678ede9e86bd0e59ba9154d4a22f4a5d3",
+        50: "1a18fe41bc58e11faf696fbb635b8e40474b4f86f56e72b9a5ef878aab4ecb87",
+        100: "c08e23da8910e01847f5d76664a34e29c6d1d41d05e4077000be5cb4ef4ca26a",
+        200: "965a26d3fbcbe1ad684c5ab68d7d2c5deebd7068b720a66420c4a9180c60a82d",
+    },
+    "0.25+0.125i": {
+        30: "b0b78572f85e390836633d632212496bbf2bcd1bdd5a0b6067a17271551863f3",
+        50: "4ffb4be5611cf19c1f53750e805364200b4ff644e26ba0625c875c2f6f2b7892",
+        100: "9c22c552be43cb98ced5e6f5757e969f9f8cffba10047edde23237104a7e6799",
+        200: "888d593a519973e1741fd1c7b49bc0aacf9208d0a5b4204f4db30db0e2868ebc",
+    },
+}
+
+
+@pytest.mark.parametrize("z", sorted(DILOG_STDOUT_SHA256))
+def test_dilog_output_is_byte_identical(z, capsys):
+    for digits, digest in DILOG_STDOUT_SHA256[z].items():
+        out = io.StringIO()
+        job = _build_job(["dilog", "--z", z, "--precision", str(digits)])
+        assert run_job(job, out=out) == 0, capsys.readouterr().err
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, digits
+
+
 def test_mixed_signature_metric_must_be_invariant(capsys):
     job = _build_job(["degree", "--field", MIXED,
                       "--bundle", _unit_ideal_bundle(["2", "3", "5", "7"])])
@@ -356,6 +403,17 @@ def test_readme_examples_are_byte_identical():
         assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[argv[1]], argv
 
 
+def count_calls(monkeypatch, calls, owner, name):
+    """Replace owner.name by a wrapper that adds one to calls[name] per call."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once and
     one Bloch-Wigner value per nonzero (multiplicity, pair representative)
@@ -366,18 +424,8 @@ def test_bloch_check_work_counts(monkeypatch):
     from arithreg.nf import embeddings, parse_field
 
     calls = {"steinberg_image": 0, "bloch_wigner": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(arithreg.relations, "steinberg_image")
-    counting(arithreg.regulator, "bloch_wigner")
+    count_calls(monkeypatch, calls, arithreg.relations, "steinberg_image")
+    count_calls(monkeypatch, calls, arithreg.regulator, "bloch_wigner")
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     job = _build_job(argv[1:] + ["--output", "json"])
     out = io.StringIO()
@@ -390,3 +438,23 @@ def test_bloch_check_work_counts(monkeypatch):
     assert nonzero < sum(len(row) for row in rec["kernel_basis"])
     assert calls == {"steinberg_image": len(job["payload"]["candidates"]),
                      "bloch_wigner": nonzero * pairs}
+
+
+def test_degree_work_counts(monkeypatch):
+    """A degree job on x^24 - x - 1 solves the section's membership and takes
+    its norm once, for the degree and the reported index together."""
+    import arithreg.arakelov
+    from arithreg.nf import FieldElement
+
+    calls = {"index_quotient": 0, "norm": 0}
+    count_calls(monkeypatch, calls, arithreg.arakelov, "index_quotient")
+    count_calls(monkeypatch, calls, FieldElement, "norm")
+    field = json.dumps({"poly": [-1, -1] + [0] * 22 + [1]})
+    rows = [["1" if i == j else "0" for j in range(24)] for i in range(24)]
+    bundle = json.dumps({"ideal_basis": rows, "metric": ["1"] * 24})
+    for extra in ([], ["--section", "1+x^2"]):
+        calls.update(index_quotient=0, norm=0)
+        out = io.StringIO()
+        assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle, *extra]),
+                       out=out) == 0
+        assert calls == {"index_quotient": 1, "norm": 1}, extra

@@ -3,7 +3,9 @@ import random
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from arithreg.dilog import PrecisionContext, bloch_wigner, li2
+from arithreg.dilog import (_CHAINS, PrecisionContext, _orbit_value, _reduction_chain, bloch_wigner,
+                            li2)
+from dilog_oracles import power_series
 
 CTX = PrecisionContext(50)
 TOL = mpf(10) ** -45
@@ -82,13 +84,66 @@ class TestLi2:
                 assert abs(direct - via_inversion) < mpf(10) ** -50
 
     def test_hexagonal_region_log_series(self):
-        # no orbit element drops below modulus ~1 here; exercises the
-        # Bernoulli branch
+        # no orbit element drops below modulus ~1 here
         with mp.workdps(70):
             for z in (mpc("0.5", "0.8660254037844386"),
                       mpc("0.5000001", "0.8660253"),
                       mpc("0.4999998", "-0.8660255")):
                 assert abs(li2(z, CTX) - mpmath.polylog(2, z)) < TOL
+
+
+def reduced_q(z):
+    """q = |u| / 2pi for u = -log(1-w), w the reduced argument li2 sums at."""
+    w = _orbit_value(z, _reduction_chain(z))
+    return abs(mp.log(1 - w)) / (2 * mp.pi)
+
+
+def reduced_point(r):
+    """A point of modulus r < 1 that is its own reduced argument: Re <= 1/2
+    and |1-z| <= 1 hold for arguments between acos(1/2r) and acos(r/2)."""
+    theta = (mp.acos(1 / (2 * r)) + mp.acos(r / 2)) / 2
+    return r * mp.expj(theta)
+
+
+class TestBernoulliSeries:
+    """li2 sums one Bernoulli series on every reduced argument; the module
+    docstring proves q < 0.2 there, so no argument is out of range."""
+
+    def test_q_bound_over_the_plane(self):
+        with mp.workdps(60):
+            for z in rand_points(27, 400, rmin=0.01, rmax=100):
+                assert reduced_q(z) < 0.2
+
+    def test_fixed_points_and_their_orbit(self):
+        # the worst case: every orbit element of e^(+-i pi/3) has modulus 1,
+        # where the power series does not converge geometrically, so the
+        # second oracle here is the closed form pi^2/36 + i Cl2(pi/3)
+        ctx = PrecisionContext(200)
+        with mp.workdps(220):
+            for s in (1, -1):
+                fixed = mp.expjpi(mpf(s) / 3)
+                closed = mpc(mp.pi ** 2 / 36, s * mpmath.clsin(2, mp.pi / 3))
+                for chain in _CHAINS:
+                    z = _orbit_value(fixed, chain)
+                    assert abs(reduced_q(z) - mpf(1) / 6) < mpf(10) ** -200
+                    value = li2(z, ctx)  # raises no PrecisionError
+                    oracle = closed if abs(z - fixed) < 1e-100 else mp.conj(closed)
+                    assert abs(value - oracle) < mpf(10) ** -60
+                    assert abs(value - mpmath.polylog(2, z)) < mpf(10) ** -60
+                    assert abs(bloch_wigner(z, ctx) - oracle.imag) < mpf(10) ** -60
+
+    def test_old_switch_band_against_both_oracles(self):
+        # reduced |w| in 0.9-0.99, the band where li2 used to switch series
+        for digits in (30, 50, 100, 200):
+            ctx = PrecisionContext(digits)
+            with mp.workdps(digits + 10):
+                for r in ("0.9", "0.94", "0.97", "0.99"):
+                    z = reduced_point(mpf(r))
+                    assert _reduction_chain(z) == ()
+                    value = li2(z, ctx)
+                    tol = mpf(10) ** (3 - digits)
+                    assert abs(value - power_series(z)) < tol
+                    assert abs(value - mpmath.polylog(2, z)) < tol
 
 
 class TestBlochWigner:

@@ -6,7 +6,7 @@ import pytest
 from arithreg.errors import DomainError
 from arithreg.intmat import (det_fraction, hnf, hnf_rational, hnf_rows, in_lattice,
                              invert_fraction, left_kernel, lll, snf, solve_fraction, xgcd)
-from intmat_oracles import invariant_factors_by_minors, lll_fraction, mat_mul
+from intmat_oracles import det_by_elimination, invariant_factors_by_minors, lll_fraction, mat_mul
 
 
 def test_xgcd_bezout():
@@ -88,6 +88,29 @@ def test_solve_and_invert_fraction():
     inv = invert_fraction(a)
     prod = [[sum(a[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+
+
+def test_det_fraction_matches_elimination_oracle():
+    rng = random.Random(9)
+
+    def entry():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    for trial in range(300):
+        n = rng.randint(0, 7)
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 3 == 1:
+            # singular: the last row is a combination of the first two
+            c = entry()
+            a[-1] = [x + c * y for x, y in zip(a[0], a[1 % (n - 1)])]
+        elif n >= 2 and trial % 3 == 2:
+            # zero pivots: only the last row may start with a nonzero entry
+            for row in a[:-1]:
+                row[0] = Fraction(0)
+        assert det_fraction(a) == det_by_elimination(a)
+    assert det_fraction([]) == 1
+    assert det_fraction([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    assert det_fraction([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]) == 0
 
 
 def test_hnf_rational():
