@@ -1,7 +1,14 @@
 """Metrized line bundles on a ring of integers and their arithmetic degree.
 
 A fractional ideal is stored as a canonical (HNF) Z-basis in integral-basis
-coordinates. A metric is one positive number per embedding, conjugation
+coordinates: rational rows, whose lcm of denominators scales them to an
+integer HNF. Products never form field elements. The field's multiplication
+table T (omega_i * omega_j = sum_k T[i][j][k] * omega_k, integer entries)
+makes a*b a bilinear map on coordinates, so generating an ideal, multiplying
+two, scaling one and testing closure under the ring are integer bilinear
+algebra followed by an integer HNF or an exact lattice-membership test. The
+first such operation builds T, and with it rejects a basis that is not an
+order. A metric is one positive number per embedding, conjugation
 invariant, read as the squared norm of the first HNF basis vector of the
 ideal (the reference section s0); the squared norm of any other section s is
 metric[sigma] * |sigma(s/s0)|^2. With this convention the degree of the
@@ -25,7 +32,8 @@ from functools import cached_property
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import det_fraction, hnf_rational, invert_fraction
+from .intmat import (_scaled_rows, det_fraction, hnf_rational, hnf_rows, identity, in_lattice,
+                     invert_fraction)
 from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
 from .precision import DEFAULT_DIGITS
 
@@ -62,11 +70,17 @@ class FractionalIdeal:
         elems = [el for el in elems if not el.is_zero()]
         if not elems:
             raise DomainError("the zero ideal is not supported")
-        rows = []
-        for el in elems:
-            for omega in field.integral_basis_elements():
-                rows.append((el * omega).integral_coords())
-        return cls.from_rows(field, rows, check=False)
+        return cls._spanned_by_products(field, [el.integral_coords() for el in elems],
+                                        identity(field.degree))
+
+    @classmethod
+    def _spanned_by_products(cls, field: NumberField, left, right) -> "FractionalIdeal":
+        """Canonical ideal spanned by every product a*b, a in left, b in right."""
+        rows, denom = _products(field, left, right)
+        h = hnf_rows(rows)
+        if len(h) != field.degree:
+            raise DomainError("rows do not span a full-rank lattice")
+        return cls(field, tuple(tuple(Fraction(x, denom) for x in row) for row in h))
 
     @classmethod
     def principal(cls, elem: FieldElement) -> "FractionalIdeal":
@@ -77,12 +91,9 @@ class FractionalIdeal:
         return cls.principal(field.one())
 
     def _is_module_closed(self) -> bool:
-        for row in self.basis_matrix:
-            el = self.element_from_coords(row)
-            for omega in self.field.integral_basis_elements():
-                if not self.contains(el * omega):
-                    return False
-        return True
+        rows, denom = _products(self.field, self.basis_matrix, identity(self.field.degree))
+        lattice = [[int(x * denom) for x in row] for row in self.basis_matrix]
+        return all(in_lattice(row, lattice) for row in rows)
 
     def element_from_coords(self, coords) -> FieldElement:
         return self.field.element(self.field.integral_coords_to_power(coords))
@@ -110,25 +121,24 @@ class FractionalIdeal:
     def multiply(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:
             raise DomainError("ideals over different fields")
-        rows = []
-        for a in self.basis_elements():
-            for b in other.basis_elements():
-                rows.append((a * b).integral_coords())
-        return FractionalIdeal.from_rows(self.field, rows, check=False)
+        return FractionalIdeal._spanned_by_products(self.field, self.basis_matrix,
+                                                    other.basis_matrix)
 
     def power(self, n: int) -> "FractionalIdeal":
         if n < 0:
             raise DomainError("negative ideal powers are not supported")
-        out = FractionalIdeal.unit_ideal(self.field)
-        for _ in range(n):
+        if n == 0:
+            return FractionalIdeal.unit_ideal(self.field)
+        out = self
+        for _ in range(n - 1):
             out = out.multiply(self)
         return out
 
     def scale(self, a: FieldElement) -> "FractionalIdeal":
         if a.is_zero():
             raise DomainError("cannot scale an ideal by zero")
-        rows = [(a * el).integral_coords() for el in self.basis_elements()]
-        return FractionalIdeal.from_rows(self.field, rows, check=False)
+        return FractionalIdeal._spanned_by_products(self.field, [a.integral_coords()],
+                                                    self.basis_matrix)
 
     @cached_property
     def norm(self) -> Fraction:
@@ -136,6 +146,22 @@ class FractionalIdeal:
 
     def to_record(self) -> dict:
         return {"ideal_basis": [[str(x) for x in row] for row in self.basis_matrix]}
+
+
+def _products(field: NumberField, left, right) -> tuple[list[list[int]], int]:
+    """Integral-basis coordinates of every product a*b, a in left and b in
+    right (rows of rational integral-basis coordinates), as integer rows over
+    one common denominator: (rows, denominator). Bilinear in the rows through
+    the field's multiplication table; no field element is formed."""
+    table = field.multiplication_table
+    lhs, d_left = _scaled_rows(left)
+    rhs, d_right = _scaled_rows(right)
+    out = []
+    for a in lhs:
+        # row j: coordinates of a * omega_j; T[j][i] = T[i][j]
+        times_a = [_vec_mat(a, table_j) for table_j in table]
+        out.extend(_vec_mat(b, times_a) for b in rhs)
+    return out, d_left * d_right
 
 
 def index_quotient(ideal: FractionalIdeal, s: FieldElement) -> Fraction:

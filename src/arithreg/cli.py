@@ -297,8 +297,9 @@ def _cmd_field_info(job, payload, precision):
 
 
 def _cmd_dilog(job, payload, precision):
-    z = parse_complex(_require(payload, "z", str))
     ctx = PrecisionContext(precision)
+    with ctx.workdps():
+        z = parse_complex(_require(payload, "z", str))
     value = li2(z, ctx)
     dd = bloch_wigner(z, ctx)
     return {

@@ -11,7 +11,7 @@ independent rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DomainError
 
@@ -282,16 +282,15 @@ def _gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Canonical HNF basis of the lattice spanned by rational rows."""
-    if not rows:
-        return []
-    denom = 1
-    for row in rows:
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-    int_rows = [[int(Fraction(x) * denom) for x in row] for row in rows]
-    h = hnf_rows(int_rows)
-    return [[Fraction(x, denom) for x in row] for row in h]
+    int_rows, denom = _scaled_rows(rows)
+    return [[Fraction(x, denom) for x in row] for row in hnf_rows(int_rows)]
+
+
+def _scaled_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of ints and Fractions times the lcm d of their denominators, as
+    integer rows, and d."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def lll(rows: list[list[int]]) -> list[list[int]]:

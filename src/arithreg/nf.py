@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
-from .intmat import det_fraction, invert_fraction
+from .intmat import _scaled_rows, det_fraction, invert_fraction
 from .precision import GUARD_DIGITS, MIN_DIGITS
 
 Rational = Fraction
@@ -149,6 +149,43 @@ class NumberField:
         return tuple(tuple(row) for row in inv)
 
     @cached_property
+    def multiplication_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Structure constants T of the integral basis: omega_i * omega_j =
+        sum_k T[i][j][k] * omega_k (Cohen, sections 4.2 and 4.7).
+
+        Built once per field in integers, from the power-basis vectors of
+        x^k mod f (k <= 2n - 2) and the integral basis and its inverse, each
+        scaled to integers. DomainError unless the basis spans an order:
+        1 must have integral coordinates and every T[i][j][k] be an integer.
+        """
+        n, f = self.degree, self.defining_poly
+        basis, d = _scaled_rows(self.integral_basis)
+        inverse, e = _scaled_rows(self._basis_inverse)
+        if any(x % e for x in inverse[0]):
+            raise DomainError("integral basis is not an order: 1 has non-integral coordinates")
+        powers = [[int(i == k) for i in range(n)] for k in range(n)]
+        for _ in range(n - 1):
+            prev = powers[-1]
+            powers.append([(prev[i - 1] if i else 0) - prev[-1] * f[i] for i in range(n)])
+        # e times the integral coordinates of x^k
+        power_coords = [_vec_mat(v, inverse) for v in powers]
+        denom = d * d * e
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                conv = [0] * (2 * n - 1)
+                for a, x in enumerate(basis[i]):
+                    if x:
+                        for b, y in enumerate(basis[j]):
+                            conv[a + b] += x * y
+                coords = _vec_mat(conv, power_coords)
+                if any(c % denom for c in coords):
+                    raise DomainError(f"integral basis is not an order: omega_{i} * omega_{j} "
+                                      "has non-integral coordinates")
+                table[i][j] = table[j][i] = tuple(c // denom for c in coords)
+        return tuple(tuple(row) for row in table)
+
+    @cached_property
     def _poly_fractions(self) -> list[Fraction]:
         return [Fraction(c) for c in self.defining_poly]
 
@@ -169,9 +206,6 @@ class NumberField:
             return self.element([-self.defining_poly[0]])
         return self.element([0, 1])
 
-    def integral_basis_elements(self) -> list["FieldElement"]:
-        return [self.element(row) for row in self.integral_basis]
-
     def power_coords_to_integral(self, coeffs) -> list[Fraction]:
         """Coordinates of a power-basis vector over the integral basis."""
         return _vec_mat(coeffs, self._basis_inverse)
@@ -180,14 +214,13 @@ class NumberField:
         return _vec_mat(coords, self.integral_basis)
 
 
-def _vec_mat(vec, rows) -> list[Fraction]:
-    """Exact product of a row vector with a square matrix given by its rows."""
-    out = [Fraction(0)] * len(rows)
+def _vec_mat(vec, rows) -> list:
+    """Exact product of a row vector with a matrix given by its rows, one row
+    per entry of vec: integer when both are, Fraction otherwise."""
+    out = [0] * len(rows[0])
     for c, row in zip(vec, rows):
         if c:
-            c = Fraction(c)
-            for j, x in enumerate(row):
-                out[j] += c * x
+            out = [s + c * t for s, t in zip(out, row)]
     return out
 
 

@@ -8,8 +8,10 @@ from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
                                arithmetic_degree, index_quotient,
                                standard_metric, tensor, transport, twist_metric)
 from arithreg.errors import DomainError, MembershipError
-from arithreg.intmat import solve_fraction
+from arithreg.intmat import hnf_rational, solve_fraction
 from arithreg.nf import FieldElement, embeddings, parse_field
+
+import arakelov_oracles as oracle
 
 TOL = mpf(10) ** -40
 
@@ -87,6 +89,87 @@ class TestFractionalIdeal:
                 assert ideal.coords_of(el) == oracle
                 assert ideal.contains(el) == all(c.denominator == 1 for c in oracle)
             assert all(ideal.contains(el) for el in probes[2:])
+
+
+ORACLE_FIELDS = {
+    "x^3-x+1": {"poly": [1, -1, 0, 1]},
+    "x^5-x-1": {"poly": [-1, -1, 0, 0, 0, 1]},
+    "x^8-x-1": {"poly": [-1, -1, 0, 0, 0, 0, 0, 0, 1]},
+    "x^2-5, (1+x)/2": {"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]},
+}
+
+
+class TestProductsAgainstOracle:
+    """Ideal products through the multiplication table against the
+    element-by-element oracle in tests/arakelov_oracles.py."""
+
+    @pytest.fixture(params=sorted(ORACLE_FIELDS))
+    def field_and_rng(self, request):
+        K = parse_field(ORACLE_FIELDS[request.param])
+        return K, random.Random(f"ideal-oracle-{request.param}")
+
+    @staticmethod
+    def rand_el(K, rng, den=1):
+        # a random nonzero element, integral over the basis when den == 1
+        while True:
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(K.degree)]
+            if any(coords):
+                return K.element(K.integral_coords_to_power(coords))
+
+    def ideals(self, K, rng):
+        gens = [self.rand_el(K, rng) for _ in range(3)]
+        out = [FractionalIdeal.principal(K.element([Fraction(1, 2)]))]
+        out += [FractionalIdeal.principal(g) for g in gens]
+        out.append(FractionalIdeal.from_elements(K, [K.element([6]), gens[0]]))
+        out.append(FractionalIdeal.principal(self.rand_el(K, rng, den=4)))
+        return out
+
+    def test_from_elements(self, field_and_rng):
+        K, rng = field_and_rng
+        for _ in range(4):
+            elems = [self.rand_el(K, rng, den=3) for _ in range(rng.randint(1, 3))]
+            elems.append(self.rand_el(K, rng))
+            assert (FractionalIdeal.from_elements(K, elems).basis_matrix
+                    == oracle.from_elements(K, elems).basis_matrix)
+
+    def test_multiply_scale_and_power(self, field_and_rng):
+        K, rng = field_and_rng
+        ideals = self.ideals(K, rng)
+        for a in ideals:
+            b = rng.choice(ideals)
+            assert a.multiply(b).basis_matrix == oracle.multiply(a, b).basis_matrix
+            s = self.rand_el(K, rng, den=3)
+            assert a.scale(s).basis_matrix == oracle.scale(a, s).basis_matrix
+        square = oracle.multiply(ideals[1], ideals[1])
+        assert ideals[1].power(2).basis_matrix == square.basis_matrix
+        assert ideals[1].power(1) == ideals[1]
+        assert ideals[1].power(0) == FractionalIdeal.unit_ideal(K)
+
+    def test_closure_verdicts(self, field_and_rng):
+        K, rng = field_and_rng
+        n = K.degree
+        lattices = [ideal.basis_matrix for ideal in self.ideals(K, rng)]
+        for _ in range(6):
+            # random full-rank lattices, integral and fractional: almost
+            # never ideals
+            rows = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2))) for _ in range(n)]
+                    for _ in range(n + 1)]
+            h = hnf_rational(rows)
+            if len(h) == n:
+                lattices.append(tuple(tuple(r) for r in h))
+        # an ideal with one basis vector doubled: a sublattice, not an ideal
+        ideal = lattices[1]
+        lattices.append(tuple(tuple(2 * x for x in r) if i == n - 1 else r
+                              for i, r in enumerate(ideal)))
+        verdicts = []
+        for basis in lattices:
+            lattice = FractionalIdeal(K, basis)
+            verdicts.append(lattice._is_module_closed())
+            assert verdicts[-1] == oracle.is_module_closed(lattice), basis
+            if not verdicts[-1]:
+                with pytest.raises(DomainError, match="not closed"):
+                    FractionalIdeal.from_rows(K, basis)
+        assert True in verdicts and False in verdicts
 
 
 class TestIndexQuotient:

@@ -322,28 +322,31 @@ def test_ideal_path_output_is_byte_identical(name, capsys):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-# sha256 of the stdout of dilog jobs, recorded while li2 still switched from
-# the power series to the Bernoulli series at reduced modulus 0.97: at the
-# fixed points e^(+-i pi/3) (as parsed doubles), at reduced modulus 0.96996,
-# on the cut and inside the disk, each at 30, 50, 100 and 200 digits
+# sha256 of the stdout of dilog jobs near the fixed points e^(+-i pi/3), at
+# reduced modulus 0.96996, on the cut and inside the disk, each at 30, 50,
+# 100 and 200 digits. The dyadic points (3, 0.25+0.125i) were recorded while
+# li2 still switched from the power series to the Bernoulli series at reduced
+# modulus 0.97. The other three were re-recorded when --z began to be parsed
+# at working precision rather than as the nearest double; the oracle test
+# below checks those outputs against mpmath's polylog at the exact decimal.
 DILOG_STDOUT_SHA256 = {
     "0.5+0.8660254037844386i": {
-        30: "e860600356e32af9e3c4bd569d59c30337d8f29c1139d9499778c3b3ccff6c35",
-        50: "6863f823686a6544db007a3ed1f44cf5163e205566e90cef23ce077f93a7749c",
-        100: "f2e3f1c7d641ab576949ad5585483dfa0e2f9f576c52938caa3b551009b2a8a4",
-        200: "525a40444284064ee0bfb15081d17685aa7b350d9092cb1f9a30baa668b86935",
+        30: "75f34ca24a52cfd40f156f9e16e887c8e5f0794314ee247d3671b8858bfed81a",
+        50: "641e21d2e49572338338687ce14dd741243c3372cef806f577c39c2024e9eeb5",
+        100: "2480dd547d7714908b6b7c55221e528fc110b2db20fb8480cf2fbf89d349eb16",
+        200: "8e5919eca155375d5a9d1896418675f6ec213ebe0b1d6e82ad626eb2f158162a",
     },
     "0.5-0.8660254037844386i": {
-        30: "94331a821780fe7a5e32245b6b1af33233c0703d622cd951b6bdf8832889f285",
-        50: "700650956f109b8e388e8cc410d81c95a78eaf29933fc98a96e6ee5ce9f2e312",
-        100: "90efd7ed566bb5d3e2abad5be3915100629d54bac858982cbb3bb394c102ca6c",
-        200: "45b432b118b97d42b39ec4bdbc95eb434f5279f941e8ab1a13a0377e2780a2e9",
+        30: "9a1fe4e467f91f2a8a3b80cd0d8f48699476334028a2165a417644caf31a0724",
+        50: "f93e5c904f0d8f76ac02c860387d4f8956332050ae0bf86be08b8bc8fcd25928",
+        100: "2443be8291d9abbe63541dbf6832bfeed7981687100516bc08d6922c8d42ef37",
+        200: "06f1169922e7fdd4732934125c1c5961b02b3a00f3e6d5101ea5aaa64e8b2b3d",
     },
     "0.485+0.84i": {
-        30: "9a230683944f74caa5c8a900d940f6aa897ecd41fd65f993b9d39c4006717b25",
-        50: "093de15e44282dc6e6653f73625c377a9d70645b1a23283ddc58c75beca4fc5b",
-        100: "085625c53a6f0fb093585d51fad7b96ae66ef17cd4400b3cf0e45731afc8a7ed",
-        200: "79cfeef9fb819ef35407c85e9f041c4dc9867c4450641d28f736b7864fb24f20",
+        30: "87aa6c48ec405fd415568d463ed6b0d7448a0d45e27adef86386328bcd4135b2",
+        50: "fd19f8edb508cc6396fa4fae87f316eb9e13c074dc4f8731364bdc8b02350723",
+        100: "fa191b5cc8b1f3a8e2bcb56dd1bec8d9e5af9b85fb0204be95e68bf971fabbfd",
+        200: "3c88ee6dda31e1ddbb3d92c241b528493393cce241471bf91ba490ef902e798d",
     },
     "3": {
         30: "3015ae18df1eff35157b8f3fa90a375678ede9e86bd0e59ba9154d4a22f4a5d3",
@@ -367,6 +370,30 @@ def test_dilog_output_is_byte_identical(z, capsys):
         job = _build_job(["dilog", "--z", z, "--precision", str(digits)])
         assert run_job(job, out=out) == 0, capsys.readouterr().err
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, digits
+
+
+@pytest.mark.parametrize("z", [z for z in sorted(DILOG_STDOUT_SHA256) if z.endswith("i")])
+def test_dilog_evaluates_at_the_decimal_asked_for(z):
+    """The printed z is the decimal of --z exactly, and li2 and the
+    Bloch-Wigner value agree with mpmath's polylog there to the last digit."""
+    body = z[:-1]
+    k = max(body.rfind("+", 1), body.rfind("-", 1))
+    re_text, im_text = body[:k], body[k:]
+    for digits in DILOG_STDOUT_SHA256[z]:
+        out = io.StringIO()
+        job = _build_job(["dilog", "--z", z, "--precision", str(digits), "--output", "json"])
+        assert run_job(job, out=out) == 0
+        rec = json.loads(out.getvalue())
+        sign = "-" if im_text.startswith("-") else "+"
+        assert rec["z"] == f"({re_text} {sign} {im_text.lstrip('+-')}j)", digits
+        with mp.workdps(digits + 40):
+            w = mp.mpc(mpf(re_text), mpf(im_text))
+            li2 = mp.polylog(2, w)
+            oracle = {"li2_re": li2.real, "li2_im": li2.imag,
+                      "bloch_wigner": mp.log(abs(w)) * mp.arg(1 - w) + li2.imag}
+            for key, value in oracle.items():
+                assert abs(mpf(rec[key]) - value) < mpf(10) ** (1 - digits) * max(1, abs(value)), \
+                    (digits, key)
 
 
 def test_mixed_signature_metric_must_be_invariant(capsys):
@@ -458,3 +485,42 @@ def test_degree_work_counts(monkeypatch):
         assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle, *extra]),
                        out=out) == 0
         assert calls == {"index_quotient": 1, "norm": 1}, extra
+
+
+def test_height_work_counts(monkeypatch):
+    """A height --N 2 job on x^12 - x - 1 (the bench's degree-12 job) forms
+    its ideal products through the field's multiplication table. When every
+    product was a FieldElement product, this job made 464 of them and 457
+    integral_coords calls. What is left is the section arithmetic: the
+    generator (x+2)^2, s0^2 and two quotients, plus the coordinates of the
+    generator and of the section."""
+    from arithreg.nf import FieldElement
+
+    calls = {"__mul__": 0, "integral_coords": 0}
+    count_calls(monkeypatch, calls, FieldElement, "__mul__")
+    count_calls(monkeypatch, calls, FieldElement, "integral_coords")
+    n = 12
+    field = json.dumps({"poly": [-1, -1] + [0] * (n - 2) + [1]})
+    # power-basis rows of (x+2) * x^i, i < 12, with x^12 = x + 1
+    rows = [[2 if j == i else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 3) + [2])
+    bundle = json.dumps({"ideal_basis": [[str(c) for c in row] for row in rows],
+                         "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
+    out = io.StringIO()
+    assert run_job(_build_job(["height", "--field", field, "--bundle", bundle,
+                               "--N", "2", "--generator", "(x+2)^2"]), out=out) == 0
+    assert calls == {"__mul__": 8, "integral_coords": 2}
+
+
+def test_multiplication_table_is_lazy(monkeypatch):
+    """field-info, unit-reg and kranks jobs never build the multiplication
+    table; only ideal arithmetic does."""
+    from arithreg.nf import NumberField
+
+    def refuse(self):
+        raise AssertionError("multiplication table built")
+
+    monkeypatch.setattr(NumberField, "multiplication_table", property(refuse))
+    for argv in (["field-info"], ["unit-reg", "--element", "x"], ["kranks", "--max-p", "3"]):
+        out = io.StringIO()
+        assert run_job(_build_job([argv[0], "--field", CUBIC, *argv[1:]]), out=out) == 0, argv

@@ -56,6 +56,38 @@ class TestParseField:
         assert K.integral_basis[0][0] == Fraction(1)
 
 
+class TestMultiplicationTable:
+    def test_half_integral_basis_of_sqrt5(self):
+        # omega_1 = (1+x)/2 over x^2 - 5: omega_1^2 = (3+x)/2 = omega_0 + omega_1
+        K = parse_field({"poly": [-5, 0, 1],
+                         "integral_basis": [["1", "0"], ["1/2", "1/2"]]})
+        assert K.multiplication_table == (((1, 0), (0, 1)), ((0, 1), (1, 1)))
+
+    def test_power_basis_table_is_reduced_powers(self):
+        # x^5 - x - 1 over its power basis: omega_i * omega_j = x^(i+j) mod f
+        K = parse_field({"poly": [-1, -1, 0, 0, 0, 1]})
+        table = K.multiplication_table
+        for i in range(5):
+            for j in range(5):
+                power = K.gen() ** (i + j)
+                assert table[i][j] == tuple(int(c) for c in power.coeffs), (i, j)
+
+    def test_non_order_rejected_at_first_ideal_operation(self):
+        from arithreg.arakelov import FractionalIdeal
+        # {1, x/2} over x^2 + 1: (x/2)^2 = -1/4 lies outside the span
+        K = parse_field({"poly": [1, 0, 1], "integral_basis": [["1", "0"], ["0", "1/2"]]})
+        with pytest.raises(DomainError, match=r"^integral basis is not an order: "
+                           r"omega_1 \* omega_1 has non-integral coordinates$"):
+            FractionalIdeal.unit_ideal(K)
+
+    def test_span_without_one_rejected(self):
+        # {2, 2x} over x^2 + 1 is closed under products but misses 1
+        K = parse_field({"poly": [1, 0, 1], "integral_basis": [["2", "0"], ["0", "2"]]})
+        with pytest.raises(DomainError, match="^integral basis is not an order: "
+                           "1 has non-integral coordinates$"):
+            K.multiplication_table
+
+
 class TestArith:
     def test_i_squared(self, fields):
         x = fields["Qi"].gen()
