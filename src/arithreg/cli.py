@@ -324,9 +324,6 @@ def _cmd_bloch_check(job, payload, precision):
     field = _field_from(job)
     raw = _require(payload, "candidates", list)
     candidates = [parse_element(c, field) for c in raw]
-    for lam in candidates:
-        if not lam.is_in_rcirc():
-            raise DomainError(f"candidate {lam!r} or its complement is not a unit")
     pres = _candidate_presentation(field, candidates, precision)
     kernel, flagged = _bloch_kernels(candidates, pres)
     e = embeddings(field, precision)

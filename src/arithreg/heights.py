@@ -31,26 +31,23 @@ class DiffK0Class:
 
     order_hint N: the N-th power of the class equals 1 + a(scaling_vector).
     scaling_vector: conjugation-invariant reals, one per embedding.
-    provenance: optional note on the originating bundle.
+    embedding_set: the embeddings the vector is indexed by.
     """
 
     order_hint: int
     scaling_vector: tuple
-    embedding_set: EmbeddingSet | None = None
-    provenance: str | None = None
+    embedding_set: EmbeddingSet
 
     def __post_init__(self):
         if self.order_hint < 1:
             raise DomainError("order hint must be a positive integer")
-        if self.embedding_set is not None:
-            self.embedding_set.check_invariant(self.scaling_vector, "scaling vector")
+        self.embedding_set.check_invariant(self.scaling_vector, "scaling vector")
 
 
 def height(x: DiffK0Class) -> mpf:
     """Mean of the scaling vector over embeddings, divided by the order."""
     n = len(x.scaling_vector)
-    wp = x.embedding_set.working_dps if x.embedding_set is not None else mp.dps
-    with mp.workdps(wp):
+    with mp.workdps(x.embedding_set.working_dps):
         return mp.fsum(x.scaling_vector) / n / x.order_hint
 
 

@@ -301,9 +301,6 @@ class FieldElement:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def norm(self) -> Fraction:
         rep = _poly_trim(list(self.coeffs))
         return _resultant(self.field._poly_fractions, rep)

@@ -4,12 +4,15 @@ and the kernel of formal sums under that map.
 
 Relations are discovered numerically (LLL on a scaled logarithmic embedding,
 one log-modulus column per conjugacy class of embeddings plus argument
-columns with auxiliary rows absorbing whole turns) and then every candidate
-is verified by exact field multiplication. Floating error can therefore make
-the discovered lattice incomplete but never wrong. Exterior squares keep
-their torsion: the quotient presentation is reduced to Smith normal form and
-wedge coordinates are canonicalized componentwise against the diagonal
-invariants.
+columns with auxiliary rows absorbing whole turns). The candidates are then
+reduced to their HNF basis, the rows that are stored, and each basis row is
+proved once by exact field multiplication, without inverting: the product
+over positive exponents must equal the product over negative ones. The
+candidates are integer combinations of the basis rows, so they are proved
+with it. Floating error can therefore make the discovered lattice
+incomplete but never wrong. Exterior squares keep their torsion: the
+quotient presentation is reduced to Smith normal form and wedge coordinates
+are canonicalized componentwise against the diagonal invariants.
 """
 
 from __future__ import annotations
@@ -107,14 +110,11 @@ def _embedding_columns(elems, e: EmbeddingSet):
     return logs, args
 
 
-def _relation_candidates(elems, precision: int, head: int = 0):
-    """LLL-reduced vectors of the scaled log-embedding lattice.
-
-    Returns (vectors, width) where each vector is (exponents | residuals)
-    with len(exponents) == len(elems); `head` extra columns of exponents are
-    for prepended elements (used by the coordinate search). Residuals below
-    10^((precision - guard)/2) mark candidate relations.
-    """
+def _relation_candidates(elems, precision: int):
+    """Exponent vectors of candidate relations among elems: the LLL-reduced
+    vectors of the scaled log-embedding lattice whose residuals are below
+    10^((precision - guard)/2) and whose exponents are within
+    DEFAULT_EXPONENT_BOUND. They are unproved until _verified_basis."""
     field = elems[0].field
     e = embeddings(field, precision)
     with mp.workdps(e.working_dps):
@@ -134,22 +134,34 @@ def _relation_candidates(elems, precision: int, head: int = 0):
     out = []
     for v in reduced:
         exps, resid = v[:k], v[k:]
-        if all(x == 0 for x in exps):
-            continue
-        if max(abs(r) for r in resid) <= threshold:
+        if (any(exps) and max(abs(r) for r in resid) <= threshold
+                and max(abs(x) for x in exps) <= DEFAULT_EXPONENT_BOUND):
             out.append(exps)
     return out
 
 
-def relation_lattice(elems, precision: int = DEFAULT_DIGITS,
-                     bound: int = DEFAULT_EXPONENT_BOUND) -> MultiplicativePresentation:
+def _verified_basis(elems, candidates) -> list[list[int]]:
+    """HNF basis of the lattice spanned by the candidate exponent rows, each
+    row proved a relation among elems by exact multiplication: the product
+    of g_i^e_i over e_i > 0 must equal that of g_i^-e_i over e_i < 0. A row
+    that fails raises PrecisionError (retry with more digits)."""
+    basis = hnf_rows(candidates) if candidates else []
+    for row in basis:
+        if (power_product(elems, [max(e, 0) for e in row])
+                != power_product(elems, [max(-e, 0) for e in row])):
+            raise PrecisionError(
+                "numerically discovered relation failed exact verification; "
+                "retry at higher precision")
+    return basis
+
+
+def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:
     """Find the multiplicative relation lattice of a list of units.
 
-    Every numerically discovered relation is verified by exact field
-    multiplication before acceptance; a candidate that fails verification
-    raises PrecisionError (retry with more digits). The torsion order of the
-    presented group is read off the Smith form and certified by exact
-    powering of a torsion generator.
+    The HNF basis of the numerically discovered relations is proved exactly
+    by _verified_basis; a row that fails raises PrecisionError (retry with
+    more digits). The torsion order of the presented group is read off the
+    Smith form and certified by exact powering of a torsion generator.
     """
     elems = list(elems)
     if not elems:
@@ -161,28 +173,10 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS,
         if not g.is_unit():
             raise DomainError(f"generator {g!r} is not a unit")
 
-    k = len(elems)
-    candidates = _relation_candidates(elems, precision)
-    verified = []
-    for exps in candidates:
-        if max(abs(x) for x in exps) > bound:
-            continue
-        if not power_product(elems, exps).is_one():
-            raise PrecisionError(
-                "numerically discovered relation failed exact verification; "
-                "retry at higher precision")
-        verified.append(list(exps))
-    basis = hnf_rows(verified) if verified else []
-
-    torsion = _certify_torsion(elems, basis, k)
-    pres = MultiplicativePresentation(
-        tuple(elems), tuple(tuple(r) for r in basis), torsion, precision)
-    # the HNF rows are integer combinations of verified relations, but check
-    # them directly anyway: the type invariant is exact
-    for row in pres.relation_basis:
-        if not power_product(elems, row).is_one():
-            raise PrecisionError("relation basis failed exact re-verification")
-    return pres
+    basis = _verified_basis(elems, _relation_candidates(elems, precision))
+    return MultiplicativePresentation(
+        tuple(elems), tuple(tuple(r) for r in basis),
+        _certify_torsion(elems, basis, len(elems)), precision)
 
 
 def power_product(elems, exponents) -> FieldElement:
@@ -314,13 +308,13 @@ def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
 # ---------------------------------------------------------------------------
 # coordinates and the wedge map
 
-def coordinates_of(elem: FieldElement, p: MultiplicativePresentation,
-                   bound: int = DEFAULT_EXPONENT_BOUND) -> tuple[int, ...]:
+def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
     """Exponent coordinates of elem over the presentation generators.
 
-    Coordinates are found by integer-relation search against the generators
-    (exact verification, exponents capped by `bound`) and are well defined
-    only up to the relation lattice, which is enough for wedge classes.
+    Coordinates are read off the first row of the proved relation basis of
+    elem and the generators (_verified_basis), exponents capped by
+    DEFAULT_EXPONENT_BOUND; they are well defined only up to the relation
+    lattice, which is enough for wedge classes.
     """
     if p.rank == 0:
         if elem.is_one():
@@ -335,62 +329,46 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation,
     if not elem.is_unit():
         raise DomainError("only units have coordinates in a unit presentation")
     extended = [elem] + list(p.generators)
-    candidates = _relation_candidates(extended, p.precision)
-    rows = []
-    for exps in candidates:
-        if power_product(extended, exps).is_one():
-            rows.append(list(exps))
-        else:
-            raise PrecisionError(
-                "coordinate search produced an unverifiable relation; "
-                "retry at higher precision")
-    if rows:
-        h = hnf_rows(rows)
-        first = h[0]
-        if first[0] == 1:
-            coords = tuple(-x for x in first[1:])
-            if max(abs(c) for c in coords) <= bound:
-                # verified: elem * prod(g^first[1:]) == 1 by exactness above
-                return coords
-            raise PresentationIncompleteError(
-                "coordinates exceed the exponent-height bound")
+    basis = _verified_basis(extended, _relation_candidates(extended, p.precision))
+    if basis and basis[0][0] == 1:
+        coords = tuple(-x for x in basis[0][1:])
+        if max(abs(c) for c in coords) <= DEFAULT_EXPONENT_BOUND:
+            return coords
+        raise PresentationIncompleteError(
+            "coordinates exceed the exponent-height bound")
     raise PresentationIncompleteError(
         f"element {elem!r} is not expressible over the supplied generators")
 
 
-def steinberg_image(lam: FieldElement, p: MultiplicativePresentation,
-                    bound: int = DEFAULT_EXPONENT_BOUND) -> WedgeClass:
+def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> WedgeClass:
     """Class of lambda ^ (1 - lambda) in the exterior square."""
     if not lam.is_in_rcirc():
         raise DomainError("element must be a unit with unit complement")
-    u = coordinates_of(lam, p, bound)
-    v = coordinates_of(lam.field.one() - lam, p, bound)
+    u = coordinates_of(lam, p)
+    v = coordinates_of(lam.field.one() - lam, p)
     return wedge_of_vectors(p, u, v)
 
 
-def bloch_kernel(candidates, p: MultiplicativePresentation,
-                 bound: int = DEFAULT_EXPONENT_BOUND) -> list[BlochElement]:
+def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
     """Basis of the lattice of integer combinations sum n_i [lambda_i] whose
     wedge images cancel exactly (torsion included)."""
-    return _bloch_kernels(candidates, p, bound)[0]
+    return _bloch_kernels(candidates, p)[0]
 
 
-def torsion_only_kernel(candidates, p: MultiplicativePresentation,
-                        bound: int = DEFAULT_EXPONENT_BOUND) -> list[BlochElement]:
+def torsion_only_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
     """Combinations whose wedge images vanish modulo torsion but not exactly;
     these are flagged rather than treated as kernel members."""
-    return _bloch_kernels(candidates, p, bound)[1]
+    return _bloch_kernels(candidates, p)[1]
 
 
-def _bloch_kernels(candidates, p: MultiplicativePresentation,
-                   bound: int = DEFAULT_EXPONENT_BOUND
+def _bloch_kernels(candidates, p: MultiplicativePresentation
                    ) -> tuple[list[BlochElement], list[BlochElement]]:
     """(bloch_kernel, torsion_only_kernel) of the candidates, both from one
     list of Steinberg images."""
     candidates = list(candidates)
     if not candidates:
         return [], []
-    images = [steinberg_image(lam, p, bound) for lam in candidates]
+    images = [steinberg_image(lam, p) for lam in candidates]
     sq = exterior_square(p)
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
     if free_cols:
@@ -422,22 +400,22 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
         basis = hnf_rows([row for row in projected if any(row)])
 
     for row in basis:
-        total = [0] * dim
-        for n, img in zip(row, images):
-            for c in range(dim):
-                total[c] += n * img.coords[c]
-        if any(sq.reduce(total)):
+        if not _wedge_sum_vanishes(row, images, sq):
             raise PrecisionError("kernel basis failed exact wedge verification")
     return basis
 
 
-def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation,
-                         bound: int = DEFAULT_EXPONENT_BOUND) -> bool:
-    """Exact check of the defining kernel condition for a formal sum."""
-    sq = exterior_square(p)
+def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
+    """Whether sum n_i * image_i reduces to 0 in the exterior square."""
     total = [0] * sq.dim
-    for lam, n in zip(x.support, x.multiplicities):
-        img = steinberg_image(lam, p, bound)
+    for n, img in zip(multiplicities, images):
         for c in range(sq.dim):
             total[c] += n * img.coords[c]
     return not any(sq.reduce(total))
+
+
+def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation) -> bool:
+    """Exact check of the defining kernel condition for a formal sum."""
+    return _wedge_sum_vanishes(
+        x.multiplicities, [steinberg_image(lam, p) for lam in x.support],
+        exterior_square(p))

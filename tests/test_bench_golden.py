@@ -1,7 +1,7 @@
-"""The benchmark's own ideal jobs, replayed in tier-1: a change that moves
-the output bytes of a degree or height job of the arakelov_degrees workload
-fails here, not only in a benchmark run. bench/golden is read, never
-written."""
+"""The benchmark's own jobs, replayed in tier-1: a change that moves the
+output bytes of a degree or height job of the arakelov_degrees workload, or
+of any job of the bloch_sweep workload, fails here, not only in a benchmark
+run. bench/golden is read, never written."""
 
 import hashlib
 import importlib
@@ -18,22 +18,41 @@ IDEAL_KINDS = ("degree", "height1", "height2")
 MAX_DEGREE = 8
 
 
-def test_arakelov_ideal_jobs_match_golden(monkeypatch, capsys):
+def _bench_universe(monkeypatch, workload):
+    """(workloads module, the workload's job universe, its golden digests)."""
     pytest.importorskip("sympy")  # bench/certify.py certifies the fields
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     certify = importlib.import_module("certify")
-    certified = certify.certify_all(workloads.candidate_fields("arakelov_degrees"))
-    golden = json.loads((BENCH / "golden" / "arakelov_degrees.json").read_text())
-    jobs = [(job, meta) for job, meta in workloads.universe("arakelov_degrees", certified)
+    certified = certify.certify_all(workloads.candidate_fields(workload))
+    golden = json.loads((BENCH / "golden" / f"{workload}.json").read_text())
+    return workloads, workloads.universe(workload, certified), golden
+
+
+def _replay(workloads, jobs, golden, capsys):
+    for job, meta in jobs:
+        out = io.StringIO()
+        rc = run_job(job, out=out)
+        label = (f"{job['command']} {json.dumps(job['payload'])[:80]} on "
+                 f"degree {len(meta['poly']) - 1}: {capsys.readouterr().err}")
+        assert rc == meta["expect_rc"], label
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+        assert digest == golden["stdout_sha256"][workloads.job_key(job)], label
+
+
+def test_arakelov_ideal_jobs_match_golden(monkeypatch, capsys):
+    workloads, universe, golden = _bench_universe(monkeypatch, "arakelov_degrees")
+    jobs = [(job, meta) for job, meta in universe
             if meta["kind"] in IDEAL_KINDS and len(meta["poly"]) - 1 <= MAX_DEGREE]
     degrees = {d for d in workloads.ARAKELOV_DEGREES if d <= MAX_DEGREE}
     assert {len(meta["poly"]) - 1 for _, meta in jobs} == degrees
     assert {meta["kind"] for _, meta in jobs} == set(IDEAL_KINDS)
-    for job, meta in jobs:
-        out = io.StringIO()
-        rc = run_job(job, out=out)
-        label = f"{job['command']} on degree {len(meta['poly']) - 1}: {capsys.readouterr().err}"
-        assert rc == meta["expect_rc"], label
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
-        assert digest == golden["stdout_sha256"][workloads.job_key(job)], label
+    _replay(workloads, jobs, golden, capsys)
+
+
+def test_bloch_sweep_universe_matches_golden(monkeypatch, capsys):
+    """Every bloch-check and regulator job the bloch_sweep workload can
+    draw, the failing ones included, against its recorded digest."""
+    workloads, universe, golden = _bench_universe(monkeypatch, "bloch_sweep")
+    assert len(universe) == golden["jobs"]
+    _replay(workloads, universe, golden, capsys)

@@ -444,15 +444,20 @@ def count_calls(monkeypatch, calls, owner, name):
 def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once and
     one Bloch-Wigner value per nonzero (multiplicity, pair representative)
-    term of its kernel basis."""
+    term of its kernel basis. Unit status is tested once per generator of
+    the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)) and once per element
+    of each candidate's pair in steinberg_image: 5 + 2*2 = 9 tests. The one
+    inverse is the parse of (1-x)^-1; proving relations inverts nothing."""
     import arithreg.regulator
     import arithreg.relations
     from arithreg.cli import _build_job
-    from arithreg.nf import embeddings, parse_field
+    from arithreg.nf import FieldElement, embeddings, parse_field
 
-    calls = {"steinberg_image": 0, "bloch_wigner": 0}
+    calls = {"steinberg_image": 0, "bloch_wigner": 0, "is_unit": 0, "inverse": 0}
     count_calls(monkeypatch, calls, arithreg.relations, "steinberg_image")
     count_calls(monkeypatch, calls, arithreg.regulator, "bloch_wigner")
+    count_calls(monkeypatch, calls, FieldElement, "is_unit")
+    count_calls(monkeypatch, calls, FieldElement, "inverse")
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     job = _build_job(argv[1:] + ["--output", "json"])
     out = io.StringIO()
@@ -464,7 +469,19 @@ def test_bloch_check_work_counts(monkeypatch):
     # the example has a zero multiplicity, so a skipped term is observable
     assert nonzero < sum(len(row) for row in rec["kernel_basis"])
     assert calls == {"steinberg_image": len(job["payload"]["candidates"]),
-                     "bloch_wigner": nonzero * pairs}
+                     "bloch_wigner": nonzero * pairs, "is_unit": 9, "inverse": 1}
+
+
+def test_bloch_check_non_unit_candidate(capsys):
+    """A candidate that is not a unit is rejected as a generator of the
+    relation lattice, before any numerical work."""
+    job = {"schema": 1, "command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
+           "payload": {"candidates": ["x", "2*x"]}}
+    out = io.StringIO()
+    assert run_job(job, out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error[domain]: generator FieldElement(['0', '2', '0']) is not a unit\n")
 
 
 def test_degree_work_counts(monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 
 import arithreg.relations
 from arithreg.cli import run_job
-from arithreg.errors import DomainError, PresentationIncompleteError
+from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
 from arithreg.intmat import in_lattice, lll
-from arithreg.relations import (BlochElement, bloch_kernel, coordinates_of,
+from arithreg.relations import (BlochElement, _verified_basis, bloch_kernel, coordinates_of,
                                 exterior_square, exterior_square_of_lattice,
                                 power_product, relation_lattice, steinberg_image,
                                 torsion_only_kernel, verify_bloch_element,
@@ -73,6 +73,62 @@ class TestRelationLattice:
     def test_non_unit_rejected(self, fields):
         with pytest.raises(DomainError):
             relation_lattice([fields["Q"].element([2])], 50)
+
+
+class TestVerifiedBasis:
+    """Relations are proved once, on the stored HNF basis, by comparing the
+    products over the positive and the negative exponents."""
+
+    @staticmethod
+    def add_false_candidate(monkeypatch):
+        """Make every relation search also report e_0, i.e. elems[0] == 1."""
+        real = arithreg.relations._relation_candidates
+
+        def with_false_row(elems, precision):
+            return real(elems, precision) + [[1] + [0] * (len(elems) - 1)]
+
+        monkeypatch.setattr(arithreg.relations, "_relation_candidates", with_false_row)
+
+    def test_false_candidate_fails_relation_lattice(self, monkeypatch, cubic_setup):
+        _, _, p = cubic_setup
+        self.add_false_candidate(monkeypatch)
+        with pytest.raises(PrecisionError):
+            relation_lattice(p.generators, 50)
+
+    def test_false_candidate_fails_coordinates_of(self, monkeypatch, cubic_setup):
+        _, lam, p = cubic_setup
+        assert power_product(p.generators, coordinates_of(lam ** 2, p)) == lam ** 2
+        self.add_false_candidate(monkeypatch)
+        with pytest.raises(PrecisionError):
+            coordinates_of(lam ** 2, p)
+
+    @pytest.mark.parametrize("name", ["cubic", "Qsqrt2"])
+    def test_sign_split_agrees_with_power_product(self, fields, name):
+        K = fields[name]
+        x, one = K.gen(), K.one()
+        gens = ([K.element([-1]), x, one - x] if name == "cubic"
+                else [K.element([-1]), one + x, x - one])
+        basis = relation_lattice(gens, 50).relation_basis
+        rng = random.Random(f"sign-split-{name}")
+        verdicts = set()
+        for trial in range(60):
+            if trial % 2:  # an integer combination of relations
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                v = [sum(c * row[i] for c, row in zip(coeffs, basis))
+                     for i in range(len(gens))]
+            else:
+                v = [rng.randint(-4, 4) for _ in gens]
+            if not any(v):
+                continue
+            expected = power_product(gens, v).is_one()
+            try:
+                _verified_basis(gens, [v])
+                proved = True
+            except PrecisionError:
+                proved = False
+            assert proved == expected, v
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestExteriorSquare:
