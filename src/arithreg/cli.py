@@ -22,7 +22,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
-from .dilog import bloch_wigner, li2
+from .dilog import li2_and_bloch_wigner
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
                      SchemaError)
 from .heights import c_hat_height
@@ -300,8 +300,7 @@ def _cmd_dilog(job, payload, precision):
     ctx = PrecisionContext(precision)
     with ctx.workdps():
         z = parse_complex(_require(payload, "z", str))
-    value = li2(z, ctx)
-    dd = bloch_wigner(z, ctx)
+    value, dd = li2_and_bloch_wigner(z, ctx)
     return {
         "schema": 1,
         "z": _num(z, precision),

@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf
 
 from .precision import PrecisionContext
 
-__all__ = ["PrecisionContext", "li2", "bloch_wigner"]
+__all__ = ["PrecisionContext", "li2", "bloch_wigner", "li2_and_bloch_wigner"]
 
 # orbit of z under inversion and reflection; chains apply left to right
 _CHAINS = (
@@ -127,9 +127,28 @@ def li2(z, ctx: PrecisionContext = PrecisionContext()) -> mpc:
     Real arguments above 1 sit on the cut and evaluate as the limit from
     below, i.e. with imaginary part -pi*log(z).
     """
+    return li2_and_bloch_wigner(z, ctx)[0]
+
+
+def bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> mpf:
+    """The single-valued function log|z| arg(1-z) + Im Li2(z).
+
+    Exactly-real input returns exact 0 without any floating evaluation, so
+    per-embedding value vectors stay rigorously conjugation-equivariant at
+    real embeddings.
+    """
+    if _is_exact_real(z):
+        return mpf(0)
+    return li2_and_bloch_wigner(z, ctx)[1]
+
+
+def li2_and_bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> tuple[mpc, mpf]:
+    """(li2(z, ctx), bloch_wigner(z, ctx)) from one evaluation of Li2: D is
+    formed from the working-precision value of Li2 before either is rounded."""
     real_input = _is_exact_real(z)
     with ctx.workdps():
         w = _as_mpc(z)
+        d = mpf(0)
         if w == 0:
             out = mpc(0)
         elif w == 1:
@@ -146,25 +165,7 @@ def li2(z, ctx: PrecisionContext = PrecisionContext()) -> mpc:
             out = mpc(_li2_principal(mpc(w.real, 0)).real, 0)
         else:
             out = _li2_principal(w)
+            if w.imag != 0:
+                d = mp.log(abs(w)) * mp.arg(1 - w) + out.imag
     with ctx.outdps():
-        return +out
-
-
-def bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> mpf:
-    """The single-valued function log|z| arg(1-z) + Im Li2(z).
-
-    Exactly-real input returns exact 0 without any floating evaluation, so
-    per-embedding value vectors stay rigorously conjugation-equivariant at
-    real embeddings.
-    """
-    if _is_exact_real(z):
-        return mpf(0)
-    with ctx.workdps():
-        w = _as_mpc(z)
-        if w == 0 or w == 1:
-            return mpf(0)
-        if w.imag == 0:
-            return mpf(0)
-        val = mp.log(abs(w)) * mp.arg(1 - w) + _li2_principal(w).imag
-    with ctx.outdps():
-        return +val
+        return +out, +d

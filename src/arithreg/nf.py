@@ -1,12 +1,16 @@
 """Exact arithmetic in a number field K = Q[x]/(f) plus certified complex
 embeddings at configurable precision.
 
-Elements are coefficient vectors over the power basis, stored as exact
-Fractions and always reduced mod the defining polynomial. The embedding set
-carries the numerical side: certified roots of f, the complex-conjugation
-pairing, and the (r1, r2) signature; it is also the one place that builds
-and checks conjugation-invariant per-embedding vectors. Exact predicates
-(integrality, norm = +-1) never touch floating point.
+An element is stored as integer numerators over the power basis and one
+positive common denominator, in lowest terms, always reduced mod the monic
+defining polynomial (Cohen, A Course in Computational Algebraic Number
+Theory, section 4.2). Sums, products, norms and integrality tests therefore
+run in Python integers; only the inverse (an extended gcd over Q) works on
+Fractions. The embedding set carries the numerical side: certified roots of
+f, the complex-conjugation pairing, and the (r1, r2) signature; it is also
+the one place that builds and checks conjugation-invariant per-embedding
+vectors. Exact predicates (integrality, norm = +-1) never touch floating
+point.
 """
 
 from __future__ import annotations
@@ -14,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import _scaled_rows, det_fraction, invert_fraction
 from .precision import GUARD_DIGITS, MIN_DIGITS
-
-Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +99,6 @@ def _poly_xgcd(p, q):
     return r0, s0, t0
 
 
-def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
-    """Res(f, g) via the Sylvester determinant; f monic here."""
-    n, m = len(f) - 1, len(g) - 1
-    if m < 0:
-        return Fraction(0)
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    rows = []
-    fd = list(reversed(f))  # descending
-    gd = list(reversed(g))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + fd + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + gd + [Fraction(0)] * (size - m - 1 - i))
-    return det_fraction(rows)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -139,14 +124,21 @@ class NumberField:
         if det_fraction([list(r) for r in self.integral_basis]) == 0:
             raise FormatError("integral basis is singular")
 
+    def __hash__(self):
+        # consistent with ==, since equal fields have equal polynomials, and
+        # cheap: every embeddings-cache lookup hashes the field, and the
+        # generated hash would hash the n^2 Fractions of the basis each time
+        return hash((self.defining_poly, self.maximality_asserted))
+
     @property
     def degree(self) -> int:
         return len(self.defining_poly) - 1
 
     @cached_property
-    def _basis_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        inv = invert_fraction([list(r) for r in self.integral_basis])
-        return tuple(tuple(row) for row in inv)
+    def _scaled_inverse(self) -> tuple[list[list[int]], int]:
+        """(M, e): the inverse of the integral basis is M / e with M an
+        integer matrix, so integral coordinates are power coordinates * M / e."""
+        return _scaled_rows(invert_fraction([list(r) for r in self.integral_basis]))
 
     @cached_property
     def multiplication_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -160,7 +152,7 @@ class NumberField:
         """
         n, f = self.degree, self.defining_poly
         basis, d = _scaled_rows(self.integral_basis)
-        inverse, e = _scaled_rows(self._basis_inverse)
+        inverse, e = self._scaled_inverse
         if any(x % e for x in inverse[0]):
             raise DomainError("integral basis is not an order: 1 has non-integral coordinates")
         powers = [[int(i == k) for i in range(n)] for k in range(n)]
@@ -189,11 +181,36 @@ class NumberField:
     def _poly_fractions(self) -> list[Fraction]:
         return [Fraction(c) for c in self.defining_poly]
 
+    @cached_property
+    def _reduction_terms(self) -> tuple[tuple[int, int], ...]:
+        """(k, f_k) for the nonzero f_k, k < n: x^n = -sum f_k x^k mod f."""
+        f = self.defining_poly
+        return tuple((k, c) for k, c in enumerate(f[:-1]) if c)
+
+    def _reduce(self, num: list[int], den: int) -> "FieldElement":
+        """The element num / den, for integer coefficients num over the power
+        basis (any length) and den > 0: num is reduced mod the monic f in
+        integers, padded to n entries and put in lowest terms with den."""
+        n = self.degree
+        for top in range(len(num) - 1, n - 1, -1):
+            c = num[top]
+            if c:
+                base = top - n
+                for k, fk in self._reduction_terms:
+                    num[base + k] -= c * fk
+        del num[n:]
+        num.extend([0] * (n - len(num)))
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return FieldElement(self, tuple(num), den)
+
     def element(self, coeffs) -> "FieldElement":
-        cs = [Fraction(c) for c in coeffs]
-        _, rem = _poly_divmod(cs, self._poly_fractions)
-        rem += [Fraction(0)] * (self.degree - len(rem))
-        return FieldElement(self, tuple(rem))
+        """The element with these rational power-basis coefficients."""
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return self._reduce([c.numerator * (den // c.denominator) for c in cs], den)
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -205,10 +222,6 @@ class NumberField:
         if self.degree == 1:
             return self.element([-self.defining_poly[0]])
         return self.element([0, 1])
-
-    def power_coords_to_integral(self, coeffs) -> list[Fraction]:
-        """Coordinates of a power-basis vector over the integral basis."""
-        return _vec_mat(coeffs, self._basis_inverse)
 
     def integral_coords_to_power(self, coords) -> list[Fraction]:
         return _vec_mat(coords, self.integral_basis)
@@ -226,8 +239,20 @@ def _vec_mat(vec, rows) -> list:
 
 @dataclass(frozen=True)
 class FieldElement:
+    """num / den over the power basis of field: n integer numerators and one
+    denominator den > 0 with gcd(den, *num) = 1, reduced mod the defining
+    polynomial, so two elements are equal exactly when their fields, num and
+    den are. Build elements with NumberField.element and the arithmetic
+    below, which keep that form."""
+
     field: NumberField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coefficients."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check_same(self, other: "FieldElement"):
         if not isinstance(other, FieldElement):
@@ -235,23 +260,33 @@ class FieldElement:
         if self.field is not other.field and self.field != other.field:
             raise DomainError("elements live in different fields")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "FieldElement":
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
         self._check_same(other)
-        return self.field.element([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return self.field._reduce([a * sa + b * sb for a, b in zip(self.num, other.num)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_same(other)
-        return self.field.element([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self.field.element([-a for a in self.coeffs])
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_same(other)
-        return self.field.element(_poly_mul(list(self.coeffs), list(other.coeffs)))
+        conv = [0] * (2 * len(self.num) - 1)
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in terms:
+                    conv[i + j] += a * b
+        return self.field._reduce(conv, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -271,7 +306,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.element([Fraction(other)])
+            return self.field.element([other])
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -296,20 +331,42 @@ class FieldElement:
         return self.field.element(t)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def norm(self) -> Fraction:
-        rep = _poly_trim(list(self.coeffs))
-        return _resultant(self.field._poly_fractions, rep)
+        """Res(f, num) / den^n: the Sylvester determinant of the monic f and
+        the numerator polynomial, in integers."""
+        n, f = self.field.degree, self.field.defining_poly
+        g = list(self.num)
+        while g and g[-1] == 0:
+            g.pop()
+        m = len(g) - 1
+        if m < 0:
+            return Fraction(0)
+        if m == 0:
+            return Fraction(g[0] ** n, self.den ** n)
+        size = n + m
+        fd, gd = list(reversed(f)), list(reversed(g))
+        rows = [[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
+        rows += [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)]
+        return Fraction(det_fraction(rows).numerator, self.den ** n)
+
+    def _integral_numerators(self) -> tuple[list[int], int]:
+        """Integral-basis coordinates as integer numerators over one
+        denominator."""
+        inverse, e = self.field._scaled_inverse
+        return _vec_mat(self.num, inverse), self.den * e
 
     def integral_coords(self) -> list[Fraction]:
-        return self.field.power_coords_to_integral(self.coeffs)
+        coords, d = self._integral_numerators()
+        return [Fraction(c, d) for c in coords]
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.integral_coords())
+        coords, d = self._integral_numerators()
+        return all(c % d == 0 for c in coords)
 
     def is_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
@@ -362,17 +419,27 @@ def parse_field(record: dict) -> NumberField:
     _screen_irreducible(coeffs)
 
     basis = record.get("integral_basis")
-    if basis is None:
-        rows = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-    else:
+    if basis is not None:
         if (not isinstance(basis, (list, tuple)) or len(basis) != n
                 or any(not isinstance(r, (list, tuple)) or len(r) != n for r in basis)):
             raise FormatError("integral_basis must be an n x n matrix")
-        rows = tuple(tuple(_parse_rational(x) for x in r) for r in basis)
+        basis = tuple(tuple(_parse_rational(x) for x in r) for r in basis)
     maximal = record.get("maximal", True)
     if not isinstance(maximal, bool):
         raise FormatError("'maximal' must be a boolean")
-    return NumberField(tuple(coeffs), rows, maximal)
+    return _shared_field(tuple(coeffs), basis, maximal)
+
+
+@lru_cache(maxsize=32)
+def _shared_field(poly: tuple[int, ...], basis, maximal: bool) -> NumberField:
+    """The one NumberField of a parsed record (basis None: the power basis).
+    Every job that parses an equal record gets the same object, so the field
+    guards of evaluate, arakelov and kmodel pass on identity against the
+    embeddings cached for it, and its lazily built tables are built once."""
+    if basis is None:
+        n = len(poly) - 1
+        basis = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return NumberField(poly, basis, maximal)
 
 
 def _screen_irreducible(coeffs: list[int]):
@@ -646,7 +713,10 @@ def evaluate(a: FieldElement, e: EmbeddingSet, index: int):
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
     with mp.workdps(e.working_dps):
-        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
+        if a.den == 1:
+            coeffs = [mpf(c) for c in a.num]
+        else:
+            coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
         if e.is_real(index):
             return mpc(_horner(coeffs, mp.re(e.roots[index])), 0)
         return _horner(coeffs, e.roots[index])

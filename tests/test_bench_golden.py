@@ -1,7 +1,8 @@
 """The benchmark's own jobs, replayed in tier-1: a change that moves the
-output bytes of a degree or height job of the arakelov_degrees workload, or
-of any job of the bloch_sweep workload, fails here, not only in a benchmark
-run. bench/golden is read, never written."""
+output bytes of a degree or height job of the arakelov_degrees workload, of
+any job of the bloch_sweep workload, or of every eighth job of the
+dilog_plane workload, fails here, not only in a benchmark run. bench/golden
+is read, never written."""
 
 import hashlib
 import importlib
@@ -16,6 +17,7 @@ from arithreg.cli import run_job
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 IDEAL_KINDS = ("degree", "height1", "height2")
 MAX_DEGREE = 8
+DILOG_STEP = 8  # replaying all 5113 dilog_plane jobs takes about 10 s
 
 
 def _bench_universe(monkeypatch, workload):
@@ -33,8 +35,10 @@ def _replay(workloads, jobs, golden, capsys):
     for job, meta in jobs:
         out = io.StringIO()
         rc = run_job(job, out=out)
+        where = (f"degree {len(meta['poly']) - 1}" if "poly" in meta
+                 else f"{job['precision']} digits")
         label = (f"{job['command']} {json.dumps(job['payload'])[:80]} on "
-                 f"degree {len(meta['poly']) - 1}: {capsys.readouterr().err}")
+                 f"{where}: {capsys.readouterr().err}")
         assert rc == meta["expect_rc"], label
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
         assert digest == golden["stdout_sha256"][workloads.job_key(job)], label
@@ -56,3 +60,15 @@ def test_bloch_sweep_universe_matches_golden(monkeypatch, capsys):
     workloads, universe, golden = _bench_universe(monkeypatch, "bloch_sweep")
     assert len(universe) == golden["jobs"]
     _replay(workloads, universe, golden, capsys)
+
+
+def test_dilog_plane_sample_matches_golden(monkeypatch, capsys):
+    """Every DILOG_STEP-th dilog_plane job in universe order: every region
+    at every precision, and the schema-error job."""
+    workloads, universe, golden = _bench_universe(monkeypatch, "dilog_plane")
+    assert len(universe) == golden["jobs"]
+    jobs = universe[::DILOG_STEP]
+    assert ({(meta["region"], job["precision"]) for job, meta in jobs if meta["expect_rc"] == 0}
+            == {(r, p) for r in workloads.DILOG_REGIONS for p in workloads.DILOG_PRECISIONS})
+    assert [meta.get("expect_err") for _, meta in jobs if meta["expect_rc"]] == ["error[schema]"]
+    _replay(workloads, jobs, golden, capsys)

@@ -472,6 +472,21 @@ def test_bloch_check_work_counts(monkeypatch):
                      "bloch_wigner": nonzero * pairs, "is_unit": 9, "inverse": 1}
 
 
+@pytest.mark.parametrize("z, series", [("0.25+0.125i", 1), ("-3.5+2i", 1), ("3", 1),
+                                       ("0.5", 1), ("1", 0)])
+def test_dilog_job_evaluates_li2_once(monkeypatch, z, series):
+    """A dilog job sums the Bernoulli series once: the Bloch-Wigner value is
+    formed from the Li2 value of the same job, and a real point (D = 0) or
+    z = 1 (closed form) adds no evaluation."""
+    import arithreg.dilog
+
+    calls = {"_bernoulli_series": 0}
+    count_calls(monkeypatch, calls, arithreg.dilog, "_bernoulli_series")
+    job = {"command": "dilog", "payload": {"z": z}}
+    assert run_job(job, out=io.StringIO()) == 0
+    assert calls == {"_bernoulli_series": series}
+
+
 def test_bloch_check_non_unit_candidate(capsys):
     """A candidate that is not a unit is rejected as a generator of the
     relation lattice, before any numerical work."""

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 
 from arithreg.errors import DomainError, FormatError
 from arithreg.nf import embeddings, evaluate, parse_field
+import nf_oracles as oracle
 
 
 def rand_element(field, rng, span=9):
@@ -47,6 +48,32 @@ class TestParseField:
         # x^4 + 1 and x^4 - 10x^2 + 1 are irreducible over Q but reducible
         # modulo every prime; a screen must not reject them on mod-p evidence
         assert parse_field({"poly": poly}).degree == 4
+
+    def test_equal_records_share_one_field(self):
+        rec = {"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]}
+        assert parse_field(dict(rec)) is parse_field(dict(rec))
+        assert parse_field({"poly": [1, -1, 0, 1]}) is parse_field({"poly": [1, -1, 0, 1]})
+        assert parse_field(rec) is not parse_field(dict(rec, maximal=False))
+
+    def test_evaluate_against_earlier_parse_touches_no_fractions(self, monkeypatch):
+        # the embeddings cache keeps the field of the first parse; a later
+        # parse of the same record must find it and pass the field guard
+        # without comparing or hashing the basis
+        record = {"poly": [-1, -1] + [0] * 14 + [1]}
+        embeddings(parse_field(record), 30)
+        K = parse_field(dict(record))
+        a = K.gen()
+        calls = []
+        for name in ("__eq__", "__hash__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        evaluate(a, embeddings(K, 30), 0)
+        assert calls == []
+
+    def test_evaluate_rejects_other_field(self, fields, embset):
+        with pytest.raises(DomainError, match="different fields"):
+            evaluate(fields["Qi"].gen(), embset["Qsqrt2"], 0)
 
     def test_integral_basis_record(self):
         K = parse_field({"poly": [5, 0, 1],
@@ -117,6 +144,119 @@ class TestArith:
         K = fields["Qi"]
         with pytest.raises(DomainError):
             K.one() / K.zero()
+
+
+# fields for the differential tests: sparse and dense defining polynomials,
+# degree 16, a basis with a denominator, and degree 1
+DIFF_FIELDS = {
+    "cubic": {"poly": [1, -1, 0, 1]},
+    "quintic": {"poly": [-1, -1, 0, 0, 0, 1]},
+    "deg16": {"poly": [-1, -1] + [0] * 14 + [1]},
+    "sqrt5_half": {"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]},
+    "linear": {"poly": [2, 1]},
+}
+
+
+def wide_element(field, rng):
+    """Numerators up to 10^30, denominators up to 10^6, some terms zero, and
+    sometimes more coefficients than the degree, so reduction mod f runs."""
+    kind = rng.randrange(4)
+    coeffs = []
+    for _ in range(field.degree + rng.choice((0, 0, 1, field.degree))):
+        if rng.random() < 0.2:
+            coeffs.append(0)
+        elif kind == 0:  # integral
+            coeffs.append(rng.randint(-10 ** 30, 10 ** 30))
+        elif kind == 1:  # small
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        else:
+            coeffs.append(Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6)))
+    return coeffs
+
+
+class TestAgainstFractionOracle:
+    """The integer-numerator arithmetic against the Fraction coefficient
+    arithmetic in tests/nf_oracles.py, on seeded elements."""
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_ring_operations(self, name):
+        K = parse_field(DIFF_FIELDS[name])
+        rng = random.Random(f"ring-{name}")
+        for _ in range(12):
+            ca, cb = wide_element(K, rng), wide_element(K, rng)
+            a, b = K.element(ca), K.element(cb)
+            assert a.coeffs == oracle.reduce(K, ca)
+            assert a.to_record() == {"coeffs": [str(c) for c in oracle.reduce(K, ca)]}
+            assert (a + b).coeffs == oracle.add(a, b)
+            assert (a - b).coeffs == oracle.sub(a, b)
+            assert (a * b).coeffs == oracle.mul(a, b)
+            assert (-a).coeffs == oracle.sub(K.zero(), a)
+            assert (a * 3 - Fraction(1, 7)).coeffs == oracle.sub(
+                K.element(oracle.mul(a, K.element([3]))), K.element([Fraction(1, 7)]))
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_powers(self, name):
+        K = parse_field(DIFF_FIELDS[name])
+        rng = random.Random(f"pow-{name}")
+        for _ in range(3):
+            a = K.element([Fraction(rng.randint(-99, 99), rng.randint(1, 50))
+                           for _ in range(K.degree)])
+            if a.is_zero():
+                continue
+            for k in (-3, -1, 0, 1, 4):
+                assert (a ** k).coeffs == oracle.power(a, k), k
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_norm_and_integral_coords(self, name):
+        K = parse_field(DIFF_FIELDS[name])
+        rng = random.Random(f"norm-{name}")
+        for _ in range(12):
+            a = K.element(wide_element(K, rng))
+            assert a.norm() == oracle.norm(a)
+            assert a.integral_coords() == oracle.integral_coords(a)
+            assert a.is_integral() == all(c.denominator == 1 for c in oracle.integral_coords(a))
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_is_unit(self, name):
+        K = parse_field(DIFF_FIELDS[name])
+        rng = random.Random(f"unit-{name}")
+        x = K.gen()
+        # x and 1 - x are units over the three trinomials, the golden ratio
+        # over Q(sqrt 5); products, powers and shifts of these give units
+        # and non-units both
+        base = [x, K.one() - x, -K.one(), K.element([2]), K.element([Fraction(1, 2)])]
+        if name == "sqrt5_half":
+            base.append(K.element([Fraction(1, 2), Fraction(1, 2)]))  # the golden ratio
+        samples = list(base)
+        for _ in range(20):
+            u, v = rng.choice(base), rng.choice(base)
+            samples.append(u ** rng.randint(-3, 3) * v)
+            samples.append(u * v + K.element([rng.randint(-2, 2)]))
+        assert any(oracle.is_unit(s) for s in samples)
+        assert not all(oracle.is_unit(s) for s in samples)
+        for s in samples:
+            assert s.is_unit() == oracle.is_unit(s), s
+
+
+class TestCanonicalForm:
+    def test_equal_values_are_equal_elements(self, fields):
+        K = fields["cubic"]
+        a, b = K.element([Fraction(2, 4)]), K.element([Fraction(1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == ((1, 0, 0), 2)
+        assert K.element([0, 0, 0, 1]) == K.element([-1, 1])  # x^3 = x - 1
+
+    def test_zero_is_zero_over_one(self, fields):
+        K = fields["cubic"]
+        for z in (K.zero(), K.element([Fraction(3, 7)]) - K.element([Fraction(6, 14)])):
+            assert (z.num, z.den) == ((0, 0, 0), 1)
+            assert z.is_zero() and z == K.zero()
+
+    def test_denominator_stays_positive(self, fields):
+        K = fields["cubic"]
+        a = K.element([Fraction(-3, 4), Fraction(5, -6)])
+        assert (a.num, a.den) == ((-9, -10, 0), 12)
+        assert (-a).den == 12 and (a * a).den > 0 and a.inverse().den > 0
 
 
 class TestNorm:
