@@ -32,8 +32,8 @@ from functools import cached_property
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import (_scaled_rows, det_fraction, hnf_rational, hnf_rows, identity, in_lattice,
-                     invert_fraction)
+from .intmat import (_integer_inverse, _scaled_rows, det_fraction, hnf_rational, hnf_rows,
+                     identity, in_lattice)
 from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
 from .precision import DEFAULT_DIGITS
 
@@ -106,17 +106,23 @@ class FractionalIdeal:
         return self.element_from_coords(self.basis_matrix[0])
 
     @cached_property
-    def _basis_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        inv = invert_fraction([list(r) for r in self.basis_matrix])
-        return tuple(tuple(row) for row in inv)
+    def _basis_inverse(self) -> tuple[list[list[int]], int]:
+        """(M, e): the inverse of the basis matrix is M / e, M integer."""
+        return _integer_inverse(self.basis_matrix)
+
+    def _coord_numerators(self, elem: FieldElement) -> tuple[list[int], int]:
+        """Ideal-basis coordinates of elem: integer numerators, denominator."""
+        coords, d = elem._integral_numerators()
+        inverse, e = self._basis_inverse
+        return _vec_mat(coords, inverse), d * e
 
     def coords_of(self, elem: FieldElement) -> list[Fraction]:
-        return _vec_mat(elem.integral_coords(), self._basis_inverse)
+        coords, d = self._coord_numerators(elem)
+        return [Fraction(c, d) for c in coords]
 
     def contains(self, elem: FieldElement) -> bool:
-        if elem.is_zero():
-            return True
-        return all(c.denominator == 1 for c in self.coords_of(elem))
+        coords, d = self._coord_numerators(elem)
+        return all(c % d == 0 for c in coords)
 
     def multiply(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:

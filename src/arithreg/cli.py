@@ -27,7 +27,7 @@ from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
                      SchemaError)
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
-from .nf import FieldElement, NumberField, embeddings, parse_field
+from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
 from .precision import DEFAULT_DIGITS, MIN_DIGITS, PrecisionContext
 from .regulator import k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, _bloch_kernels, relation_lattice,
@@ -372,10 +372,9 @@ def _bundle_from(payload, field, e):
     metric_raw = _require(record, "metric", list)
     if len(metric_raw) != field.degree:
         raise SchemaError("key 'metric' must list one positive value per embedding")
-    try:
-        rows = [[Fraction(x) for x in row] for row in rows]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SchemaError(f"key 'ideal_basis' must hold rational entries: {exc}") from exc
+    if any(not isinstance(row, list) for row in rows):
+        raise SchemaError("key 'ideal_basis' must be a list of rows")
+    rows = [[_parse_rational(x) for x in row] for row in rows]
     ideal = FractionalIdeal.from_rows(field, rows)
     try:
         with mp.workdps(e.working_dps):

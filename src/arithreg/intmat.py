@@ -5,13 +5,16 @@ the routines exact for arbitrarily large entries. Matrices are row-major;
 "row HNF" means pivots move left to right down the rows, pivots are positive,
 and entries above a pivot are reduced into [0, pivot). LLL is the integral
 variant, whose Gram-Schmidt data are integers, and accepts only linearly
-independent rows.
+independent rows. Determinants, inverses and linear solves, over the
+integers or the rationals, all run through one fraction-free (Bareiss)
+elimination in integers; rational input is scaled to integers first and
+results come back as integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import DomainError
 
@@ -219,65 +222,72 @@ def snf(rows: list[list[int]]):
     return s, u, v
 
 
-def det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, then Bareiss fraction-free elimination (Bareiss 1968)
-    divides exactly in the integers; the scales are divided out at the end."""
-    a, scale = [], 1
-    for row in mat:
-        m = lcm(*(x.denominator for x in row))
-        scale *= m
-        a.append([x.numerator * (m // x.denominator) for x in row])
-    n, sign, prev = len(a), 1, 1
+def _fraction_free(aug: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """Fraction-free elimination (Bareiss 1968) of the integer system
+    a * X = b, given as n augmented rows [a | b] (b may have no columns) and
+    overwritten. Returns (det a, X) with a * X = det(a) * b, X integer by
+    Cramer's rule, or (0, None) when a is singular. Every division, in the
+    forward pass and in the back substitution of X = det(a) * a^-1 b, is
+    exact in the integers.
+    """
+    n = len(aug)
+    width = len(aug[0]) if n else 0
+    sign, prev = 1, 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
         if piv is None:
-            return Fraction(0)
+            return 0, None
         if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            aug[k], aug[piv] = aug[piv], aug[k]
             sign = -sign
-        ak, akk = a[k], a[k][k]
+        ak, akk = aug[k], aug[k][k]
         for i in range(k + 1, n):
-            ai, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
+            ai, aik = aug[i], aug[i][k]
+            for j in range(k + 1, width):
                 ai[j] = (ai[j] * akk - aik * ak[j]) // prev
         prev = akk
-    return Fraction(sign * prev, scale)
+    det, x = sign * prev, [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        x[i] = [(det * row[c] - sum(row[j] * x[j][c - n] for j in range(i + 1, n))) // row[i]
+                for c in range(n, width)]
+    return det, x
+
+
+def det_fraction(mat: list[list[Fraction]]) -> Fraction:
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, eliminated fraction-free, and the scales divided out."""
+    scaled = [_scaled_rows([row]) for row in mat]
+    det, _ = _fraction_free([row for (row,), _ in scaled])
+    return Fraction(det, prod(d for _, d in scaled))
+
+
+def _integer_inverse(rows) -> tuple[list[list[int]], int]:
+    """(M, e): the inverse of a square matrix of ints and Fractions is M / e,
+    with M an integer matrix, e > 0 and gcd(e, *M) = 1. ZeroDivisionError
+    when the matrix is singular."""
+    a, d = _scaled_rows(rows)
+    det, x = _fraction_free([row + unit for row, unit in zip(a, identity(len(a)))])
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    # rows^-1 = d * a^-1 = d * x / det, put in lowest terms over e > 0
+    g = gcd(det, d * gcd(*(v for row in x for v in row)))
+    if det < 0:
+        g = -g
+    return [[d * v // g for v in row] for row in x], det // g
 
 
 def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     """Solve x * a = b exactly for a square invertible matrix a (row-vector
     convention, matching the rest of the package)."""
-    n = len(a)
-    # transpose to the usual a^T y = b form
-    aug = [[a[j][i] for j in range(n)] + [b[i]] for i in range(n)]
-    return [row[0] for row in _gauss_jordan(aug)]
+    m, e = _integer_inverse(a)
+    return [sum((c * row[j] for c, row in zip(b, m)), Fraction(0)) / e for j in range(len(m))]
 
 
 def invert_fraction(a: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square Fraction matrix."""
-    n = len(a)
-    return _gauss_jordan([list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-                          for i in range(n)])
-
-
-def _gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Row-reduce an n-row augmented matrix until its left n x n block is the
-    identity; returns the columns to the right of that block."""
-    n = len(aug)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [t * inv for t in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    m, e = _integer_inverse(a)
+    return [[Fraction(v, e) for v in row] for row in m]
 
 
 def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:

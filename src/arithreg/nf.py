@@ -4,9 +4,13 @@ embeddings at configurable precision.
 An element is stored as integer numerators over the power basis and one
 positive common denominator, in lowest terms, always reduced mod the monic
 defining polynomial (Cohen, A Course in Computational Algebraic Number
-Theory, section 4.2). Sums, products, norms and integrality tests therefore
-run in Python integers; only the inverse (an extended gcd over Q) works on
-Fractions. The embedding set carries the numerical side: certified roots of
+Theory, section 4.2). Every exact operation therefore runs in Python
+integers: the norm of a is the determinant of the integer matrix of
+multiplication by its numerator and the inverse solves a linear system with
+that matrix, both by the one fraction-free elimination of arithreg.intmat.
+Each field screens its defining polynomial once, when it is built: the same
+determinant proves it squarefree, and a Hensel lift finds any integer root.
+The embedding set carries the numerical side: certified roots of
 f, the complex-conjugation pairing, and the (r1, r2) signature; it is also
 the one place that builds and checks conjugation-invariant per-embedding
 vectors. Exact predicates (integrality, norm = +-1) never touch floating
@@ -18,85 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
-from .intmat import _scaled_rows, det_fraction, invert_fraction
+from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
 from .precision import GUARD_DIGITS, MIN_DIGITS
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over Fraction (ascending coefficient lists)
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                       for i in range(n)])
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, d):
-    """Quotient and remainder; d need not be monic."""
-    p = list(p)
-    q = [Fraction(0)] * max(0, len(p) - len(d) + 1)
-    lead = d[-1]
-    while len(p) >= len(d) and _poly_trim(list(p)):
-        if p[-1] == 0:
-            p.pop()
-            continue
-        shift = len(p) - len(d)
-        c = p[-1] / lead
-        q[shift] = c
-        for i in range(len(d)):
-            p[shift + i] -= c * d[i]
-        p.pop()
-    return _poly_trim(q), _poly_trim(p)
-
-
-def _poly_gcd(p, q):
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while q:
-        p, q = q, _poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
-
-
-def _poly_xgcd(p, q):
-    """Extended gcd: returns (g, s, t) with s*p + t*q = g, g monic or []."""
-    r0, r1 = _poly_trim(list(p)), _poly_trim(list(q))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        qq, rr = _poly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(qq, s1)])
-        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(qq, t1)])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +55,7 @@ class NumberField:
             raise FormatError("integral basis must be a square matrix of size degree")
         if det_fraction([list(r) for r in self.integral_basis]) == 0:
             raise FormatError("integral basis is singular")
+        _screen_irreducible(self)
 
     def __hash__(self):
         # consistent with ==, since equal fields have equal polynomials, and
@@ -138,39 +71,30 @@ class NumberField:
     def _scaled_inverse(self) -> tuple[list[list[int]], int]:
         """(M, e): the inverse of the integral basis is M / e with M an
         integer matrix, so integral coordinates are power coordinates * M / e."""
-        return _scaled_rows(invert_fraction([list(r) for r in self.integral_basis]))
+        return _integer_inverse(self.integral_basis)
 
     @cached_property
     def multiplication_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Structure constants T of the integral basis: omega_i * omega_j =
         sum_k T[i][j][k] * omega_k (Cohen, sections 4.2 and 4.7).
 
-        Built once per field in integers, from the power-basis vectors of
-        x^k mod f (k <= 2n - 2) and the integral basis and its inverse, each
-        scaled to integers. DomainError unless the basis spans an order:
-        1 must have integral coordinates and every T[i][j][k] be an integer.
+        Built once per field in integers, from the multiplication matrices
+        of the integral basis and its inverse, each scaled to integers.
+        DomainError unless the basis spans an order: 1 must have integral
+        coordinates and every T[i][j][k] be an integer.
         """
-        n, f = self.degree, self.defining_poly
+        n = self.degree
         basis, d = _scaled_rows(self.integral_basis)
         inverse, e = self._scaled_inverse
         if any(x % e for x in inverse[0]):
             raise DomainError("integral basis is not an order: 1 has non-integral coordinates")
-        powers = [[int(i == k) for i in range(n)] for k in range(n)]
-        for _ in range(n - 1):
-            prev = powers[-1]
-            powers.append([(prev[i - 1] if i else 0) - prev[-1] * f[i] for i in range(n)])
-        # e times the integral coordinates of x^k
-        power_coords = [_vec_mat(v, inverse) for v in powers]
         denom = d * d * e
         table = [[None] * n for _ in range(n)]
         for i in range(n):
+            times_i = self._multiplication_matrix(basis[i])
             for j in range(i, n):
-                conv = [0] * (2 * n - 1)
-                for a, x in enumerate(basis[i]):
-                    if x:
-                        for b, y in enumerate(basis[j]):
-                            conv[a + b] += x * y
-                coords = _vec_mat(conv, power_coords)
+                # d^2 * e times the integral coordinates of omega_i * omega_j
+                coords = _vec_mat(_vec_mat(basis[j], times_i), inverse)
                 if any(c % denom for c in coords):
                     raise DomainError(f"integral basis is not an order: omega_{i} * omega_{j} "
                                       "has non-integral coordinates")
@@ -178,14 +102,24 @@ class NumberField:
         return tuple(tuple(row) for row in table)
 
     @cached_property
-    def _poly_fractions(self) -> list[Fraction]:
-        return [Fraction(c) for c in self.defining_poly]
-
-    @cached_property
     def _reduction_terms(self) -> tuple[tuple[int, int], ...]:
         """(k, f_k) for the nonzero f_k, k < n: x^n = -sum f_k x^k mod f."""
         f = self.defining_poly
         return tuple((k, c) for k, c in enumerate(f[:-1]) if c)
+
+    def _multiplication_matrix(self, num) -> list[list[int]]:
+        """Rows num * x^j mod f for j < n: the integer matrix of
+        multiplication by num over the power basis (Cohen, section 4.2)."""
+        rows = [list(num)]
+        for _ in range(self.degree - 1):
+            prev = rows[-1]
+            row = [0] + prev[:-1]
+            top = prev[-1]
+            if top:
+                for k, fk in self._reduction_terms:
+                    row[k] -= top * fk
+            rows.append(row)
+        return rows
 
     def _reduce(self, num: list[int], den: int) -> "FieldElement":
         """The element num / den, for integer coefficients num over the power
@@ -208,9 +142,8 @@ class NumberField:
 
     def element(self, coeffs) -> "FieldElement":
         """The element with these rational power-basis coefficients."""
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return self._reduce([c.numerator * (den // c.denominator) for c in cs], den)
+        (num,), den = _scaled_rows([[c if isinstance(c, int) else Fraction(c) for c in coeffs]])
+        return self._reduce(num, den)
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -323,12 +256,18 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """The b with a * b = 1: b * M_num = den * e_0 for the matrix M_num of
+        multiplication by num, solved fraction-free in integers."""
         if self.is_zero():
             raise DomainError("division by zero")
-        g, _, t = _poly_xgcd(self.field._poly_fractions, list(self.coeffs))
-        if len(g) != 1:
+        if not any(self.num[1:]):
+            return self.field.element([Fraction(self.den, self.num[0])])
+        cols = zip(*self.field._multiplication_matrix(self.num))
+        det, x = _fraction_free([list(c) + [self.den if i == 0 else 0] for i, c in enumerate(cols)])
+        if x is None:
             raise DomainError("element not invertible; defining polynomial is reducible")
-        return self.field.element(t)
+        sign = 1 if det > 0 else -1
+        return self.field._reduce([sign * v for (v,) in x], sign * det)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -337,22 +276,13 @@ class FieldElement:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def norm(self) -> Fraction:
-        """Res(f, num) / den^n: the Sylvester determinant of the monic f and
-        the numerator polynomial, in integers."""
-        n, f = self.field.degree, self.field.defining_poly
-        g = list(self.num)
-        while g and g[-1] == 0:
-            g.pop()
-        m = len(g) - 1
-        if m < 0:
-            return Fraction(0)
-        if m == 0:
-            return Fraction(g[0] ** n, self.den ** n)
-        size = n + m
-        fd, gd = list(reversed(f)), list(reversed(g))
-        rows = [[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
-        rows += [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)]
-        return Fraction(det_fraction(rows).numerator, self.den ** n)
+        """det M_num / den^n, for the integer matrix M_num of multiplication
+        by num (Cohen, section 4.2)."""
+        n = self.field.degree
+        if not any(self.num[1:]):
+            return Fraction(self.num[0] ** n, self.den ** n)
+        det, _ = _fraction_free(self.field._multiplication_matrix(self.num))
+        return Fraction(det, self.den ** n)
 
     def _integral_numerators(self) -> tuple[list[int], int]:
         """Integral-basis coordinates as integer numerators over one
@@ -386,7 +316,9 @@ class FieldElement:
 # parsing
 
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, (int, Fraction, str)):
+    """An int, Fraction or rational string such as "-3/4"; JSON booleans and
+    floats are not rational entries."""
+    if isinstance(s, (int, Fraction, str)) and not isinstance(s, bool):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -412,12 +344,7 @@ def parse_field(record: dict) -> NumberField:
         if isinstance(c, bool) or not isinstance(c, int):
             raise FormatError(f"polynomial coefficient {c!r} is not an integer")
         coeffs.append(c)
-    if coeffs[-1] != 1:
-        raise FormatError("defining polynomial must be monic")
     n = len(coeffs) - 1
-
-    _screen_irreducible(coeffs)
-
     basis = record.get("integral_basis")
     if basis is not None:
         if (not isinstance(basis, (list, tuple)) or len(basis) != n
@@ -442,39 +369,52 @@ def _shared_field(poly: tuple[int, ...], basis, maximal: bool) -> NumberField:
     return NumberField(poly, basis, maximal)
 
 
-def _screen_irreducible(coeffs: list[int]):
-    """Cheap sanity screen; rejects only on a positive proof of reducibility.
-
-    Rejects a repeated factor (exact gcd with the derivative), then, for
-    degree > 1, divisibility by x and a rational root. Any other reducible
-    polynomial (x^4 + 3x^2 + 2, say) is accepted: irreducibility stays the
-    caller's assertion until an exact certificate replaces this screen.
-    """
-    n = len(coeffs) - 1
-    f = [Fraction(c) for c in coeffs]
-    df = [Fraction(i * coeffs[i]) for i in range(1, n + 1)]
-    if len(_poly_gcd(f, df)) > 1:
+def _screen_irreducible(field: NumberField):
+    """Cheap sanity screen of a new field's defining polynomial f; rejects
+    only on a positive proof of reducibility: a repeated factor (the norm of
+    f'(x), +-disc f, is 0), then, for degree > 1, divisibility by x and a
+    rational root. Any other reducible polynomial (x^4 + 3x^2 + 2, say) is
+    accepted: irreducibility stays the caller's assertion until an exact
+    certificate replaces this screen."""
+    f, n = field.defining_poly, field.degree
+    disc, _ = _fraction_free(field._multiplication_matrix([i * f[i] for i in range(1, n + 1)]))
+    if disc == 0:
         raise SquarefreeError("defining polynomial has a repeated factor")
     if n > 1:
-        c0 = coeffs[0]
-        if c0 == 0:
+        if f[0] == 0:
             raise FormatError("defining polynomial is divisible by x")
-        for d in _divisors(abs(c0)):
-            for root in (d, -d):
-                if _horner(coeffs, root) == 0:
-                    raise FormatError(f"defining polynomial has rational root {root}")
+        root = _integer_root(f, disc)
+        if root is not None:
+            raise FormatError(f"defining polynomial has rational root {root}")
 
 
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_root(f: tuple[int, ...], disc: int):
+    """The integer root r of the monic f (its only possible rational roots)
+    with the least |r|, positive first, or None; disc != 0 is +-disc f.
+
+    Modulo the least prime p not dividing disc the roots of f are simple, so
+    each lifts uniquely mod p^(2^k) by Newton steps (Hensel). An integer root
+    has |r| <= bound = 1 + max |f_i| (Cauchy), so it is the symmetric residue
+    of its lift once p^(2^k) > 2 * bound; each such residue is tested exactly.
+    """
+    p = 2
+    while disc % p == 0 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        p += 1
+    df = [i * f[i] for i in range(1, len(f))]
+    bound = 1 + max(abs(c) for c in f)
+    roots = []
+    for r in range(p):
+        if _horner(f, r) % p:
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner(f, r) * pow(_horner(df, r), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if _horner(f, r) == 0:
+            roots.append(r)
+    return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
 def _prime_divisors(n: int):
@@ -576,11 +516,6 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     n = field.degree
     coeffs = field.defining_poly
     wp = precision + GUARD_DIGITS
-
-    f_frac = [Fraction(c) for c in coeffs]
-    df_frac = [Fraction(i * coeffs[i]) for i in range(1, n + 1)]
-    if len(_poly_gcd(f_frac, df_frac)) > 1:
-        raise SquarefreeError("defining polynomial has fewer than degree-many distinct roots")
 
     with mp.workdps(wp):
         if n == 1:

@@ -18,13 +18,12 @@ are canonicalized componentwise against the diagonal invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
-from .intmat import hnf_rows, identity, in_lattice, invert_fraction, left_kernel, lll, snf
+from .intmat import _integer_inverse, hnf_rows, identity, in_lattice, left_kernel, lll, snf
 from .nf import EmbeddingSet, FieldElement, _prime_divisors, embeddings, evaluate
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
@@ -205,8 +204,7 @@ def _certify_torsion(elems, basis, k: int) -> int:
             "incomplete, retry at higher precision")
     w = nontrivial[0]
     j = diag.index(w)
-    v_inv = invert_fraction([[Fraction(x) for x in row] for row in v])
-    gen_exps = [int(v_inv[j][i]) for i in range(k)]
+    gen_exps = _integer_inverse(v)[0][j][:k]  # v is unimodular: the denominator is 1
     t = power_product(elems, gen_exps)
     if not (t ** w).is_one():
         raise PrecisionError("torsion certification failed")

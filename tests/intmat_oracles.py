@@ -1,7 +1,9 @@
 """Brute-force reference computations that the tests compare intmat against.
 
 They are independent of the Smith/Hermite machinery and the fraction-free
-determinant in arithreg.intmat, and only practical for small matrices.
+elimination in arithreg.intmat, and only practical for small matrices. The
+Gauss-Jordan inverse and solve over Fractions are the routines the package
+used before one fraction-free elimination replaced them.
 """
 
 from fractions import Fraction
@@ -72,6 +74,38 @@ def det_by_elimination(mat: list[list[Fraction]]) -> Fraction:
                 for j in range(col, n):
                     a[i][j] -= f * a[col][j]
     return det
+
+
+def gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Row-reduce an n-row augmented matrix until its left n x n block is the
+    identity; returns the columns to the right of that block."""
+    n = len(aug)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [t * inv for t in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def solve_by_gauss_jordan(a, b) -> list[Fraction]:
+    """x with x * a = b (row-vector convention), by Gauss-Jordan on a^T."""
+    n = len(a)
+    return [row[0] for row in gauss_jordan([[a[j][i] for j in range(n)] + [b[i]]
+                                            for i in range(n)])]
+
+
+def invert_by_gauss_jordan(a) -> list[list[Fraction]]:
+    n = len(a)
+    return gauss_jordan([list(a[i]) + [Fraction(int(i == j)) for j in range(n)]
+                         for i in range(n)])
 
 
 def lll_fraction(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:

@@ -3,13 +3,17 @@ compare arithreg.nf against.
 
 This is the coefficient-vector arithmetic the package used before elements
 became integer numerators over one denominator: schoolbook products of
-Fraction polynomials, long division by the defining polynomial, and the
-norm as a Sylvester resultant over Fractions. It reads only an element's
-`coeffs` and the field's `defining_poly` and `integral_basis`.
+Fraction polynomials, long division by the defining polynomial, the norm as
+a Sylvester resultant over Fractions, and the inverse from the extended
+Euclidean algorithm over Q. It reads only an element's `coeffs` and the
+field's `defining_poly` and `integral_basis`. The rational-root search is
+the trial-division scan over the divisors of the constant term.
 """
 
 from fractions import Fraction
+from math import isqrt
 
+from arithreg.errors import DomainError
 from arithreg.intmat import det_fraction, invert_fraction
 
 
@@ -29,6 +33,48 @@ def poly_mul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return _trim(out)
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                  for i in range(n)])
+
+
+def poly_divmod(p, d):
+    """Quotient and remainder; d need not be monic."""
+    p = list(p)
+    q = [Fraction(0)] * max(0, len(p) - len(d) + 1)
+    lead = d[-1]
+    while len(p) >= len(d) and _trim(p):
+        if p[-1] == 0:
+            p.pop()
+            continue
+        shift = len(p) - len(d)
+        c = p[-1] / lead
+        q[shift] = c
+        for i in range(len(d)):
+            p[shift + i] -= c * d[i]
+        p.pop()
+    return _trim(q), _trim(p)
+
+
+def poly_xgcd(p, q):
+    """Extended gcd: returns (g, s, t) with s*p + t*q = g, g monic or []."""
+    r0, r1 = _trim(p), _trim(q)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        qq, rr = poly_divmod(r0, r1)
+        r0, r1 = r1, rr
+        s0, s1 = s1, poly_add(s0, [-c for c in poly_mul(qq, s1)])
+        t0, t1 = t1, poly_add(t0, [-c for c in poly_mul(qq, t1)])
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        s0 = [c / lead for c in s0]
+        t0 = [c / lead for c in t0]
+    return r0, s0, t0
 
 
 def poly_rem(p, d):
@@ -61,9 +107,19 @@ def mul(a, b) -> tuple:
     return reduce(a.field, poly_mul(list(a.coeffs), list(b.coeffs)))
 
 
+def inverse(a) -> tuple:
+    """The t with s * f + t * a = 1, from the extended gcd over Q."""
+    if not any(a.coeffs):
+        raise DomainError("division by zero")
+    g, _, t = poly_xgcd([Fraction(c) for c in a.field.defining_poly], list(a.coeffs))
+    if len(g) != 1:
+        raise DomainError("element not invertible; defining polynomial is reducible")
+    return reduce(a.field, t)
+
+
 def power(a, k: int) -> tuple:
     """a^k by repeated products; a negative k inverts first."""
-    base = a.coeffs if k >= 0 else a.inverse().coeffs
+    base = a.coeffs if k >= 0 else inverse(a)
     out = reduce(a.field, [1])
     for _ in range(abs(k)):
         out = reduce(a.field, poly_mul(list(out), list(base)))
@@ -99,3 +155,16 @@ def integral_coords(a) -> list:
 def is_unit(a) -> bool:
     return (all(c.denominator == 1 for c in integral_coords(a))
             and abs(norm(a)) == 1)
+
+
+def rational_root(coeffs):
+    """The rational root of the monic integer polynomial with a nonzero
+    constant term that has the least absolute value, positive first, or
+    None: trial division over the divisors of the constant term."""
+    c0 = abs(coeffs[0])
+    divisors = sorted(d for k in range(1, isqrt(c0) + 1) if c0 % k == 0 for d in (k, c0 // k))
+    for d in divisors:
+        for root in (d, -d):
+            if sum(c * root ** i for i, c in enumerate(coeffs)) == 0:
+                return root
+    return None

@@ -6,7 +6,8 @@ import pytest
 from arithreg.errors import DomainError
 from arithreg.intmat import (det_fraction, hnf, hnf_rational, hnf_rows, in_lattice,
                              invert_fraction, left_kernel, lll, snf, solve_fraction, xgcd)
-from intmat_oracles import det_by_elimination, invariant_factors_by_minors, lll_fraction, mat_mul
+from intmat_oracles import (det_by_elimination, invariant_factors_by_minors,
+                            invert_by_gauss_jordan, lll_fraction, mat_mul, solve_by_gauss_jordan)
 
 
 def test_xgcd_bezout():
@@ -111,6 +112,44 @@ def test_det_fraction_matches_elimination_oracle():
     assert det_fraction([]) == 1
     assert det_fraction([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
     assert det_fraction([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]) == 0
+
+
+def test_fraction_free_solves_match_gauss_jordan_oracle():
+    rng = random.Random(23)
+
+    def entry():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    singular = 0
+    for trial in range(120):
+        n = rng.randint(1, 8)
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 3 == 1:
+            # singular: the last row is a combination of the first two
+            c = entry()
+            a[-1] = [x + c * y for x, y in zip(a[0], a[1 % (n - 1)])]
+        elif n >= 2 and trial % 3 == 2:
+            # forced row swaps: zero leading entries above the last row
+            for i, row in enumerate(a[:-1]):
+                row[:1 + i % 2] = [Fraction(0)] * (1 + i % 2)
+        b = [entry() for _ in range(n)]
+        before = [list(row) for row in a]
+        det = det_fraction(a)
+        assert det == det_by_elimination(a)
+        try:
+            inverse = invert_by_gauss_jordan([list(row) for row in a])
+        except ZeroDivisionError:
+            singular += 1
+            assert det == 0
+            with pytest.raises(ZeroDivisionError):
+                invert_fraction(a)
+            with pytest.raises(ZeroDivisionError):
+                solve_fraction(a, b)
+            continue
+        assert invert_fraction(a) == inverse
+        assert solve_fraction(a, b) == solve_by_gauss_jordan(a, b)
+        assert a == before
+    assert 20 <= singular < 120
 
 
 def test_hnf_rational():

@@ -1,16 +1,34 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from arithreg.errors import DomainError, FormatError
+from arithreg.errors import DomainError, FormatError, SquarefreeError
 from arithreg.nf import embeddings, evaluate, parse_field
 import nf_oracles as oracle
 
 
 def rand_element(field, rng, span=9):
     return field.element([rng.randint(-span, span) for _ in range(field.degree)])
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block after `seconds` of wall time, so a
+    search that does not finish fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParseField:
@@ -42,6 +60,56 @@ class TestParseField:
         from arithreg.errors import SquarefreeError
         with pytest.raises(SquarefreeError):
             parse_field({"poly": [1, 2, 1]})  # (x+1)^2
+
+    def test_repeated_factor_without_rational_root_rejected(self):
+        with pytest.raises(SquarefreeError):
+            parse_field({"poly": [1, 0, 2, 0, 1]})  # (x^2+1)^2
+
+    def test_large_constant_term_screened_quickly(self):
+        # x^3 + x + (10^39 + 7): no divisor scan of a 40-digit constant
+        with time_limit(5):
+            assert parse_field({"poly": [10 ** 39 + 7, 1, 0, 1]}).degree == 3
+
+    def test_large_integer_root_named(self):
+        r = 10 ** 15 + 37
+        with time_limit(5), pytest.raises(FormatError,
+                                          match=f"^defining polynomial has rational root {r}$"):
+            parse_field({"poly": [-r * r, 0, 1]})
+
+    def test_rational_root_matches_divisor_scan(self):
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(150):
+            # planted integer roots times a random monic factor
+            poly = [1]
+            for r in [rng.randint(-40, 40) for _ in range(rng.randint(0, 2))]:
+                poly = [-r * a + b for a, b in zip(poly + [0], [0] + poly)]
+            extra = [rng.randint(-20, 20) for _ in range(rng.randint(1, 3))] + [1]
+            poly = [sum(poly[i] * extra[k - i] for i in range(len(poly)) if 0 <= k - i < len(extra))
+                    for k in range(len(poly) + len(extra) - 1)]
+            if len(poly) < 3 or poly[0] == 0:
+                continue
+            expected = oracle.rational_root(poly)
+            try:
+                parse_field({"poly": poly})
+                found = None
+            except SquarefreeError:
+                continue
+            except FormatError as exc:
+                found = int(str(exc).rsplit(" ", 1)[1])
+            assert found == expected, poly
+            checked += 1
+        assert checked > 100
+
+    def test_cached_field_is_not_screened_again(self, monkeypatch):
+        import arithreg.nf
+        calls = []
+        screen = arithreg.nf._screen_irreducible
+        monkeypatch.setattr(arithreg.nf, "_screen_irreducible",
+                            lambda field: calls.append(field) or screen(field))
+        record = {"poly": [-3, -1, 0, 0, 0, 0, 0, 1]}  # x^7 - x - 3, parsed nowhere else
+        assert parse_field(record) is parse_field(dict(record))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("poly", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]])
     def test_irreducible_without_mod_p_proof_accepted(self, poly):
@@ -145,6 +213,15 @@ class TestArith:
         with pytest.raises(DomainError):
             K.one() / K.zero()
 
+    def test_zero_divisor_of_accepted_reducible_field(self):
+        # x^4 + 3x^2 + 2 = (x^2 + 1)(x^2 + 2) passes the screen
+        K = parse_field({"poly": [2, 0, 3, 0, 1]})
+        a = K.element([1, 0, 1])
+        assert a.norm() == 0
+        with pytest.raises(DomainError, match="^element not invertible; "
+                           "defining polynomial is reducible$"):
+            a.inverse()
+
 
 # fields for the differential tests: sparse and dense defining polynomials,
 # degree 16, a basis with a denominator, and degree 1
@@ -205,6 +282,22 @@ class TestAgainstFractionOracle:
                 continue
             for k in (-3, -1, 0, 1, 4):
                 assert (a ** k).coeffs == oracle.power(a, k), k
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_inverse(self, name):
+        K = parse_field(DIFF_FIELDS[name])
+        rng = random.Random(f"inv-{name}")
+        x = K.gen()
+        samples = [x, K.one() - x, x * x + x + 3, K.element([Fraction(-3, 7)])]
+        # numerators to 10^30 on at most four terms: the Fraction extended
+        # gcd of the oracle takes seconds on a dense element of degree 16
+        samples += [K.element([Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6))
+                               for _ in range(min(K.degree, 4))]) for _ in range(2)]
+        for a in samples:
+            if a.is_zero():
+                continue
+            assert a.inverse().coeffs == oracle.inverse(a), a
+            assert (a ** -2).coeffs == oracle.power(a, -2), a
 
     @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
     def test_norm_and_integral_coords(self, name):
