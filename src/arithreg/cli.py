@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
@@ -158,10 +157,7 @@ def parse_element(payload, field: NumberField) -> FieldElement:
     if isinstance(payload, dict) and "coeffs" in payload:
         payload = payload["coeffs"]
     if isinstance(payload, (list, tuple)):
-        try:
-            return field.element([Fraction(str(c)) for c in payload])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"cannot parse element coefficients {payload!r}") from exc
+        return field.element([_parse_rational(c) for c in payload])
     raise SchemaError(f"cannot parse element payload {payload!r}")
 
 

@@ -4,19 +4,48 @@ D(z) = log|z| arg(1-z) + Im Li2(z).
 Li2 uses the principal branch everywhere, with the cut along (1, oo)
 following the principal logarithm; exactly-real arguments on the cut get the
 limit from below. Evaluation reduces the argument with the inversion
-(z -> 1/z) and reflection (z -> 1-z) identities to the orbit element w of
-smallest modulus, then sums one series for every w, the Bernoulli series
+(z -> 1/z) and reflection (z -> 1-z) identities to a reduced argument w,
+then sums one series for every w, the Bernoulli series
 Li2(w) = sum_n B_n u^(n+1) / (n+1)! in u = -log(1-w), which converges for
 |u| < 2 pi (Zagier, "The dilogarithm function", section 1).
 
-Reduction bound: 1/w, 1-w and w/(w-1) are in the orbit too, so |w| <= 1,
-Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and |arg(1-w)| <= pi/3,
-so |u| <= sqrt(log(2)^2 + pi^2/9) < 1.26 and q = |u|/(2 pi) < 0.2 on every
-reduced argument (q = 1/6 at the fixed points e^(+-i pi/3)). The series
-length follows from q a priori and is never adapted at runtime. Only B_0, B_1
-and the even B_n are nonzero, so the sum runs by Horner's rule in u^2 over
-the coefficients B_2k / (2k+1)!, which are rounded once per working binary
-precision (mp.prec) and cached.
+Route rule. When |z| <= 1/2, w = z itself. Otherwise w is the orbit element
+of smallest modulus, the earliest of _CHAINS on ties. With a = |z| and
+b = |1-z| the six orbit moduli are a, 1/a, b, 1/b, b/a and a/b, so the route
+is chosen from log a and log b as two Python floats. When two moduli (or a
+and the threshold 1/2) agree to the relative tie margin 1e-9, when a float
+is not finite, or when the conversion fails, the same rule is decided on the
+mpc moduli instead. Off those cases the float choice equals the mpc choice:
+the logs are good to about 1e-13, except log b when z is so close to 1 that
+1 - Re z cancels; then a is about 1, the two smallest candidates are log b
+and log b - log a, which differ by the accurate log a alone, and the other
+four are far away.
+
+Reduction bound. If |z| <= 1/2 then 1/2 <= |1-w| <= 3/2 and
+|arg(1-w)| <= pi/6, so |u| <= sqrt(log(2)^2 + pi^2/36) < 0.88 and
+q = |u|/(2 pi) < 0.14. Otherwise 1/w, 1-w and w/(w-1) are in the orbit too,
+so |w| <= 1, Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and
+|arg(1-w)| <= pi/3, so |u| <= sqrt(log(2)^2 + pi^2/9) < 1.26 and q < 0.2
+(q = 1/6 at the fixed points e^(+-i pi/3)). The series length follows from q
+a priori and is never adapted at runtime.
+
+u keeps full relative precision: 1 - w is formed with -log2|w| extra bits
+when |w| < 1/2, and on a route that ends in a reflection u = -log(w') reuses
+the log of the pre-reflection argument w' that the reflection identity has
+already taken.
+
+Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
+Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
+S(t) = sum_k c'_k t^k, c'_k = B_(2k+2) (4 pi^2)^k / (2k+3)!. u, v and
+u - v/4 + u v S stay in mpc, which keeps relative precision for tiny u. S is
+summed by Horner's rule on Python integers scaled by 2^bits, bits = mp.prec
++ _GUARD_BITS, over coefficients rounded once per bits and cached. Since
+|c'_k| = 2 zeta(2k+2) / (4 pi^2 (2k+3)) <= 1/36 and |t| = q^2 < 0.04, each
+step adds under 2 units of 2^-bits (the floor of the shifted product, the
+rounded coefficient, the rounded t times |S| < 0.03) and shrinks the error
+carried in by |t|, so the sum is off by less than 3 * 2^-bits whatever the
+number of terms. A Horner loop in v itself would multiply the error of step
+k by |v|^k, about 1.1^k near e^(+-i pi/3).
 """
 
 from __future__ import annotations
@@ -26,6 +55,7 @@ import math
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .precision import PrecisionContext
 
@@ -41,7 +71,12 @@ _CHAINS = (
     ("ref", "inv", "ref"),
 )
 
-_COEFFICIENTS: dict[int, list] = {}  # mp.prec -> [B_2/3!, B_4/5!, ...]
+_TIE_MARGIN = 1e-9  # relative; closer moduli are compared in mpc
+_LOG_HALF = math.log(0.5)
+_GUARD_BITS = 16
+
+# bits -> (2^bits / (4 pi^2), [c'_0, c'_1, ...] * 2^bits), rounded to integers
+_FIXED: dict[int, tuple[int, list]] = {}
 
 
 def _orbit_value(z, chain):
@@ -51,34 +86,79 @@ def _orbit_value(z, chain):
     return w
 
 
-def _reduction_chain(z) -> tuple:
-    """Chain to the orbit element of smallest modulus (earliest on ties)."""
+def _mpc_chain(z) -> tuple:
+    """The route rule decided on mpc moduli (module docstring)."""
+    if abs(z) <= 0.5:
+        return ()
     return min(_CHAINS, key=lambda chain: abs(_orbit_value(z, chain)))
 
 
-def _coefficients(count: int) -> list:
-    """B_2k / (2k+1)! for k = 1 .. count (or more) at the current mp.prec."""
-    cached = _COEFFICIENTS.setdefault(mp.prec, [])
-    for k in range(len(cached) + 1, count + 1):
-        cached.append(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k + 1))
-    return cached
+def _reduction_chain(z) -> tuple:
+    """The route rule decided on log|z| and log|1-z| as floats, or on mpc
+    moduli near a tie or outside the float range."""
+    try:
+        x, y = float(z.real), float(z.imag)
+        la, lb = math.log(math.hypot(x, y)), math.log(math.hypot(1 - x, y))
+    except ValueError:  # log(0): |z| or |1-z| underflows
+        return _mpc_chain(z)
+    if not (math.isfinite(la) and math.isfinite(lb)) or abs(la - _LOG_HALF) <= _TIE_MARGIN:
+        return _mpc_chain(z)
+    if la < _LOG_HALF:
+        return ()
+    logs = (la, -la, lb, -lb, lb - la, la - lb)  # log of each _CHAINS modulus
+    first, second = sorted(logs)[:2]
+    if second - first <= _TIE_MARGIN:
+        return _mpc_chain(z)
+    return _CHAINS[logs.index(first)]
 
 
-def _bernoulli_series(w) -> mpc:
-    """Li2(w) = u - v/4 + u * sum_{k>=1} B_2k v^k / (2k+1)! with
-    u = -log(1-w), v = u^2, for a reduced w (q < 0.2, module docstring)."""
-    u = -mp.log(1 - w)
+def _fixed_table(bits: int, count: int) -> tuple[int, list]:
+    """(2^bits / (4 pi^2), c'_k 2^bits for k < count or more), each rounded
+    to an integer; computed once per bits and extended on demand."""
+    entry = _FIXED.get(bits)
+    if entry is not None and len(entry[1]) >= count:
+        return entry
+    with mp.workprec(bits + 20):
+        four_pi2 = 4 * mp.pi ** 2
+        if entry is None:
+            entry = _FIXED[bits] = (int(mpmath.nint(mpmath.ldexp(1 / four_pi2, bits))), [])
+        coeffs = entry[1]
+        for k in range(len(coeffs), count):
+            c = mpmath.bernoulli(2 * k + 2) * four_pi2 ** k / mpmath.factorial(2 * k + 3)
+            coeffs.append(int(mpmath.nint(mpmath.ldexp(c, bits))))
+    return entry
+
+
+def _log_one_minus(w) -> mpc:
+    """log(1 - w) to full relative precision: 1 - w is formed exactly."""
+    extra = -mp.mag(w)
+    if extra <= 0:
+        return mp.log(1 - w)
+    with mp.workprec(mp.prec + extra):
+        return mp.log(1 - w)
+
+
+def _bernoulli_series(u) -> mpc:
+    """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) for u = -log(1-w) of a reduced
+    w (q < 0.2) and v = u^2, with S summed in fixed point (module docstring)."""
     v = u * u
-    abs_u = float(abs(u))
+    abs_u = math.hypot(float(u.real), float(u.imag))
     q = abs_u / (2 * math.pi)
     need = mp.dps * math.log(10) + math.log(8 * (abs_u + 1) / (1 - q * q))
     n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
     count = n_terms // 2  # only B_0, B_1 and the even B_n are nonzero
-    coeffs = _coefficients(count)
-    acc = mpc(0)
-    for k in range(count - 1, -1, -1):
-        acc = acc * v + coeffs[k]
-    return u - v / 4 + u * v * acc
+    bits = mp.prec + _GUARD_BITS
+    scale, coeffs = _fixed_table(bits, count)
+    v_re, v_im = v._mpc_
+    t_re = (to_fixed(v_re, bits) * scale) >> bits
+    t_im = (to_fixed(v_im, bits) * scale) >> bits
+    s_re, s_im = coeffs[count - 1], 0
+    for k in range(count - 2, -1, -1):
+        s_re, s_im = (((s_re * t_re - s_im * t_im) >> bits) + coeffs[k],
+                      (s_re * t_im + s_im * t_re) >> bits)
+    s = mp.make_mpc((from_man_exp(s_re, -bits, mp.prec, round_nearest),
+                     from_man_exp(s_im, -bits, mp.prec, round_nearest)))
+    return u - v / 4 + u * v * s
 
 
 def _li2_principal(z) -> mpc:
@@ -90,17 +170,22 @@ def _li2_principal(z) -> mpc:
     sign = 1
     const = mpc(0)
     w = z
+    u = None  # -log(1 - w), once a reflection has computed it
     pi2_6 = mp.pi ** 2 / 6
     for move in _reduction_chain(z):
         if move == "inv":
             const += -sign * (pi2_6 + mp.log(-w) ** 2 / 2)
-            sign = -sign
             w = 1 / w
+            u = None
         else:
-            const += sign * (pi2_6 - mp.log(w) * mp.log(1 - w))
-            sign = -sign
+            log_w = mp.log(w)
+            const += sign * (pi2_6 - log_w * mp.log(1 - w))
             w = 1 - w
-    return sign * _bernoulli_series(w) + const
+            u = -log_w
+        sign = -sign
+    if u is None:
+        u = -_log_one_minus(w)
+    return sign * _bernoulli_series(u) + const
 
 
 def _as_mpc(z) -> mpc:

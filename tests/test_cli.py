@@ -229,6 +229,10 @@ MALFORMED_JOBS = {
                     "payload": {"element": {"coeffs": ["q", "1"]}}},
     "coeffs-zero-denominator": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
                                 "payload": {"element": {"coeffs": ["1/0"]}}},
+    "coeffs-float": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                     "payload": {"element": {"coeffs": [0.5, 1]}}},
+    "coeffs-float-exponent": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                              "payload": {"element": {"coeffs": [1e-1, 1]}}},
     "dilog-z-nan": {"command": "dilog", "payload": {"z": "nan"}},
     "dilog-z-nan-real-part": {"command": "dilog", "payload": {"z": "nan+1i"}},
     "dilog-z-inf": {"command": "dilog", "payload": {"z": "inf"}},

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import mpmath
+import pytest
 from mpmath import mp, mpc, mpf
 
-from arithreg.dilog import (_CHAINS, PrecisionContext, _orbit_value, _reduction_chain, bloch_wigner,
-                            li2)
-from dilog_oracles import power_series
+import arithreg.dilog
+from arithreg.dilog import (_CHAINS, PrecisionContext, _as_mpc, _bernoulli_series, _mpc_chain,
+                            _orbit_value, _reduction_chain, bloch_wigner, li2)
+from dilog_oracles import mpc_bernoulli_series, power_series
 
 CTX = PrecisionContext(50)
 TOL = mpf(10) ** -45
@@ -224,3 +227,116 @@ class TestBlochWigner:
                        - bloch_wigner(z - h * mpc(0, 1), hctx)) / (2 * h)
                 err = mp.sqrt((fdx - ddx) ** 2 + (fdy - ddy) ** 2)
                 assert err / grad_norm < mpf(10) ** -6
+
+
+def region_points(region, count, seed):
+    """Seeded points of one benchmark region: disk |z| < 1/2, wide
+    0.1 < |z| < 10, ring 0.9 < |z| < 1.1, fixed within 0.06 of e^(+-i pi/3),
+    real in (-10, 10) off 0 and 1."""
+    rng = random.Random(f"{region}-{seed}")
+    pts = []
+    while len(pts) < count:
+        theta = rng.uniform(-3.14159, 3.14159)
+        if region == "disk":
+            z = mpc(0.5 * rng.random() ** 0.5 * mpmath.expj(theta))
+        elif region == "wide":
+            z = mpc(mpmath.exp(rng.uniform(-2.3, 2.3)) * mpmath.expj(theta))
+        elif region == "ring":
+            z = mpc(rng.uniform(0.9, 1.1) * mpmath.expj(theta))
+        elif region == "fixed":
+            centre = mp.expjpi(mpf(rng.choice((1, -1))) / 3)
+            z = centre + rng.uniform(0, 0.06) * mpmath.expj(theta)
+        else:
+            z = mpc(rng.uniform(-10, 10), 0)
+        if abs(z) > 1e-3 and abs(z - 1) > 1e-3:
+            pts.append(z)
+    return pts
+
+
+def relative_error(value, oracle):
+    return abs(value - oracle) / abs(oracle)
+
+
+class TestFixedPointKernel:
+    """The integer Horner sum against the mpc series it replaced, and against
+    mpmath where a Horner loop in v itself would lose digits."""
+
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    def test_against_mpc_series_over_bench_regions(self, digits):
+        with mp.workdps(digits + 10):
+            for region in ("disk", "wide", "ring", "fixed", "real"):
+                for z in region_points(region, 8, digits):
+                    w = _orbit_value(z, _reduction_chain(z))
+                    value = _bernoulli_series(-mp.log(1 - w))
+                    assert relative_error(value, mpc_bernoulli_series(w)) < mpf(10) ** -digits
+
+    @pytest.mark.parametrize("digits", [500, 1000])
+    def test_near_fixed_points_at_high_precision(self, digits):
+        # |v| is about 1.1 here: an unscaled fixed-point Horner loop in v
+        # misses this bound at 1000 digits
+        ctx = PrecisionContext(digits)
+        with mp.workdps(digits + 40):
+            for s in (1, -1):
+                z = mp.expjpi(mpf(s) / 3) + mpc("3e-4", "-7e-4") * s
+                assert relative_error(li2(z, ctx), mpmath.polylog(2, z)) < mpf(10) ** -digits
+
+
+class TestSmallArguments:
+    """Near 0 Li2(z) ~ z: the identity route and a 1 - w formed exactly keep
+    the relative error at the working precision, for either sign of Re z."""
+
+    @pytest.mark.parametrize("exponent", [12, 40, 70, 400])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_relative_error(self, exponent, sign):
+        with mp.workdps(90):
+            r = mpf(10) ** -exponent
+            z = mpc(sign * r, r / 10)
+            li2_oracle = mpmath.polylog(2, z)
+            d_oracle = mp.log(abs(z)) * mp.arg(1 - z) + li2_oracle.imag
+            assert _reduction_chain(z) == ()
+            assert relative_error(li2(z, CTX), li2_oracle) < mpf(10) ** -50
+            assert relative_error(bloch_wigner(z, CTX), d_oracle) < mpf(10) ** -50
+
+
+class TestRoute:
+    """The route chosen from two float logs is the route the rule picks on
+    mpc moduli: identity for |z| <= 1/2, else the smallest orbit modulus,
+    earliest on ties."""
+
+    def test_float_choice_off_ties(self, monkeypatch):
+        with mp.workdps(60):
+            points = rand_points(28, 300, rmin=0.01, rmax=100)
+            expected = [_mpc_chain(z) for z in points]
+
+            def no_fallback(z):
+                raise AssertionError(f"mpc fallback at {z}")
+
+            monkeypatch.setattr(arithreg.dilog, "_mpc_chain", no_fallback)
+            assert [_reduction_chain(z) for z in points] == expected
+
+    @pytest.mark.parametrize("z, chain", [
+        (mpc(0.5), ()),
+        (mpc(-1), ("ref", "inv")),
+        (mpc(2), ("inv",)),  # on the cut
+        (mpc(0.5, 0.5), ()),  # |z| = |1-z|
+        (mpc(0.5, -0.5), ()),
+    ])
+    def test_exact_ties(self, z, chain):
+        with mp.workdps(60):
+            assert _reduction_chain(z) == _mpc_chain(z) == chain
+
+    def test_outside_the_float_range(self):
+        # |z| or |1-z| overflows or underflows a float: the mpc rule decides
+        ctx = PrecisionContext(50)
+        with mp.workdps(90):
+            tiny = mpf(10) ** -400
+            points = [mpf(10) ** 400 * mp.expj(2), tiny * mp.expj(2), tiny * mp.expj(-1),
+                      1 + tiny * mp.expj(2)]
+            for z in points:
+                with ctx.workdps():
+                    assert _reduction_chain(mpc(z)) == _mpc_chain(mpc(z))
+                    assert reduced_q(mpc(z)) < 0.2
+                assert relative_error(li2(z, ctx), mpmath.polylog(2, z)) < mpf(10) ** -50
+        big = Fraction(10 ** 400 + 1, 3)  # 400-digit numerator
+        with ctx.workdps():
+            assert _reduction_chain(_as_mpc(big)) == _mpc_chain(_as_mpc(big)) == ("inv",)
