@@ -29,10 +29,11 @@ so |w| <= 1, Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and
 (q = 1/6 at the fixed points e^(+-i pi/3)). The series length follows from q
 a priori and is never adapted at runtime.
 
-u keeps full relative precision: 1 - w is formed with -log2|w| extra bits
-when |w| < 1/2, and on a route that ends in a reflection u = -log(w') reuses
-the log of the pre-reflection argument w' that the reflection identity has
-already taken.
+u keeps full relative precision at bounded cost: u = -log1p(-w), which
+mpmath forms as 1 - w at twice the working precision, or as w + w^2/2 when
+|w| < 2^-prec, so a tiny |w| costs no more bits. On a route that ends in a
+reflection u = -log(w') reuses the log of the pre-reflection argument w' that
+the reflection identity has already taken.
 
 Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
 Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
@@ -129,15 +130,6 @@ def _fixed_table(bits: int, count: int) -> tuple[int, list]:
     return entry
 
 
-def _log_one_minus(w) -> mpc:
-    """log(1 - w) to full relative precision: 1 - w is formed exactly."""
-    extra = -mp.mag(w)
-    if extra <= 0:
-        return mp.log(1 - w)
-    with mp.workprec(mp.prec + extra):
-        return mp.log(1 - w)
-
-
 def _bernoulli_series(u) -> mpc:
     """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) for u = -log(1-w) of a reduced
     w (q < 0.2) and v = u^2, with S summed in fixed point (module docstring)."""
@@ -184,7 +176,7 @@ def _li2_principal(z) -> mpc:
             u = -log_w
         sign = -sign
     if u is None:
-        u = -_log_one_minus(w)
+        u = -mp.log1p(-w)
     return sign * _bernoulli_series(u) + const
 
 

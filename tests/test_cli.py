@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 
 from arithreg.cli import _build_job, parse_complex, parse_element, parse_element_expr, run_job
 from arithreg.errors import SchemaError
+from time_limits import time_limit
 
 CUBIC = '{"poly":[1,-1,0,1]}'
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -385,6 +386,18 @@ def test_dilog_output_is_byte_identical(z, capsys):
         job = _build_job(["dilog", "--z", z, "--precision", str(digits)])
         assert run_job(job, out=out) == 0, capsys.readouterr().err
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, digits
+
+
+@pytest.mark.parametrize("z", ["1e-100000000", "-1e-100000000+1e-100000001i", "1e100000000",
+                               "1-1e-100000000i"])
+def test_dilog_extreme_moduli_return(z):
+    """A --z that parses cheaply evaluates cheaply: neither 1 - z nor any
+    other step is formed with bits that grow with the exponent of z."""
+    out = io.StringIO()
+    with time_limit(5):
+        assert run_job(_build_job(["dilog", f"--z={z}", "--output", "json"]), out=out) == 0
+    rec = json.loads(out.getvalue())
+    assert all(mp.isfinite(mpf(rec[k])) for k in ("li2_re", "li2_im", "bloch_wigner"))
 
 
 @pytest.mark.parametrize("z", [z for z in sorted(DILOG_STDOUT_SHA256) if z.endswith("i")])

@@ -9,6 +9,7 @@ import arithreg.dilog
 from arithreg.dilog import (_CHAINS, PrecisionContext, _as_mpc, _bernoulli_series, _mpc_chain,
                             _orbit_value, _reduction_chain, bloch_wigner, li2)
 from dilog_oracles import mpc_bernoulli_series, power_series
+from time_limits import time_limit
 
 CTX = PrecisionContext(50)
 TOL = mpf(10) ** -45
@@ -282,8 +283,9 @@ class TestFixedPointKernel:
 
 
 class TestSmallArguments:
-    """Near 0 Li2(z) ~ z: the identity route and a 1 - w formed exactly keep
-    the relative error at the working precision, for either sign of Re z."""
+    """Near 0 Li2(z) ~ z: the identity route and u = -log1p(-w) keep the
+    relative error at the working precision, for either sign of Re z, at a
+    cost that does not grow as |z| shrinks."""
 
     @pytest.mark.parametrize("exponent", [12, 40, 70, 400])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -296,6 +298,20 @@ class TestSmallArguments:
             assert _reduction_chain(z) == ()
             assert relative_error(li2(z, CTX), li2_oracle) < mpf(10) ** -50
             assert relative_error(bloch_wigner(z, CTX), d_oracle) < mpf(10) ** -50
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tiny_argument_costs_no_extra_bits(self, sign):
+        # at |z| = 1e-100000000 an exact 1 - z would need about 3.3e8 bits
+        with mp.workdps(90):
+            r = mpf("1e-100000000")
+            z = mpc(sign * r, r / 10)
+        with time_limit(5):
+            value, d = li2(z, CTX), bloch_wigner(z, CTX)
+        with mp.workdps(90):
+            li2_oracle = z + z * z / 4  # the next term is below 1e-200000000 |z|
+            d_oracle = mp.log(abs(z)) * mp.arg(1 - z) + li2_oracle.imag
+            assert relative_error(value, li2_oracle) < mpf(10) ** -50
+            assert relative_error(d, d_oracle) < mpf(10) ** -50
 
 
 class TestRoute:

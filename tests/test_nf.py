@@ -1,6 +1,4 @@
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -9,26 +7,11 @@ from mpmath import mp, mpf
 from arithreg.errors import DomainError, FormatError, SquarefreeError
 from arithreg.nf import embeddings, evaluate, parse_field
 import nf_oracles as oracle
+from time_limits import time_limit
 
 
 def rand_element(field, rng, span=9):
     return field.element([rng.randint(-span, span) for _ in range(field.degree)])
-
-
-@contextmanager
-def time_limit(seconds: int):
-    """Raise TimeoutError in the block after `seconds` of wall time, so a
-    search that does not finish fails the test instead of hanging it."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParseField:
