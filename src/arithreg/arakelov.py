@@ -8,9 +8,18 @@ makes a*b a bilinear map on coordinates, so generating an ideal, multiplying
 two, scaling one and testing closure under the ring are integer bilinear
 algebra followed by an integer HNF or an exact lattice-membership test. The
 first such operation builds T, and with it rejects a basis that is not an
-order. A metric is one positive number per embedding, conjugation
-invariant, read as the squared norm of the first HNF basis vector of the
-ideal (the reference section s0); the squared norm of any other section s is
+order.
+
+Closure is tested on ring generators only (NumberField.ring_generators): x
+when it lies in the order, with every basis element outside Z[x], or the
+whole basis when x lies outside the order. Every omega_k then lies in Z[x]
+or among the generators, and the generators lie in the order, so L*g in L
+for each generator g gives L*O in L; on a power basis that is n membership
+tests instead of n^2.
+
+A metric is one positive number per embedding, conjugation invariant, read
+as the squared norm of the first HNF basis vector of the ideal (the
+reference section s0); the squared norm of any other section s is
 metric[sigma] * |sigma(s/s0)|^2. With this convention the degree of the
 trivial bundle with metric exp(-2*t_sigma) at each embedding is the mean of
 the t_sigma, which pins the normalization of the half in the degree formula.
@@ -32,8 +41,8 @@ from functools import cached_property
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import (_integer_inverse, _scaled_rows, det_fraction, hnf_rational, hnf_rows,
-                     identity, in_lattice)
+from .intmat import (_integer_inverse, _scaled_rows, det_fraction, hnf, hnf_rational, identity,
+                     in_lattice)
 from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
 from .precision import DEFAULT_DIGITS
 
@@ -77,7 +86,7 @@ class FractionalIdeal:
     def _spanned_by_products(cls, field: NumberField, left, right) -> "FractionalIdeal":
         """Canonical ideal spanned by every product a*b, a in left, b in right."""
         rows, denom = _products(field, left, right)
-        h = hnf_rows(rows)
+        h = hnf(rows)
         if len(h) != field.degree:
             raise DomainError("rows do not span a full-rank lattice")
         return cls(field, tuple(tuple(Fraction(x, denom) for x in row) for row in h))
@@ -91,15 +100,12 @@ class FractionalIdeal:
         return cls.principal(field.one())
 
     def _is_module_closed(self) -> bool:
-        rows, denom = _products(self.field, self.basis_matrix, identity(self.field.degree))
+        rows, denom = _products(self.field, self.field.ring_generators, self.basis_matrix)
         lattice = [[int(x * denom) for x in row] for row in self.basis_matrix]
         return all(in_lattice(row, lattice) for row in rows)
 
     def element_from_coords(self, coords) -> FieldElement:
         return self.field.element(self.field.integral_coords_to_power(coords))
-
-    def basis_elements(self) -> list[FieldElement]:
-        return [self.element_from_coords(row) for row in self.basis_matrix]
 
     def reference_section(self) -> FieldElement:
         """First HNF basis vector; anchors metrics and default sections."""
@@ -115,10 +121,6 @@ class FractionalIdeal:
         coords, d = elem._integral_numerators()
         inverse, e = self._basis_inverse
         return _vec_mat(coords, inverse), d * e
-
-    def coords_of(self, elem: FieldElement) -> list[Fraction]:
-        coords, d = self._coord_numerators(elem)
-        return [Fraction(c, d) for c in coords]
 
     def contains(self, elem: FieldElement) -> bool:
         coords, d = self._coord_numerators(elem)

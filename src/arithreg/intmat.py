@@ -3,9 +3,11 @@
 Everything here works on plain lists of Python ints / Fractions, which keeps
 the routines exact for arbitrarily large entries. Matrices are row-major;
 "row HNF" means pivots move left to right down the rows, pivots are positive,
-and entries above a pivot are reduced into [0, pivot). LLL is the integral
-variant, whose Gram-Schmidt data are integers, and accepts only linearly
-independent rows. Determinants, inverses and linear solves, over the
+and entries above a pivot are reduced into [0, pivot). One HNF serves every
+lattice, reducing modulo the product of its pivots once it has full rank;
+the left kernel is read off the HNF of the rows next to an identity block.
+LLL is the integral variant, whose Gram-Schmidt data are integers, and
+accepts only linearly independent rows. Determinants, inverses and linear solves, over the
 integers or the rationals, all run through one fraction-free (Bareiss)
 elimination in integers; rational input is scaled to integers first and
 results come back as integer numerators over one denominator.
@@ -38,84 +40,82 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def hnf(rows: list[list[int]], transform: bool = False):
-    """Row Hermite normal form.
+def hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Canonical basis of the lattice spanned by integer rows: the nonzero
+    rows of its row HNF, top to bottom.
 
-    Returns (H, U, pivots) when transform is True, with U unimodular and
-    U * rows == H; otherwise just (H, pivots). Zero rows of H sit at the
-    bottom. pivots is the list of pivot column indices, one per nonzero row.
+    Rows go one at a time into an echelon basis with one row per pivot
+    column, merging into the row of their leading column by an exact
+    subtraction when its pivot divides the entry and by xgcd otherwise; a
+    new or shrunk pivot reduces the entries above it. Once every column has
+    a pivot, their product R is the determinant of a full-rank sublattice,
+    so R * Z^n lies in the lattice and entries off the pivots are reduced
+    mod R, which shrinks with the pivots (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.4.8; Domich, Kannan and Trotter 1987).
+    A last pass, left to right, reduces the entries above each pivot into
+    [0, pivot).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    h = [list(r) for r in rows]
-    u = identity(m) if transform else None
-
-    pivots = []
-    r = 0  # current pivot row
-    for col in range(n):
-        # clear column below row r via extended gcd row operations
-        piv = None
-        for i in range(r, m):
-            if h[i][col]:
-                piv = i
+    n = len(rows[0]) if rows else 0
+    basis = {}  # pivot column -> basis row, positive at its pivot
+    modulus = 0  # product of the pivots once every column has one
+    for row in rows:
+        v = [x % modulus for x in row] if modulus else list(row)
+        for col in range(n):
+            c = v[col]
+            if not c:
+                continue
+            b = basis.get(col)
+            if b is None:
+                basis[col] = v if c > 0 else [-x for x in v]
+                _reduce_above(basis, col)
+                if len(basis) == n:
+                    modulus = prod(basis[j][j] for j in range(n))
+                    for j, r in basis.items():
+                        r[j + 1:] = [x % modulus for x in r[j + 1:]]
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            if transform:
-                u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            if h[i][col]:
-                g, x, y = xgcd(h[r][col], h[i][col])
-                ar, ai = h[r][col] // g, h[i][col] // g
-                h[r], h[i] = (
-                    [x * h[r][j] + y * h[i][j] for j in range(n)],
-                    [-ai * h[r][j] + ar * h[i][j] for j in range(n)],
-                )
-                if transform:
-                    u[r], u[i] = (
-                        [x * u[r][j] + y * u[i][j] for j in range(m)],
-                        [-ai * u[r][j] + ar * u[i][j] for j in range(m)],
-                    )
-        if h[r][col] < 0:
-            h[r] = [-v for v in h[r]]
-            if transform:
-                u[r] = [-v for v in u[r]]
-        # reduce entries above the pivot into [0, pivot)
-        d = h[r][col]
-        for i in range(r):
-            q = h[i][col] // d
-            if q:
-                h[i] = [h[i][j] - q * h[r][j] for j in range(n)]
-                if transform:
-                    u[i] = [u[i][j] - q * u[r][j] for j in range(m)]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if transform:
-        return h, u, pivots
-    return h, pivots
+            # v and b are zero left of col, so only their tails change
+            a, vt, bt = b[col], v[col + 1:], b[col + 1:]
+            if c % a == 0:
+                q = c // a
+                vt = ([(x - q * y) % modulus for x, y in zip(vt, bt)] if modulus
+                      else [x - q * y for x, y in zip(vt, bt)])
+            else:
+                g, s, t = xgcd(a, c)
+                a, c = a // g, c // g
+                b[col] = g
+                b[col + 1:] = [s * y + t * x for x, y in zip(vt, bt)]
+                vt = [a * x - c * y for x, y in zip(vt, bt)]
+                if modulus:
+                    modulus //= a  # the pivot shrank by the factor a
+                    b[col + 1:] = [x % modulus for x in b[col + 1:]]
+                    vt = [x % modulus for x in vt]
+                _reduce_above(basis, col)
+            v[col] = 0
+            v[col + 1:] = vt
+
+    cols = sorted(basis)
+    for col in cols:
+        _reduce_above(basis, col)
+    return [basis[col] for col in cols]
 
 
-def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical basis (nonzero HNF rows) of the lattice spanned by rows."""
-    if not rows:
-        return []
-    h, pivots = hnf(rows)
-    return [h[i] for i in range(len(pivots))]
+def _reduce_above(basis: dict, col: int):
+    """Reduce the entries at col of the basis rows with earlier pivots into
+    [0, pivot at col); as rows go in, this keeps entries from growing."""
+    b = basis[col]
+    for j, row in basis.items():
+        q = row[col] // b[col] if j < col else 0
+        if q:
+            row[col:] = [x - q * y for x, y in zip(row[col:], b[col:])]
 
 
 def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {v : v * rows == 0}, canonicalized by HNF."""
+    """Basis of {v : v * rows == 0}, canonicalized by HNF: the right block of
+    the rows of hnf([rows | I]) whose left block is zero."""
     m = len(rows)
-    if m == 0:
-        return []
-    h, u, pivots = hnf(rows, transform=True)
-    rank = len(pivots)
-    ker = [u[i] for i in range(rank, m)]
-    return hnf_rows(ker) if ker else []
+    n = len(rows[0]) if m else 0
+    return [row[n:] for row in hnf([list(r) + unit for r, unit in zip(rows, identity(m))])
+            if not any(row[:n])]
 
 
 def in_lattice(vec: list[int], basis_hnf: list[list[int]]) -> bool:
@@ -202,22 +202,12 @@ def snf(rows: list[list[int]]):
                     dirty = True
         # enforce divisibility: s[t][t] must divide every later entry
         d = s[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m) if any(x % d for x in s[i][t + 1:])), None)
         if offender is not None:
             row_op(t, offender, 1, 1, 0, 1)
             continue
-        if s[t][t] < 0:
-            for j in range(n):
-                s[t][j] = -s[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+        if d < 0:
+            s[t], u[t] = [-x for x in s[t]], [-x for x in u[t]]
         t += 1
     return s, u, v
 
@@ -229,22 +219,34 @@ def _fraction_free(aug: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     Cramer's rule, or (0, None) when a is singular. Every division, in the
     forward pass and in the back substitution of X = det(a) * a^-1 b, is
     exact in the integers.
+
+    A step only rescales a row with a 0 in its pivot column, and successive
+    rescales telescope: such a row waits, and is rescaled once from the
+    pivot level[i] it was last brought to when a step reads it.
     """
     n = len(aug)
     width = len(aug[0]) if n else 0
     sign, prev = 1, 1
+    level = [1] * n
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k]), None)
         if piv is None:
             return 0, None
         if piv != k:
             aug[k], aug[piv] = aug[piv], aug[k]
+            level[k], level[piv] = level[piv], level[k]
             sign = -sign
+        for i in range(k, n):
+            ai = aug[i]
+            if ai[k] and level[i] != prev:
+                ai[k:] = [x * prev // level[i] for x in ai[k:]]
         ak, akk = aug[k], aug[k][k]
         for i in range(k + 1, n):
             ai, aik = aug[i], aug[i][k]
-            for j in range(k + 1, width):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+            if aik:
+                for j in range(k + 1, width):
+                    ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+                level[i] = akk
         prev = akk
     det, x = sign * prev, [None] * n
     for i in range(n - 1, -1, -1):
@@ -284,16 +286,10 @@ def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     return [sum((c * row[j] for c, row in zip(b, m)), Fraction(0)) / e for j in range(len(m))]
 
 
-def invert_fraction(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square Fraction matrix."""
-    m, e = _integer_inverse(a)
-    return [[Fraction(v, e) for v in row] for row in m]
-
-
 def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Canonical HNF basis of the lattice spanned by rational rows."""
     int_rows, denom = _scaled_rows(rows)
-    return [[Fraction(x, denom) for x in row] for row in hnf_rows(int_rows)]
+    return [[Fraction(x, denom) for x in row] for row in hnf(int_rows)]
 
 
 def _scaled_rows(rows) -> tuple[list[list[int]], int]:

@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
-from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
+from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction, identity
 from .precision import GUARD_DIGITS, MIN_DIGITS
 
 
@@ -100,6 +100,24 @@ class NumberField:
                                       "has non-integral coordinates")
                 table[i][j] = table[j][i] = tuple(c // denom for c in coords)
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def ring_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Integral coordinates of elements that generate the order as a
+        ring: x when it lies in the order, with every basis element whose
+        power coordinates are not all integers; the whole basis when x does
+        not lie in the order; none in degree 1. A lattice L with L*g in L
+        for each generator g is a module over the order."""
+        n = self.degree
+        if n == 1:
+            return ()
+        inverse, e = self._scaled_inverse
+        if any(c % e for c in inverse[1]):
+            return tuple(map(tuple, identity(n)))
+        outside = [tuple(int(i == k) for i in range(n))
+                   for k, row in enumerate(self.integral_basis)
+                   if any(c.denominator != 1 for c in row)]
+        return (tuple(c // e for c in inverse[1]), *outside)
 
     @cached_property
     def _reduction_terms(self) -> tuple[tuple[int, int], ...]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
-from .intmat import _integer_inverse, hnf_rows, identity, in_lattice, left_kernel, lll, snf
+from .intmat import _integer_inverse, hnf, identity, in_lattice, left_kernel, lll, snf
 from .nf import EmbeddingSet, FieldElement, _prime_divisors, embeddings, evaluate
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
@@ -144,7 +144,7 @@ def _verified_basis(elems, candidates) -> list[list[int]]:
     row proved a relation among elems by exact multiplication: the product
     of g_i^e_i over e_i > 0 must equal that of g_i^-e_i over e_i < 0. A row
     that fails raises PrecisionError (retry with more digits)."""
-    basis = hnf_rows(candidates) if candidates else []
+    basis = hnf(candidates)
     for row in basis:
         if (power_product(elems, [max(e, 0) for e in row])
                 != power_product(elems, [max(-e, 0) for e in row])):
@@ -371,7 +371,7 @@ def _bloch_kernels(candidates, p: MultiplicativePresentation
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
     if free_cols:
         stacked = [[img.coords[j] for j in free_cols] for img in images]
-        free_kernel = hnf_rows([r for r in left_kernel(stacked) if any(r)])
+        free_kernel = left_kernel(stacked)
     else:
         free_kernel = identity(len(candidates))
 
@@ -395,7 +395,7 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
             if d > 0:
                 stacked.append([d if c == j else 0 for c in range(dim)])
         projected = [row[:m] for row in left_kernel(stacked)]
-        basis = hnf_rows([row for row in projected if any(row)])
+        basis = hnf(projected)
 
     for row in basis:
         if not _wedge_sum_vanishes(row, images, sq):

@@ -7,12 +7,25 @@ integral-basis coordinates one at a time. They never read the field's
 multiplication table, so they check it independently.
 """
 
+from fractions import Fraction
+
 from arithreg.arakelov import FractionalIdeal
 from arithreg.errors import DomainError
 
 
 def integral_basis_elements(field):
     return [field.element(row) for row in field.integral_basis]
+
+
+def basis_elements(ideal):
+    return [ideal.element_from_coords(row) for row in ideal.basis_matrix]
+
+
+def coords_of(ideal, elem):
+    """Ideal-basis coordinates of elem as Fractions, from the integer
+    numerators that FractionalIdeal.contains reads."""
+    coords, d = ideal._coord_numerators(elem)
+    return [Fraction(c, d) for c in coords]
 
 
 def from_elements(field, elems):
@@ -40,8 +53,8 @@ def multiply(ideal, other):
     if ideal.field != other.field:
         raise DomainError("ideals over different fields")
     rows = []
-    for a in ideal.basis_elements():
-        for b in other.basis_elements():
+    for a in basis_elements(ideal):
+        for b in basis_elements(other):
             rows.append((a * b).integral_coords())
     return FractionalIdeal.from_rows(ideal.field, rows, check=False)
 
@@ -49,5 +62,5 @@ def multiply(ideal, other):
 def scale(ideal, a):
     if a.is_zero():
         raise DomainError("cannot scale an ideal by zero")
-    rows = [(a * el).integral_coords() for el in ideal.basis_elements()]
+    rows = [(a * el).integral_coords() for el in basis_elements(ideal)]
     return FractionalIdeal.from_rows(ideal.field, rows, check=False)

@@ -3,12 +3,17 @@
 They are independent of the Smith/Hermite machinery and the fraction-free
 elimination in arithreg.intmat, and only practical for small matrices. The
 Gauss-Jordan inverse and solve over Fractions are the routines the package
-used before one fraction-free elimination replaced them.
+used before one fraction-free elimination replaced them. hnf_transform is
+the column-by-column xgcd HNF with a unimodular transform that the package
+used before its one modular HNF; left_kernel_by_transform reads the kernel
+off that transform.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from arithreg.intmat import identity, xgcd
 
 
 def mat_mul(a, b):
@@ -154,3 +159,83 @@ def lll_fraction(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> lis
             mu, norms = gso()
             k = max(k - 1, 1)
     return b
+
+
+def hnf_transform(rows: list[list[int]], transform: bool = False):
+    """Row Hermite normal form.
+
+    Returns (H, U, pivots) when transform is True, with U unimodular and
+    U * rows == H; otherwise just (H, pivots). Zero rows of H sit at the
+    bottom. pivots is the list of pivot column indices, one per nonzero row.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    h = [list(r) for r in rows]
+    u = identity(m) if transform else None
+
+    pivots = []
+    r = 0  # current pivot row
+    for col in range(n):
+        # clear column below row r via extended gcd row operations
+        piv = None
+        for i in range(r, m):
+            if h[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            if transform:
+                u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, m):
+            if h[i][col]:
+                g, x, y = xgcd(h[r][col], h[i][col])
+                ar, ai = h[r][col] // g, h[i][col] // g
+                h[r], h[i] = (
+                    [x * h[r][j] + y * h[i][j] for j in range(n)],
+                    [-ai * h[r][j] + ar * h[i][j] for j in range(n)],
+                )
+                if transform:
+                    u[r], u[i] = (
+                        [x * u[r][j] + y * u[i][j] for j in range(m)],
+                        [-ai * u[r][j] + ar * u[i][j] for j in range(m)],
+                    )
+        if h[r][col] < 0:
+            h[r] = [-v for v in h[r]]
+            if transform:
+                u[r] = [-v for v in u[r]]
+        # reduce entries above the pivot into [0, pivot)
+        d = h[r][col]
+        for i in range(r):
+            q = h[i][col] // d
+            if q:
+                h[i] = [h[i][j] - q * h[r][j] for j in range(n)]
+                if transform:
+                    u[i] = [u[i][j] - q * u[r][j] for j in range(m)]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    if transform:
+        return h, u, pivots
+    return h, pivots
+
+
+def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Canonical basis (nonzero HNF rows) of the lattice spanned by rows."""
+    if not rows:
+        return []
+    h, pivots = hnf_transform(rows)
+    return [h[i] for i in range(len(pivots))]
+
+
+def left_kernel_by_transform(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of {v : v * rows == 0}: the rows of U below the rank, put in
+    HNF."""
+    m = len(rows)
+    if m == 0:
+        return []
+    h, u, pivots = hnf_transform(rows, transform=True)
+    ker = [u[i] for i in range(len(pivots), m)]
+    return hnf_rows(ker) if ker else []

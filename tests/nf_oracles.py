@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import isqrt
 
 from arithreg.errors import DomainError
-from arithreg.intmat import det_fraction, invert_fraction
+from arithreg.intmat import det_fraction
+from intmat_oracles import invert_by_gauss_jordan
 
 
 def _trim(p):
@@ -146,7 +147,7 @@ def norm(a) -> Fraction:
 
 
 def integral_coords(a) -> list:
-    inverse = invert_fraction([list(r) for r in a.field.integral_basis])
+    inverse = invert_by_gauss_jordan(a.field.integral_basis)
     n = a.field.degree
     return [sum((a.coeffs[i] * inverse[i][k] for i in range(n)), Fraction(0))
             for k in range(n)]

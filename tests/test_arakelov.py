@@ -82,12 +82,12 @@ class TestFractionalIdeal:
         ideals.append(ideals[2].multiply(ideals[-1]))
         for ideal in ideals:
             probes = [rand_el(), rand_el(den=3)]
-            probes += [b * rand_el() for b in ideal.basis_elements()[:2]]
+            probes += [b * rand_el() for b in oracle.basis_elements(ideal)[:2]]
             for el in probes:
-                oracle = solve_fraction([list(r) for r in ideal.basis_matrix],
+                solved = solve_fraction([list(r) for r in ideal.basis_matrix],
                                         el.integral_coords())
-                assert ideal.coords_of(el) == oracle
-                assert ideal.contains(el) == all(c.denominator == 1 for c in oracle)
+                assert oracle.coords_of(ideal, el) == solved
+                assert ideal.contains(el) == all(c.denominator == 1 for c in solved)
             assert all(ideal.contains(el) for el in probes[2:])
 
 
@@ -170,6 +170,48 @@ class TestProductsAgainstOracle:
                 with pytest.raises(DomainError, match="not closed"):
                     FractionalIdeal.from_rows(K, basis)
         assert True in verdicts and False in verdicts
+
+
+CLOSURE_CASES = {
+    # (1, (1+x)/2) over x^2 - 5; rows in integral-basis coordinates
+    "Q(sqrt5)": ({"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]}, [
+        # Z[sqrt5] = span{1, x}, x = 2 omega_1 - 1: stable under x, not
+        # under (1+x)/2
+        ([[1, 0], [-1, 2]], False),
+        ([[1, 0], [0, 1]], True),
+        ([[2, 0], [0, 2]], True),
+    ]),
+    # (1, 2x) over x^2 + 1, a non-maximal order that does not contain x
+    "Z[2i]": ({"poly": [1, 0, 1], "integral_basis": [["1", "0"], ["0", "2"]], "maximal": False}, [
+        ([[1, 0], [0, 1]], True),
+        # span{1, 4i}: 2i * 1 lies outside it
+        ([[1, 0], [0, 2]], False),
+        ([[2, 0], [0, 2]], True),
+    ]),
+    "Q": ({"poly": [0, 1]}, [
+        ([[1]], True),
+        ([[3], [6]], True),
+        ([[Fraction(1, 2)]], True),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_closure_on_ring_generators_matches_oracle(name):
+    # from_rows tests closure against the field's ring generators only; its
+    # verdict must be the one the element-by-element oracle reaches on the
+    # whole basis
+    record, cases = CLOSURE_CASES[name]
+    K = parse_field(record)
+    for rows, closed in cases:
+        lattice = FractionalIdeal(K, tuple(tuple(r) for r in hnf_rational(
+            [[Fraction(x) for x in row] for row in rows])))
+        assert oracle.is_module_closed(lattice) == closed, rows
+        if closed:
+            assert FractionalIdeal.from_rows(K, rows) == lattice
+        else:
+            with pytest.raises(DomainError, match="not closed"):
+                FractionalIdeal.from_rows(K, rows)
 
 
 class TestIndexQuotient:

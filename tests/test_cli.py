@@ -573,6 +573,27 @@ def test_height_work_counts(monkeypatch):
     assert calls == {"__mul__": 8, "integral_coords": 1}
 
 
+def test_degree_closure_work_counts(monkeypatch):
+    """A degree job on x^12 - x - 1 tests the closure of its bundle's ideal
+    once per product with a ring generator: the power basis has the one
+    generator x, so 12 lattice-membership tests, where multiplying by every
+    basis element made 144."""
+    import arithreg.arakelov as arakelov
+
+    calls = {"in_lattice": 0}
+    count_calls(monkeypatch, calls, arakelov, "in_lattice")
+    n = 12
+    field = json.dumps({"poly": [-1, -1] + [0] * (n - 2) + [1]})
+    # power-basis rows of (x+2) * x^i, i < 12, with x^12 = x + 1
+    rows = [[2 if j == i else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 3) + [2])
+    bundle = json.dumps({"ideal_basis": [[str(c) for c in row] for row in rows],
+                         "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
+    out = io.StringIO()
+    assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle]), out=out) == 0
+    assert calls == {"in_lattice": 12}
+
+
 def test_multiplication_table_is_lazy(monkeypatch):
     """field-info, unit-reg and kranks jobs never build the multiplication
     table; only ideal arithmetic does."""

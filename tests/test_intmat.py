@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 
 from arithreg.errors import DomainError
-from arithreg.intmat import (det_fraction, hnf, hnf_rational, hnf_rows, in_lattice,
-                             invert_fraction, left_kernel, lll, snf, solve_fraction, xgcd)
-from intmat_oracles import (det_by_elimination, invariant_factors_by_minors,
-                            invert_by_gauss_jordan, lll_fraction, mat_mul, solve_by_gauss_jordan)
+from arithreg.intmat import (_integer_inverse, det_fraction, hnf, hnf_rational, in_lattice,
+                             left_kernel, lll, snf, solve_fraction, xgcd)
+from intmat_oracles import (det_by_elimination, hnf_rows, hnf_transform,
+                            invariant_factors_by_minors, invert_by_gauss_jordan,
+                            left_kernel_by_transform, lll_fraction, mat_mul,
+                            solve_by_gauss_jordan)
+
+
+def invert_fraction(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a square Fraction matrix, through the library's one
+    fraction-free inverse."""
+    m, e = _integer_inverse(a)
+    return [[Fraction(v, e) for v in row] for row in m]
 
 
 def test_xgcd_bezout():
@@ -22,21 +31,95 @@ def test_xgcd_bezout():
 
 
 def test_hnf_canonical_form():
-    h = hnf_rows([[2, 0], [1, 1]])
+    h = hnf([[2, 0], [1, 1]])
     assert h == [[1, 1], [0, 2]]
     # canonical: same lattice from a different generating set
-    assert hnf_rows([[1, 1], [2, 0], [3, 1]]) == h
+    assert hnf([[1, 1], [2, 0], [3, 1]]) == h
+    assert hnf([]) == [] and hnf([[0, 0]]) == []
 
 
 def test_hnf_transform_is_unimodular():
+    # the oracle's transform U is unimodular with U * rows == H, and its
+    # nonzero rows of H are what hnf returns
     rng = random.Random(2)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        h, u, pivots = hnf(a, transform=True)
+        h, u, pivots = hnf_transform(a, transform=True)
         assert mat_mul(u, a) == h
         det = det_fraction([[Fraction(x) for x in row] for row in u])
         assert abs(det) == 1
+        assert hnf(a) == h[:len(pivots)]
+
+
+def _differential_inputs():
+    """(label, rows) inputs on which hnf and left_kernel must match the
+    column-by-column xgcd oracle."""
+    rng = random.Random(11)
+    cases = []
+    for n in (2, 3, 4):
+        # tall full-rank n^2 x n rows with entries up to 10^12: the modulus
+        # takes over once every column has a pivot
+        cases.append((f"tall {n}", [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)]
+                                    for _ in range(n * n)]))
+    for trial in range(6):
+        # rank-deficient: combinations of fewer rows than columns, so no
+        # modulus ever exists
+        n, r = rng.randint(3, 6), rng.randint(1, 2)
+        base = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(r)]
+        cases.append((f"rank {r} of {n}", [[sum(rng.randint(-4, 4) * b[j] for b in base)
+                                            for j in range(n)] for _ in range(n + 2)]))
+    for trial in range(4):
+        # zero rows, zero columns and a repeated row mixed into small rows
+        n = rng.randint(2, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(5)]
+        rows[1] = [0] * n
+        rows.append(list(rows[0]))
+        cases.append((f"zeros {trial}", rows))
+    for trial in range(4):
+        # wide: more columns than rows
+        m = rng.randint(1, 3)
+        cases.append((f"wide {trial}", [[rng.randint(-99, 99) for _ in range(m + 3)]
+                                        for _ in range(m)]))
+    cases.append(("single row", [[0, -6, 4, 10]]))
+    cases.append(("zero rows only", [[0, 0, 0], [0, 0, 0]]))
+    return cases
+
+
+@pytest.mark.parametrize("label, rows", _differential_inputs())
+def test_hnf_and_left_kernel_match_transform_oracle(label, rows):
+    h = hnf(rows)
+    assert h == hnf_rows(rows), label
+    assert left_kernel(rows) == left_kernel_by_transform(rows), label
+    # canonical form: positive pivots, zeros left of them, entries above in [0, pivot)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(h, pivots)):
+        assert row[col] > 0
+        assert all(0 <= h[k][col] < row[col] for k in range(i))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_hnf_of_ideal_square_matches_oracle(n):
+    # the n^2 product rows of squaring (x + 2) on x^n - x - 1, the input
+    # FractionalIdeal.multiply hands to hnf
+    from arithreg.arakelov import FractionalIdeal, _products
+    from arithreg.nf import parse_field
+
+    K = parse_field({"poly": [-1, -1] + [0] * (n - 2) + [1]})
+    ideal = FractionalIdeal.principal(K.gen() + K.element([2]))
+    rows, denom = _products(K, ideal.basis_matrix, ideal.basis_matrix)
+    assert denom == 1 and len(rows) == n * n
+    h = hnf(rows)
+    assert h == hnf_rows(rows)
+    assert len(h) == n
+    # the transform oracle is too slow on all n^2 rows: the first n rows span
+    # the ideal times its first basis element, and two more leave a kernel
+    # of rank 2
+    some = rows[:n] + rows[-2:]
+    kernel = left_kernel(some)
+    assert kernel == left_kernel_by_transform(some)
+    assert len(kernel) == 2
 
 
 def test_left_kernel():
@@ -75,7 +158,7 @@ def test_snf_matches_minors_oracle():
 
 
 def test_in_lattice():
-    basis = hnf_rows([[2, 0], [0, 3]])
+    basis = hnf([[2, 0], [0, 3]])
     assert in_lattice([4, 3], basis)
     assert not in_lattice([1, 0], basis)
     assert in_lattice([0, 0], basis)
@@ -174,7 +257,7 @@ def test_lll_preserves_lattice():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-50, 50) for _ in range(n + 1)] for _ in range(n)]
         red = lll(rows)
-        assert hnf_rows([r for r in red if any(r)]) == hnf_rows([r for r in rows if any(r)])
+        assert hnf(red) == hnf(rows)
 
 
 def assert_lll_reduced(rows):

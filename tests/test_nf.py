@@ -166,6 +166,26 @@ class TestMultiplicationTable:
             K.multiplication_table
 
 
+class TestRingGenerators:
+    """Integral coordinates of the ring generators that the ideal closure
+    test multiplies by."""
+
+    @pytest.mark.parametrize("record, generators", [
+        # a power basis: x alone
+        ({"poly": [-1, -1, 0, 0, 0, 1]}, ((0, 1, 0, 0, 0),)),
+        # (1, (1+x)/2) over x^2 - 5: x = 2 omega_1 - 1, and omega_1 lies outside Z[x]
+        ({"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]},
+         ((-1, 2), (0, 1))),
+        # (1, 2x) over x^2 + 1: x lies outside the order, so the whole basis
+        ({"poly": [1, 0, 1], "integral_basis": [["1", "0"], ["0", "2"]], "maximal": False},
+         ((1, 0), (0, 1))),
+        # degree 1: Z is generated by 1 alone, and needs no generator
+        ({"poly": [-3, 1]}, ()),
+    ])
+    def test_generators(self, record, generators):
+        assert parse_field(record).ring_generators == generators
+
+
 class TestArith:
     def test_i_squared(self, fields):
         x = fields["Qi"].gen()
