@@ -39,8 +39,8 @@ def test_hnf_canonical_form():
 
 
 def test_hnf_transform_is_unimodular():
-    # the oracle's transform U is unimodular with U * rows == H, and its
-    # nonzero rows of H are what hnf returns
+    # the oracle's transform U is unimodular with U * rows == H, and hnf
+    # returns the nonzero rows of H
     rng = random.Random(2)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
