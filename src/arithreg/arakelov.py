@@ -1,14 +1,19 @@
 """Metrized line bundles on a ring of integers and their arithmetic degree.
 
-A fractional ideal is stored as a canonical (HNF) Z-basis in integral-basis
-coordinates: rational rows, whose lcm of denominators scales them to an
-integer HNF. Products never form field elements. The field's multiplication
-table T (omega_i * omega_j = sum_k T[i][j][k] * omega_k, integer entries)
-makes a*b a bilinear map on coordinates, so generating an ideal, multiplying
-two, scaling one and testing closure under the ring are integer bilinear
-algebra followed by an integer HNF or an exact lattice-membership test. The
-first such operation builds T, and with it rejects a basis that is not an
-order.
+A fractional ideal L is stored as integer rows over one denominator (Cohen,
+A Course in Computational Algebraic Number Theory, section 4.7): rows is the
+row HNF of den * L in integral-basis coordinates, for the least den > 0, so
+equal ideals have equal (rows, den). Products never form field elements.
+The field's multiplication table T (omega_i * omega_j = sum_k T[i][j][k] *
+omega_k, integer entries) makes a*b a bilinear map on coordinates, so
+generating an ideal, multiplying two and scaling one are integer bilinear
+algebra followed by one canonicalization, intmat.hnf_rational; the product
+of two ideals lies over the product of their denominators. The first such
+operation builds T, and with it rejects a basis that is not an order.
+
+Membership is one exact test: a lies in L when den * a has integral
+coordinates and those lie in the row lattice (intmat.in_lattice). The rows
+are triangular, so the norm of L is the product of the pivots over den^n.
 
 Closure is tested on ring generators only (NumberField.ring_generators): x
 when it lies in the order, with every basis element outside Z[x], or the
@@ -36,60 +41,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm, prod
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import (_integer_inverse, _scaled_rows, det_fraction, hnf, hnf_rational, identity,
-                     in_lattice)
+from .intmat import _scaled_rows, hnf_rational, identity, in_lattice
 from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
-from .precision import DEFAULT_DIGITS
 
 
 @dataclass(frozen=True)
 class FractionalIdeal:
-    """Nonzero fractional ideal as a canonical HNF Z-basis over the integral
-    basis of the ring of integers."""
+    """Nonzero fractional ideal rows / den: rows is the integer row HNF of
+    den times the ideal in integral-basis coordinates, den > 0 the least."""
 
     field: NumberField
-    basis_matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self):
-        n = self.field.degree
-        if len(self.basis_matrix) != n or any(len(r) != n for r in self.basis_matrix):
+        n, rows = self.field.degree, self.rows
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("ideal basis must be square of size the field degree")
-        if self.norm == 0:
-            raise DomainError("ideal basis is singular")
+        if not all(r[i] > 0 and not any(r[:i]) and all(0 <= h[i] < r[i] for h in rows[:i])
+                   for i, r in enumerate(rows)):
+            raise DomainError("ideal basis is not in Hermite normal form")
+        if self.den <= 0 or gcd(self.den, *(x for r in rows for x in r)) != 1:
+            raise DomainError("ideal denominator is not the least positive one")
 
     @classmethod
-    def from_rows(cls, field: NumberField, rows, check: bool = True) -> "FractionalIdeal":
-        """Canonicalize arbitrary generating rows (integral-basis coords)."""
-        h = hnf_rational([[Fraction(x) for x in row] for row in rows])
+    def _canonical(cls, field: NumberField, rows, den: int) -> "FractionalIdeal":
+        """The ideal spanned by integer rows over the denominator den."""
+        h, den = hnf_rational(rows, den)
         if len(h) != field.degree:
             raise DomainError("rows do not span a full-rank lattice")
-        ideal = cls(field, tuple(tuple(r) for r in h))
-        if check and not ideal._is_module_closed():
+        return cls(field, tuple(map(tuple, h)), den)
+
+    @classmethod
+    def from_rows(cls, field: NumberField, rows) -> "FractionalIdeal":
+        """Canonicalize arbitrary generating rows (rational integral-basis
+        coordinates), which must span a module over the ring."""
+        ideal = cls._canonical(field, *_scaled_rows(rows))
+        if not ideal._is_module_closed():
             raise DomainError("lattice is not closed under ring multiplication")
         return ideal
 
     @classmethod
     def from_elements(cls, field: NumberField, elems) -> "FractionalIdeal":
         """Ideal generated by field elements as a module over the ring."""
-        elems = [el for el in elems if not el.is_zero()]
-        if not elems:
+        nums = [el._integral_numerators() for el in elems if not el.is_zero()]
+        if not nums:
             raise DomainError("the zero ideal is not supported")
-        return cls._spanned_by_products(field, [el.integral_coords() for el in elems],
-                                        identity(field.degree))
-
-    @classmethod
-    def _spanned_by_products(cls, field: NumberField, left, right) -> "FractionalIdeal":
-        """Canonical ideal spanned by every product a*b, a in left, b in right."""
-        rows, denom = _products(field, left, right)
-        h = hnf(rows)
-        if len(h) != field.degree:
-            raise DomainError("rows do not span a full-rank lattice")
-        return cls(field, tuple(tuple(Fraction(x, denom) for x in row) for row in h))
+        den = lcm(*(d for _, d in nums))
+        left = [[c * (den // d) for c in coords] for coords, d in nums]
+        return cls._canonical(field, _products(field, left, identity(field.degree)), den)
 
     @classmethod
     def principal(cls, elem: FieldElement) -> "FractionalIdeal":
@@ -100,76 +105,66 @@ class FractionalIdeal:
         return cls.principal(field.one())
 
     def _is_module_closed(self) -> bool:
-        rows, denom = _products(self.field, self.field.ring_generators, self.basis_matrix)
-        lattice = [[int(x * denom) for x in row] for row in self.basis_matrix]
-        return all(in_lattice(row, lattice) for row in rows)
-
-    def element_from_coords(self, coords) -> FieldElement:
-        return self.field.element(self.field.integral_coords_to_power(coords))
+        return all(in_lattice(row, self.rows)
+                   for row in _products(self.field, self.field.ring_generators, self.rows))
 
     def reference_section(self) -> FieldElement:
         """First HNF basis vector; anchors metrics and default sections."""
-        return self.element_from_coords(self.basis_matrix[0])
-
-    @cached_property
-    def _basis_inverse(self) -> tuple[list[list[int]], int]:
-        """(M, e): the inverse of the basis matrix is M / e, M integer."""
-        return _integer_inverse(self.basis_matrix)
-
-    def _coord_numerators(self, elem: FieldElement) -> tuple[list[int], int]:
-        """Ideal-basis coordinates of elem: integer numerators, denominator."""
-        coords, d = elem._integral_numerators()
-        inverse, e = self._basis_inverse
-        return _vec_mat(coords, inverse), d * e
+        return self.field.element([Fraction(c, self.den)
+                                   for c in self.field.integral_coords_to_power(self.rows[0])])
 
     def contains(self, elem: FieldElement) -> bool:
-        coords, d = self._coord_numerators(elem)
-        return all(c % d == 0 for c in coords)
+        coords, d = elem._integral_numerators()
+        scaled = [self.den * c for c in coords]
+        return (not any(c % d for c in scaled)
+                and in_lattice([c // d for c in scaled], self.rows))
 
     def multiply(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:
             raise DomainError("ideals over different fields")
-        return FractionalIdeal._spanned_by_products(self.field, self.basis_matrix,
-                                                    other.basis_matrix)
+        return FractionalIdeal._canonical(self.field, _products(self.field, self.rows, other.rows),
+                                          self.den * other.den)
 
     def power(self, n: int) -> "FractionalIdeal":
+        """The n-th power by left-to-right binary powering: a square per bit
+        of n after the leading one, and a product per set bit among them."""
         if n < 0:
             raise DomainError("negative ideal powers are not supported")
         if n == 0:
             return FractionalIdeal.unit_ideal(self.field)
         out = self
-        for _ in range(n - 1):
-            out = out.multiply(self)
+        for bit in bin(n)[3:]:
+            out = out.multiply(out)
+            if bit == "1":
+                out = out.multiply(self)
         return out
 
     def scale(self, a: FieldElement) -> "FractionalIdeal":
         if a.is_zero():
             raise DomainError("cannot scale an ideal by zero")
-        return FractionalIdeal._spanned_by_products(self.field, [a.integral_coords()],
-                                                    self.basis_matrix)
+        coords, d = a._integral_numerators()
+        return FractionalIdeal._canonical(self.field, _products(self.field, [coords], self.rows),
+                                          d * self.den)
 
-    @cached_property
+    @property
     def norm(self) -> Fraction:
-        return abs(det_fraction([list(r) for r in self.basis_matrix]))
+        """The absolute norm [O : den L] / den^n, the index being the product
+        of the pivots."""
+        return Fraction(prod(r[i] for i, r in enumerate(self.rows)), self.den ** len(self.rows))
 
-    def to_record(self) -> dict:
-        return {"ideal_basis": [[str(x) for x in row] for row in self.basis_matrix]}
 
-
-def _products(field: NumberField, left, right) -> tuple[list[list[int]], int]:
+def _products(field: NumberField, left, right) -> list[list[int]]:
     """Integral-basis coordinates of every product a*b, a in left and b in
-    right (rows of rational integral-basis coordinates), as integer rows over
-    one common denominator: (rows, denominator). Bilinear in the rows through
-    the field's multiplication table; no field element is formed."""
+    right, all integer rows of integral-basis coordinates. Bilinear in the
+    rows through the field's multiplication table; no field element is
+    formed."""
     table = field.multiplication_table
-    lhs, d_left = _scaled_rows(left)
-    rhs, d_right = _scaled_rows(right)
     out = []
-    for a in lhs:
+    for a in left:
         # row j: coordinates of a * omega_j; T[j][i] = T[i][j]
         times_a = [_vec_mat(a, table_j) for table_j in table]
-        out.extend(_vec_mat(b, times_a) for b in rhs)
-    return out, d_left * d_right
+        out.extend(_vec_mat(b, times_a) for b in right)
+    return out
 
 
 def index_quotient(ideal: FractionalIdeal, s: FieldElement) -> Fraction:
@@ -209,11 +204,6 @@ class MetrizedLineBundle:
     def field(self) -> NumberField:
         return self.ideal.field
 
-    def to_record(self, digits: int = DEFAULT_DIGITS) -> dict:
-        rec = self.ideal.to_record()
-        rec["metric"] = [mp.nstr(v, digits) for v in self.metric.values]
-        return rec
-
 
 def standard_metric(ideal: FractionalIdeal, e: EmbeddingSet) -> Metric:
     """|sigma(s0)|^2 at each embedding: the metric pulled back from K."""
@@ -231,7 +221,7 @@ def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
 def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
                       s: FieldElement | None) -> tuple[mpf, Fraction]:
     """arithmetic_degree together with the index_quotient of the section it
-    used, so a caller reporting both solves the membership once."""
+    used, so a caller reporting both tests the membership once."""
     e.check_invariant(bundle.metric.values, "metric")
     if s is None:
         s = bundle.ideal.reference_section()

@@ -52,9 +52,9 @@ class _Tokens:
             c = text[i]
             if c.isspace():
                 i += 1
-            elif c.isdigit():
+            elif c.isdecimal():  # the digits int() reads; isdigit() admits superscripts
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 toks.append(("num", int(text[i:j])))
                 i = j
@@ -83,7 +83,10 @@ class _Tokens:
 def parse_element_expr(text: str, field: NumberField) -> FieldElement:
     """Exact evaluation of a polynomial expression in the generator x."""
     toks = _Tokens(text)
-    value = _parse_sum(toks, field)
+    try:
+        value = _parse_sum(toks, field)
+    except RecursionError:
+        raise SchemaError("element expression nests too deeply") from None
     if toks.peek() is not None:
         raise SchemaError(f"trailing input in element expression {text!r}")
     return value

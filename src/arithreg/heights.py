@@ -90,9 +90,7 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
         raise DomainError("the power must be a positive integer")
     if generator.is_zero():
         raise DomainError("generator must be nonzero")
-    ideal_pow = bundle.ideal.power(n_power)
-    principal = FractionalIdeal.principal(generator)
-    if ideal_pow.basis_matrix != principal.basis_matrix:
+    if bundle.ideal.power(n_power) != FractionalIdeal.principal(generator):
         raise PrincipalityError(
             "generator does not generate the stated power of the ideal")
 

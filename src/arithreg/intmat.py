@@ -136,21 +136,19 @@ def in_lattice(vec: list[int], basis_hnf: list[list[int]]) -> bool:
 
 
 def snf(rows: list[list[int]]):
-    """Smith normal form with transforms: returns (S, U, V) where
-    U * rows * V == S, U and V unimodular, and the diagonal of S is a
-    divisibility chain d1 | d2 | ... with nonnegative entries."""
+    """Smith normal form with its right transform: returns (S, V) where
+    U * rows * V == S for some unimodular U, V is unimodular, and the
+    diagonal of S is a divisibility chain d1 | d2 | ... with nonnegative
+    entries. The row operations that make up U are applied to S only."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     s = [list(r) for r in rows]
-    u = identity(m)
     v = identity(n)
 
     def row_op(i1, i2, a, b, c, d):
         # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)
         for j in range(n):
             s[i1][j], s[i2][j] = a * s[i1][j] + b * s[i2][j], c * s[i1][j] + d * s[i2][j]
-        for j in range(m):
-            u[i1][j], u[i2][j] = a * u[i1][j] + b * u[i2][j], c * u[i1][j] + d * u[i2][j]
 
     def col_op(j1, j2, a, b, c, d):
         for i in range(m):
@@ -207,9 +205,9 @@ def snf(rows: list[list[int]]):
             row_op(t, offender, 1, 1, 0, 1)
             continue
         if d < 0:
-            s[t], u[t] = [-x for x in s[t]], [-x for x in u[t]]
+            s[t] = [-x for x in s[t]]
         t += 1
-    return s, u, v
+    return s, v
 
 
 def _fraction_free(aug: list[list[int]]) -> tuple[int, list[list[int]] | None]:
@@ -286,10 +284,13 @@ def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     return [sum((c * row[j] for c, row in zip(b, m)), Fraction(0)) / e for j in range(len(m))]
 
 
-def hnf_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Canonical HNF basis of the lattice spanned by rational rows."""
-    int_rows, denom = _scaled_rows(rows)
-    return [[Fraction(x, denom) for x in row] for row in hnf(int_rows)]
+def hnf_rational(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """Canonical basis of the lattice spanned by the rational rows rows / den,
+    for integer rows and den > 0: (h, e) with h the integer row HNF of e
+    times the lattice and e > 0 the least such, so gcd(e, *h) = 1."""
+    h = hnf(rows)
+    g = gcd(den, *(x for row in h for x in row))
+    return [[x // g for x in row] for row in h], den // g
 
 
 def _scaled_rows(rows) -> tuple[list[list[int]], int]:

@@ -102,13 +102,6 @@ class GradedKAlgebra:
     def element(self, degree: int, coords) -> "GradedElement":
         return GradedElement(self, degree, tuple(mpf_to_fraction(c) for c in coords))
 
-    def basis_element(self, degree: int, position: int) -> "GradedElement":
-        count = len(self.generators(degree))
-        if not 0 <= position < count:
-            raise DomainError("generator position out of range")
-        return GradedElement(self, degree, tuple(
-            Fraction(1 if c == position else 0) for c in range(count)))
-
 
 @dataclass(frozen=True)
 class GradedElement:

@@ -45,20 +45,12 @@ class RegulatorVector:
                                tuple(a + b for a, b in zip(self.values, other.values)),
                                self.weight)
 
-    def to_record(self, two_pi_basis: bool = False) -> dict:
-        """Serialize; two_pi_basis divides the stored coefficients of i by
-        2*pi (formatting only, the stored values stay branch-free reals)."""
+    def to_record(self) -> dict:
         digits = self.embedding_set.precision
-        values = self.values
-        basis = "1"
-        if two_pi_basis and self.weight == WEIGHT_K3:
-            with mp.workdps(self.embedding_set.working_dps):
-                values = tuple(v / (2 * mp.pi) for v in values)
-            basis = "2*pi"
         return {
             "weight": self.weight,
-            "values": [mp.nstr(v, digits) for v in values],
-            "value_basis": basis,
+            "values": [mp.nstr(v, digits) for v in self.values],
+            "value_basis": "1",
             "embedding_order": "real embeddings ascending, then complex by (re, im)",
         }
 

@@ -193,7 +193,7 @@ def power_product(elems, exponents) -> FieldElement:
 def _certify_torsion(elems, basis, k: int) -> int:
     if not basis:
         return 1
-    s, _, v = snf([list(r) for r in basis])
+    s, v = snf([list(r) for r in basis])
     diag = [s[i][i] for i in range(min(len(s), k))]
     nontrivial = [d for d in diag if d > 1]
     if not nontrivial:
@@ -244,12 +244,6 @@ class ExteriorSquare:
         return tuple(y[j] % self.invariants[j] if self.invariants[j] > 0 else y[j]
                      for j in range(self.dim))
 
-    def group_invariants(self) -> tuple[list[int], int]:
-        """(torsion invariants > 1, free rank) of the exterior square."""
-        torsion = [d for d in self.invariants if d > 1]
-        free = sum(1 for d in self.invariants if d == 0)
-        return torsion, free
-
 
 def _pair_basis(k: int):
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -282,7 +276,7 @@ def exterior_square_of_lattice(k: int,
     if not relators or dim == 0:
         return ExteriorSquare(k, tuple([0] * dim),
                               tuple(tuple(row) for row in identity(dim)))
-    s, _, v = snf(relators)
+    s, v = snf(relators)
     rank = sum(1 for i in range(min(len(s), dim)) if s[i][i] != 0)
     invariants = tuple(s[c][c] if c < rank else 0 for c in range(dim))
     return ExteriorSquare(k, invariants, tuple(tuple(row) for row in v))

@@ -11,21 +11,28 @@ from fractions import Fraction
 
 from arithreg.arakelov import FractionalIdeal
 from arithreg.errors import DomainError
+from arithreg.intmat import _scaled_rows, hnf_rational
 
 
 def integral_basis_elements(field):
     return [field.element(row) for row in field.integral_basis]
 
 
+def basis_matrix(ideal):
+    """The ideal's HNF basis as rational rows of integral-basis coordinates."""
+    return [[Fraction(x, ideal.den) for x in row] for row in ideal.rows]
+
+
 def basis_elements(ideal):
-    return [ideal.element_from_coords(row) for row in ideal.basis_matrix]
+    field = ideal.field
+    return [field.element(field.integral_coords_to_power(row)) for row in basis_matrix(ideal)]
 
 
-def coords_of(ideal, elem):
-    """Ideal-basis coordinates of elem as Fractions, from the integer
-    numerators that FractionalIdeal.contains reads."""
-    coords, d = ideal._coord_numerators(elem)
-    return [Fraction(c, d) for c in coords]
+def ideal_from_rows(field, rows):
+    """The lattice spanned by rational rows of integral-basis coordinates,
+    canonicalized by hnf_rational without a closure test."""
+    h, den = hnf_rational(*_scaled_rows(rows))
+    return FractionalIdeal(field, tuple(map(tuple, h)), den)
 
 
 def from_elements(field, elems):
@@ -37,12 +44,11 @@ def from_elements(field, elems):
     for el in elems:
         for omega in integral_basis_elements(field):
             rows.append((el * omega).integral_coords())
-    return FractionalIdeal.from_rows(field, rows, check=False)
+    return ideal_from_rows(field, rows)
 
 
 def is_module_closed(ideal) -> bool:
-    for row in ideal.basis_matrix:
-        el = ideal.element_from_coords(row)
+    for el in basis_elements(ideal):
         for omega in integral_basis_elements(ideal.field):
             if not ideal.contains(el * omega):
                 return False
@@ -56,11 +62,11 @@ def multiply(ideal, other):
     for a in basis_elements(ideal):
         for b in basis_elements(other):
             rows.append((a * b).integral_coords())
-    return FractionalIdeal.from_rows(ideal.field, rows, check=False)
+    return ideal_from_rows(ideal.field, rows)
 
 
 def scale(ideal, a):
     if a.is_zero():
         raise DomainError("cannot scale an ideal by zero")
     rows = [(a * el).integral_coords() for el in basis_elements(ideal)]
-    return FractionalIdeal.from_rows(ideal.field, rows, check=False)
+    return ideal_from_rows(ideal.field, rows)

@@ -53,6 +53,12 @@ def invariant_factors_by_minors(rows: list[list[int]]) -> list[int]:
     return factors
 
 
+def group_invariants(invariants) -> tuple[list[int], int]:
+    """(torsion invariants > 1, free rank) of the group Z^k / S for a Smith
+    form S, from its diagonal with 0 marking a free coordinate."""
+    return [d for d in invariants if d > 1], sum(1 for d in invariants if d == 0)
+
+
 def _det_int(mat: list[list[int]]) -> int:
     d = det_by_elimination([[Fraction(x) for x in row] for row in mat])
     assert d.denominator == 1

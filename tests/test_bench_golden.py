@@ -1,8 +1,7 @@
 """The benchmark's own jobs, replayed in tier-1: a change that moves the
-output bytes of a degree or height job of the arakelov_degrees workload, of
-any job of the bloch_sweep workload, or of any job of the dilog_plane
-workload, fails here, not only in a benchmark run. bench/golden
-is read, never written."""
+output bytes of any job of the arakelov_degrees, bloch_sweep or dilog_plane
+workload fails here, not only in a benchmark run. bench/golden is read,
+never written."""
 
 import hashlib
 import importlib
@@ -15,8 +14,6 @@ import pytest
 from arithreg.cli import run_job
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-IDEAL_KINDS = ("degree", "height1", "height2")
-MAX_DEGREE = 8
 DILOG_STEP = 1  # every dilog_plane job: all 5113 replay in about 6 s
 
 
@@ -44,14 +41,15 @@ def _replay(workloads, jobs, golden, capsys):
         assert digest == golden["stdout_sha256"][workloads.job_key(job)], label
 
 
-def test_arakelov_ideal_jobs_match_golden(monkeypatch, capsys):
+def test_arakelov_degrees_universe_matches_golden(monkeypatch, capsys):
+    """Every job the arakelov_degrees workload can draw, of every kind at
+    every degree from 2 to 24, the failing one included, against its
+    recorded digest."""
     workloads, universe, golden = _bench_universe(monkeypatch, "arakelov_degrees")
-    jobs = [(job, meta) for job, meta in universe
-            if meta["kind"] in IDEAL_KINDS and len(meta["poly"]) - 1 <= MAX_DEGREE]
-    degrees = {d for d in workloads.ARAKELOV_DEGREES if d <= MAX_DEGREE}
-    assert {len(meta["poly"]) - 1 for _, meta in jobs} == degrees
-    assert {meta["kind"] for _, meta in jobs} == set(IDEAL_KINDS)
-    _replay(workloads, jobs, golden, capsys)
+    assert len(universe) == golden["jobs"]
+    assert {len(meta["poly"]) - 1 for _, meta in universe} == set(workloads.ARAKELOV_DEGREES)
+    assert [meta.get("expect_err") for _, meta in universe if meta["expect_rc"]] == ["error[domain]"]
+    _replay(workloads, universe, golden, capsys)
 
 
 def test_bloch_sweep_universe_matches_golden(monkeypatch, capsys):

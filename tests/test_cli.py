@@ -249,6 +249,13 @@ MALFORMED_JOBS = {
     "multiplicity-boolean": {"command": "regulator", "field": {"poly": [1, -1, 0, 1]},
                              "payload": {"bloch": {"support": ["x", "(1-x)^-1"],
                                                    "multiplicities": [2, True]}}},
+    # a superscript is a digit to str.isdigit but not to int()
+    "element-superscript": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                            "payload": {"element": "x\u00b2"}},
+    "element-deep-parentheses": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                                 "payload": {"element": "(" * 300 + "x" + ")" * 300}},
+    "element-deep-signs": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                           "payload": {"element": "-" * 2000 + "x"}},
 }
 
 
@@ -552,14 +559,15 @@ def test_height_work_counts(monkeypatch):
     its ideal products through the field's multiplication table. When every
     product was a FieldElement product, this job made 464 of them and 457
     integral_coords calls. What is left is the section arithmetic: the
-    generator (x+2)^2, s0^2 and two quotients, plus the coordinates of the
-    generator; the section's membership test reads integer numerators and
-    forms no Fraction coordinates."""
+    generator (x+2)^2, s0^2 and two quotients. Two elements get integral
+    coordinates, as integer numerators over one denominator: the generator
+    of the principal ideal and the section whose membership is tested.
+    Neither forms Fraction coordinates through integral_coords."""
     from arithreg.nf import FieldElement
 
-    calls = {"__mul__": 0, "integral_coords": 0}
-    count_calls(monkeypatch, calls, FieldElement, "__mul__")
-    count_calls(monkeypatch, calls, FieldElement, "integral_coords")
+    calls = {"__mul__": 0, "integral_coords": 0, "_integral_numerators": 0}
+    for name in calls:
+        count_calls(monkeypatch, calls, FieldElement, name)
     n = 12
     field = json.dumps({"poly": [-1, -1] + [0] * (n - 2) + [1]})
     # power-basis rows of (x+2) * x^i, i < 12, with x^12 = x + 1
@@ -570,18 +578,46 @@ def test_height_work_counts(monkeypatch):
     out = io.StringIO()
     assert run_job(_build_job(["height", "--field", field, "--bundle", bundle,
                                "--N", "2", "--generator", "(x+2)^2"]), out=out) == 0
-    assert calls == {"__mul__": 8, "integral_coords": 1}
+    assert calls == {"__mul__": 8, "integral_coords": 0, "_integral_numerators": 2}
+
+
+def test_height_of_a_huge_power_returns():
+    """The N-th power of the ideal is formed by squaring, about 2 log2(N)
+    ideal products, so N = 10^12 returns at once; one product per power took
+    13.7 s at N = 10^5. The unit ideal of x^3 - x + 1 has the generator 1 for
+    every N, and its height equals its arithmetic degree."""
+    rows = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    job = {"command": "height", "field": {"poly": [1, -1, 0, 1]}, "output": "json",
+           "payload": {"bundle": {"ideal_basis": rows, "metric": ["2", "3", "3"]},
+                       "N": 10 ** 12, "generator": "1"}}
+    out = io.StringIO()
+    with time_limit(5):
+        assert run_job(job, out=out) == 0
+    rec = json.loads(out.getvalue())
+    with mp.workdps(60):
+        assert mpf(rec["abs_difference"]) < mpf(10) ** -40
+        assert abs(mpf(rec["height"]) + (mp.log(2) + 2 * mp.log(3)) / 6) < mpf(10) ** -40
 
 
 def test_degree_closure_work_counts(monkeypatch):
     """A degree job on x^12 - x - 1 tests the closure of its bundle's ideal
     once per product with a ring generator: the power basis has the one
     generator x, so 12 lattice-membership tests, where multiplying by every
-    basis element made 144."""
+    basis element made 144. The default section's membership is one more
+    test, counted apart by its caller."""
     import arithreg.arakelov as arakelov
 
-    calls = {"in_lattice": 0}
-    count_calls(monkeypatch, calls, arakelov, "in_lattice")
+    calls = {"_is_module_closed": 0, "contains": 0}
+    in_lattice = arakelov.in_lattice
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in calls:
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return in_lattice(*args)
+
+    monkeypatch.setattr(arakelov, "in_lattice", counted)
     n = 12
     field = json.dumps({"poly": [-1, -1] + [0] * (n - 2) + [1]})
     # power-basis rows of (x+2) * x^i, i < 12, with x^12 = x + 1
@@ -591,7 +627,7 @@ def test_degree_closure_work_counts(monkeypatch):
                          "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
     out = io.StringIO()
     assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle]), out=out) == 0
-    assert calls == {"in_lattice": 12}
+    assert calls == {"_is_module_closed": 12, "contains": 1}
 
 
 def test_multiplication_table_is_lazy(monkeypatch):

@@ -108,8 +108,8 @@ def test_hnf_of_ideal_square_matches_oracle(n):
 
     K = parse_field({"poly": [-1, -1] + [0] * (n - 2) + [1]})
     ideal = FractionalIdeal.principal(K.gen() + K.element([2]))
-    rows, denom = _products(K, ideal.basis_matrix, ideal.basis_matrix)
-    assert denom == 1 and len(rows) == n * n
+    rows = _products(K, ideal.rows, ideal.rows)
+    assert ideal.den == 1 and len(rows) == n * n
     h = hnf(rows)
     assert h == hnf_rows(rows)
     assert len(h) == n
@@ -143,8 +143,11 @@ def test_snf_matches_minors_oracle():
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s, u, v = snf(a)
-        assert mat_mul(mat_mul(u, a), v) == s
+        s, v = snf(a)
+        # U * a * V == S for a unimodular U exactly when V is unimodular and
+        # a * V spans the row lattice of S
+        assert abs(det_fraction([[Fraction(x) for x in row] for row in v])) == 1
+        assert hnf(mat_mul(a, v)) == hnf(s)
         diag = [s[i][i] for i in range(min(m, n))]
         nonzero = [d for d in diag if d]
         assert nonzero == invariant_factors_by_minors(a)
@@ -236,12 +239,14 @@ def test_fraction_free_solves_match_gauss_jordan_oracle():
 
 
 def test_hnf_rational():
-    rows = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-    h = hnf_rational(rows)
-    assert h == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
+    # rows / den in, (integer HNF of e times the lattice, least e) out
+    assert hnf_rational([[3, 0], [0, 2]], 6) == ([[3, 0], [0, 2]], 6)  # 1/2 Z + 1/3 Z
     # half-integer lattice
-    h2 = hnf_rational([[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1, 2)]])
-    assert h2 == [[Fraction(1, 2), Fraction(1, 2)], [Fraction(0), Fraction(1)]]
+    assert hnf_rational([[2, 0], [1, 1]], 2) == ([[1, 1], [0, 2]], 2)
+    # a common factor of every entry and den cancels
+    assert hnf_rational([[4, 0], [0, 6]], 2) == ([[2, 0], [0, 3]], 1)
+    assert hnf_rational([[6, 3], [0, 9]], 12) == ([[2, 1], [0, 3]], 4)
+    assert hnf_rational([[0, 0]], 5) == ([], 1)
 
 
 def test_lll_finds_short_relation():

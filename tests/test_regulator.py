@@ -143,16 +143,3 @@ class TestSMap:
         rec = v.to_record()
         assert rec["weight"] == "unit"
         assert len(rec["values"]) == 2
-
-    def test_two_pi_basis_formatting(self, fields, embset):
-        K, e = fields["cubic"], embset["cubic"]
-        lam = K.gen()
-        x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator(x, e)
-        plain = v.to_record()
-        scaled = v.to_record(two_pi_basis=True)
-        assert scaled["value_basis"] == "2*pi"
-        with mp.workdps(55):
-            rep = e.pair_representatives[0]
-            assert abs(mpf(scaled["values"][rep]) * 2 * mp.pi
-                       - mpf(plain["values"][rep])) < mpf(10) ** -45
