@@ -13,7 +13,6 @@ from .kmodel import (GradedElement, GradedKAlgebra, build_model, dimension_table
                      embed_k3, embed_unit, multiply, p_map, project_M,
                      rank_in_degree)
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
-from .precision import PrecisionContext
 from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
                         WedgeClass, bloch_kernel, exterior_square,
@@ -21,7 +20,6 @@ from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation
                         verify_bloch_element)
 
 __all__ = [
-    "PrecisionContext",
     # number field core
     "NumberField", "FieldElement", "EmbeddingSet", "parse_field", "embeddings",
     "evaluate",

@@ -27,7 +27,7 @@ from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
-from .precision import DEFAULT_DIGITS, MIN_DIGITS, PrecisionContext
+from .precision import DEFAULT_DIGITS, MIN_DIGITS, working_dps
 from .regulator import k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, _bloch_kernels, relation_lattice,
                         verify_bloch_element)
@@ -296,10 +296,9 @@ def _cmd_field_info(job, payload, precision):
 
 
 def _cmd_dilog(job, payload, precision):
-    ctx = PrecisionContext(precision)
-    with ctx.workdps():
+    with mp.workdps(working_dps(precision)):
         z = parse_complex(_require(payload, "z", str))
-    value, dd = li2_and_bloch_wigner(z, ctx)
+    value, dd = li2_and_bloch_wigner(z, precision)
     return {
         "schema": 1,
         "z": _num(z, precision),
@@ -426,7 +425,7 @@ def _cmd_kranks(job, payload, precision):
     max_p = payload.get("max_p", 6)
     if not _is_int(max_p) or max_p < 1:
         raise SchemaError("key 'max_p' must be a positive integer")
-    model = build_model(field, max_p, precision=precision)
+    model = build_model(embeddings(field, precision), max_p)
     table = dimension_table(model)
     table["schema"] = 1
     return table

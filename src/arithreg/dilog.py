@@ -1,6 +1,10 @@
 """Arbitrary-precision dilogarithm and the single-valued real function
 D(z) = log|z| arg(1-z) + Im Li2(z).
 
+Precision. li2, bloch_wigner and li2_and_bloch_wigner take digits, an int,
+compute at precision.working_dps(digits) and round to digits; the helpers
+below run at the current mp precision.
+
 Li2 uses the principal branch everywhere, with the cut along (1, oo)
 following the principal logarithm; exactly-real arguments on the cut get the
 limit from below. Evaluation reduces the argument with the inversion
@@ -58,9 +62,9 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .precision import PrecisionContext
+from .precision import DEFAULT_DIGITS, working_dps
 
-__all__ = ["PrecisionContext", "li2", "bloch_wigner", "li2_and_bloch_wigner"]
+__all__ = ["li2", "bloch_wigner", "li2_and_bloch_wigner"]
 
 # orbit of z under inversion and reflection; chains apply left to right
 _CHAINS = (
@@ -198,16 +202,16 @@ def _is_exact_real(z) -> bool:
     return False
 
 
-def li2(z, ctx: PrecisionContext = PrecisionContext()) -> mpc:
+def li2(z, digits: int = DEFAULT_DIGITS) -> mpc:
     """Principal-branch dilogarithm of a complex argument.
 
     Real arguments above 1 sit on the cut and evaluate as the limit from
     below, i.e. with imaginary part -pi*log(z).
     """
-    return li2_and_bloch_wigner(z, ctx)[0]
+    return li2_and_bloch_wigner(z, digits)[0]
 
 
-def bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> mpf:
+def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
     """The single-valued function log|z| arg(1-z) + Im Li2(z).
 
     Exactly-real input returns exact 0 without any floating evaluation, so
@@ -216,14 +220,15 @@ def bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> mpf:
     """
     if _is_exact_real(z):
         return mpf(0)
-    return li2_and_bloch_wigner(z, ctx)[1]
+    return li2_and_bloch_wigner(z, digits)[1]
 
 
-def li2_and_bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> tuple[mpc, mpf]:
-    """(li2(z, ctx), bloch_wigner(z, ctx)) from one evaluation of Li2: D is
-    formed from the working-precision value of Li2 before either is rounded."""
+def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
+    """(li2(z, digits), bloch_wigner(z, digits)) from one evaluation of Li2:
+    D is formed from the working-precision value of Li2 before either is
+    rounded to digits."""
     real_input = _is_exact_real(z)
-    with ctx.workdps():
+    with mp.workdps(working_dps(digits)):
         w = _as_mpc(z)
         d = mpf(0)
         if w == 0:
@@ -244,5 +249,5 @@ def li2_and_bloch_wigner(z, ctx: PrecisionContext = PrecisionContext()) -> tuple
             out = _li2_principal(w)
             if w.imag != 0:
                 d = mp.log(abs(w)) * mp.arg(1 - w) + out.imag
-    with ctx.outdps():
+    with mp.workdps(digits):
         return +out, +d

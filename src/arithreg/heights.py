@@ -17,6 +17,7 @@ arithmetic_degree; the equality is the tested content, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -82,15 +83,18 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
     """Height of the class of a metrized bundle, computed through the N-th
     power trivialized by `generator`.
 
-    The claim that generator generates ideal^N is verified exactly (HNF
-    comparison) and never trusted. The result must agree with
-    arithmetic_degree(bundle, e); tests enforce that equality.
+    The claim that generator generates ideal^N is verified exactly and never
+    trusted: N(generator) against N(ideal)^N first, which rejects most wrong
+    generators without forming ideal^N, then the HNFs. The result must agree
+    with arithmetic_degree(bundle, e); tests enforce that equality.
     """
     if n_power < 1:
         raise DomainError("the power must be a positive integer")
     if generator.is_zero():
         raise DomainError("generator must be nonzero")
-    if bundle.ideal.power(n_power) != FractionalIdeal.principal(generator):
+    principal = FractionalIdeal.principal(generator)
+    if not (_is_power(bundle.ideal.norm, n_power, principal.norm)
+            and bundle.ideal.power(n_power) == principal):
         raise PrincipalityError(
             "generator does not generate the stated power of the ideal")
 
@@ -101,3 +105,14 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
                                              * abs(evaluate(ratio, e, i)) ** 2) / 2)
     with mp.workdps(e.working_dps):
         return mp.fsum(f) / e.degree / n_power
+
+
+def _is_power(base: Fraction, n: int, target: Fraction) -> bool:
+    """Whether base^n == target for positive fractions, which are in lowest
+    terms: numerator against numerator, denominator against denominator. An
+    integer a > 1 of b bits has a^n of n (b - 1) + 1 to n b bits, so a^n is
+    formed only when it has under twice the bits of its counterpart."""
+    return all(a == t == 1 or (a > 1 and n * (a.bit_length() - 1) < t.bit_length()
+                               <= n * a.bit_length() and a ** n == t)
+               for a, t in ((base.numerator, target.numerator),
+                            (base.denominator, target.denominator)))

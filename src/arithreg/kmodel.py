@@ -22,8 +22,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .nf import EmbeddingSet, FieldElement, NumberField, embeddings
-from .precision import DEFAULT_DIGITS
+from .nf import EmbeddingSet, FieldElement
 from .regulator import k3_regulator, unit_regulator
 from .relations import BlochElement
 
@@ -49,7 +48,6 @@ def mpf_to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GradedKAlgebra:
-    field: NumberField
     embedding_set: EmbeddingSet
     max_p: int = 6
 
@@ -135,14 +133,10 @@ class GradedElement:
             return [mpf(c.numerator) / mpf(c.denominator) for c in self.coords]
 
 
-def build_model(field: NumberField, max_p: int = 6,
-                e: EmbeddingSet | None = None, precision: int = DEFAULT_DIGITS) -> GradedKAlgebra:
-    """Assemble the graded model; degrees beyond max_p stay available lazily."""
-    if e is None:
-        e = embeddings(field, precision)
-    elif e.field != field:
-        raise DomainError("embedding set belongs to a different field")
-    return GradedKAlgebra(field, e, max_p)
+def build_model(e: EmbeddingSet, max_p: int = 6) -> GradedKAlgebra:
+    """Assemble the graded model of the field of e at the precision of e;
+    degrees beyond max_p stay available lazily."""
+    return GradedKAlgebra(e, max_p)
 
 
 def p_map(b: GradedElement, model: GradedKAlgebra) -> Fraction:

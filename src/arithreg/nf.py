@@ -28,7 +28,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction, identity
-from .precision import GUARD_DIGITS, MIN_DIGITS
+from .precision import working_dps
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +497,7 @@ class EmbeddingSet:
 
     @property
     def working_dps(self) -> int:
-        return self.precision + GUARD_DIGITS
+        return working_dps(self.precision)
 
     def invariant_vector(self, value) -> tuple:
         """Per-embedding tuple of value(idx) at working precision, evaluated
@@ -529,11 +529,9 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     precision), the one embedding cache of the package; an EmbeddingSet is
     immutable, so every caller can share it.
     """
-    if precision < MIN_DIGITS:
-        raise DomainError(f"precision must be at least {MIN_DIGITS} digits")
+    wp = working_dps(precision)
     n = field.degree
     coeffs = field.defining_poly
-    wp = precision + GUARD_DIGITS
 
     with mp.workdps(wp):
         if n == 1:

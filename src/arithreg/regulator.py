@@ -19,7 +19,6 @@ from mpmath import mp, mpf
 from .dilog import bloch_wigner
 from .errors import DomainError, PrecisionError
 from .nf import EmbeddingSet, FieldElement, evaluate
-from .precision import PrecisionContext
 from .relations import BlochElement
 
 WEIGHT_UNIT = "unit"
@@ -70,7 +69,6 @@ def k3_regulator(x: BlochElement, e: EmbeddingSet) -> RegulatorVector:
     negatives. The kernel condition on x is the caller's responsibility (use
     relations.verify_bloch_element when a presentation is available).
     """
-    ctx = PrecisionContext(e.precision)
     n = e.degree
     values = [mpf(0)] * n
     with mp.workdps(e.working_dps):
@@ -84,7 +82,7 @@ def k3_regulator(x: BlochElement, e: EmbeddingSet) -> RegulatorVector:
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")
                 if mult:
-                    acc += mult * bloch_wigner(z, ctx)
+                    acc += mult * bloch_wigner(z, e.precision)
             values[idx] = -acc
             values[e.conjugate_index(idx)] = acc
     return RegulatorVector(e, tuple(values), WEIGHT_K3)

@@ -333,12 +333,11 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[i
 
 
 def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> WedgeClass:
-    """Class of lambda ^ (1 - lambda) in the exterior square."""
-    if not lam.is_in_rcirc():
-        raise DomainError("element must be a unit with unit complement")
-    u = coordinates_of(lam, p)
-    v = coordinates_of(lam.field.one() - lam, p)
-    return wedge_of_vectors(p, u, v)
+    """Class of lambda ^ (1 - lambda) in the exterior square. coordinates_of
+    tests every non-generator for unit status (relation_lattice proved the
+    generators units), so a lambda outside R-circ raises DomainError."""
+    return wedge_of_vectors(p, coordinates_of(lam, p),
+                            coordinates_of(lam.field.one() - lam, p))
 
 
 def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
@@ -363,11 +362,7 @@ def _bloch_kernels(candidates, p: MultiplicativePresentation
     images = [steinberg_image(lam, p) for lam in candidates]
     sq = exterior_square(p)
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
-    if free_cols:
-        stacked = [[img.coords[j] for j in free_cols] for img in images]
-        free_kernel = left_kernel(stacked)
-    else:
-        free_kernel = identity(len(candidates))
+    free_kernel = left_kernel([[img.coords[j] for j in free_cols] for img in images])
 
     strict_basis = _strict_kernel(images, sq)
     support = tuple(candidates)
@@ -380,17 +375,11 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
     """HNF basis of the integer combinations of wedge classes that vanish
     exactly, each basis row re-verified against the torsion invariants."""
     m = len(images)
-    dim = sq.dim
-    if dim == 0:
-        basis = identity(m)
-    else:
-        stacked = [list(img.coords) for img in images]
-        for j, d in enumerate(sq.invariants):
-            if d > 0:
-                stacked.append([d if c == j else 0 for c in range(dim)])
-        projected = [row[:m] for row in left_kernel(stacked)]
-        basis = hnf(projected)
-
+    stacked = [list(img.coords) for img in images]
+    for j, d in enumerate(sq.invariants):
+        if d > 0:
+            stacked.append([d if c == j else 0 for c in range(sq.dim)])
+    basis = hnf([row[:m] for row in left_kernel(stacked)])
     for row in basis:
         if not _wedge_sum_vanishes(row, images, sq):
             raise PrecisionError("kernel basis failed exact wedge verification")

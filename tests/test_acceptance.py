@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf
 from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
                                arithmetic_degree, index_quotient, standard_metric,
                                tensor, transport, twist_metric)
-from arithreg.dilog import PrecisionContext, bloch_wigner
+from arithreg.dilog import bloch_wigner
 from arithreg.heights import c_hat_height, height_scaled_trivial, scaling_alpha
 from arithreg.intmat import in_lattice
 from arithreg.kmodel import build_model, multiply, p_map, project_M, rank_in_degree
@@ -26,7 +26,6 @@ from arithreg.relations import (BlochElement, bloch_kernel, exterior_square_of_l
                                 relation_lattice, verify_bloch_element)
 from intmat_oracles import group_invariants, invariant_factors_by_minors
 
-CTX50 = PrecisionContext(50)
 TOL40 = mpf(10) ** -40
 TOL35 = mpf(10) ** -35
 
@@ -64,10 +63,10 @@ def test_criterion_01_dilog_identity_suite():
     start = time.time()
     with mp.workdps(60):
         for z in seeded_points(20260808, 200):
-            d = bloch_wigner(z, CTX50)
-            assert abs(bloch_wigner(1 / (1 - z), CTX50) - d) < TOL40
-            assert abs(bloch_wigner(1 / z, CTX50) + d) < TOL40
-            assert abs(bloch_wigner(mp.conj(z), CTX50) + d) < TOL40
+            d = bloch_wigner(z, 50)
+            assert abs(bloch_wigner(1 / (1 - z), 50) - d) < TOL40
+            assert abs(bloch_wigner(1 / z, 50) + d) < TOL40
+            assert abs(bloch_wigner(mp.conj(z), 50) + d) < TOL40
         rng = random.Random(20260809)
         done = 0
         while done < 100:
@@ -79,7 +78,7 @@ def test_criterion_01_dilog_identity_suite():
             if any(abs(w) < 1e-3 or abs(w - 1) < 1e-3 for w in pts):
                 continue
             done += 1
-            residual = mp.fsum(bloch_wigner(w, CTX50) for w in pts)
+            residual = mp.fsum(bloch_wigner(w, 50) for w in pts)
             assert abs(residual) < TOL35
     elapsed = time.time() - start
     assert elapsed < 30, f"identity suite took {elapsed:.1f}s"
@@ -88,7 +87,6 @@ def test_criterion_01_dilog_identity_suite():
 
 def test_criterion_02_differential_check():
     rng = random.Random(40404)
-    ctx = PrecisionContext(40)
     h = mpf(10) ** -8
     with mp.workdps(60):
         checked = 0
@@ -107,9 +105,9 @@ def test_criterion_02_differential_check():
             if grad_norm < mpf(10) ** -3:
                 continue  # relative comparison needs a well-conditioned point
             checked += 1
-            fdx = (bloch_wigner(z + h, ctx) - bloch_wigner(z - h, ctx)) / (2 * h)
-            fdy = (bloch_wigner(z + h * mpc(0, 1), ctx)
-                   - bloch_wigner(z - h * mpc(0, 1), ctx)) / (2 * h)
+            fdx = (bloch_wigner(z + h, 40) - bloch_wigner(z - h, 40)) / (2 * h)
+            fdy = (bloch_wigner(z + h * mpc(0, 1), 40)
+                   - bloch_wigner(z - h * mpc(0, 1), 40)) / (2 * h)
             err = mp.sqrt((fdx - ddx) ** 2 + (fdy - ddy) ** 2)
             assert err / grad_norm < mpf(10) ** -6
     print("ACCEPTANCE 2 differential check: PASS")
@@ -131,7 +129,7 @@ def test_criterion_03_bloch_example_family():
         vec = k3_regulator(x, e)
         with mp.workdps(60):
             for idx in e.pair_representatives:
-                target = (n + 1) * (-bloch_wigner(evaluate(lam, e, idx), CTX50))
+                target = (n + 1) * (-bloch_wigner(evaluate(lam, e, idx), 50))
                 assert abs(vec.values[idx] - target) < TOL40
         for idx in e.real_indices:
             assert vec.values[idx] == 0
@@ -310,7 +308,7 @@ def test_criterion_09_borel_rank_table():
     rng = random.Random(90909)
     for poly in records:
         K = parse_field({"poly": poly})
-        model = build_model(K, 6)
+        model = build_model(embeddings(K, 50), 6)
         r1, r2 = model.signature
         for p in range(1, 7):
             d = 1 - 2 * p

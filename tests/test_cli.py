@@ -480,8 +480,9 @@ def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once and
     one Bloch-Wigner value per nonzero (multiplicity, pair representative)
     term of its kernel basis. Unit status is tested once per generator of
-    the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)) and once per element
-    of each candidate's pair in steinberg_image: 5 + 2*2 = 9 tests. The one
+    the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests, by
+    relation_lattice: each candidate and its complement is one of those
+    generators, so steinberg_image tests none of them again. The one
     inverse is the parse of (1-x)^-1; proving relations inverts nothing."""
     import arithreg.regulator
     import arithreg.relations
@@ -504,7 +505,7 @@ def test_bloch_check_work_counts(monkeypatch):
     # the example has a zero multiplicity, so a skipped term is observable
     assert nonzero < sum(len(row) for row in rec["kernel_basis"])
     assert calls == {"steinberg_image": len(job["payload"]["candidates"]),
-                     "bloch_wigner": nonzero * pairs, "is_unit": 9, "inverse": 1}
+                     "bloch_wigner": nonzero * pairs, "is_unit": 5, "inverse": 1}
 
 
 @pytest.mark.parametrize("z, series", [("0.25+0.125i", 1), ("-3.5+2i", 1), ("3", 1),
@@ -597,6 +598,20 @@ def test_height_of_a_huge_power_returns():
     with mp.workdps(60):
         assert mpf(rec["abs_difference"]) < mpf(10) ** -40
         assert abs(mpf(rec["height"]) + (mp.log(2) + 2 * mp.log(3)) / 6) < mpf(10) ** -40
+
+
+@pytest.mark.parametrize("n_power", [10 ** 5, 10 ** 12])
+def test_height_wrong_generator_of_a_huge_power_returns(capsys, n_power):
+    """x + 2 generates the ideal (x + 2) of norm 5 on x^3 - x + 1, not its
+    N-th power: the norms differ, which is decided before the power is
+    formed. Forming the power first took 42.6 s at N = 10^5."""
+    rows = [["2", "1", "0"], ["0", "2", "1"], ["-1", "1", "2"]]  # (x + 2) x^i
+    job = {"command": "height", "field": {"poly": [1, -1, 0, 1]},
+           "payload": {"bundle": {"ideal_basis": rows, "metric": ["1", "1", "1"]},
+                       "N": n_power, "generator": "x+2"}}
+    with time_limit(5):
+        assert run_job(job, out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("error[domain]")
 
 
 def test_degree_closure_work_counts(monkeypatch):

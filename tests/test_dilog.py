@@ -6,12 +6,13 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import arithreg.dilog
-from arithreg.dilog import (_CHAINS, PrecisionContext, _as_mpc, _bernoulli_series, _mpc_chain,
-                            _orbit_value, _reduction_chain, bloch_wigner, li2)
+from arithreg.dilog import (_CHAINS, _as_mpc, _bernoulli_series, _mpc_chain, _orbit_value,
+                            _reduction_chain, bloch_wigner, li2)
+from arithreg.precision import working_dps
 from dilog_oracles import mpc_bernoulli_series, power_series
 from time_limits import time_limit
 
-CTX = PrecisionContext(50)
+DIGITS = 50
 TOL = mpf(10) ** -45
 
 
@@ -33,22 +34,22 @@ def rand_points(seed, count, rmin=0.1, rmax=3.0):
 
 class TestLi2:
     def test_zero(self):
-        assert li2(0, CTX) == 0
+        assert li2(0, DIGITS) == 0
 
     def test_one_is_zeta2(self):
         with mp.workdps(60):
-            assert abs(li2(1, CTX) - mp.pi ** 2 / 6) < TOL
+            assert abs(li2(1, DIGITS) - mp.pi ** 2 / 6) < TOL
 
     def test_minus_one(self):
         with mp.workdps(60):
-            assert abs(li2(-1, CTX) + mp.pi ** 2 / 12) < TOL
+            assert abs(li2(-1, DIGITS) + mp.pi ** 2 / 12) < TOL
 
     def test_half_reflection_oracle(self):
         # independent value from the reflection identity at the fixed point:
         # Li2(1/2) + Li2(1/2) = pi^2/6 - log(1/2) log(1/2)
         with mp.workdps(60):
             oracle = (mp.pi ** 2 / 6 - mp.log(mpf(1) / 2) ** 2) / 2
-            assert abs(li2(mpf(1) / 2, CTX) - oracle) < TOL
+            assert abs(li2(mpf(1) / 2, DIGITS) - oracle) < TOL
 
     def test_against_series_oracle_inside_disc(self):
         rng = random.Random(21)
@@ -58,33 +59,33 @@ class TestLi2:
                 if abs(z) < 1e-3:
                     continue
                 direct = mp.nsum(lambda n: z ** n / n ** 2, [1, mp.inf])
-                assert abs(li2(z, CTX) - direct) < TOL
+                assert abs(li2(z, DIGITS) - direct) < TOL
 
     def test_against_mpmath_polylog(self):
         with mp.workdps(70):
             for z in rand_points(22, 40):
-                assert abs(li2(z, CTX) - mpmath.polylog(2, z)) < TOL
+                assert abs(li2(z, DIGITS) - mpmath.polylog(2, z)) < TOL
 
     def test_real_input_returns_real(self):
         for x in ("-7.3", "-1", "-0.2", "0.4", "0.999"):
-            assert li2(mpf(x), CTX).imag == 0
+            assert li2(mpf(x), DIGITS).imag == 0
 
     def test_cut_limit_from_below(self):
         with mp.workdps(70):
             for x in ("1.5", "3", "12"):
                 below = mpmath.polylog(2, mpc(mpf(x), mpf("-1e-55")))
-                assert abs(li2(mpf(x), CTX) - below) < TOL
+                assert abs(li2(mpf(x), DIGITS) - below) < TOL
 
     def test_reduction_path_independence_at_boundary(self):
         # same value through two different identity chains near |z| = 1/2:
         # evaluate at z directly and reconstruct from the reflection identity
         with mp.workdps(60):
             for z in (mpc("0.49", "0.1"), mpc("-0.3", "0.41"), mpc("0.51", "-0.05")):
-                direct = li2(z, CTX)
+                direct = li2(z, DIGITS)
                 via_reflection = (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
-                                  - li2(1 - z, CTX))
+                                  - li2(1 - z, DIGITS))
                 assert abs(direct - via_reflection) < mpf(10) ** -50
-                via_inversion = -li2(1 / z, CTX) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+                via_inversion = -li2(1 / z, DIGITS) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
                 assert abs(direct - via_inversion) < mpf(10) ** -50
 
     def test_hexagonal_region_log_series(self):
@@ -93,7 +94,7 @@ class TestLi2:
             for z in (mpc("0.5", "0.8660254037844386"),
                       mpc("0.5000001", "0.8660253"),
                       mpc("0.4999998", "-0.8660255")):
-                assert abs(li2(z, CTX) - mpmath.polylog(2, z)) < TOL
+                assert abs(li2(z, DIGITS) - mpmath.polylog(2, z)) < TOL
 
 
 def reduced_q(z):
@@ -122,7 +123,6 @@ class TestBernoulliSeries:
         # the worst case: every orbit element of e^(+-i pi/3) has modulus 1,
         # where the power series does not converge geometrically, so the
         # second oracle here is the closed form pi^2/36 + i Cl2(pi/3)
-        ctx = PrecisionContext(200)
         with mp.workdps(220):
             for s in (1, -1):
                 fixed = mp.expjpi(mpf(s) / 3)
@@ -130,21 +130,20 @@ class TestBernoulliSeries:
                 for chain in _CHAINS:
                     z = _orbit_value(fixed, chain)
                     assert abs(reduced_q(z) - mpf(1) / 6) < mpf(10) ** -200
-                    value = li2(z, ctx)  # raises no PrecisionError
+                    value = li2(z, 200)  # raises no PrecisionError
                     oracle = closed if abs(z - fixed) < 1e-100 else mp.conj(closed)
                     assert abs(value - oracle) < mpf(10) ** -60
                     assert abs(value - mpmath.polylog(2, z)) < mpf(10) ** -60
-                    assert abs(bloch_wigner(z, ctx) - oracle.imag) < mpf(10) ** -60
+                    assert abs(bloch_wigner(z, 200) - oracle.imag) < mpf(10) ** -60
 
     def test_old_switch_band_against_both_oracles(self):
         # reduced |w| in 0.9-0.99, the band where li2 used to switch series
         for digits in (30, 50, 100, 200):
-            ctx = PrecisionContext(digits)
             with mp.workdps(digits + 10):
                 for r in ("0.9", "0.94", "0.97", "0.99"):
                     z = reduced_point(mpf(r))
                     assert _reduction_chain(z) == ()
-                    value = li2(z, ctx)
+                    value = li2(z, digits)
                     tol = mpf(10) ** (3 - digits)
                     assert abs(value - power_series(z)) < tol
                     assert abs(value - mpmath.polylog(2, z)) < tol
@@ -152,37 +151,37 @@ class TestBernoulliSeries:
 
 class TestBlochWigner:
     def test_real_argument_exact_zero(self):
-        assert bloch_wigner(0.37, CTX) == 0
-        assert bloch_wigner(mpf("2.5"), CTX) == 0
-        assert bloch_wigner(-3, CTX) == 0
+        assert bloch_wigner(0.37, DIGITS) == 0
+        assert bloch_wigner(mpf("2.5"), DIGITS) == 0
+        assert bloch_wigner(-3, DIGITS) == 0
 
     def test_zero_one_exact_zero(self):
-        assert bloch_wigner(mpc(0, 0), CTX) == 0
-        assert bloch_wigner(mpc(1, 0), CTX) == 0
+        assert bloch_wigner(mpc(0, 0), DIGITS) == 0
+        assert bloch_wigner(mpc(1, 0), DIGITS) == 0
 
     def test_catalan_at_i(self):
         # log|i| = 0, so D(i) = Im Li2(i) = sum (-1)^k/(2k+1)^2 (series oracle)
         with mp.workdps(60):
             oracle = mp.nsum(lambda k: (-1) ** k / (2 * k + 1) ** 2, [0, mp.inf])
-            assert abs(bloch_wigner(mpc(0, 1), CTX) - oracle) < TOL
+            assert abs(bloch_wigner(mpc(0, 1), DIGITS) - oracle) < TOL
 
     def test_inverse_complement_symmetry(self):
         with mp.workdps(60):
             z = mpc("0.3", "0.4")
-            assert abs(bloch_wigner(1 / (1 - z), CTX) - bloch_wigner(z, CTX)) < TOL
+            assert abs(bloch_wigner(1 / (1 - z), DIGITS) - bloch_wigner(z, DIGITS)) < TOL
 
     def test_conjugation_antisymmetry(self):
         with mp.workdps(60):
             for z in rand_points(23, 200):
-                assert abs(bloch_wigner(mp.conj(z), CTX) + bloch_wigner(z, CTX)) < mpf(10) ** -50
+                assert abs(bloch_wigner(mp.conj(z), DIGITS) + bloch_wigner(z, DIGITS)) < mpf(10) ** -50
 
     def test_six_fold_symmetry(self):
         with mp.workdps(60):
             for z in rand_points(24, 60):
-                d = bloch_wigner(z, CTX)
-                assert abs(bloch_wigner(1 - 1 / z, CTX) - d) < TOL
-                assert abs(bloch_wigner(1 / (1 - z), CTX) - d) < TOL
-                assert abs(bloch_wigner(1 / z, CTX) + d) < TOL
+                d = bloch_wigner(z, DIGITS)
+                assert abs(bloch_wigner(1 - 1 / z, DIGITS) - d) < TOL
+                assert abs(bloch_wigner(1 / (1 - z), DIGITS) - d) < TOL
+                assert abs(bloch_wigner(1 / z, DIGITS) + d) < TOL
 
     def test_five_term_relation(self):
         rng = random.Random(25)
@@ -197,14 +196,13 @@ class TestBlochWigner:
                 if any(abs(w) < 1e-3 or abs(w - 1) < 1e-3 for w in pts):
                     continue
                 done += 1
-                total = mp.fsum(bloch_wigner(w, CTX) for w in pts)
+                total = mp.fsum(bloch_wigner(w, DIGITS) for w in pts)
                 assert abs(total) < mpf(10) ** -45
 
     def test_differential_identity(self):
         # central finite differences of D against the closed-form 1-form
         # log|z| d(arg(1-z)) - log|1-z| d(arg z)
         rng = random.Random(26)
-        hctx = PrecisionContext(40)
         h = mpf(10) ** -8
         with mp.workdps(60):
             checked = 0
@@ -223,9 +221,9 @@ class TestBlochWigner:
                 if grad_norm < mpf(10) ** -3:
                     continue
                 checked += 1
-                fdx = (bloch_wigner(z + h, hctx) - bloch_wigner(z - h, hctx)) / (2 * h)
-                fdy = (bloch_wigner(z + h * mpc(0, 1), hctx)
-                       - bloch_wigner(z - h * mpc(0, 1), hctx)) / (2 * h)
+                fdx = (bloch_wigner(z + h, 40) - bloch_wigner(z - h, 40)) / (2 * h)
+                fdy = (bloch_wigner(z + h * mpc(0, 1), 40)
+                       - bloch_wigner(z - h * mpc(0, 1), 40)) / (2 * h)
                 err = mp.sqrt((fdx - ddx) ** 2 + (fdy - ddy) ** 2)
                 assert err / grad_norm < mpf(10) ** -6
 
@@ -275,11 +273,10 @@ class TestFixedPointKernel:
     def test_near_fixed_points_at_high_precision(self, digits):
         # |v| is about 1.1 here: an unscaled fixed-point Horner loop in v
         # misses this bound at 1000 digits
-        ctx = PrecisionContext(digits)
         with mp.workdps(digits + 40):
             for s in (1, -1):
                 z = mp.expjpi(mpf(s) / 3) + mpc("3e-4", "-7e-4") * s
-                assert relative_error(li2(z, ctx), mpmath.polylog(2, z)) < mpf(10) ** -digits
+                assert relative_error(li2(z, digits), mpmath.polylog(2, z)) < mpf(10) ** -digits
 
 
 class TestSmallArguments:
@@ -296,8 +293,8 @@ class TestSmallArguments:
             li2_oracle = mpmath.polylog(2, z)
             d_oracle = mp.log(abs(z)) * mp.arg(1 - z) + li2_oracle.imag
             assert _reduction_chain(z) == ()
-            assert relative_error(li2(z, CTX), li2_oracle) < mpf(10) ** -50
-            assert relative_error(bloch_wigner(z, CTX), d_oracle) < mpf(10) ** -50
+            assert relative_error(li2(z, DIGITS), li2_oracle) < mpf(10) ** -50
+            assert relative_error(bloch_wigner(z, DIGITS), d_oracle) < mpf(10) ** -50
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_tiny_argument_costs_no_extra_bits(self, sign):
@@ -306,7 +303,7 @@ class TestSmallArguments:
             r = mpf("1e-100000000")
             z = mpc(sign * r, r / 10)
         with time_limit(5):
-            value, d = li2(z, CTX), bloch_wigner(z, CTX)
+            value, d = li2(z, DIGITS), bloch_wigner(z, DIGITS)
         with mp.workdps(90):
             li2_oracle = z + z * z / 4  # the next term is below 1e-200000000 |z|
             d_oracle = mp.log(abs(z)) * mp.arg(1 - z) + li2_oracle.imag
@@ -343,16 +340,15 @@ class TestRoute:
 
     def test_outside_the_float_range(self):
         # |z| or |1-z| overflows or underflows a float: the mpc rule decides
-        ctx = PrecisionContext(50)
         with mp.workdps(90):
             tiny = mpf(10) ** -400
             points = [mpf(10) ** 400 * mp.expj(2), tiny * mp.expj(2), tiny * mp.expj(-1),
                       1 + tiny * mp.expj(2)]
             for z in points:
-                with ctx.workdps():
+                with mp.workdps(working_dps(DIGITS)):
                     assert _reduction_chain(mpc(z)) == _mpc_chain(mpc(z))
                     assert reduced_q(mpc(z)) < 0.2
-                assert relative_error(li2(z, ctx), mpmath.polylog(2, z)) < mpf(10) ** -50
+                assert relative_error(li2(z, DIGITS), mpmath.polylog(2, z)) < mpf(10) ** -50
         big = Fraction(10 ** 400 + 1, 3)  # 400-digit numerator
-        with ctx.workdps():
+        with mp.workdps(working_dps(DIGITS)):
             assert _reduction_chain(_as_mpc(big)) == _mpc_chain(_as_mpc(big)) == ("inv",)

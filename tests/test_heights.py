@@ -172,6 +172,16 @@ class TestCHatHeight:
         with pytest.raises(PrincipalityError):
             c_hat_height(b, 1, K.element([3]), e)
 
+    def test_generator_of_the_same_norm_rejected(self, fields, embset):
+        # (2 + i) and (2 - i) both have norm 5: the HNFs tell them apart
+        K, e = fields["Qi"], embset["Qi"]
+        P = FractionalIdeal.principal(K.element([2, 1]))
+        b = MetrizedLineBundle(P, standard_metric(P, e))
+        with pytest.raises(PrincipalityError):
+            c_hat_height(b, 1, K.element([2, -1]), e)
+        with pytest.raises(PrincipalityError):
+            c_hat_height(b, 2, K.element([3, -4]), e)  # (2 - i)^2
+
     def test_wrong_power_rejected(self, fields, embset):
         K, e = fields["Qsqrtm5"], embset["Qsqrtm5"]
         P = FractionalIdeal.from_elements(K, [K.element([2]), K.one() + K.gen()])

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from arithreg.errors import DomainError
-from arithreg.intmat import (_integer_inverse, det_fraction, hnf, hnf_rational, in_lattice,
-                             left_kernel, lll, snf, solve_fraction, xgcd)
+from arithreg.intmat import (_integer_inverse, det_fraction, hnf, hnf_rational, identity,
+                             in_lattice, left_kernel, lll, snf, solve_fraction, xgcd)
 from intmat_oracles import (det_by_elimination, hnf_rows, hnf_transform,
                             invariant_factors_by_minors, invert_by_gauss_jordan,
                             left_kernel_by_transform, lll_fraction, mat_mul,
@@ -126,6 +126,7 @@ def test_left_kernel():
     ker = left_kernel([[1, 1], [2, 2], [0, 3]])
     assert ker == [[2, -1, 0]]
     assert left_kernel([[1, 0], [0, 1]]) == []
+    assert left_kernel([[]] * 3) == identity(3)  # zero-width rows: every vector
 
 
 def test_left_kernel_random_annihilates():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from arithreg.dilog import PrecisionContext, bloch_wigner
+from arithreg.dilog import bloch_wigner
 from arithreg.errors import DomainError
 from arithreg.kmodel import (build_model, dimension_table, embed_k3, embed_unit,
                              mpf_to_fraction, multiply, p_map, project_M,
@@ -21,7 +21,7 @@ def basis_element(m, degree: int, position: int):
 
 @pytest.fixture(scope="module")
 def models(fields, embset):
-    return {name: build_model(K, 6, e=embset[name]) for name, K in fields.items()}
+    return {name: build_model(embset[name], 6) for name in fields}
 
 
 def rand_deg1(model, rng):
@@ -208,7 +208,7 @@ class TestEmbeddings:
         e = m.embedding_set
         rep = e.pair_representatives[0]
         with mp.workdps(60):
-            target = -3 * bloch_wigner(evaluate(lam, e, rep), PrecisionContext(50))
+            target = -3 * bloch_wigner(evaluate(lam, e, rep), 50)
             assert abs(b.values()[0] - target) < mpf(10) ** -40
 
 

@@ -1,0 +1,42 @@
+import pytest
+from mpmath import mp, mpc
+
+import arithreg.dilog
+import arithreg.precision
+from arithreg.dilog import bloch_wigner, li2
+from arithreg.errors import DomainError
+from arithreg.nf import embeddings, parse_field
+from arithreg.precision import MIN_DIGITS
+
+
+def test_the_guard_is_added_in_one_place(monkeypatch):
+    """Embeddings and the dilogarithm both take their working precision from
+    precision.working_dps, so changing the guard there changes it for both."""
+    monkeypatch.setattr(arithreg.precision, "GUARD_DIGITS", 20)
+    K = parse_field({"poly": [13, 0, 5, 0, 1]})  # a field no other test embeds
+    try:
+        assert embeddings(K, 30).working_dps == 50
+    finally:
+        embeddings.cache_clear()  # drop the set built with the patched guard
+
+    seen = []
+    real = arithreg.dilog._li2_principal
+
+    def recording(z):
+        seen.append(mp.dps)
+        return real(z)
+
+    monkeypatch.setattr(arithreg.dilog, "_li2_principal", recording)
+    li2(mpc("0.3", "0.4"), 30)
+    assert seen == [50]
+
+
+def test_one_message_below_the_minimum():
+    z = mpc("0.3", "0.4")
+    K = parse_field({"poly": [1, -1, 0, 1]})
+    messages = set()
+    for call in (lambda: li2(z, 8), lambda: bloch_wigner(z, 8), lambda: embeddings(K, 8)):
+        with pytest.raises(DomainError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"precision must be at least {MIN_DIGITS} digits, got 8"}

@@ -237,10 +237,13 @@ class TestSteinberg:
             coordinates_of(phi, p)
 
     def test_non_rcirc_rejected(self, fields, cubic_setup):
+        # 2 is no unit; -1 is a generator, proved a unit, but its complement
+        # 2 is not, so coordinates_of rejects it
         _, _, p = cubic_setup
         K = fields["cubic"]
-        with pytest.raises(DomainError):
-            steinberg_image(K.element([2]), p)
+        for lam in (K.element([2]), K.element([-1])):
+            with pytest.raises(DomainError):
+                steinberg_image(lam, p)
 
 
 class TestBlochKernel:
@@ -270,6 +273,21 @@ class TestBlochKernel:
         cands = [lam, (K.one() - lam).inverse()]
         for b in bloch_kernel(cands, p):
             assert verify_bloch_element(b, p)
+
+    def test_wedge_images_with_no_free_column(self):
+        # on Q(sqrt -3), x is a sixth root of unity and 1 - x = x^5: with the
+        # generator x alone the exterior square has dimension 0, and with
+        # -1, x, 1 - x every column is torsion; either way the images of [x]
+        # have no free column and [x] spans the kernel
+        from arithreg.nf import parse_field
+        K = parse_field({"poly": [1, -1, 1]})
+        x = K.gen()
+        for gens in ([x], [K.element([-1]), x, K.one() - x]):
+            p = relation_lattice(gens, 50)
+            assert 0 not in exterior_square(p).invariants
+            assert [list(b.multiplicities) for b in bloch_kernel([x], p)] == [[1]]
+            assert torsion_only_kernel([x], p) == []
+        assert exterior_square(relation_lattice([x], 50)).dim == 0
 
     def test_torsion_only_flagged(self, fields):
         K = fields["Qphi"]
