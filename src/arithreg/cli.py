@@ -1,16 +1,19 @@
 """Batch command-line front end.
 
 One job per process. Payloads arrive as flags or as a single JSON job on
-stdin (--job -). Output is deterministic: fixed key order in text mode,
-sorted keys in JSON mode, numbers printed as decimal strings at the
-requested precision. Exit codes: 0 success, 1 schema violation, 2 domain
-error, 3 precision error.
+stdin (--job -). COMMANDS is the one table of commands: it names each
+command's handler and payload flags, and both the argument parser and the
+job dispatcher are built from it. Every command but dilog takes a field,
+which is parsed and embedded at the job's precision before the payload is
+read. Output is deterministic: fixed key order in text mode, sorted keys in
+JSON mode, numbers printed as decimal strings at the requested precision.
+Exit codes: 0 success, 1 schema violation, 2 domain error, 3 precision error.
 
-Field elements in payloads are written either as coefficient records
-{"coeffs": ["p/q", ...]} or as polynomial expressions in the generator
-symbol x with rational coefficients and integer powers, e.g. "(1-x)^-1" or
-"3/2*x^2 - x + 7". Expressions are evaluated with exact field arithmetic,
-so "1/2" is the exact rational and negative powers invert exactly.
+Field elements in payloads are written in one of two formats: polynomial
+expressions in the generator symbol x with rational coefficients and integer
+powers, e.g. "(1-x)^-1" or "3/2*x^2 - x + 7", or coefficient records
+{"coeffs": ["p/q", ...]}. Expressions are evaluated with exact field
+arithmetic, so "1/2" is the exact rational and negative powers invert exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from mpmath import mp, mpc, mpf
 
 from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
 from .dilog import li2_and_bloch_wigner
-from .errors import (ArithregError, DomainError, FormatError, PrecisionError,
-                     SchemaError)
+from .errors import ArithregError, DomainError, FormatError, PrecisionError, SchemaError
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
@@ -31,10 +33,6 @@ from .precision import DEFAULT_DIGITS, MIN_DIGITS, working_dps
 from .regulator import k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, _bloch_kernels, relation_lattice,
                         verify_bloch_element)
-
-COMMANDS = ("field-info", "dilog", "bloch-check", "regulator", "unit-reg",
-            "degree", "height", "kranks")
-
 
 # ---------------------------------------------------------------------------
 # element expression parser
@@ -154,13 +152,12 @@ def _parse_atom(toks, field):
 
 
 def parse_element(payload, field: NumberField) -> FieldElement:
-    """Element from an expression string, a coefficient record, or a list."""
+    """Element from an expression string or a coefficient record."""
     if isinstance(payload, str):
         return parse_element_expr(payload, field)
-    if isinstance(payload, dict) and "coeffs" in payload:
-        payload = payload["coeffs"]
-    if isinstance(payload, (list, tuple)):
-        return field.element([_parse_rational(c) for c in payload])
+    coeffs = payload.get("coeffs") if isinstance(payload, dict) else None
+    if isinstance(coeffs, list):
+        return field.element([_parse_rational(c) for c in coeffs])
     raise SchemaError(f"cannot parse element payload {payload!r}")
 
 
@@ -214,33 +211,23 @@ def _require(payload: dict, key: str, kind=None):
     return value
 
 
-def _field_from(job: dict) -> NumberField:
-    record = _require(job, "field", dict)
-    return parse_field(record)
-
-
-def _num(v, digits: int) -> str:
-    return mp.nstr(v, digits)
+# error class -> (exit code, label); the first match wins, so a SchemaError
+# maps as the FormatError it is, and DomainError and its subclasses fall to
+# the catch-all ArithregError
+_EXIT_CODES = ((FormatError, 1, "schema"), (PrecisionError, 3, "precision"),
+               (ArithregError, 2, "domain"))
 
 
 def run_job(job: dict, out=sys.stdout) -> int:
     """Execute one validated job; returns the process exit code."""
     try:
         result = _dispatch(job)
-    except (SchemaError, FormatError) as exc:
-        print(f"error[schema]: {exc}", file=sys.stderr)
-        return 1
-    except PrecisionError as exc:
-        print(f"error[precision]: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error[domain]: {exc}", file=sys.stderr)
-        return 2
-    except ArithregError as exc:  # pragma: no cover - catchall
-        print(f"error[domain]: {exc}", file=sys.stderr)
-        return 2
+    except ArithregError as exc:
+        code, label = next((c, lb) for cls, c, lb in _EXIT_CODES if isinstance(exc, cls))
+        print(f"error[{label}]: {exc}", file=sys.stderr)
+        return code
     if job.get("output", "text") == "json":
-        print(json.dumps(result, sort_keys=True), file=out)
+        print(json.dumps(dict(result, schema=1), sort_keys=True), file=out)
     else:
         _print_text(result, out)
     return 0
@@ -248,8 +235,6 @@ def run_job(job: dict, out=sys.stdout) -> int:
 
 def _print_text(result: dict, out):
     for key, value in result.items():
-        if key == "schema":
-            continue
         if isinstance(value, list) and value and isinstance(value[0], dict):
             print(f"{key}:", file=out)
             for row in value:
@@ -268,43 +253,32 @@ def _dispatch(job: dict) -> dict:
     payload = job.get("payload", {})
     if not isinstance(payload, dict):
         raise SchemaError("key 'payload' must be an object")
-    handler = {
-        "field-info": _cmd_field_info,
-        "dilog": _cmd_dilog,
-        "bloch-check": _cmd_bloch_check,
-        "regulator": _cmd_regulator,
-        "unit-reg": _cmd_unit_reg,
-        "degree": _cmd_degree,
-        "height": _cmd_height,
-        "kranks": _cmd_kranks,
-    }[command]
-    return handler(job, payload, precision)
+    handler = COMMANDS[command][0]
+    if command == "dilog":
+        return handler(payload, precision)
+    return handler(payload, embeddings(parse_field(_require(job, "field", dict)), precision))
 
 
-def _cmd_field_info(job, payload, precision):
-    field = _field_from(job)
-    e = embeddings(field, precision)
+def _cmd_field_info(payload, e):
     return {
-        "schema": 1,
-        "poly": list(field.defining_poly),
-        "degree": field.degree,
+        "poly": list(e.field.defining_poly),
+        "degree": e.field.degree,
         "signature": list(e.signature),
-        "maximality_asserted": field.maximality_asserted,
-        "embeddings": [_num(r, precision) for r in e.roots],
+        "maximality_asserted": e.field.maximality_asserted,
+        "embeddings": [mp.nstr(r, e.precision) for r in e.roots],
         "conjugation_pairing": list(e.conjugation_pairing),
     }
 
 
-def _cmd_dilog(job, payload, precision):
+def _cmd_dilog(payload, precision):
     with mp.workdps(working_dps(precision)):
         z = parse_complex(_require(payload, "z", str))
     value, dd = li2_and_bloch_wigner(z, precision)
     return {
-        "schema": 1,
-        "z": _num(z, precision),
-        "li2_re": _num(value.real, precision),
-        "li2_im": _num(value.imag, precision),
-        "bloch_wigner": _num(dd, precision),
+        "z": mp.nstr(z, precision),
+        "li2_re": mp.nstr(value.real, precision),
+        "li2_im": mp.nstr(value.imag, precision),
+        "bloch_wigner": mp.nstr(dd, precision),
     }
 
 
@@ -317,63 +291,49 @@ def _candidate_presentation(field, candidates, precision):
     return relation_lattice(gens, precision)
 
 
-def _cmd_bloch_check(job, payload, precision):
-    field = _field_from(job)
-    raw = _require(payload, "candidates", list)
-    candidates = [parse_element(c, field) for c in raw]
-    pres = _candidate_presentation(field, candidates, precision)
+def _cmd_bloch_check(payload, e):
+    candidates = [parse_element(c, e.field) for c in _require(payload, "candidates", list)]
+    pres = _candidate_presentation(e.field, candidates, e.precision)
     kernel, flagged = _bloch_kernels(candidates, pres)
-    e = embeddings(field, precision)
-    regs = [k3_regulator(b, e).to_record() for b in kernel]
     return {
-        "schema": 1,
         "generators": [g.to_record() for g in pres.generators],
         "relation_basis": [list(r) for r in pres.relation_basis],
         "torsion_order": pres.torsion_order,
         "kernel_basis": [list(b.multiplicities) for b in kernel],
         "torsion_only_kernel": [list(b.multiplicities) for b in flagged],
-        "regulators": regs,
+        "regulators": [k3_regulator(b, e).to_record() for b in kernel],
     }
 
 
-def _cmd_regulator(job, payload, precision):
-    field = _field_from(job)
+def _cmd_regulator(payload, e):
     record = _require(payload, "bloch", dict)
-    support = [parse_element(s, field) for s in _require(record, "support", list)]
+    support = [parse_element(s, e.field) for s in _require(record, "support", list)]
     mults = _require(record, "multiplicities", list)
     if len(support) != len(mults) or any(not _is_int(n) for n in mults):
         raise SchemaError("key 'multiplicities' must be integers matching the support")
     x = BlochElement(tuple(support), tuple(mults))
-    pres = _candidate_presentation(field, support, precision)
-    if not verify_bloch_element(x, pres):
+    if not verify_bloch_element(x, _candidate_presentation(e.field, support, e.precision)):
         raise DomainError("formal sum is not in the wedge-map kernel")
-    e = embeddings(field, precision)
-    rec = k3_regulator(x, e).to_record()
-    rec["schema"] = 1
-    return rec
+    return k3_regulator(x, e).to_record()
 
 
-def _cmd_unit_reg(job, payload, precision):
-    field = _field_from(job)
-    lam = parse_element(_require(payload, "element", (str, dict, list)), field)
-    e = embeddings(field, precision)
-    vec = unit_regulator(lam, e)
+def _cmd_unit_reg(payload, e):
+    vec = unit_regulator(parse_element(_require(payload, "element", (str, dict)), e.field), e)
     rec = vec.to_record()
-    rec["schema"] = 1
-    rec["mean"] = _num(s_map(vec), precision)
+    rec["mean"] = mp.nstr(s_map(vec), e.precision)
     return rec
 
 
-def _bundle_from(payload, field, e):
+def _bundle_from(payload, e):
     record = _require(payload, "bundle", dict)
     rows = _require(record, "ideal_basis", list)
     metric_raw = _require(record, "metric", list)
-    if len(metric_raw) != field.degree:
+    if len(metric_raw) != e.field.degree:
         raise SchemaError("key 'metric' must list one positive value per embedding")
     if any(not isinstance(row, list) for row in rows):
         raise SchemaError("key 'ideal_basis' must be a list of rows")
     rows = [[_parse_rational(x) for x in row] for row in rows]
-    ideal = FractionalIdeal.from_rows(field, rows)
+    ideal = FractionalIdeal.from_rows(e.field, rows)
     try:
         with mp.workdps(e.working_dps):
             values = tuple(mpf(str(v)) for v in metric_raw)
@@ -386,53 +346,66 @@ def _bundle_from(payload, field, e):
     return MetrizedLineBundle(ideal, metric)
 
 
-def _cmd_degree(job, payload, precision):
-    field = _field_from(job)
-    e = embeddings(field, precision)
-    bundle = _bundle_from(payload, field, e)
-    section = None
-    if "section" in payload:
-        section = parse_element(payload["section"], field)
+def _cmd_degree(payload, e):
+    bundle = _bundle_from(payload, e)
+    section = parse_element(payload["section"], e.field) if "section" in payload else None
     value, index = _degree_and_index(bundle, e, section)
     return {
-        "schema": 1,
-        "degree": _num(value, precision),
+        "degree": mp.nstr(value, e.precision),
         "ideal_norm": str(bundle.ideal.norm),
         "index_of_default_section": str(index),
     }
 
 
-def _cmd_height(job, payload, precision):
-    field = _field_from(job)
-    e = embeddings(field, precision)
-    bundle = _bundle_from(payload, field, e)
+def _cmd_height(payload, e):
+    bundle = _bundle_from(payload, e)
     n_power = _require(payload, "N", int)
-    generator = parse_element(_require(payload, "generator", (str, dict, list)), field)
+    generator = parse_element(_require(payload, "generator", (str, dict)), e.field)
     h = c_hat_height(bundle, n_power, generator, e)
     d = arithmetic_degree(bundle, e)
     with mp.workdps(e.working_dps):
         diff = abs(h - d)
     return {
-        "schema": 1,
-        "height": _num(h, precision),
-        "arithmetic_degree": _num(d, precision),
-        "abs_difference": _num(diff, precision),
+        "height": mp.nstr(h, e.precision),
+        "arithmetic_degree": mp.nstr(d, e.precision),
+        "abs_difference": mp.nstr(diff, e.precision),
     }
 
 
-def _cmd_kranks(job, payload, precision):
-    field = _field_from(job)
+def _cmd_kranks(payload, e):
     max_p = payload.get("max_p", 6)
     if not _is_int(max_p) or max_p < 1:
         raise SchemaError("key 'max_p' must be a positive integer")
-    model = build_model(embeddings(field, precision), max_p)
-    table = dimension_table(model)
-    table["schema"] = 1
-    return table
+    return dimension_table(build_model(e, max_p))
+
+
+# command -> (handler, payload flags). A flag is (flag, payload key, reader,
+# required); the reader is str, int, or json for a flag whose text is a JSON
+# value. Every command but dilog also takes --field, read as JSON into the
+# job's "field", and its handler gets the field's embeddings.
+COMMANDS = {
+    "field-info": (_cmd_field_info, ()),
+    "dilog": (_cmd_dilog, (("--z", "z", str, True),)),
+    "bloch-check": (_cmd_bloch_check, (("--candidates", "candidates", json, True),)),
+    "regulator": (_cmd_regulator, (("--bloch", "bloch", json, True),)),
+    "unit-reg": (_cmd_unit_reg, (("--element", "element", str, True),)),
+    "degree": (_cmd_degree, (("--bundle", "bundle", json, True),
+                             ("--section", "section", str, False))),
+    "height": (_cmd_height, (("--bundle", "bundle", json, True), ("--N", "N", int, True),
+                             ("--generator", "generator", str, True))),
+    "kranks": (_cmd_kranks, (("--max-p", "max_p", int, False),)),
+}
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _load_json(key: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"key '{key}' is not valid JSON: {exc}") from exc
+
 
 def _build_job(argv: list[str]) -> dict:
     import argparse
@@ -446,28 +419,17 @@ def _build_job(argv: list[str]) -> dict:
     parser.add_argument("--precision", type=int, default=DEFAULT_DIGITS)
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--field", required=name != "dilog")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
+        if name != "dilog":
+            p.add_argument("--field", required=True, default=argparse.SUPPRESS)
+        for flag, key, reader, required in flags:
+            p.add_argument(flag, dest=key, type=str if reader is json else reader,
+                           required=required, default=argparse.SUPPRESS)
 
-    add("field-info")
-    pd = sub.add_parser("dilog", parents=[common])
-    pd.add_argument("--z", required=True)
-    add("bloch-check", ("--candidates", {"required": True}))
-    add("regulator", ("--bloch", {"required": True}))
-    add("unit-reg", ("--element", {"required": True}))
-    add("degree", ("--bundle", {"required": True}), ("--section", {}))
-    add("height", ("--bundle", {"required": True}), ("--N", {"required": True, "type": int}),
-        ("--generator", {"required": True}))
-    add("kranks", ("--max-p", {"type": int, "default": 6, "dest": "max_p"}))
+    args = vars(parser.parse_args(argv))
 
-    args = parser.parse_args(argv)
-
-    if args.job == "-":
+    if args["job"] == "-":
         try:
             job = json.load(sys.stdin)
         except json.JSONDecodeError as exc:
@@ -477,41 +439,17 @@ def _build_job(argv: list[str]) -> dict:
         if job.get("schema", 1) != 1:
             raise SchemaError("key 'schema' must be 1")
         return job
-    if args.command is None:
+    if args["command"] is None:
         raise SchemaError("no command given")
 
-    job = {"schema": 1, "command": args.command,
-           "precision": args.precision, "output": args.output, "payload": {}}
-    if getattr(args, "field", None):
-        try:
-            job["field"] = json.loads(args.field)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"key 'field' is not valid JSON: {exc}") from exc
-
-    def load_json(flag, value):
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"key '{flag}' is not valid JSON: {exc}") from exc
-
-    if args.command == "dilog":
-        job["payload"]["z"] = args.z
-    elif args.command == "bloch-check":
-        job["payload"]["candidates"] = load_json("candidates", args.candidates)
-    elif args.command == "regulator":
-        job["payload"]["bloch"] = load_json("bloch", args.bloch)
-    elif args.command == "unit-reg":
-        job["payload"]["element"] = args.element
-    elif args.command == "degree":
-        job["payload"]["bundle"] = load_json("bundle", args.bundle)
-        if args.section:
-            job["payload"]["section"] = args.section
-    elif args.command == "height":
-        job["payload"]["bundle"] = load_json("bundle", args.bundle)
-        job["payload"]["N"] = args.N
-        job["payload"]["generator"] = args.generator
-    elif args.command == "kranks":
-        job["payload"]["max_p"] = args.max_p
+    job = {"schema": 1, "command": args["command"],
+           "precision": args["precision"], "output": args["output"], "payload": {}}
+    if "field" in args:
+        job["field"] = _load_json("field", args["field"])
+    # a flag that was given goes into the payload as given, empty text included
+    for _, key, reader, _ in COMMANDS[args["command"]][1]:
+        if key in args:
+            job["payload"][key] = _load_json(key, args[key]) if reader is json else args[key]
     return job
 
 

@@ -235,19 +235,17 @@ def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
             out = mpc(0)
         elif w == 1:
             out = mpc(mp.pi ** 2 / 6, 0)
-        elif real_input and w.real > 1:
-            # mpmath has no signed zero, so arg(-x) = +pi for x > 0; pushing
-            # an exactly-real cut argument through the reduction identities
-            # then yields the limit from below, which is the documented
-            # convention. No extra handling needed.
-            out = _li2_principal(mpc(w.real, 0))
-        elif real_input:
-            # value is real; discard the guard-level imaginary dust the
-            # composite identities can leave behind
-            out = mpc(_li2_principal(mpc(w.real, 0)).real, 0)
         else:
+            # mpmath has no signed zero, so arg(-x) = +pi for x > 0; pushing
+            # an exactly-real cut argument (real_input, w.real > 1) through the
+            # reduction identities then yields the limit from below, which is
+            # the documented convention. No extra handling needed.
             out = _li2_principal(w)
-            if w.imag != 0:
+            if real_input and w.real <= 1:
+                # value is real; discard the guard-level imaginary dust the
+                # composite identities can leave behind
+                out = mpc(out.real, 0)
+            elif w.imag != 0:
                 d = mp.log(abs(w)) * mp.arg(1 - w) + out.imag
     with mp.workdps(digits):
         return +out, +d

@@ -49,7 +49,7 @@ def mpf_to_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class GradedKAlgebra:
     embedding_set: EmbeddingSet
-    max_p: int = 6
+    max_p: int
 
     def __post_init__(self):
         if self.max_p < 1:
@@ -133,7 +133,7 @@ class GradedElement:
             return [mpf(c.numerator) / mpf(c.denominator) for c in self.coords]
 
 
-def build_model(e: EmbeddingSet, max_p: int = 6) -> GradedKAlgebra:
+def build_model(e: EmbeddingSet, max_p: int) -> GradedKAlgebra:
     """Assemble the graded model of the field of e at the precision of e;
     degrees beyond max_p stay available lazily."""
     return GradedKAlgebra(e, max_p)
@@ -168,10 +168,7 @@ def rank_in_degree(model: GradedKAlgebra, degree: int) -> int:
     if degree > 0 or degree % 2 == 0:
         raise DomainError(f"degree {degree} is not of the form 1-2p")
     dim = model.dim_m_prime(degree)
-    r1, r2 = model.signature
-    if degree == -1 and r1 + r2 >= 1:
-        return dim - 1
-    return dim
+    return dim - 1 if degree == -1 else dim
 
 
 def multiply(a: GradedElement, b: GradedElement,

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from arithreg.cli import _build_job, parse_complex, parse_element, parse_element_expr, run_job
+import arithreg.errors
+from arithreg.cli import (COMMANDS, _build_job, main, parse_complex, parse_element,
+                          parse_element_expr, run_job)
 from arithreg.errors import SchemaError
 from time_limits import time_limit
 
@@ -256,6 +258,16 @@ MALFORMED_JOBS = {
                                  "payload": {"element": "(" * 300 + "x" + ")" * 300}},
     "element-deep-signs": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
                            "payload": {"element": "-" * 2000 + "x"}},
+    # an element is an expression or a coefficient record, never a bare list
+    "element-bare-list": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                          "payload": {"element": ["0", "1"]}},
+    "generator-bare-list": {"command": "height", "field": {"poly": [0, 1]},
+                            "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["4"]},
+                                        "N": 1, "generator": ["2"]}},
+    "candidate-bare-list": {"command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
+                            "payload": {"candidates": [["0", "1"]]}},
+    "coeffs-scalar": {"command": "unit-reg", "field": {"poly": [1, 0, 1]},
+                      "payload": {"element": {"coeffs": 5}}},
 }
 
 
@@ -268,6 +280,136 @@ def test_malformed_input_is_one_schema_line(name, capsys):
     assert buf.getvalue() == ""
     assert err.startswith("error[schema]: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+QI = '{"poly":[1,0,1]}'
+RATIONALS = '{"poly":[0,1]}'
+BUNDLE = '{"ideal_basis":[["2"]],"metric":["4"]}'
+
+
+def _json_job(command, payload, field=None, **top):
+    job = dict({"schema": 1, "command": command, "payload": payload}, **top)
+    if field is not None:
+        job["field"] = json.loads(field)
+    return job
+
+
+# an argument vector and the JSON job it stands for, per command; flags with
+# a default both given and omitted, --precision and --output on both sides of
+# the subcommand, and one job of each that fails in the handler
+ARGV_AND_JSON_JOBS = {
+    "field-info": (["field-info", "--field", CUBIC], _json_job("field-info", {}, CUBIC)),
+    "dilog": (["dilog", "--z", "0.5+0.25i"], _json_job("dilog", {"z": "0.5+0.25i"})),
+    "bloch-check": (["bloch-check", "--field", CUBIC, "--candidates", '["x","(1-x)^-1"]'],
+                    _json_job("bloch-check", {"candidates": ["x", "(1-x)^-1"]}, CUBIC)),
+    "regulator": (["regulator", "--field", CUBIC,
+                   "--bloch", '{"support":["x","(1-x)^-1"],"multiplicities":[2,1]}'],
+                  _json_job("regulator", {"bloch": {"support": ["x", "(1-x)^-1"],
+                                                    "multiplicities": [2, 1]}}, CUBIC)),
+    "regulator-not-in-kernel": (["regulator", "--field", CUBIC,
+                                 "--bloch", '{"support":["x"],"multiplicities":[1]}'],
+                                _json_job("regulator", {"bloch": {"support": ["x"],
+                                                                  "multiplicities": [1]}}, CUBIC)),
+    "unit-reg": (["unit-reg", "--field", '{"poly":[-2,0,1]}', "--element", "1+x"],
+                 _json_job("unit-reg", {"element": "1+x"}, '{"poly":[-2,0,1]}')),
+    "unit-reg-not-a-unit": (["unit-reg", "--field", RATIONALS, "--element", "2"],
+                            _json_job("unit-reg", {"element": "2"}, RATIONALS)),
+    "degree": (["degree", "--field", RATIONALS, "--bundle", BUNDLE],
+               _json_job("degree", {"bundle": json.loads(BUNDLE)}, RATIONALS)),
+    "degree-section": (["degree", "--field", RATIONALS, "--bundle", BUNDLE, "--section", "6"],
+                       _json_job("degree", {"bundle": json.loads(BUNDLE), "section": "6"},
+                                 RATIONALS)),
+    "height": (["height", "--field", RATIONALS, "--bundle", BUNDLE, "--N", "2",
+                "--generator", "4"],
+               _json_job("height", {"bundle": json.loads(BUNDLE), "N": 2, "generator": "4"},
+                         RATIONALS)),
+    "kranks": (["kranks", "--field", QI], _json_job("kranks", {}, QI)),
+    "kranks-max-p": (["kranks", "--field", QI, "--max-p", "3"],
+                     _json_job("kranks", {"max_p": 3}, QI)),
+    "options-before": (["--precision", "30", "--output", "json", "unit-reg", "--field", QI,
+                        "--element", "x"],
+                       _json_job("unit-reg", {"element": "x"}, QI, precision=30, output="json")),
+    "options-after": (["unit-reg", "--field", QI, "--element", "x", "--precision", "30",
+                       "--output", "json"],
+                      _json_job("unit-reg", {"element": "x"}, QI, precision=30, output="json")),
+}
+
+
+def test_argv_and_json_jobs_cover_every_command():
+    assert {job["command"] for _, job in ARGV_AND_JSON_JOBS.values()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_AND_JSON_JOBS))
+def test_argv_job_runs_as_its_json_job(name, capsys):
+    argv, job = ARGV_AND_JSON_JOBS[name]
+    runs = []
+    for built in (_build_job(argv), job):
+        out = io.StringIO()
+        code = run_job(built, out=out)
+        runs.append((code, out.getvalue(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if name.endswith(("-kernel", "-unit")) else 0), runs[0][2]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["field-info", "--field", "{bad"], "field"),
+    (["bloch-check", "--field", CUBIC, "--candidates", "[x]"], "candidates"),
+    (["regulator", "--field", CUBIC, "--bloch", "{bad"], "bloch"),
+    (["degree", "--field", RATIONALS, "--bundle", "{bad"], "bundle"),
+    (["height", "--field", RATIONALS, "--bundle", "{bad", "--N", "1", "--generator", "2"],
+     "bundle"),
+])
+def test_invalid_json_flag_names_its_key(argv, key, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error[schema]: key '{key}' is not valid JSON")
+
+
+def test_empty_section_is_a_schema_violation(capsys):
+    """An empty --section is parsed like the job key "section": "", not
+    dropped in favour of the reference section."""
+    argv, job = ARGV_AND_JSON_JOBS["degree-section"]
+    job = dict(job, payload=dict(job["payload"], section=""))
+    assert run_job(_build_job(argv[:-1] + [""]), out=io.StringIO()) == 1
+    assert run_job(job, out=io.StringIO()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1] and err[0].startswith("error[schema]: ")
+
+
+# exit code and label of each error class, as the errors module documents
+# them: FormatError/SchemaError -> 1, DomainError and subclasses -> 2,
+# PrecisionError -> 3; a bare ArithregError is a domain error
+ERROR_EXITS = {
+    "ArithregError": (2, "domain"),
+    "FormatError": (1, "schema"),
+    "SchemaError": (1, "schema"),
+    "DomainError": (2, "domain"),
+    "MembershipError": (2, "domain"),
+    "PrincipalityError": (2, "domain"),
+    "PresentationIncompleteError": (2, "domain"),
+    "SquarefreeError": (2, "domain"),
+    "PrecisionError": (3, "precision"),
+}
+
+
+def test_error_exits_cover_every_error_class():
+    classes = {name for name, obj in vars(arithreg.errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+def test_error_class_exit_code(name, monkeypatch, capsys):
+    import arithreg.cli
+
+    def fail(*args, **kwargs):
+        raise getattr(arithreg.errors, name)("raised by the handler")
+
+    monkeypatch.setattr(arithreg.cli, "li2_and_bloch_wigner", fail)
+    out = io.StringIO()
+    code, label = ERROR_EXITS[name]
+    assert run_job({"command": "dilog", "payload": {"z": "0.5"}}, out=out) == code
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error[{label}]: raised by the handler\n"
 
 
 # sha256 of the stdout of each README "Command line" example, recorded before
@@ -453,6 +595,10 @@ def readme_examples() -> list[list[str]]:
                 commands.append(shlex.split(pending))
                 pending = ""
     return commands
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[1] for argv in readme_examples()} == set(COMMANDS)
 
 
 def test_readme_examples_are_byte_identical():
