@@ -415,7 +415,7 @@ def _build_job(argv: list[str]) -> dict:
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="arithreg", description=__doc__)
-    parser.add_argument("--job", help="read a full JSON job from stdin ('-')")
+    parser.add_argument("--job", help="read a full JSON job from stdin; the only value is '-'")
     parser.add_argument("--precision", type=int, default=DEFAULT_DIGITS)
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command")
@@ -429,7 +429,9 @@ def _build_job(argv: list[str]) -> dict:
 
     args = vars(parser.parse_args(argv))
 
-    if args["job"] == "-":
+    if args["job"] is not None:
+        if args["job"] != "-":
+            raise SchemaError("--job reads a job from stdin only; its value must be '-'")
         try:
             job = json.load(sys.stdin)
         except json.JSONDecodeError as exc:

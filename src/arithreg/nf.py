@@ -319,10 +319,6 @@ class FieldElement:
     def is_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
 
-    def is_in_rcirc(self) -> bool:
-        one_minus = self.field.one() - self
-        return self.is_unit() and one_minus.is_unit()
-
     def to_record(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 

@@ -37,13 +37,6 @@ class RegulatorVector:
         if len(self.values) != self.embedding_set.degree:
             raise DomainError("value vector length does not match embedding count")
 
-    def __add__(self, other: "RegulatorVector") -> "RegulatorVector":
-        if self.weight != other.weight or self.embedding_set != other.embedding_set:
-            raise DomainError("incompatible regulator vectors")
-        return RegulatorVector(self.embedding_set,
-                               tuple(a + b for a, b in zip(self.values, other.values)),
-                               self.weight)
-
     def to_record(self) -> dict:
         digits = self.embedding_set.precision
         return {

@@ -12,7 +12,10 @@ candidates are integer combinations of the basis rows, so they are proved
 with it. Floating error can therefore make the discovered lattice
 incomplete but never wrong. Exterior squares keep their torsion: the
 quotient presentation is reduced to Smith normal form and wedge coordinates
-are canonicalized componentwise against the diagonal invariants.
+are canonicalized componentwise against the diagonal invariants. A raw
+wedge vector is taken to Smith coordinates once, by ExteriorSquare.reduce;
+wedge classes and their integer combinations are already in Smith
+coordinates and are reduced modulo the invariants only.
 """
 
 from __future__ import annotations
@@ -55,17 +58,6 @@ class WedgeClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "WedgeClass") -> "WedgeClass":
-        if self.presentation != other.presentation:
-            raise DomainError("wedge classes over different presentations")
-        sq = exterior_square(self.presentation)
-        return WedgeClass(self.presentation, sq.reduce(
-            [a + b for a, b in zip(self.coords, other.coords)]))
-
-    def scale(self, n: int) -> "WedgeClass":
-        sq = exterior_square(self.presentation)
-        return WedgeClass(self.presentation, sq.reduce([n * c for c in self.coords]))
 
 
 @dataclass(frozen=True)
@@ -224,8 +216,9 @@ class ExteriorSquare:
     modulo rows r ^ e_j for every relation r.
 
     invariants[c] is the diagonal entry owning Smith coordinate c (0 marks a
-    free coordinate); reduce() maps a raw wedge-coordinate vector to the
-    canonical representative.
+    free coordinate). reduce() takes a raw wedge-coordinate vector to Smith
+    coordinates once; reduce_smith() reduces a vector already in Smith
+    coordinates, such as a sum of wedge classes, modulo the invariants only.
     """
 
     rank: int
@@ -239,10 +232,11 @@ class ExteriorSquare:
     def reduce(self, raw) -> tuple[int, ...]:
         if len(raw) != self.dim:
             raise DomainError("wedge coordinate vector has wrong length")
-        y = [sum(raw[c] * self.v_matrix[c][j] for c in range(self.dim))
-             for j in range(self.dim)]
-        return tuple(y[j] % self.invariants[j] if self.invariants[j] > 0 else y[j]
-                     for j in range(self.dim))
+        return self.reduce_smith([sum(raw[c] * self.v_matrix[c][j] for c in range(self.dim))
+                                  for j in range(self.dim)])
+
+    def reduce_smith(self, y) -> tuple[int, ...]:
+        return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariants))
 
 
 def _pair_basis(k: int):
@@ -387,12 +381,11 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
 
 
 def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
-    """Whether sum n_i * image_i reduces to 0 in the exterior square."""
-    total = [0] * sq.dim
-    for n, img in zip(multiplicities, images):
-        for c in range(sq.dim):
-            total[c] += n * img.coords[c]
-    return not any(sq.reduce(total))
+    """Whether sum n_i * image_i, in Smith coordinates, is 0 modulo the
+    invariants."""
+    total = [sum(n * img.coords[c] for n, img in zip(multiplicities, images))
+             for c in range(sq.dim)]
+    return not any(sq.reduce_smith(total))
 
 
 def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation) -> bool:

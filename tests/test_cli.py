@@ -351,6 +351,35 @@ def test_argv_job_runs_as_its_json_job(name, capsys):
     assert runs[0][0] == (2 if name.endswith(("-kernel", "-unit")) else 0), runs[0][2]
 
 
+def test_job_flag_reads_stdin_only(capsys):
+    assert main(["--job", "/nonexistent", "field-info", "--field", QI]) == 1
+    assert capsys.readouterr().err == (
+        "error[schema]: --job reads a job from stdin only; its value must be '-'\n")
+
+
+def run_argv(argv, capsys):
+    """Exit code, stdout and stderr of the argument vector run in-process."""
+    out = io.StringIO()
+    code = run_job(_build_job(argv), out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("support, multiplicities", [(["-x"], [1]), (["-x", "x^2"], [1, 0])])
+def test_zero_multiplicity_support_keeps_the_kernel_verdict(support, multiplicities, capsys):
+    bloch = json.dumps({"support": support, "multiplicities": multiplicities})
+    assert run_argv(["regulator", "--field", CUBIC, "--bloch", bloch], capsys) == (
+        2, "", "error[domain]: formal sum is not in the wedge-map kernel\n")
+
+
+def test_bloch_check_where_the_smith_transform_is_not_the_identity(capsys):
+    code, out, err = run_argv(["bloch-check", "--field", '{"poly":[1,-1,0,0,0,1]}',
+                               "--candidates", '["-x","x"]', "--output", "json"], capsys)
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["kernel_basis"] == [[0, 2]]
+    assert rec["torsion_only_kernel"] == [[0, 1]]
+
+
 @pytest.mark.parametrize("argv, key", [
     (["field-info", "--field", "{bad"], "field"),
     (["bloch-check", "--field", CUBIC, "--candidates", "[x]"], "candidates"),

@@ -1,20 +1,27 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 
 import pytest
 
 import arithreg.relations
-from arithreg.cli import run_job
+from arithreg.cli import _candidate_presentation, parse_element, run_job
 from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
-from arithreg.intmat import in_lattice, lll
+from arithreg.intmat import identity, in_lattice, lll
+from arithreg.nf import parse_field
 from arithreg.relations import (BlochElement, _verified_basis, bloch_kernel, coordinates_of,
                                 exterior_square, exterior_square_of_lattice,
                                 power_product, relation_lattice, steinberg_image,
                                 torsion_only_kernel, verify_bloch_element,
                                 wedge_of_vectors)
 from intmat_oracles import group_invariants, invariant_factors_by_minors, lll_fraction
+from wedge_oracles import bloch_sum_vanishes, exceptional_units
+
+# x^m - x + 1 for m = 3, 4, 5: the candidate presentations of their
+# exceptional units have Smith transforms that move wedge coordinates
+SHIFTED_ROOT_FIELDS = {m: {"poly": [1, -1] + [0] * (m - 2) + [1]} for m in (3, 4, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +181,20 @@ class TestExteriorSquare:
             oracle = sorted(invariant_factors_by_minors(relators)) if relators else []
             assert mine == oracle
 
-    def test_wedge_bilinearity_and_antisymmetry(self, cubic_setup):
-        _, _, p = cubic_setup
+    def test_wedge_bilinearity_and_antisymmetry(self):
+        # a presentation whose square has a free coordinate and two Z/2
+        # coordinates, and whose Smith transform moves some raw unit vector:
+        # wedge classes add in Smith coordinates, reduced modulo the
+        # invariants only
+        K = parse_field(SHIFTED_ROOT_FIELDS[5])
+        p = _candidate_presentation(K, [parse_element(c, K) for c in ("-x", "x", "1+x")], 50)
+        sq = exterior_square(p)
+        assert group_invariants(sq.invariants) == ([2, 2], 1)
+        assert any(sq.reduce(e) != sq.reduce_smith(e) for e in identity(sq.dim))
+
+        def plus(a, b):
+            return sq.reduce_smith([x + y for x, y in zip(a.coords, b.coords)])
+
         rng = random.Random(32)
         k = p.rank
         for _ in range(50):
@@ -183,9 +202,8 @@ class TestExteriorSquare:
             u2 = [rng.randint(-5, 5) for _ in range(k)]
             v = [rng.randint(-5, 5) for _ in range(k)]
             left = wedge_of_vectors(p, [a + b for a, b in zip(u, u2)], v)
-            right = wedge_of_vectors(p, u, v) + wedge_of_vectors(p, u2, v)
-            assert left.coords == right.coords
-            assert (wedge_of_vectors(p, u, v) + wedge_of_vectors(p, v, u)).is_zero()
+            assert left.coords == plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, u2, v))
+            assert not any(plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, v, u)))
             assert wedge_of_vectors(p, u, u).is_zero()
 
 
@@ -204,9 +222,9 @@ class TestSteinberg:
     def test_phi_hits_torsion(self, fields):
         K = fields["Qphi"]
         p = relation_lattice([K.element([-1]), K.gen()], 50)
-        img = steinberg_image(K.gen(), p)
-        assert not img.is_zero()
-        assert img.scale(2).is_zero()
+        assert not steinberg_image(K.gen(), p).is_zero()
+        assert not verify_bloch_element(BlochElement((K.gen(),), (1,)), p)
+        assert verify_bloch_element(BlochElement((K.gen(),), (2,)), p)
 
     def test_cubic_nonzero_without_full_relations(self, cubic_setup):
         K, lam, p = cubic_setup
@@ -227,7 +245,7 @@ class TestSteinberg:
         assert not img.is_zero()
         assert group_invariants(exterior_square(p0).invariants) == ([], 3)
         for n in (2, 3, 7):
-            assert not img.scale(n).is_zero()
+            assert not verify_bloch_element(BlochElement((lam,), (n,)), p0)
 
     def test_presentation_incomplete(self, fields):
         K = fields["Qphi"]
@@ -301,6 +319,45 @@ class TestBlochKernel:
         rec = x.to_record()
         assert rec["multiplicities"] == [2]
         assert rec["support"][0]["coeffs"] == ["0", "1", "0"]
+
+
+def sampled_supports(m, trials=12):
+    """Seeded supports of two or three exceptional units of x^m - x + 1, each
+    with the presentation bloch-check builds for it."""
+    K = parse_field(SHIFTED_ROOT_FIELDS[m])
+    units = exceptional_units(K)
+    rng = random.Random(f"wedge-oracle-{m}")
+    for _ in range(trials):
+        support = rng.sample(units, min(len(units), rng.choice((2, 3))))
+        yield support, _candidate_presentation(K, support, 50)
+
+
+class TestWedgeOracle:
+    """The exact kernel test against the raw-coordinate oracle, on
+    presentations where the Smith transform is not the identity."""
+
+    @pytest.mark.parametrize("m", sorted(SHIFTED_ROOT_FIELDS))
+    def test_verify_agrees_with_raw_coordinate_oracle(self, m):
+        disagreements, verdicts = [], set()
+        for support, p in sampled_supports(m):
+            for mults in itertools.product(range(-2, 3), repeat=len(support)):
+                got = verify_bloch_element(BlochElement(tuple(support), mults), p)
+                want = bloch_sum_vanishes(support, mults, p)
+                if got != want:
+                    disagreements.append((support, mults))
+                verdicts.add(want)
+        assert disagreements == []
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m", sorted(SHIFTED_ROOT_FIELDS))
+    def test_kernel_rows_verify_and_torsion_only_rows_do_not(self, m):
+        rows = {True: 0, False: 0}
+        for support, p in sampled_supports(m):
+            for exact, kernel in ((True, bloch_kernel), (False, torsion_only_kernel)):
+                for b in kernel(support, p):
+                    assert verify_bloch_element(b, p) == exact, b.multiplicities
+                    rows[exact] += 1
+        assert rows[True] and rows[False]
 
 
 class TestRelationSearchLattices:
