@@ -207,8 +207,8 @@ class MetrizedLineBundle:
 
 def standard_metric(ideal: FractionalIdeal, e: EmbeddingSet) -> Metric:
     """|sigma(s0)|^2 at each embedding: the metric pulled back from K."""
-    s0 = ideal.reference_section()
-    return Metric(e.invariant_vector(lambda idx: abs(evaluate(s0, e, idx)) ** 2))
+    s0 = evaluate(ideal.reference_section(), e)
+    return Metric(e.invariant_vector(lambda idx: abs(s0[idx]) ** 2))
 
 
 def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
@@ -226,13 +226,13 @@ def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
     if s is None:
         s = bundle.ideal.reference_section()
     idx_count = index_quotient(bundle.ideal, s)
-    ratio = s / bundle.ideal.reference_section()
+    ratio = evaluate(s / bundle.ideal.reference_section(), e)
     with mp.workdps(e.working_dps):
         log_index = mp.log(mpf(idx_count.numerator)) - mp.log(mpf(idx_count.denominator))
         metric_part = mpf(0)
         for i in e.class_representatives:
             weight = 1 if e.is_real(i) else 2
-            norm_sq = bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2
+            norm_sq = bundle.metric.values[i] * abs(ratio[i]) ** 2
             metric_part += weight * mp.log(norm_sq)
         return (log_index - metric_part / 2) / e.degree, idx_count
 
@@ -247,9 +247,9 @@ def tensor(a: MetrizedLineBundle, b: MetrizedLineBundle,
     s0a = a.ideal.reference_section()
     s0b = b.ideal.reference_section()
     s0 = ideal.reference_section()
-    ratio = s0 / (s0a * s0b)
+    ratio = evaluate(s0 / (s0a * s0b), e)
     vals = e.invariant_vector(lambda i: a.metric.values[i] * b.metric.values[i]
-                              * abs(evaluate(ratio, e, i)) ** 2)
+                              * abs(ratio[i]) ** 2)
     return MetrizedLineBundle(ideal, Metric(vals))
 
 
@@ -271,6 +271,6 @@ def transport(bundle: MetrizedLineBundle, a: FieldElement,
     ideal = bundle.ideal.scale(a)
     s0_old = bundle.ideal.reference_section()
     s0_new = ideal.reference_section()
-    ratio = s0_new / (a * s0_old)
-    vals = e.invariant_vector(lambda i: bundle.metric.values[i] * abs(evaluate(ratio, e, i)) ** 2)
+    ratio = evaluate(s0_new / (a * s0_old), e)
+    vals = e.invariant_vector(lambda i: bundle.metric.values[i] * abs(ratio[i]) ** 2)
     return MetrizedLineBundle(ideal, Metric(vals))

@@ -218,8 +218,10 @@ _EXIT_CODES = ((FormatError, 1, "schema"), (PrecisionError, 3, "precision"),
                (ArithregError, 2, "domain"))
 
 
-def run_job(job: dict, out=sys.stdout) -> int:
-    """Execute one validated job; returns the process exit code."""
+def run_job(job: dict, out=None) -> int:
+    """Execute one validated job, writing its result to out (sys.stdout at
+    call time when None); returns the process exit code."""
+    out = sys.stdout if out is None else out
     try:
         result = _dispatch(job)
     except ArithregError as exc:
@@ -301,7 +303,7 @@ def _cmd_bloch_check(payload, e):
         "torsion_order": pres.torsion_order,
         "kernel_basis": [list(b.multiplicities) for b in kernel],
         "torsion_only_kernel": [list(b.multiplicities) for b in flagged],
-        "regulators": [k3_regulator(b, e).to_record() for b in kernel],
+        "regulators": [v.to_record() for v in k3_regulator(kernel, e)],
     }
 
 
@@ -314,7 +316,8 @@ def _cmd_regulator(payload, e):
     x = BlochElement(tuple(support), tuple(mults))
     if not verify_bloch_element(x, _candidate_presentation(e.field, support, e.precision)):
         raise DomainError("formal sum is not in the wedge-map kernel")
-    return k3_regulator(x, e).to_record()
+    (vector,) = k3_regulator([x], e)
+    return vector.to_record()
 
 
 def _cmd_unit_reg(payload, e):

@@ -37,7 +37,11 @@ u keeps full relative precision at bounded cost: u = -log1p(-w), which
 mpmath forms as 1 - w at twice the working precision, or as w + w^2/2 when
 |w| < 2^-prec, so a tiny |w| costs no more bits. On a route that ends in a
 reflection u = -log(w') reuses the log of the pre-reflection argument w' that
-the reflection identity has already taken.
+the reflection identity has already taken. D reuses the logs the route took
+at z itself: arg(1-z) = -Im u on the identity route, log|z| = Re log z and
+arg(1-z) = Im log(1-z) on a route that starts with a reflection, and
+log|z| = Re log(-z) on one that starts with an inversion; only the missing
+log is taken again.
 
 Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
 Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
@@ -157,8 +161,9 @@ def _bernoulli_series(u) -> mpc:
     return u - v / 4 + u * v * s
 
 
-def _li2_principal(z) -> mpc:
-    """Li2 at the current mp working precision, principal branch.
+def _li2_principal(z) -> tuple:
+    """(Li2(z), log|z|, arg(1-z)) at the current mp working precision,
+    principal branch; each log is None unless the route has taken it.
 
     Caller guarantees z != 0, 1 and, for exactly real z, z <= 1 (the cut is
     handled one level up by conjugation).
@@ -167,21 +172,30 @@ def _li2_principal(z) -> mpc:
     const = mpc(0)
     w = z
     u = None  # -log(1 - w), once a reflection has computed it
+    log_abs = arg_one_minus = None  # log|z| and arg(1 - z), where the route takes them at z
     pi2_6 = mp.pi ** 2 / 6
-    for move in _reduction_chain(z):
+    chain = _reduction_chain(z)
+    for step, move in enumerate(chain):
         if move == "inv":
-            const += -sign * (pi2_6 + mp.log(-w) ** 2 / 2)
+            log_minus_w = mp.log(-w)
+            if not step:
+                log_abs = log_minus_w.real
+            const += -sign * (pi2_6 + log_minus_w ** 2 / 2)
             w = 1 / w
             u = None
         else:
-            log_w = mp.log(w)
-            const += sign * (pi2_6 - log_w * mp.log(1 - w))
+            log_w, log_one_minus_w = mp.log(w), mp.log(1 - w)
+            if not step:
+                log_abs, arg_one_minus = log_w.real, log_one_minus_w.imag
+            const += sign * (pi2_6 - log_w * log_one_minus_w)
             w = 1 - w
             u = -log_w
         sign = -sign
     if u is None:
         u = -mp.log1p(-w)
-    return sign * _bernoulli_series(u) + const
+        if not chain:
+            arg_one_minus = -u.imag
+    return sign * _bernoulli_series(u) + const, log_abs, arg_one_minus
 
 
 def _as_mpc(z) -> mpc:
@@ -240,12 +254,16 @@ def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
             # an exactly-real cut argument (real_input, w.real > 1) through the
             # reduction identities then yields the limit from below, which is
             # the documented convention. No extra handling needed.
-            out = _li2_principal(w)
+            out, log_abs, arg_one_minus = _li2_principal(w)
             if real_input and w.real <= 1:
                 # value is real; discard the guard-level imaginary dust the
                 # composite identities can leave behind
                 out = mpc(out.real, 0)
             elif w.imag != 0:
-                d = mp.log(abs(w)) * mp.arg(1 - w) + out.imag
+                if log_abs is None:
+                    log_abs = mp.log(abs(w))
+                if arg_one_minus is None:
+                    arg_one_minus = mp.arg(1 - w)
+                d = log_abs * arg_one_minus + out.imag
     with mp.workdps(digits):
         return +out, +d

@@ -100,9 +100,9 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
 
     s0 = bundle.ideal.reference_section()
     s0_pow = s0 ** n_power
-    ratio = generator / s0_pow
+    ratio = evaluate(generator / s0_pow, e)
     f = e.invariant_vector(lambda i: -mp.log(bundle.metric.values[i] ** n_power
-                                             * abs(evaluate(ratio, e, i)) ** 2) / 2)
+                                             * abs(ratio[i]) ** 2) / 2)
     with mp.workdps(e.working_dps):
         return mp.fsum(f) / e.degree / n_power
 

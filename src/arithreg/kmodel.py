@@ -200,7 +200,7 @@ def embed_k3(x: BlochElement, model: GradedKAlgebra) -> GradedElement:
     """Degree -3 element carrying the dilogarithm values of a formal sum;
     only conjugate pairs contribute generators there, matching the exact
     vanishing of the dilogarithm on the real line."""
-    vec = k3_regulator(x, model.embedding_set)
+    (vec,) = k3_regulator([x], model.embedding_set)
     coords = []
     for kind, idx in model.generators(-3):
         coords.append(mpf_to_fraction(vec.values[idx]))

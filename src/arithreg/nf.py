@@ -13,8 +13,10 @@ determinant proves it squarefree, and a Hensel lift finds any integer root.
 The embedding set carries the numerical side: certified roots of
 f, the complex-conjugation pairing, and the (r1, r2) signature; it is also
 the one place that builds and checks conjugation-invariant per-embedding
-vectors. Exact predicates (integrality, norm = +-1) never touch floating
-point.
+vectors. evaluate gives an element's whole vector of conjugates in one call,
+one Horner evaluation per conjugacy class mirrored onto the partner, so a
+caller evaluates each element once per embedding set. Exact predicates
+(integrality, norm = +-1) never touch floating point.
 """
 
 from __future__ import annotations
@@ -650,20 +652,27 @@ def _aberth(coeffs: tuple[int, ...], wp: int) -> list:
     raise PrecisionError("root iteration failed to converge")
 
 
-def evaluate(a: FieldElement, e: EmbeddingSet, index: int):
-    """Numerical value of a at the indexed embedding (Horner).
+def evaluate(a: FieldElement, e: EmbeddingSet) -> tuple:
+    """Numerical values of a at every embedding, in embedding order (Horner).
 
-    Returns an exactly-real mpf-backed value at real embeddings.
+    The coefficients become mpf once, and Horner's rule runs once per
+    conjugacy class at the working precision: on the real part at a real
+    embedding, so that value is exactly real, and at the root of a pair
+    representative, whose conjugate is stored at the partner embedding. The
+    partner's root is the exact conjugate and the coefficients are real, so
+    that copy is bit for bit the Horner value at the partner root.
     """
-    if index < 0 or index >= e.degree:
-        raise DomainError(f"embedding index {index} out of range")
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
+    out = [None] * e.degree
     with mp.workdps(e.working_dps):
         if a.den == 1:
             coeffs = [mpf(c) for c in a.num]
         else:
             coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
-        if e.is_real(index):
-            return mpc(_horner(coeffs, mp.re(e.roots[index])), 0)
-        return _horner(coeffs, e.roots[index])
+        for idx in e.real_indices:
+            out[idx] = mpc(_horner(coeffs, mp.re(e.roots[idx])), 0)
+        for idx in e.pair_representatives:
+            out[idx] = value = _horner(coeffs, e.roots[idx])
+            out[e.conjugation_pairing[idx]] = mp.conj(value)
+    return tuple(out)

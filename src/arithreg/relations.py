@@ -90,8 +90,9 @@ def _embedding_columns(elems, e: EmbeddingSet):
     logs, args = [], []
     for g in elems:
         lrow, arow = [], []
+        vals = evaluate(g, e)
         for idx in reps:
-            val = evaluate(g, e, idx)
+            val = vals[idx]
             if abs(val) == 0:
                 raise DomainError("zero element has no logarithmic embedding")
             lrow.append(mp.log(abs(val)))

@@ -8,10 +8,16 @@ a Sylvester resultant over Fractions, and the inverse from the extended
 Euclidean algorithm over Q. It reads only an element's `coeffs` and the
 field's `defining_poly` and `integral_basis`. The rational-root search is
 the trial-division scan over the divisors of the constant term.
+
+evaluate_at is the per-embedding evaluation the package used before
+evaluate returned the whole vector of conjugates: the coefficients become
+mpf and Horner's rule runs at one embedding, on the real part of a real root.
 """
 
 from fractions import Fraction
 from math import isqrt
+
+from mpmath import mp, mpc, mpf
 
 from arithreg.errors import DomainError
 from arithreg.intmat import det_fraction
@@ -169,3 +175,22 @@ def rational_root(coeffs):
             if sum(c * root ** i for i, c in enumerate(coeffs)) == 0:
                 return root
     return None
+
+
+def evaluate_at(a, e, index: int):
+    """Numerical value of a at the indexed embedding (Horner); exactly real,
+    as an mpc, at a real embedding."""
+    if index < 0 or index >= e.degree:
+        raise DomainError(f"embedding index {index} out of range")
+    if a.field != e.field:
+        raise DomainError("element and embedding set belong to different fields")
+    with mp.workdps(e.working_dps):
+        if a.den == 1:
+            coeffs = [mpf(c) for c in a.num]
+        else:
+            coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
+        acc = coeffs[-1]
+        z = mp.re(e.roots[index]) if e.is_real(index) else e.roots[index]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * z + c
+        return mpc(acc, 0) if e.is_real(index) else acc

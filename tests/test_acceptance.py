@@ -126,10 +126,10 @@ def test_criterion_03_bloch_example_family():
         assert verify_bloch_element(x, pres)
 
         e = embeddings(K, 50)
-        vec = k3_regulator(x, e)
+        (vec,) = k3_regulator([x], e)
         with mp.workdps(60):
             for idx in e.pair_representatives:
-                target = (n + 1) * (-bloch_wigner(evaluate(lam, e, idx), 50))
+                target = (n + 1) * (-bloch_wigner(evaluate(lam, e)[idx], 50))
                 assert abs(vec.values[idx] - target) < TOL40
         for idx in e.real_indices:
             assert vec.values[idx] == 0

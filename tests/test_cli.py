@@ -8,12 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 import arithreg.errors
 from arithreg.cli import (COMMANDS, _build_job, main, parse_complex, parse_element,
                           parse_element_expr, run_job)
 from arithreg.errors import SchemaError
+from arithreg.precision import DEFAULT_DIGITS
 from time_limits import time_limit
 
 CUBIC = '{"poly":[1,-1,0,1]}'
@@ -651,36 +652,93 @@ def count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_bloch_check_work_counts(monkeypatch):
-    """The README bloch-check example computes each Steinberg image once and
-    one Bloch-Wigner value per nonzero (multiplicity, pair representative)
-    term of its kernel basis. Unit status is tested once per generator of
-    the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests, by
-    relation_lattice: each candidate and its complement is one of those
-    generators, so steinberg_image tests none of them again. The one
-    inverse is the parse of (1-x)^-1; proving relations inverts nothing."""
+def _counted_bloch_check(monkeypatch, job, evaluate=None):
+    """(calls, record, pair count) of one bloch-check job, counting the
+    Steinberg images, Bloch-Wigner values, unit tests, inverses and
+    evaluations (relation discovery and regulator together) it makes.
+    evaluate, when given, stands in for the regulator's evaluate."""
     import arithreg.regulator
     import arithreg.relations
-    from arithreg.cli import _build_job
     from arithreg.nf import FieldElement, embeddings, parse_field
 
-    calls = {"steinberg_image": 0, "bloch_wigner": 0, "is_unit": 0, "inverse": 0}
+    calls = {"steinberg_image": 0, "bloch_wigner": 0, "is_unit": 0, "inverse": 0,
+             "evaluate": 0}
     count_calls(monkeypatch, calls, arithreg.relations, "steinberg_image")
     count_calls(monkeypatch, calls, arithreg.regulator, "bloch_wigner")
     count_calls(monkeypatch, calls, FieldElement, "is_unit")
     count_calls(monkeypatch, calls, FieldElement, "inverse")
-    (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
-    job = _build_job(argv[1:] + ["--output", "json"])
+    count_calls(monkeypatch, calls, arithreg.relations, "evaluate")
+    if evaluate is not None:
+        monkeypatch.setattr(arithreg.regulator, "evaluate", evaluate)
+    count_calls(monkeypatch, calls, arithreg.regulator, "evaluate")
     out = io.StringIO()
-    assert run_job(job, out=out) == 0
-    rec = json.loads(out.getvalue())
+    assert run_job(dict(job, output="json"), out=out) == 0
+    pairs = len(embeddings(parse_field(job["field"]), job.get("precision", DEFAULT_DIGITS))
+                .pair_representatives)
+    return calls, json.loads(out.getvalue()), pairs
 
-    pairs = len(embeddings(parse_field(job["field"]), job["precision"]).pair_representatives)
-    nonzero = sum(1 for row in rec["kernel_basis"] for n in row if n)
+
+def test_bloch_check_work_counts(monkeypatch):
+    """The README bloch-check example computes each Steinberg image once,
+    evaluates each generator of the presentation once in relation discovery
+    and each support element once in the regulator, and computes one
+    Bloch-Wigner value per (pair representative, support column with a
+    nonzero entry in some kernel row). Unit status is tested once per
+    generator of the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests,
+    by relation_lattice: each candidate and its complement is one of those
+    generators, so steinberg_image tests none of them again. The one
+    inverse is the parse of (1-x)^-1; proving relations inverts nothing."""
+    (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+    job = _build_job(argv[1:])
+    calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
+
+    candidates = job["payload"]["candidates"]
+    used = sum(1 for column in zip(*rec["kernel_basis"]) if any(column))
     # the example has a zero multiplicity, so a skipped term is observable
-    assert nonzero < sum(len(row) for row in rec["kernel_basis"])
-    assert calls == {"steinberg_image": len(job["payload"]["candidates"]),
-                     "bloch_wigner": nonzero * pairs, "is_unit": 5, "inverse": 1}
+    assert (sum(1 for row in rec["kernel_basis"] for n in row if n)
+            < sum(len(row) for row in rec["kernel_basis"]))
+    assert calls == {"steinberg_image": len(candidates), "bloch_wigner": used * pairs,
+                     "is_unit": 5, "inverse": 1,
+                     "evaluate": len(rec["generators"]) + len(candidates)}
+
+
+def test_bloch_check_shared_support_evaluated_once(monkeypatch):
+    """Two kernel rows, [x] + [1-x] and 2[1-x], share the support element
+    1-x: it is evaluated once and its D once per pair representative, so
+    three nonzero terms cost two Bloch-Wigner values on the one pair."""
+    job = {"command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
+           "payload": {"candidates": ["x", "1-x"]}}
+    calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
+    assert rec["kernel_basis"] == [[1, 1], [0, 2]]
+    assert len(rec["regulators"]) == 2 and pairs == 1
+    # generators -1, x, 1-x in relation discovery; x, 1-x in the regulator
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (3 + 2, 2)
+
+
+def test_bloch_check_empty_kernels_do_no_numerical_work(monkeypatch):
+    """On x^4 - x - 1 the wedge x ^ (1-x) has infinite order, so both
+    kernels of the candidate x are empty: the regulator evaluates nothing
+    and computes no D. Its evaluate is made to put every conjugate at 0, so
+    any degeneracy check would raise PrecisionError."""
+    job = {"command": "bloch-check", "field": {"poly": [-1, -1, 0, 0, 1]},
+           "payload": {"candidates": ["x"]}}
+    calls, rec, pairs = _counted_bloch_check(
+        monkeypatch, job, evaluate=lambda a, e: (mpc(0),) * e.degree)
+    assert (rec["kernel_basis"], rec["torsion_only_kernel"], rec["regulators"]) == ([], [], [])
+    assert pairs == 1
+    # generators -1, x, 1-x, all in relation discovery
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (3, 0)
+
+
+def test_main_writes_to_the_stdout_of_its_call(capsys):
+    """main() resolves sys.stdout when it runs, so a redirection made after
+    import (here capsys) receives the job's JSON."""
+    (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+    assert main(argv[1:] + ["--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rec = json.loads(captured.out)
+    assert rec["schema"] == 1 and len(rec["regulators"]) == len(rec["kernel_basis"]) > 0
 
 
 @pytest.mark.parametrize("z, series", [("0.25+0.125i", 1), ("-3.5+2i", 1), ("3", 1),

@@ -6,8 +6,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import arithreg.dilog
-from arithreg.dilog import (_CHAINS, _as_mpc, _bernoulli_series, _mpc_chain, _orbit_value,
-                            _reduction_chain, bloch_wigner, li2)
+from arithreg.dilog import (_CHAINS, _as_mpc, _bernoulli_series, _li2_principal, _mpc_chain,
+                            _orbit_value, _reduction_chain, bloch_wigner, li2,
+                            li2_and_bloch_wigner)
 from arithreg.precision import working_dps
 from dilog_oracles import mpc_bernoulli_series, power_series
 from time_limits import time_limit
@@ -226,6 +227,44 @@ class TestBlochWigner:
                        - bloch_wigner(z - h * mpc(0, 1), 40)) / (2 * h)
                 err = mp.sqrt((fdx - ddx) ** 2 + (fdy - ddy) ** 2)
                 assert err / grad_norm < mpf(10) ** -6
+
+
+def route_points() -> list:
+    """One point per route of _CHAINS, then a point on either side of each
+    tie the route rule resolves: |z| = 1/2 against the smallest other
+    modulus, 1/|1-z| against |z|/|1-z| at |z| = 1, |z| against |z|/|1-z| at
+    |1-z| = 1, and |z| against |1-z| (and their inverses) at Re z = 1/2."""
+    with mp.workdps(250):
+        points = [mpc(-0.375, 0.125), mpc(0.5, 1.5), mpc(0.625, 0.125), mpc(-3, 0.125),
+                  mpc(0.75, 0.75), mpc(-0.875, 0.125)]
+        ties = [lambda s: mp.expj(2) * (1 + s) / 2, lambda s: mp.expj(1.3) * (1 + s),
+                lambda s: 1 - mp.expj(0.7) * (1 + s), lambda s: mpc(0.5 + s, 0.6),
+                lambda s: mpc(0.5 + s, 3)]
+        for tie in ties:
+            points += [tie(mpf(sign) * mpf("3e-10")) for sign in (-1, 1)]
+    return points
+
+
+class TestBlochWignerReusesLogs:
+    """D formed from the logs the reduction route took prints as the old
+    formula log|z| arg(1-z) + Im Li2(z), with both logs taken afresh, did."""
+
+    def test_points_cover_every_route_and_both_sides_of_each_tie(self):
+        with mp.workdps(working_dps(DIGITS)):
+            chains = [_reduction_chain(mpc(z)) for z in route_points()]
+        assert chains[:len(_CHAINS)] == list(_CHAINS)
+        sides = list(zip(chains[len(_CHAINS)::2], chains[len(_CHAINS) + 1::2]))
+        assert all(below != above for below, above in sides)
+
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    def test_prints_as_the_old_formula(self, digits):
+        for z in route_points():
+            _, d = li2_and_bloch_wigner(z, digits)
+            with mp.workdps(working_dps(digits)):
+                w = mpc(z)
+                old = mp.log(abs(w)) * mp.arg(1 - w) + _li2_principal(w)[0].imag
+            with mp.workdps(digits):
+                assert mp.nstr(d, digits) == mp.nstr(+old, digits), (z, digits)
 
 
 def region_points(region, count, seed):

@@ -208,7 +208,7 @@ class TestEmbeddings:
         e = m.embedding_set
         rep = e.pair_representatives[0]
         with mp.workdps(60):
-            target = -3 * bloch_wigner(evaluate(lam, e, rep), 50)
+            target = -3 * bloch_wigner(evaluate(lam, e)[rep], 50)
             assert abs(b.values()[0] - target) < mpf(10) ** -40
 
 

@@ -119,12 +119,12 @@ class TestParseField:
             real = getattr(Fraction, name)
             monkeypatch.setattr(Fraction, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
-        evaluate(a, embeddings(K, 30), 0)
+        evaluate(a, embeddings(K, 30))
         assert calls == []
 
     def test_evaluate_rejects_other_field(self, fields, embset):
         with pytest.raises(DomainError, match="different fields"):
-            evaluate(fields["Qi"].gen(), embset["Qsqrt2"], 0)
+            evaluate(fields["Qi"].gen(), embset["Qsqrt2"])
 
     def test_integral_basis_record(self):
         K = parse_field({"poly": [5, 0, 1],
@@ -391,7 +391,7 @@ class TestNorm:
                     a = rand_element(K, rng, 4)
                     prod = mpf(1)
                     for i in range(e.degree):
-                        prod = prod * evaluate(a, e, i)
+                        prod = prod * evaluate(a, e)[i]
                     n = a.norm()
                     target = mpf(n.numerator) / mpf(n.denominator)
                     assert abs(prod.real - target) < mpf(10) ** -40
@@ -501,12 +501,12 @@ class TestEvaluate:
     def test_constant(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         for i in range(3):
-            assert evaluate(K.element([3]), e, i) == 3
+            assert evaluate(K.element([3]), e)[i] == 3
 
     def test_gaussian_generator(self, fields, embset):
         K, e = fields["Qi"], embset["Qi"]
         up = e.pair_representatives[0]
-        v = evaluate(K.gen(), e, up)
+        v = evaluate(K.gen(), e)[up]
         with mp.workdps(50):
             assert abs(v - mp.mpc(0, 1)) < mpf(10) ** -45
 
@@ -518,12 +518,12 @@ class TestEvaluate:
                 a = rand_element(K, rng)
                 for i in range(e.degree):
                     j = e.conjugate_index(i)
-                    assert evaluate(a, e, j) == mp.conj(evaluate(a, e, i))
+                    assert evaluate(a, e)[j] == mp.conj(evaluate(a, e)[i])
 
     def test_real_embedding_exactly_real(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         for idx in e.real_indices:
-            assert evaluate(K.gen(), e, idx).imag == 0
+            assert evaluate(K.gen(), e)[idx].imag == 0
 
     def test_matches_two_loop_horner(self, fields, embset):
         """Bit-for-bit the Horner loop started at zero, real and complex."""
@@ -540,9 +540,59 @@ class TestEvaluate:
                         acc = mpf(0) if e.is_real(idx) else mp.mpc(0)
                         for c in reversed(cs):
                             acc = acc * z + c
-                        got = evaluate(a, e, idx)
+                        got = evaluate(a, e)[idx]
                         assert (got.real, got.imag) == (mp.re(acc), mp.im(acc))
                         assert type(got) is type(mp.mpc(0))
+
+
+class TestEvaluateVector:
+    """evaluate(a, e) against the per-embedding Horner evaluation of
+    nf_oracles.evaluate_at, bit for bit at every index."""
+
+    # name -> (defining polynomial, signature)
+    FIELDS = {
+        "degree 1": ([-3, 1], (1, 0)),
+        "totally real": ([1, -3, 0, 1], (3, 0)),  # x^3 - 3x + 1
+        "totally complex": ([1, 0, 0, 0, 1], (0, 2)),  # x^4 + 1
+        "mixed": ([1, -1, 0, 1], (1, 1)),
+        "degree 16": ([-1, -1] + [0] * 14 + [1], (2, 7)),  # x^16 - x - 1
+    }
+
+    @staticmethod
+    def elements(K, rng):
+        n = K.degree
+        yield K.gen()
+        yield K.element([rng.randint(-9, 9) for _ in range(n)])
+        yield K.element([Fraction(rng.randint(-99, 99), rng.randint(2, 30)) for _ in range(n)])
+        big = 10 ** 40
+        yield K.element([rng.randint(-big, big) for _ in range(n)])
+        a = K.element([Fraction(rng.randint(-big, big), 3 * rng.randint(1, big) + 1)
+                       for _ in range(n)])
+        assert a.den != 1
+        yield a
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_matches_per_index_oracle(self, name, digits):
+        rng = random.Random(17)
+        poly, signature = self.FIELDS[name]
+        e = embeddings(parse_field({"poly": poly}), digits)
+        assert e.signature == signature
+        for a in self.elements(e.field, rng):
+            got = evaluate(a, e)
+            assert len(got) == e.degree
+            for i in range(e.degree):
+                want = oracle.evaluate_at(a, e, i)
+                assert type(got[i]) is type(want)
+                assert (got[i].real, got[i].imag) == (want.real, want.imag), (name, i)
+                # out[conj(i)] == conj(out[i]) exactly, compared at the
+                # working precision so that the conjugate is not rounded
+                with mp.workdps(e.working_dps):
+                    partner = mp.conj(got[i])
+                j = e.conjugate_index(i)
+                assert (got[j].real, got[j].imag) == (partner.real, partner.imag)
+            for i in e.real_indices:
+                assert got[i].imag == 0
 
 
 class TestConjugationSymmetry:

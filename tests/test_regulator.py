@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from arithreg.dilog import bloch_wigner
-from arithreg.errors import DomainError
+from arithreg.errors import DomainError, PrecisionError
 from arithreg.nf import evaluate
 from arithreg.regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from arithreg.relations import BlochElement
@@ -58,7 +58,7 @@ class TestUnitRegulator:
 class TestK3Regulator:
     def test_zero_element(self, fields, embset):
         x = BlochElement((), ())
-        v = k3_regulator(x, embset["cubic"])
+        v = k3_regulator([x], embset["cubic"])[0]
         assert all(val == 0 for val in v.values)
 
     def test_shifted_root_family_value(self, fields, embset):
@@ -66,17 +66,17 @@ class TestK3Regulator:
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator(x, e)
+        v = k3_regulator([x], e)[0]
         with mp.workdps(60):
             for idx in e.pair_representatives:
-                target = 3 * (-bloch_wigner(evaluate(lam, e, idx), 50))
+                target = 3 * (-bloch_wigner(evaluate(lam, e)[idx], 50))
                 assert abs(v.values[idx] - target) < TOL
 
     def test_real_embeddings_exactly_zero(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator(x, e)
+        v = k3_regulator([x], e)[0]
         for idx in e.real_indices:
             assert v.values[idx] == 0
 
@@ -84,7 +84,7 @@ class TestK3Regulator:
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator(x, e)
+        v = k3_regulator([x], e)[0]
         with mp.workdps(e.working_dps):
             for i, j in enumerate(e.conjugation_pairing):
                 assert v.values[i] == -v.values[j]
@@ -96,7 +96,7 @@ class TestK3Regulator:
         a = BlochElement((lam, mu), (2, 1))
         b = BlochElement((lam, mu), (4, 2))
         grp_sum = BlochElement((lam, mu), (6, 3))
-        va, vb, vs = (k3_regulator(x, e) for x in (a, b, grp_sum))
+        va, vb, vs = k3_regulator([a, b, grp_sum], e)
         with mp.workdps(60):
             for p, q, r in zip(va.values, vb.values, vs.values):
                 assert abs(p + q - r) < TOL
@@ -105,8 +105,60 @@ class TestK3Regulator:
         # phi lies in R-circ of a totally real field: D = 0 at every embedding
         K, e = fields["Qphi"], embset["Qphi"]
         x = BlochElement((K.gen(),), (1,))
-        v = k3_regulator(x, e)
+        v = k3_regulator([x], e)[0]
         assert all(val == 0 for val in v.values)
+
+    def test_several_elements_match_one_at_a_time(self, fields, embset):
+        # one call over a shared support gives, bit for bit, the vectors of
+        # one call per element
+        K, e = fields["cubic"], embset["cubic"]
+        lam = K.gen()
+        support = (lam, (K.one() - lam).inverse(), K.one() - lam)
+        xs = [BlochElement(support, m) for m in ((2, 1, 0), (0, 0, 3), (-1, 4, 1))]
+        together = k3_regulator(xs, e)
+        assert [v.values for v in together] == [k3_regulator([x], e)[0].values for x in xs]
+
+    def test_each_value_computed_once(self, fields, embset, monkeypatch):
+        # three support elements, the last unused by every row: three
+        # evaluations, and D once per (used element, pair representative)
+        import arithreg.regulator
+
+        K, e = fields["cubic"], embset["cubic"]
+        lam = K.gen()
+        support = (lam, (K.one() - lam).inverse(), K.one() - lam)
+        xs = [BlochElement(support, m) for m in ((2, 1, 0), (4, 2, 0))]
+        calls = {"evaluate": 0, "bloch_wigner": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(arithreg.regulator, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(arithreg.regulator, name, counted)
+        k3_regulator(xs, e)
+        assert calls == {"evaluate": 3, "bloch_wigner": 2 * len(e.pair_representatives)}
+
+    def test_unused_support_element_still_checked(self, fields, embset, monkeypatch):
+        # a support element that no row uses gets no D, but one that embeds
+        # onto 1 still signals a precision failure
+        import arithreg.regulator
+
+        K, e = fields["cubic"], embset["cubic"]
+        lam, unused = K.gen(), K.one() - K.gen()
+        real = arithreg.regulator.evaluate
+        monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
+            (mpc(1),) * e.degree if a == unused else real(a, e)))
+        with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
+            k3_regulator([BlochElement((lam, unused), (2, 0))], e)
+
+    def test_no_elements_no_work(self, embset):
+        assert k3_regulator([], embset["cubic"]) == []
+
+    def test_supports_must_agree(self, fields, embset):
+        K, e = fields["cubic"], embset["cubic"]
+        lam = K.gen()
+        mu = (K.one() - lam).inverse()
+        xs = [BlochElement((lam, mu), (2, 1)), BlochElement((mu, lam), (1, 2))]
+        with pytest.raises(DomainError, match="one support"):
+            k3_regulator(xs, e)
 
 
 class TestSMap:
@@ -134,7 +186,7 @@ class TestSMap:
         K, e = fields["cubic"], embset["cubic"]
         x = BlochElement((K.gen(),), (0,))
         with pytest.raises(DomainError):
-            s_map(k3_regulator(x, e))
+            s_map(k3_regulator([x], e)[0])
 
     def test_record(self, fields, embset):
         v = unit_regulator(fields["Qsqrt2"].one() + fields["Qsqrt2"].gen(),
