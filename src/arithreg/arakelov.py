@@ -223,10 +223,11 @@ def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
     """arithmetic_degree together with the index_quotient of the section it
     used, so a caller reporting both tests the membership once."""
     e.check_invariant(bundle.metric.values, "metric")
+    s0 = bundle.ideal.reference_section()
     if s is None:
-        s = bundle.ideal.reference_section()
+        s = s0
     idx_count = index_quotient(bundle.ideal, s)
-    ratio = evaluate(s / bundle.ideal.reference_section(), e)
+    ratio = evaluate(s / s0, e)
     with mp.workdps(e.working_dps):
         log_index = mp.log(mpf(idx_count.numerator)) - mp.log(mpf(idx_count.denominator))
         metric_part = mpf(0)

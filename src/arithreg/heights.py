@@ -103,8 +103,7 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
     ratio = evaluate(generator / s0_pow, e)
     f = e.invariant_vector(lambda i: -mp.log(bundle.metric.values[i] ** n_power
                                              * abs(ratio[i]) ** 2) / 2)
-    with mp.workdps(e.working_dps):
-        return mp.fsum(f) / e.degree / n_power
+    return height(DiffK0Class(n_power, f, e))
 
 
 def _is_power(base: Fraction, n: int, target: Fraction) -> bool:

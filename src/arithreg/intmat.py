@@ -5,9 +5,11 @@ the routines exact for arbitrarily large entries. Matrices are row-major;
 "row HNF" means pivots move left to right down the rows, pivots are positive,
 and entries above a pivot are reduced into [0, pivot). One HNF serves every
 lattice, reducing modulo the product of its pivots once it has full rank;
-the left kernel is read off the HNF of the rows next to an identity block.
-LLL is the integral variant, whose Gram-Schmidt data are integers, and
-accepts only linearly independent rows. Determinants, inverses and linear solves, over the
+the left kernel is read off the HNF of the rows next to an identity block,
+and the Smith normal form off alternating row and column HNFs, each column
+carrying its column of the transform (Kannan and Bachem 1979). LLL is the
+integral variant, whose Gram-Schmidt data are integers, and accepts only
+linearly independent rows. Determinants, inverses and linear solves, over the
 integers or the rationals, all run through one fraction-free (Bareiss)
 elimination in integers; rational input is scaled to integers first and
 results come back as integer numerators over one denominator.
@@ -136,78 +138,37 @@ def in_lattice(vec: list[int], basis_hnf: list[list[int]]) -> bool:
 
 
 def snf(rows: list[list[int]]):
-    """Smith normal form with its right transform: returns (S, V) where
-    U * rows * V == S for some unimodular U, V is unimodular, and the
-    diagonal of S is a divisibility chain d1 | d2 | ... with nonnegative
-    entries. The row operations that make up U are applied to S only."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    s = [list(r) for r in rows]
-    v = identity(n)
+    """Smith normal form from alternating HNFs (Kannan and Bachem,
+    Polynomial algorithms for computing the Smith and Hermite normal forms
+    of an integer matrix, SIAM J. Comput. 1979): returns (invariants, V)
+    with V unimodular and U * rows * V == S for some unimodular U, where S
+    is zero but for the n invariants on its diagonal, the nonzero ones first
+    in a divisibility chain d1 | d2 | ... and 0 for a free coordinate.
 
-    def row_op(i1, i2, a, b, c, d):
-        # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2)
-        for j in range(n):
-            s[i1][j], s[i2][j] = a * s[i1][j] + b * s[i2][j], c * s[i1][j] + d * s[i2][j]
-
-    def col_op(j1, j2, a, b, c, d):
-        for i in range(m):
-            s[i][j1], s[i][j2] = a * s[i][j1] + b * s[i][j2], c * s[i][j1] + d * s[i][j2]
-        for i in range(n):
-            v[i][j1], v[i][j2] = a * v[i][j1] + b * v[i][j2], c * v[i][j1] + d * v[i][j2]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero entry in the lower-right block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j]:
-                    if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            row_op(t, i0, 0, 1, 1, 0)
-        if j0 != t:
-            col_op(t, j0, 0, 1, 1, 0)
-        # clear row and column t; plain reductions leave the pivot line
-        # untouched, and every xgcd combine strictly shrinks |s[t][t]|,
-        # which forces termination
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                w = s[i][t]
-                if w:
-                    if w % s[t][t] == 0:
-                        row_op(t, i, 1, 0, -(w // s[t][t]), 1)
-                    else:
-                        g, x, y = xgcd(s[t][t], w)
-                        a, b = s[t][t] // g, w // g
-                        row_op(t, i, x, y, -b, a)
-                    dirty = True
-            for j in range(t + 1, n):
-                w = s[t][j]
-                if w:
-                    if w % s[t][t] == 0:
-                        col_op(t, j, 1, 0, -(w // s[t][t]), 1)
-                    else:
-                        g, x, y = xgcd(s[t][t], w)
-                        a, b = s[t][t] // g, w // g
-                        col_op(t, j, x, y, -b, a)
-                    dirty = True
-        # enforce divisibility: s[t][t] must divide every later entry
-        d = s[t][t]
-        offender = next((i for i in range(t + 1, m) if any(x % d for x in s[i][t + 1:])), None)
-        if offender is not None:
-            row_op(t, offender, 1, 1, 0, 1)
+    A column HNF (hnf on the columns of S, each with its column of V
+    appended, so V follows every column operation) alternates with a row
+    HNF of S, which keeps only its nonzero rows, until S is diagonal; a
+    diagonal that is not a divisibility chain has a row added to an earlier
+    one and goes round again. The row operations that make up U are applied
+    to S only.
+    """
+    n = len(rows[0]) if rows else 0
+    s, v = rows, identity(n)
+    while True:
+        m = len(s)
+        # the V block has full rank, so hnf keeps all n columns
+        cols = hnf(list(zip(*s, *v)))
+        v = [list(r) for r in zip(*(c[m:] for c in cols))]
+        s = hnf(list(zip(*(c[:m] for c in cols))))
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             continue
-        if d < 0:
-            s[t] = [-x for x in s[t]]
-        t += 1
-    return s, v
+        diag = [row[i] for i, row in enumerate(s)]
+        pair = next(((i, j) for j in range(len(diag)) for i in range(j)
+                     if diag[j] % diag[i]), None)
+        if pair is None:
+            return diag + [0] * (n - len(diag)), v
+        i, j = pair
+        s[i] = [x + y for x, y in zip(s[i], s[j])]
 
 
 def _fraction_free(aug: list[list[int]]) -> tuple[int, list[list[int]] | None]:

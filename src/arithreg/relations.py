@@ -9,10 +9,11 @@ reduced to their HNF basis, the rows that are stored, and each basis row is
 proved once by exact field multiplication, without inverting: the product
 over positive exponents must equal the product over negative ones. The
 candidates are integer combinations of the basis rows, so they are proved
-with it. Floating error can therefore make the discovered lattice
-incomplete but never wrong. Exterior squares keep their torsion: the
-quotient presentation is reduced to Smith normal form and wedge coordinates
-are canonicalized componentwise against the diagonal invariants. A raw
+with it. The torsion order, read off the Smith invariants of the basis, is
+proved the same way on powers of a torsion generator. Floating error can
+therefore make the discovered lattice incomplete but never wrong. Exterior squares keep their torsion: the
+quotient presentation is reduced to Smith normal form and wedge
+coordinates are canonicalized componentwise against its invariants. A raw
 wedge vector is taken to Smith coordinates once, by ExteriorSquare.reduce;
 wedge classes and their integer combinations are already in Smith
 coordinates and are reduced modulo the invariants only.
@@ -139,8 +140,7 @@ def _verified_basis(elems, candidates) -> list[list[int]]:
     that fails raises PrecisionError (retry with more digits)."""
     basis = hnf(candidates)
     for row in basis:
-        if (power_product(elems, [max(e, 0) for e in row])
-                != power_product(elems, [max(-e, 0) for e in row])):
+        if not _is_relation(elems, row):
             raise PrecisionError(
                 "numerically discovered relation failed exact verification; "
                 "retry at higher precision")
@@ -168,7 +168,7 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePr
     basis = _verified_basis(elems, _relation_candidates(elems, precision))
     return MultiplicativePresentation(
         tuple(elems), tuple(tuple(r) for r in basis),
-        _certify_torsion(elems, basis, len(elems)), precision)
+        _certify_torsion(elems, basis), precision)
 
 
 def power_product(elems, exponents) -> FieldElement:
@@ -183,12 +183,22 @@ def power_product(elems, exponents) -> FieldElement:
     return out
 
 
-def _certify_torsion(elems, basis, k: int) -> int:
+def _is_relation(elems, exponents) -> bool:
+    """Whether the product of elems[i] ** exponents[i] is 1, by exact
+    multiplication without inverting: the product over positive exponents
+    against the product over negative ones."""
+    return (power_product(elems, [max(e, 0) for e in exponents])
+            == power_product(elems, [max(-e, 0) for e in exponents]))
+
+
+def _certify_torsion(elems, basis) -> int:
+    """Order w of the torsion of Z^k modulo the relation basis, read off its
+    Smith invariants and proved on the generator t of the torsion factor:
+    t^w = 1 and t^(w/q) != 1 for each prime q | w, both by _is_relation."""
     if not basis:
         return 1
-    s, v = snf([list(r) for r in basis])
-    diag = [s[i][i] for i in range(min(len(s), k))]
-    nontrivial = [d for d in diag if d > 1]
+    invariants, v = snf(basis)
+    nontrivial = [d for d in invariants if d > 1]
     if not nontrivial:
         return 1
     if len(nontrivial) > 1:
@@ -196,13 +206,12 @@ def _certify_torsion(elems, basis, k: int) -> int:
             "presented torsion is not cyclic; the relation lattice is "
             "incomplete, retry at higher precision")
     w = nontrivial[0]
-    j = diag.index(w)
-    gen_exps = _integer_inverse(v)[0][j][:k]  # v is unimodular: the denominator is 1
-    t = power_product(elems, gen_exps)
-    if not (t ** w).is_one():
+    # v is unimodular, so its inverse has denominator 1
+    gen_exps = _integer_inverse(v)[0][invariants.index(w)]
+    if not _is_relation(elems, [w * x for x in gen_exps]):
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
-        if (t ** (w // q)).is_one():
+        if _is_relation(elems, [w // q * x for x in gen_exps]):
             raise PrecisionError("torsion order certification failed")
     return w
 
@@ -268,13 +277,11 @@ def exterior_square_of_lattice(k: int,
                 nonzero = True
             if nonzero:
                 relators.append(row)
-    if not relators or dim == 0:
+    if not relators:
         return ExteriorSquare(k, tuple([0] * dim),
                               tuple(tuple(row) for row in identity(dim)))
-    s, v = snf(relators)
-    rank = sum(1 for i in range(min(len(s), dim)) if s[i][i] != 0)
-    invariants = tuple(s[c][c] if c < rank else 0 for c in range(dim))
-    return ExteriorSquare(k, invariants, tuple(tuple(row) for row in v))
+    invariants, v = snf(relators)
+    return ExteriorSquare(k, tuple(invariants), tuple(tuple(row) for row in v))
 
 
 def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:

@@ -139,26 +139,65 @@ def test_left_kernel_random_annihilates():
             assert all(x == 0 for x in prod)
 
 
+def assert_smith_form(a):
+    """snf(a) = (invariants, V) with V unimodular and U * a * V == S for a
+    unimodular U, where S = diag(invariants); the invariants are those of
+    the minors oracle, a divisibility chain, with zeros only after the
+    nonzero entries. Returns the invariants."""
+    n = len(a[0])
+    invariants, v = snf(a)
+    # U * a * V == S for a unimodular U exactly when V is unimodular and
+    # a * V spans the row lattice of S
+    assert abs(det_fraction([[Fraction(x) for x in row] for row in v])) == 1
+    s = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(invariants)]
+    assert hnf(mat_mul(a, v)) == hnf(s)
+    nonzero = [d for d in invariants if d]
+    assert nonzero == invariant_factors_by_minors(a)
+    for i in range(len(nonzero) - 1):
+        assert nonzero[i + 1] % nonzero[i] == 0
+    assert invariants == nonzero + [0] * (n - len(nonzero))
+    return invariants
+
+
 def test_snf_matches_minors_oracle():
     rng = random.Random(4)
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s, v = snf(a)
-        # U * a * V == S for a unimodular U exactly when V is unimodular and
-        # a * V spans the row lattice of S
-        assert abs(det_fraction([[Fraction(x) for x in row] for row in v])) == 1
-        assert hnf(mat_mul(a, v)) == hnf(s)
-        diag = [s[i][i] for i in range(min(m, n))]
-        nonzero = [d for d in diag if d]
-        assert nonzero == invariant_factors_by_minors(a)
-        for i in range(len(nonzero) - 1):
-            assert nonzero[i + 1] % nonzero[i] == 0
-        # off-diagonal must vanish
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert s[i][j] == 0
+        assert_smith_form([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_random_shapes_match_minors_oracle():
+    rng = random.Random(41)
+    for _ in range(100):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        assert_smith_form([[rng.randint(-1000, 1000) if rng.random() < 0.6 else 0
+                            for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_small_cases():
+    assert snf([]) == ([], [])
+    assert assert_smith_form([[0, 0], [0, 0], [0, 0]]) == [0, 0]
+    assert assert_smith_form([[6, 10, 15]]) == [1, 0, 0]
+    assert assert_smith_form([[4], [6], [10]]) == [2]
+    assert assert_smith_form([[2, 0], [0, 3]]) == [1, 6]
+    assert assert_smith_form([[4, 0], [0, 6]]) == [2, 12]
+    assert assert_smith_form([[2, 4, 4], [0, 0, 0], [-6, 6, 12]]) == [2, 6, 0]
+
+
+def test_snf_transform_stays_small():
+    """The torsion generator of a presentation is a row of V^-1; on
+    relation-like bases (the HNF of k - 1 sparse rows with entries up to 64)
+    its entries stay within 128 bits."""
+    rng = random.Random(0)
+    for _ in range(300):
+        k = rng.randint(2, 8)
+        basis = hnf([[rng.randint(-64, 64) if rng.random() < 0.4 else 0 for _ in range(k)]
+                     for _ in range(k - 1)])
+        if basis:
+            _, v = snf(basis)
+            inverse, den = _integer_inverse(v)
+            assert den == 1
+            assert max(abs(x) for row in inverse for x in row).bit_length() <= 128
 
 
 def test_in_lattice():

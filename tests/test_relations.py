@@ -10,7 +10,7 @@ import arithreg.relations
 from arithreg.cli import _candidate_presentation, parse_element, run_job
 from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
 from arithreg.intmat import identity, in_lattice, lll
-from arithreg.nf import parse_field
+from arithreg.nf import FieldElement, parse_field
 from arithreg.relations import (BlochElement, _verified_basis, bloch_kernel, coordinates_of,
                                 exterior_square, exterior_square_of_lattice,
                                 power_product, relation_lattice, steinberg_image,
@@ -108,6 +108,24 @@ class TestVerifiedBasis:
         self.add_false_candidate(monkeypatch)
         with pytest.raises(PrecisionError):
             coordinates_of(lam ** 2, p)
+
+    def test_proofs_invert_nothing(self, monkeypatch, fields):
+        """The relation rows and the torsion order of -1, x, 1-x on
+        x^3 - x + 1 are all proved by comparing the products over positive
+        and negative exponents, so no field element is inverted."""
+        K = fields["cubic"]
+        x = K.gen()
+        inverses = []
+        real = FieldElement.inverse
+
+        def counted(self):
+            inverses.append(self)
+            return real(self)
+
+        monkeypatch.setattr(FieldElement, "inverse", counted)
+        p = relation_lattice([K.element([-1]), x, K.one() - x], 50)
+        assert p.torsion_order == 2
+        assert inverses == []
 
     @pytest.mark.parametrize("name", ["cubic", "Qsqrt2"])
     def test_sign_split_agrees_with_power_product(self, fields, name):
