@@ -11,9 +11,13 @@ log-modulus vectors and with a sign flip in k3_regulator.
 
 k3_regulator takes every formal sum over one support in one call, as
 bloch-check's kernel basis comes: each support element is evaluated once
-(nf.evaluate gives all its conjugates) and each D(sigma(lambda)) is
-computed once, then shared by every sum that uses it. Nothing is kept
-between calls.
+(nf.evaluate gives all its conjugates) and checked for degeneracy. D is
+computed once per anharmonic orbit, then shared by every sum that uses it:
+D(z) = D(1-1/z) = D(1/(1-z)) = -D(1/z) = -D(1-z) = -D(z/(z-1)), and every
+embedding is a field map, so a support element mu in the orbit of an
+earlier lambda takes D(sigma(mu)) = +-D(sigma(lambda)). Whether mu is in
+that orbit is decided exactly, by multiplying field elements, never by
+comparing floats. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -68,8 +72,11 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
 
     The elements share one support (DomainError otherwise), so each support
     element is evaluated and checked for degeneracy once per pair
-    representative, and each D(sigma(lambda_i)) that some n_i != 0 needs is
-    computed once; every sum runs in support order over the nonzero n_i.
+    representative, used or not. A support element that some n_i != 0 needs
+    takes its D values from the first earlier one in its anharmonic orbit
+    (_orbit_sign), negated for an odd orbit map, and computes them at each
+    pair representative otherwise; every sum runs in support order over the
+    nonzero n_i.
     Exactly zero at real embeddings; values at conjugate embeddings are exact
     negatives. The kernel condition on each x is the caller's responsibility
     (use relations.verify_bloch_element when a presentation is available).
@@ -84,6 +91,7 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
         with mp.workdps(e.working_dps):
             degenerate_tol = mpf(10) ** (-(e.precision // 2))
             dvalues = []  # per support element: D at each pair representative, or None
+            bases = []  # (lambda, 1 - lambda, D values) of each orbit met so far
             for k, lam in enumerate(support):
                 conjugates = evaluate(lam, e)
                 zs = [conjugates[idx] for idx in reps]
@@ -91,8 +99,17 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
                     raise PrecisionError(
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")
-                needed = any(x.multiplicities[k] for x in elements)
-                dvalues.append([bloch_wigner(z, e.precision) for z in zs] if needed else None)
+                d = None
+                if any(x.multiplicities[k] for x in elements):
+                    for base, one_minus, base_d in bases:
+                        sign = _orbit_sign(lam, base, one_minus)
+                        if sign:
+                            d = base_d if sign > 0 else [-v for v in base_d]
+                            break
+                    else:
+                        d = [bloch_wigner(z, e.precision) for z in zs]
+                        bases.append((lam, 1 - lam, d))
+                dvalues.append(d)
             for x, values in zip(elements, rows):
                 for r, idx in enumerate(reps):
                     acc = mpf(0)
@@ -102,6 +119,25 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
                     values[idx] = -acc
                     values[e.conjugate_index(idx)] = acc
     return [RegulatorVector(e, tuple(values), WEIGHT_K3) for values in rows]
+
+
+def _orbit_sign(mu: FieldElement, lam: FieldElement, one_minus: FieldElement) -> int:
+    """s with D(mu) = s * D(lam) when mu is in the anharmonic orbit of lam,
+    0 otherwise; one_minus is 1 - lam. Exact and without inverting:
+    mu = lam (+1) or 1-lam (-1), else mu*lam = 1 for 1/lam (-1) or lam-1
+    for (lam-1)/lam (+1), else mu*(1-lam) = 1 for 1/(1-lam) (+1) or -lam
+    for lam/(lam-1) (-1)."""
+    if mu == lam:
+        return 1
+    if mu == one_minus:
+        return -1
+    for factor, target, sign in ((lam, -one_minus, 1), (one_minus, -lam, -1)):
+        prod = mu * factor
+        if prod.is_one():
+            return -sign
+        if prod == target:
+            return sign
+    return 0
 
 
 def s_map(v: RegulatorVector) -> mpf:

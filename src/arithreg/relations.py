@@ -10,7 +10,8 @@ proved once by exact field multiplication, without inverting: the product
 over positive exponents must equal the product over negative ones. The
 candidates are integer combinations of the basis rows, so they are proved
 with it. The torsion order, read off the Smith invariants of the basis, is
-proved the same way on powers of a torsion generator. Floating error can
+proved the same way on powers of the two sign-split products of a torsion
+generator. Floating error can
 therefore make the discovered lattice incomplete but never wrong. Exterior squares keep their torsion: the
 quotient presentation is reduced to Smith normal form and wedge
 coordinates are canonicalized componentwise against its invariants. A raw
@@ -140,7 +141,8 @@ def _verified_basis(elems, candidates) -> list[list[int]]:
     that fails raises PrecisionError (retry with more digits)."""
     basis = hnf(candidates)
     for row in basis:
-        if not _is_relation(elems, row):
+        pos, neg = _sign_split(elems, row)
+        if pos != neg:
             raise PrecisionError(
                 "numerically discovered relation failed exact verification; "
                 "retry at higher precision")
@@ -183,18 +185,20 @@ def power_product(elems, exponents) -> FieldElement:
     return out
 
 
-def _is_relation(elems, exponents) -> bool:
-    """Whether the product of elems[i] ** exponents[i] is 1, by exact
-    multiplication without inverting: the product over positive exponents
-    against the product over negative ones."""
-    return (power_product(elems, [max(e, 0) for e in exponents])
-            == power_product(elems, [max(-e, 0) for e in exponents]))
+def _sign_split(elems, exponents) -> tuple[FieldElement, FieldElement]:
+    """(P, N): the products of elems[i] ** exponents[i] over the positive
+    exponents and of elems[i] ** -exponents[i] over the negative ones, so the
+    whole product is P / N, and it is 1 exactly when P == N; nothing is
+    inverted."""
+    return (power_product(elems, [max(e, 0) for e in exponents]),
+            power_product(elems, [max(-e, 0) for e in exponents]))
 
 
 def _certify_torsion(elems, basis) -> int:
     """Order w of the torsion of Z^k modulo the relation basis, read off its
-    Smith invariants and proved on the generator t of the torsion factor:
-    t^w = 1 and t^(w/q) != 1 for each prime q | w, both by _is_relation."""
+    Smith invariants and proved on the generator t = P / N of the torsion
+    factor (_sign_split, formed once): P^w == N^w and P^(w/q) != N^(w/q)
+    for each prime q | w."""
     if not basis:
         return 1
     invariants, v = snf(basis)
@@ -207,11 +211,11 @@ def _certify_torsion(elems, basis) -> int:
             "incomplete, retry at higher precision")
     w = nontrivial[0]
     # v is unimodular, so its inverse has denominator 1
-    gen_exps = _integer_inverse(v)[0][invariants.index(w)]
-    if not _is_relation(elems, [w * x for x in gen_exps]):
+    pos, neg = _sign_split(elems, _integer_inverse(v)[0][invariants.index(w)])
+    if pos ** w != neg ** w:
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
-        if _is_relation(elems, [w // q * x for x in gen_exps]):
+        if pos ** (w // q) == neg ** (w // q):
             raise PrecisionError("torsion order certification failed")
     return w
 

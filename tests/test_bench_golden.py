@@ -9,6 +9,7 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from arithreg.cli import run_job
@@ -20,11 +21,15 @@ DILOG_STEP = 1  # every dilog_plane job: all 5113 replay in about 6 s
 def _bench_universe(monkeypatch, workload):
     """(workloads module, the workload's job universe, its golden digests)."""
     pytest.importorskip("sympy")  # bench/certify.py certifies the fields
+    golden = json.loads((BENCH / "golden" / f"{workload}.json").read_text())
+    # the digests are of one mpmath backend's output; another rounds differently
+    assert mpmath.libmp.BACKEND == golden["env"]["mpmath_backend"], (
+        f"golden digests were recorded under the mpmath {golden['env']['mpmath_backend']} "
+        f"backend, this is {mpmath.libmp.BACKEND} (set MPMATH_NOGMPY=1)")
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     certify = importlib.import_module("certify")
     certified = certify.certify_all(workloads.candidate_fields(workload))
-    golden = json.loads((BENCH / "golden" / f"{workload}.json").read_text())
     return workloads, workloads.universe(workload, certified), golden
 
 

@@ -682,8 +682,10 @@ def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once,
     evaluates each generator of the presentation once in relation discovery
     and each support element once in the regulator, and computes one
-    Bloch-Wigner value per (pair representative, support column with a
-    nonzero entry in some kernel row). Unit status is tested once per
+    Bloch-Wigner value per (pair representative, anharmonic orbit with a
+    support column that has a nonzero entry in some kernel row): both
+    candidates, x and 1/(1-x), are used and lie in the orbit of x, so that
+    is one value per pair representative. Unit status is tested once per
     generator of the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests,
     by relation_lattice: each candidate and its complement is one of those
     generators, so steinberg_image tests none of them again. The one
@@ -697,22 +699,23 @@ def test_bloch_check_work_counts(monkeypatch):
     # the example has a zero multiplicity, so a skipped term is observable
     assert (sum(1 for row in rec["kernel_basis"] for n in row if n)
             < sum(len(row) for row in rec["kernel_basis"]))
-    assert calls == {"steinberg_image": len(candidates), "bloch_wigner": used * pairs,
+    assert used == 2
+    assert calls == {"steinberg_image": len(candidates), "bloch_wigner": pairs,
                      "is_unit": 5, "inverse": 1,
                      "evaluate": len(rec["generators"]) + len(candidates)}
 
 
 def test_bloch_check_shared_support_evaluated_once(monkeypatch):
     """Two kernel rows, [x] + [1-x] and 2[1-x], share the support element
-    1-x: it is evaluated once and its D once per pair representative, so
-    three nonzero terms cost two Bloch-Wigner values on the one pair."""
+    1-x: it is evaluated once, and D(1-x) = -D(x) reuses the value of x, so
+    three nonzero terms cost one Bloch-Wigner value on the one pair."""
     job = {"command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
            "payload": {"candidates": ["x", "1-x"]}}
     calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
     assert rec["kernel_basis"] == [[1, 1], [0, 2]]
     assert len(rec["regulators"]) == 2 and pairs == 1
     # generators -1, x, 1-x in relation discovery; x, 1-x in the regulator
-    assert (calls["evaluate"], calls["bloch_wigner"]) == (3 + 2, 2)
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (3 + 2, 1)
 
 
 def test_bloch_check_empty_kernels_do_no_numerical_work(monkeypatch):

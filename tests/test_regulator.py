@@ -5,11 +5,33 @@ from mpmath import mp, mpc, mpf
 
 from arithreg.dilog import bloch_wigner
 from arithreg.errors import DomainError, PrecisionError
-from arithreg.nf import evaluate
+from arithreg.nf import embeddings, evaluate, parse_field
 from arithreg.regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from arithreg.relations import BlochElement
 
 TOL = mpf(10) ** -40
+
+# the six maps of the anharmonic group, and the sign s with D(f(z)) = s D(z)
+ORBIT_MAPS = {
+    "lam": (lambda lam: lam, 1),
+    "1-lam": (lambda lam: 1 - lam, -1),
+    "1/lam": (lambda lam: lam.inverse(), -1),
+    "(lam-1)/lam": (lambda lam: (lam - 1) * lam.inverse(), 1),
+    "1/(1-lam)": (lambda lam: (1 - lam).inverse(), 1),
+    "lam/(lam-1)": (lambda lam: lam * (lam - 1).inverse(), -1),
+}
+SHIFTED_ROOTS = {"x^3-x+1": [1, -1, 0, 1], "x^5-x+1": [1, -1, 0, 0, 0, 1]}
+
+
+def counted_bloch_wigner(monkeypatch):
+    """Count the regulator's bloch_wigner calls into the returned list."""
+    import arithreg.regulator
+
+    calls = []
+    real = arithreg.regulator.bloch_wigner
+    monkeypatch.setattr(arithreg.regulator, "bloch_wigner",
+                        lambda z, digits: calls.append(z) or real(z, digits))
+    return calls
 
 
 class TestUnitRegulator:
@@ -120,7 +142,8 @@ class TestK3Regulator:
 
     def test_each_value_computed_once(self, fields, embset, monkeypatch):
         # three support elements, the last unused by every row: three
-        # evaluations, and D once per (used element, pair representative)
+        # evaluations, and D once per (anharmonic orbit with a used element,
+        # pair representative); lam and 1/(1-lam) share one orbit
         import arithreg.regulator
 
         K, e = fields["cubic"], embset["cubic"]
@@ -134,7 +157,7 @@ class TestK3Regulator:
                 return real(*args)
             monkeypatch.setattr(arithreg.regulator, name, counted)
         k3_regulator(xs, e)
-        assert calls == {"evaluate": 3, "bloch_wigner": 2 * len(e.pair_representatives)}
+        assert calls == {"evaluate": 3, "bloch_wigner": len(e.pair_representatives)}
 
     def test_unused_support_element_still_checked(self, fields, embset, monkeypatch):
         # a support element that no row uses gets no D, but one that embeds
@@ -148,6 +171,67 @@ class TestK3Regulator:
             (mpc(1),) * e.degree if a == unused else real(a, e)))
         with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
             k3_regulator([BlochElement((lam, unused), (2, 0))], e)
+
+    @pytest.mark.parametrize("poly", list(SHIFTED_ROOTS.values()), ids=list(SHIFTED_ROOTS))
+    @pytest.mark.parametrize("name", list(ORBIT_MAPS))
+    def test_orbit_member_matches_direct_values(self, poly, name, monkeypatch):
+        # 2[lam] + 3[mu] for mu = f(lam): one D per pair representative, and
+        # the values of direct bloch_wigner calls on both, bit for bit
+        K = parse_field({"poly": poly})
+        e = embeddings(K, 50)
+        lam = K.gen()
+        mu = ORBIT_MAPS[name][0](lam)
+        calls = counted_bloch_wigner(monkeypatch)
+        (v,) = k3_regulator([BlochElement((lam, mu), (2, 3))], e)
+        assert len(calls) == len(e.pair_representatives) > 0
+        zl, zm = evaluate(lam, e), evaluate(mu, e)
+        with mp.workdps(e.working_dps):
+            for idx in e.pair_representatives:
+                dl, dm = bloch_wigner(zl[idx], e.precision), bloch_wigner(zm[idx], e.precision)
+                assert dm == ORBIT_MAPS[name][1] * dl != 0
+                assert v.values[idx] == -(2 * dl + 3 * dm)
+                assert v.values[e.conjugate_index(idx)] == 2 * dl + 3 * dm
+
+    @pytest.mark.parametrize("support, orbits", [
+        # x and 1-x share an orbit, x^2 and 1-x^2 another: on x^5 - x + 1,
+        # x^2 is in no orbit of x
+        (lambda x: (x, 1 - x, x ** 2, 1 - x ** 2), 2),
+        (lambda x: (x, x), 1),
+        (lambda x: (x, x ** 2), 2),
+    ], ids=["two-orbits", "duplicate", "non-orbit-pair"])
+    def test_support_costs_one_value_per_orbit(self, monkeypatch, support, orbits):
+        # every element used: D once per (orbit, pair representative), and
+        # the values of direct bloch_wigner calls on each element, bit for bit
+        K = parse_field({"poly": SHIFTED_ROOTS["x^5-x+1"]})
+        e = embeddings(K, 50)
+        support = support(K.gen())
+        mults = tuple(range(1, len(support) + 1))
+        calls = counted_bloch_wigner(monkeypatch)
+        (v,) = k3_regulator([BlochElement(support, mults)], e)
+        assert len(calls) == orbits * len(e.pair_representatives)
+        with mp.workdps(e.working_dps):
+            for idx in e.pair_representatives:
+                acc = mpf(0)
+                for n, a in zip(mults, support):
+                    acc += n * bloch_wigner(evaluate(a, e)[idx], e.precision)
+                assert v.values[idx] == -acc
+
+    @pytest.mark.parametrize("multiplicity", [0, 1])
+    @pytest.mark.parametrize("name", [n for n in ORBIT_MAPS if n != "lam"])
+    def test_orbit_member_onto_one_still_checked(self, fields, embset, monkeypatch,
+                                                 name, multiplicity):
+        # an orbit member of lam takes no D of its own, used or not, but one
+        # that embeds onto 1 still signals a precision failure
+        import arithreg.regulator
+
+        K, e = fields["cubic"], embset["cubic"]
+        lam = K.gen()
+        mu = ORBIT_MAPS[name][0](lam)
+        real = arithreg.regulator.evaluate
+        monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
+            (mpc(1),) * e.degree if a == mu else real(a, e)))
+        with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
+            k3_regulator([BlochElement((lam, mu), (2, multiplicity))], e)
 
     def test_no_elements_no_work(self, embset):
         assert k3_regulator([], embset["cubic"]) == []

@@ -17,6 +17,7 @@ from arithreg.relations import (BlochElement, _verified_basis, bloch_kernel, coo
                                 torsion_only_kernel, verify_bloch_element,
                                 wedge_of_vectors)
 from intmat_oracles import group_invariants, invariant_factors_by_minors, lll_fraction
+from test_cli import count_calls
 from wedge_oracles import bloch_sum_vanishes, exceptional_units
 
 # x^m - x + 1 for m = 3, 4, 5: the candidate presentations of their
@@ -126,6 +127,25 @@ class TestVerifiedBasis:
         p = relation_lattice([K.element([-1]), x, K.one() - x], 50)
         assert p.torsion_order == 2
         assert inverses == []
+
+    def test_torsion_generator_powered_once(self, monkeypatch, fields):
+        """The README bloch-check generators -1, x, 1-x, (1-x)^-1, x/(x-1) on
+        x^3 - x + 1 have torsion order 2, with torsion generator
+        t = x^-1 (1-x)^-1 (x/(x-1))^-2. _certify_torsion forms its sign split
+        P = (1-x)^-1 and N = x (x/(x-1))^2 once and compares P^2 with N^2
+        and P with N: each generator is powered once, 20 field
+        multiplications in all (23 when t^2 and t are each formed from the
+        generators), and nothing is inverted."""
+        K = fields["cubic"]
+        x, one = K.gen(), K.one()
+        gens = [K.element([-1]), x, one - x, (one - x).inverse(), x * (x - one).inverse()]
+        basis = [list(row) for row in relation_lattice(gens, 50).relation_basis]
+        calls = {"__mul__": 0, "__pow__": 0, "inverse": 0}
+        for name in calls:
+            count_calls(monkeypatch, calls, FieldElement, name)
+        assert arithreg.relations._certify_torsion(gens, basis) == 2
+        # x, (1-x)^-1 and x/(x-1) once each, then P and N to the 2nd and 1st
+        assert calls == {"__mul__": 20, "__pow__": 3 + 2 + 2, "inverse": 0}
 
     @pytest.mark.parametrize("name", ["cubic", "Qsqrt2"])
     def test_sign_split_agrees_with_power_product(self, fields, name):
