@@ -47,7 +47,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
 from .intmat import _scaled_rows, hnf_rational, identity, in_lattice
-from .nf import EmbeddingSet, FieldElement, NumberField, _vec_mat, evaluate
+from .nf import EmbeddingSet, FieldElement, NumberField, _power, _vec_mat, evaluate
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,13 @@ class FractionalIdeal:
                                           self.den * other.den)
 
     def power(self, n: int) -> "FractionalIdeal":
-        """The n-th power by left-to-right binary powering: a square per bit
-        of n after the leading one, and a product per set bit among them."""
+        """The n-th power by nf._power: n.bit_length() - 2 + popcount(n)
+        products for n >= 1, none by the unit ideal; the unit ideal for 0."""
         if n < 0:
             raise DomainError("negative ideal powers are not supported")
         if n == 0:
             return FractionalIdeal.unit_ideal(self.field)
-        out = self
-        for bit in bin(n)[3:]:
-            out = out.multiply(out)
-            if bit == "1":
-                out = out.multiply(self)
-        return out
+        return _power(self, n, FractionalIdeal.multiply)
 
     def scale(self, a: FieldElement) -> "FractionalIdeal":
         if a.is_zero():

@@ -252,6 +252,8 @@ def _dispatch(job: dict) -> dict:
     precision = job.get("precision", DEFAULT_DIGITS)
     if not _is_int(precision) or precision < MIN_DIGITS:
         raise SchemaError(f"key 'precision' must be an integer >= {MIN_DIGITS}")
+    if job.get("output", "text") not in ("text", "json"):
+        raise SchemaError("key 'output' must be \"text\" or \"json\"")
     payload = job.get("payload", {})
     if not isinstance(payload, dict):
         raise SchemaError("key 'payload' must be an object")

@@ -98,9 +98,7 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
         raise PrincipalityError(
             "generator does not generate the stated power of the ideal")
 
-    s0 = bundle.ideal.reference_section()
-    s0_pow = s0 ** n_power
-    ratio = evaluate(generator / s0_pow, e)
+    ratio = evaluate(generator / bundle.ideal.reference_section() ** n_power, e)
     f = e.invariant_vector(lambda i: -mp.log(bundle.metric.values[i] ** n_power
                                              * abs(ratio[i]) ** 2) / 2)
     return height(DiffK0Class(n_power, f, e))

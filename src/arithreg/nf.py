@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from mpmath import mp, mpc, mpf
 
@@ -180,6 +181,18 @@ class NumberField:
         return _vec_mat(coords, self.integral_basis)
 
 
+def _power(x, n: int, times):
+    """x^n, n >= 1, left to right (Cohen, section 1.2): from x, a square per
+    bit of n after the leading one and a product by x per set bit there, so
+    n.bit_length() - 2 + popcount(n) calls of times, none of them by 1."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
+
+
 def _vec_mat(vec, rows) -> list:
     """Exact product of a row vector with a matrix given by its rows, one row
     per entry of vec: integer when both are, Fraction otherwise."""
@@ -263,17 +276,13 @@ class FieldElement:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """_power of self, or of its one inverse() when e < 0, at
+        |e|.bit_length() - 2 + popcount(|e|) products, none by 1; one() at 0."""
         if not isinstance(exponent, int):
             raise DomainError("exponents must be integers")
-        base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        result = self.field.one()
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return self.field.one()
+        return _power(self if exponent > 0 else self.inverse(), abs(exponent), mul)
 
     def inverse(self) -> "FieldElement":
         """The b with a * b = 1: b * M_num = den * e_0 for the matrix M_num of
@@ -476,11 +485,8 @@ class EmbeddingSet:
 
     @cached_property
     def pair_representatives(self) -> tuple[int, ...]:
-        reps = []
-        for i, j in enumerate(self.conjugation_pairing):
-            if i != j and mp.im(self.roots[i]) > 0 and i not in reps:
-                reps.append(i)
-        return tuple(sorted(reps))
+        return tuple(i for i, j in enumerate(self.conjugation_pairing)
+                     if i != j and mp.im(self.roots[i]) > 0)
 
     @cached_property
     def class_representatives(self) -> tuple[int, ...]:

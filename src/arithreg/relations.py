@@ -23,7 +23,8 @@ coordinates and are reduced modulo the invariants only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from mpmath import mp
 
@@ -174,15 +175,12 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePr
 
 
 def power_product(elems, exponents) -> FieldElement:
-    """Exact product of elems[i] ** exponents[i]."""
+    """Exact product of elems[i] ** exponents[i] over the nonzero exponents,
+    started from the first factor, never from 1; one() when all are 0."""
     if len(exponents) != len(elems):
         raise DomainError("exponent vector has wrong length")
-    field = elems[0].field
-    out = field.one()
-    for g, e in zip(elems, exponents):
-        if e:
-            out = out * g ** int(e)
-    return out
+    factors = [g ** int(e) for g, e in zip(elems, exponents) if e]
+    return reduce(mul, factors) if factors else elems[0].field.one()
 
 
 def _sign_split(elems, exponents) -> tuple[FieldElement, FieldElement]:

@@ -283,6 +283,20 @@ def test_malformed_input_is_one_schema_line(name, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("output", ["JSON", ["json"], None, ""])
+def test_output_other_than_text_or_json_is_a_schema_violation(output, capsys):
+    """A job's output is "text" or "json"; any other value is one schema
+    line, reported before the field is read, so an unparsable field does
+    not mask it."""
+    for field in ({"poly": [1, 0, 1]}, {"poly": [1]}):
+        buf = io.StringIO()
+        job = {"schema": 1, "command": "field-info", "field": field, "output": output}
+        assert run_job(job, out=buf) == 1
+        assert buf.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err == "error[schema]: key 'output' must be \"text\" or \"json\"\n"
+
+
 QI = '{"poly":[1,0,1]}'
 RATIONALS = '{"poly":[0,1]}'
 BUNDLE = '{"ideal_basis":[["2"]],"metric":["4"]}'
@@ -705,6 +719,27 @@ def test_bloch_check_work_counts(monkeypatch):
                      "evaluate": len(rec["generators"]) + len(candidates)}
 
 
+def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
+    """The README bloch-check example makes 14 field multiplications, none
+    with an operand equal to 1: powers and power products start from their
+    first factor (58 multiplications, 26 of them by 1, when they started
+    from 1)."""
+    from arithreg.nf import FieldElement
+
+    operands = []
+    real = FieldElement.__mul__
+
+    def recorded(a, b):
+        operands.append((a, a._coerce(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", recorded)
+    (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+    assert run_job(dict(_build_job(argv[1:]), output="json"), out=io.StringIO()) == 0
+    assert len(operands) == 14
+    assert not any(a.is_one() or b.is_one() for a, b in operands)
+
+
 def test_bloch_check_shared_support_evaluated_once(monkeypatch):
     """Two kernel rows, [x] + [1-x] and 2[1-x], share the support element
     1-x: it is evaluated once, and D(1-x) = -D(x) reuses the value of x, so
@@ -796,7 +831,8 @@ def test_height_work_counts(monkeypatch):
     its ideal products through the field's multiplication table. When every
     product was a FieldElement product, this job made 464 of them and 457
     integral_coords calls. What is left is the section arithmetic: the
-    generator (x+2)^2, s0^2 and two quotients. Two elements get integral
+    generator (x+2)^2 and s0^2, one squaring each, and two quotients, one
+    product each (8 when powers started from 1). Two elements get integral
     coordinates, as integer numerators over one denominator: the generator
     of the principal ideal and the section whose membership is tested.
     Neither forms Fraction coordinates through integral_coords."""
@@ -815,7 +851,7 @@ def test_height_work_counts(monkeypatch):
     out = io.StringIO()
     assert run_job(_build_job(["height", "--field", field, "--bundle", bundle,
                                "--N", "2", "--generator", "(x+2)^2"]), out=out) == 0
-    assert calls == {"__mul__": 8, "integral_coords": 0, "_integral_numerators": 2}
+    assert calls == {"__mul__": 4, "integral_coords": 0, "_integral_numerators": 2}
 
 
 def test_height_of_a_huge_power_returns():

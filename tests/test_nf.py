@@ -5,8 +5,9 @@ import pytest
 from mpmath import mp, mpf
 
 from arithreg.errors import DomainError, FormatError, SquarefreeError
-from arithreg.nf import embeddings, evaluate, parse_field
+from arithreg.nf import FieldElement, embeddings, evaluate, parse_field
 import nf_oracles as oracle
+from test_cli import count_calls
 from time_limits import time_limit
 
 
@@ -211,6 +212,28 @@ class TestArith:
                     continue
                 assert (a / b * b - a).is_zero()
 
+    def test_power_counts(self, fields, monkeypatch):
+        """a^n is the product of n copies, formed by squaring from a at one
+        product per bit of |n| after the leading one plus one per further
+        set bit (the count FractionalIdeal.power has too); a negative n adds
+        exactly one inverse, and n = 0 costs nothing."""
+        K = fields["cubic"]
+        a = K.element([2, -1, Fraction(1, 3)])
+        repeated = [K.one()]
+        for _ in range(13):
+            repeated.append(repeated[-1] * a)
+        calls = {"__mul__": 0, "inverse": 0}
+        for name in calls:
+            count_calls(monkeypatch, calls, FieldElement, name)
+        assert a ** 0 == K.one() and calls == {"__mul__": 0, "inverse": 0}
+        for n in range(1, 14):
+            for sign in (1, -1):
+                calls.update(__mul__=0, inverse=0)
+                value = a ** (sign * n)
+                assert calls == {"__mul__": n.bit_length() - 2 + bin(n).count("1"),
+                                 "inverse": int(sign < 0)}, sign * n
+                assert value == (repeated[n] if sign > 0 else repeated[n].inverse()), sign * n
+
     def test_division_by_zero(self, fields):
         K = fields["Qi"]
         with pytest.raises(DomainError):
@@ -283,7 +306,7 @@ class TestAgainstFractionOracle:
                            for _ in range(K.degree)])
             if a.is_zero():
                 continue
-            for k in (-3, -1, 0, 1, 4):
+            for k in (-7, -3, -1, 0, 1, 2, 3, 5, 13):
                 assert (a ** k).coeffs == oracle.power(a, k), k
 
     @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))

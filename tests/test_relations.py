@@ -133,9 +133,10 @@ class TestVerifiedBasis:
         x^3 - x + 1 have torsion order 2, with torsion generator
         t = x^-1 (1-x)^-1 (x/(x-1))^-2. _certify_torsion forms its sign split
         P = (1-x)^-1 and N = x (x/(x-1))^2 once and compares P^2 with N^2
-        and P with N: each generator is powered once, 20 field
-        multiplications in all (23 when t^2 and t are each formed from the
-        generators), and nothing is inverted."""
+        and P with N: each generator is powered once, and powers and
+        products start from their first factor, so the field multiplications
+        are (x/(x-1))^2, its product with x, P^2 and N^2, 4 in all (20 when
+        each power and product started from 1), and nothing is inverted."""
         K = fields["cubic"]
         x, one = K.gen(), K.one()
         gens = [K.element([-1]), x, one - x, (one - x).inverse(), x * (x - one).inverse()]
@@ -145,7 +146,20 @@ class TestVerifiedBasis:
             count_calls(monkeypatch, calls, FieldElement, name)
         assert arithreg.relations._certify_torsion(gens, basis) == 2
         # x, (1-x)^-1 and x/(x-1) once each, then P and N to the 2nd and 1st
-        assert calls == {"__mul__": 20, "__pow__": 3 + 2 + 2, "inverse": 0}
+        assert calls == {"__mul__": 4, "__pow__": 3 + 2 + 2, "inverse": 0}
+
+    def test_power_product_of_one_factor_multiplies_nothing(self, monkeypatch, fields):
+        """A power product with a single exponent of 1 is that generator,
+        formed with no multiplication; with every exponent 0 it is 1."""
+        K = fields["cubic"]
+        x, one = K.gen(), K.one()
+        gens = [K.element([-1]), x, one - x]
+        calls = {"__mul__": 0}
+        count_calls(monkeypatch, calls, FieldElement, "__mul__")
+        for i, g in enumerate(gens):
+            assert power_product(gens, [int(j == i) for j in range(len(gens))]) == g
+        assert power_product(gens, [0] * len(gens)).is_one()
+        assert calls == {"__mul__": 0}
 
     @pytest.mark.parametrize("name", ["cubic", "Qsqrt2"])
     def test_sign_split_agrees_with_power_product(self, fields, name):
