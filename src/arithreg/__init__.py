@@ -9,9 +9,7 @@ from .arakelov import (FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_d
 from .dilog import bloch_wigner, li2
 from .heights import (DiffK0Class, c_hat_height, height, height_scaled_trivial,
                       scaling_alpha)
-from .kmodel import (GradedElement, GradedKAlgebra, build_model, dimension_table,
-                     embed_k3, embed_unit, multiply, p_map, project_M,
-                     rank_in_degree)
+from .kmodel import GradedKAlgebra, build_model, dimension_table, rank_in_degree
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
 from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
@@ -38,6 +36,5 @@ __all__ = [
     "DiffK0Class", "height", "height_scaled_trivial", "scaling_alpha",
     "c_hat_height",
     # graded model
-    "GradedKAlgebra", "GradedElement", "build_model", "p_map", "project_M",
-    "rank_in_degree", "multiply", "embed_unit", "embed_k3", "dimension_table",
+    "GradedKAlgebra", "build_model", "rank_in_degree", "dimension_table",
 ]

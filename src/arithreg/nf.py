@@ -386,7 +386,7 @@ def parse_field(record: dict) -> NumberField:
 def _shared_field(poly: tuple[int, ...], basis, maximal: bool) -> NumberField:
     """The one NumberField of a parsed record (basis None: the power basis).
     Every job that parses an equal record gets the same object, so the field
-    guards of evaluate, arakelov and kmodel pass on identity against the
+    guards of evaluate and arakelov pass on identity against the
     embeddings cached for it, and its lazily built tables are built once."""
     if basis is None:
         n = len(poly) - 1

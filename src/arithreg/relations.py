@@ -192,11 +192,21 @@ def _sign_split(elems, exponents) -> tuple[FieldElement, FieldElement]:
             power_product(elems, [max(-e, 0) for e in exponents]))
 
 
+def _is_root_of_one(pos, neg, n) -> bool:
+    """(P / N)^n == 1, tested as P^n == N^n; when a side is 1 only the other
+    side is powered, and compared with 1."""
+    if neg.is_one():
+        return (pos ** n).is_one()
+    if pos.is_one():
+        return (neg ** n).is_one()
+    return pos ** n == neg ** n
+
+
 def _certify_torsion(elems, basis) -> int:
     """Order w of the torsion of Z^k modulo the relation basis, read off its
     Smith invariants and proved on the generator t = P / N of the torsion
-    factor (_sign_split, formed once): P^w == N^w and P^(w/q) != N^(w/q)
-    for each prime q | w."""
+    factor (_sign_split, formed once): t^w == 1 and t^(w/q) != 1 for each
+    prime q | w (_is_root_of_one)."""
     if not basis:
         return 1
     invariants, v = snf(basis)
@@ -210,10 +220,10 @@ def _certify_torsion(elems, basis) -> int:
     w = nontrivial[0]
     # v is unimodular, so its inverse has denominator 1
     pos, neg = _sign_split(elems, _integer_inverse(v)[0][invariants.index(w)])
-    if pos ** w != neg ** w:
+    if not _is_root_of_one(pos, neg, w):
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
-        if pos ** (w // q) == neg ** (w // q):
+        if _is_root_of_one(pos, neg, w // q):
             raise PrecisionError("torsion order certification failed")
     return w
 

@@ -36,8 +36,10 @@ def counted_bloch_wigner(monkeypatch):
 
 class TestUnitRegulator:
     def test_minus_one_gives_zero_vector(self, fields, embset):
-        for name in ("Qi", "Qsqrt2", "cubic"):
-            v = unit_regulator(fields[name].element([-1]), embset[name])
+        units = [(name, fields[name].element([-1])) for name in ("Qi", "Qsqrt2", "cubic")]
+        units.append(("Qi", fields["Qi"].gen()))  # i, a root of unity of order 4
+        for name, u in units:
+            v = unit_regulator(u, embset[name])
             assert all(x == 0 for x in v.values)
 
     def test_fundamental_unit_sqrt2(self, fields, embset):

@@ -148,6 +148,28 @@ class TestVerifiedBasis:
         # x, (1-x)^-1 and x/(x-1) once each, then P and N to the 2nd and 1st
         assert calls == {"__mul__": 4, "__pow__": 3 + 2 + 2, "inverse": 0}
 
+    def test_torsion_generator_of_one_sign_never_powers_one(self, monkeypatch, fields):
+        """Generators -1, x on x^3 - x + 1 have relation basis [[2, 0]] and
+        torsion generator t = -1, whose exponents are all of one sign: the
+        sign split is P = -1, N = 1. Only P is powered, so t^2 == 1 costs the
+        one product (-1)(-1), and no multiplication has an operand equal
+        to 1."""
+        K = fields["cubic"]
+        gens = [K.element([-1]), K.gen()]
+        basis = [list(row) for row in relation_lattice(gens, 50).relation_basis]
+        assert basis == [[2, 0]]
+        operands = []
+        real_mul = FieldElement.__mul__
+
+        def recorded(a, b):
+            operands.append((a, b))
+            return real_mul(a, b)
+
+        monkeypatch.setattr(FieldElement, "__mul__", recorded)
+        assert arithreg.relations._certify_torsion(gens, basis) == 2
+        assert len(operands) == 1
+        assert not any(a.is_one() or b.is_one() for a, b in operands)
+
     def test_power_product_of_one_factor_multiplies_nothing(self, monkeypatch, fields):
         """A power product with a single exponent of 1 is that generator,
         formed with no multiplication; with every exponent 0 it is 1."""
