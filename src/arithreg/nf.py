@@ -10,13 +10,14 @@ multiplication by its numerator and the inverse solves a linear system with
 that matrix, both by the one fraction-free elimination of arithreg.intmat.
 Each field screens its defining polynomial once, when it is built: the same
 determinant proves it squarefree, and a Hensel lift finds any integer root.
-The embedding set carries the numerical side: certified roots of
-f, the complex-conjugation pairing, and the (r1, r2) signature; it is also
-the one place that builds and checks conjugation-invariant per-embedding
-vectors. evaluate gives an element's whole vector of conjugates in one call,
-one Horner evaluation per conjugacy class mirrored onto the partner, so a
-caller evaluates each element once per embedding set. Exact predicates
-(integrality, norm = +-1) never touch floating point.
+The embedding set carries the numerical side: certified roots of f, the
+complex-conjugation pairing, and the (r1, r2) signature, with the roots'
+double copies and radii about them that hold roots of f, each computed
+once; it is also the one place that builds and checks conjugation-invariant
+per-embedding vectors. evaluate gives an element's whole vector of
+conjugates in one call, one Horner evaluation per conjugacy class mirrored
+onto the partner, so a caller evaluates each element once per embedding
+set. Exact predicates (integrality, norm = +-1) never touch floating point.
 """
 
 from __future__ import annotations
@@ -502,6 +503,31 @@ class EmbeddingSet:
     @property
     def working_dps(self) -> int:
         return working_dps(self.precision)
+
+    @cached_property
+    def float_roots(self) -> tuple[complex, ...]:
+        """The roots as Python complex doubles, converted once; a root beyond
+        the double range comes out infinite."""
+        return tuple(complex(z) for z in self.roots)
+
+    @cached_property
+    def root_radii(self) -> tuple:
+        """Per embedding, a radius about the stored root z that holds a root
+        of f: f'(z)/f(z) = sum_j 1/(z - z_j), so some root lies within
+        n |f(z)| / |f'(z)|. |f(z)| is bounded by its computed value plus the
+        Horner rounding bound 8(n+1) u sum |a_i| |z|^i, u the unit roundoff
+        of the working precision, and the quotient is doubled to cover the
+        rounding of f'(z)."""
+        f = self.field.defining_poly
+        n = self.degree
+        with mp.workdps(self.working_dps):
+            u = mpf(2) ** (1 - mp.prec)
+            fcoeffs = [mpf(c) for c in f]
+            dcoeffs = [mpf(i * f[i]) for i in range(1, n + 1)]
+            moduli = [abs(c) for c in fcoeffs]
+            return tuple(
+                2 * n * (abs(_horner(fcoeffs, z)) + 8 * (n + 1) * u * _horner(moduli, abs(z)))
+                / abs(_horner(dcoeffs, z)) for z in self.roots)
 
     def invariant_vector(self, value) -> tuple:
         """Per-embedding tuple of value(idx) at working precision, evaluated

@@ -2,17 +2,23 @@
 finitely generated abelian groups, the wedge map lambda -> lambda ^ (1-lambda),
 and the kernel of formal sums under that map.
 
-Relations are discovered numerically (LLL on a scaled logarithmic embedding,
-one log-modulus column per conjugacy class of embeddings plus argument
-columns with auxiliary rows absorbing whole turns). The candidates are then
-reduced to their HNF basis, the rows that are stored, and each basis row is
-proved once by exact field multiplication, without inverting: the product
-over positive exponents must equal the product over negative ones. The
-candidates are integer combinations of the basis rows, so they are proved
-with it. The torsion order, read off the Smith invariants of the basis, is
-proved the same way on powers of the two sign-split products of a torsion
-generator. Floating error can
-therefore make the discovered lattice incomplete but never wrong. Exterior squares keep their torsion: the
+Relations are discovered numerically: LLL on a scaled logarithmic
+embedding, one log-modulus column per conjugacy class of embeddings plus
+argument columns with auxiliary rows absorbing whole turns. The columns are
+taken in doubles first (scale 10^12) and at the working precision when that
+search fails. The candidates are reduced to their HNF basis, the rows that
+are stored, and each basis row is proved once by exact field
+multiplication, without inverting: the product over positive exponents must
+equal the product over negative ones. The candidates are integer
+combinations of the basis rows, so they are proved with it. The torsion
+order, read off the Smith invariants of the basis, is proved the same way
+on powers of the two sign-split products of a torsion generator. Last, the
+lattice is proved complete: the log-modulus vectors of as many generators
+as the presented group has free rank are shown independent by one minor
+against an a priori error bound (Pohst and Zassenhaus, Algorithmic
+Algebraic Number Theory, 1989), so no relation is missing. A relation that
+floating error hides therefore raises PrecisionError; none is invented.
+Exterior squares keep their torsion: the
 quotient presentation is reduced to Smith normal form and wedge
 coordinates are canonicalized componentwise against its invariants. A raw
 wedge vector is taken to Smith coordinates once, by ExteriorSquare.reduce;
@@ -22,18 +28,23 @@ coordinates and are reduced modulo the invariants only.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
-from .intmat import _integer_inverse, hnf, identity, in_lattice, left_kernel, lll, snf
-from .nf import EmbeddingSet, FieldElement, _prime_divisors, embeddings, evaluate
+from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
+                     lll, snf)
+from .nf import EmbeddingSet, FieldElement, _horner, _prime_divisors, embeddings, evaluate
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
 DEFAULT_EXPONENT_BOUND = 64
+FLOAT_DIGITS = 12  # the double search: scale 10^12, residual threshold 10^6
 
 
 @dataclass(frozen=True)
@@ -86,9 +97,38 @@ class BlochElement:
 # ---------------------------------------------------------------------------
 # relation discovery
 
+def _float_columns(elems, e: EmbeddingSet):
+    """(log-modulus rows, argument/2pi rows) of the elements per conjugacy
+    class, as _embedding_columns gives them, from doubles: the coefficients
+    and the roots (EmbeddingSet.float_roots) become Python floats and complex
+    numbers, Horner's rule runs in doubles, then math.log and cmath.phase.
+    None when a coefficient overflows a double or a value is not a finite
+    nonzero double."""
+    roots = e.float_roots
+    points = [roots[idx].real if e.is_real(idx) else roots[idx]
+              for idx in e.class_representatives]
+    logs, args = [], []
+    try:
+        for g in elems:
+            coeffs = [c / g.den for c in g.num]
+            lrow, arow = [], []
+            for z in points:
+                value = _horner(coeffs, z)
+                lrow.append(math.log(abs(value)))
+                arow.append(cmath.phase(value) / math.tau)
+            logs.append(lrow)
+            args.append(arow)
+    except (OverflowError, ValueError):
+        return None
+    if not all(math.isfinite(v) for row in logs + args for v in row):
+        return None
+    return logs, args
+
+
 def _embedding_columns(elems, e: EmbeddingSet):
     """Rows of (log-modulus columns per conjugacy class, then argument/2pi
-    columns per conjugacy class) for each element."""
+    columns per conjugacy class) for each element, at the working precision
+    of e; call it inside mp.workdps(e.working_dps)."""
     reps = e.class_representatives
     logs, args = [], []
     for g in elems:
@@ -105,29 +145,37 @@ def _embedding_columns(elems, e: EmbeddingSet):
     return logs, args
 
 
-def _relation_candidates(elems, precision: int):
-    """Exponent vectors of candidate relations among elems: the LLL-reduced
-    vectors of the scaled log-embedding lattice whose residuals are below
-    10^((precision - guard)/2) and whose exponents are within
-    DEFAULT_EXPONENT_BOUND. They are unproved until _verified_basis."""
-    field = elems[0].field
-    e = embeddings(field, precision)
-    with mp.workdps(e.working_dps):
-        logs, args = _embedding_columns(elems, e)
-        scale = 10 ** (precision - GUARD_DIGITS)
-        k = len(elems)
-        ncls = len(e.class_representatives)
-        rows = []
-        for i in range(k):
-            rows.append([1 if j == i else 0 for j in range(k)]
-                        + [int(mp.nint(scale * v)) for v in logs[i]]
-                        + [int(mp.nint(scale * v)) for v in args[i]])
-        for j in range(ncls):  # absorb whole turns in the argument columns
-            rows.append([0] * (k + ncls + j) + [scale] + [0] * (ncls - 1 - j))
-    reduced = lll(rows)
-    threshold = 10 ** ((precision - GUARD_DIGITS) // 2)
+def _nint(x) -> int:
+    """x rounded to the nearest integer: a double by round, an mpf by
+    mp.nint at its working precision (round would go through a double)."""
+    return round(x) if isinstance(x, float) else int(mp.nint(x))
+
+
+def _search_lattice(logs, args, digits: int) -> list[list[int]]:
+    """The lattice LLL searches for relations: per element its unit vector,
+    then its logs and args scaled by 10^digits and rounded; then one row of
+    10^digits per argument column, absorbing whole turns. Over mpf columns
+    it must run at their working precision."""
+    scale = 10 ** digits
+    k = len(logs)
+    ncls = len(logs[0])
+    rows = [[1 if j == i else 0 for j in range(k)]
+            + [_nint(scale * v) for v in logs[i] + args[i]]
+            for i in range(k)]
+    for j in range(ncls):
+        rows.append([0] * (k + ncls + j) + [scale] + [0] * (ncls - 1 - j))
+    return rows
+
+
+def _relation_candidates(logs, args, digits: int):
+    """Exponent vectors of candidate relations: the LLL-reduced vectors of
+    _search_lattice whose residuals are at most 10^(digits // 2) and whose
+    exponents are within DEFAULT_EXPONENT_BOUND. They are unproved until
+    _verified_basis."""
+    k = len(logs)
+    threshold = 10 ** (digits // 2)
     out = []
-    for v in reduced:
+    for v in lll(_search_lattice(logs, args, digits)):
         exps, resid = v[:k], v[k:]
         if (any(exps) and max(abs(r) for r in resid) <= threshold
                 and max(abs(x) for x in exps) <= DEFAULT_EXPONENT_BOUND):
@@ -150,13 +198,157 @@ def _verified_basis(elems, candidates) -> list[list[int]]:
     return basis
 
 
+def _proved_lattice(elems, precision: int) -> tuple[list[list[int]], int]:
+    """(HNF basis, torsion order) of the whole relation lattice of the units
+    elems, proved: the rows by _verified_basis, the torsion order by
+    _certify_torsion and completeness by _prove_rank. Discovery runs on
+    double columns (_float_columns, scale 10^FLOAT_DIGITS) first; when they
+    do not exist or any proof fails, it runs again on the working-precision
+    columns (_embedding_columns, scale 10^(precision - guard)), whose
+    failure raises PrecisionError."""
+    e = embeddings(elems[0].field, precision)
+    columns = _float_columns(elems, e)
+    if columns is not None:
+        try:
+            return _complete_basis(elems, columns, FLOAT_DIGITS, e)
+        except PrecisionError:
+            pass
+    with mp.workdps(e.working_dps):
+        return _complete_basis(elems, _embedding_columns(elems, e),
+                               precision - GUARD_DIGITS, e)
+
+
+def _complete_basis(elems, columns, digits: int, e: EmbeddingSet):
+    """(basis, torsion order) of one search on columns scaled by 10^digits,
+    with every proof of _proved_lattice; PrecisionError when one fails."""
+    logs, args = columns
+    basis = _verified_basis(elems, _relation_candidates(logs, args, digits))
+    torsion = _certify_torsion(elems, basis)
+    _prove_rank(elems, basis, logs, e)
+    return basis, torsion
+
+
+def _prove_rank(elems, basis, logs, e: EmbeddingSet):
+    """Prove that the proved relation lattice L (HNF basis `basis`) is the
+    whole relation lattice Lambda of elems, or raise PrecisionError.
+
+    Let r = k - rank(L). If the k x (r1 + r2) matrix M of log|sigma(g_i)|
+    has rank >= r, Lambda, which M annihilates, has rank <= k - r, so
+    Lambda / L is finite. It then lies in the torsion of Z^k / L, which
+    _certify_torsion proved cyclic of order w with a generator of exact
+    order w in K^*, so it maps injectively and Lambda / L, the kernel, is
+    trivial. r = 0 needs nothing more; r > r1 + r2 - 1, the unit rank,
+    fails, since M has rank at most that by the product formula.
+
+    Otherwise r generator rows and r class columns are chosen by complete
+    pivoting on a float copy of `logs`; only those r generators are
+    evaluated, at the working precision, and the r x r minor A~ of their
+    computed logs, each within eta of the true log (_log_modulus_error), is
+    shown nonsingular by _certainly_nonsingular.
+
+    Assumption about the embedding certificate: each stored root lies
+    within EmbeddingSet.root_radii of a root of f, a radius derived from
+    its computed residual and derivative; which root it is does not matter,
+    since M over any embeddings is annihilated by Lambda.
+    """
+    r = len(elems) - len(basis)
+    if r == 0:
+        return
+    r1, r2 = e.signature
+    if r > r1 + r2 - 1:
+        raise PrecisionError(
+            f"relations of {len(elems)} units span rank {len(basis)}, short of "
+            f"{len(elems) - (r1 + r2 - 1)}: the relation lattice is incomplete, "
+            "retry at higher precision")
+    rows, cols = _pivots(logs, r)
+    reps = [e.class_representatives[j] for j in cols]
+    with mp.workdps(e.working_dps):
+        minor, eta = [], mpf(0)
+        for i in rows:
+            conjugates = evaluate(elems[i], e)
+            row = []
+            for idx in reps:
+                value, err = _log_modulus_error(elems[i], conjugates[idx], idx, e)
+                row.append(value)
+                eta = max(eta, err)
+            minor.append(row)
+        if not _certainly_nonsingular(minor, eta):
+            raise PrecisionError(
+                "log-modulus minor does not exceed its error bound: the "
+                "relation lattice may be incomplete, retry at higher precision")
+
+
+def _certainly_nonsingular(a, eta) -> bool:
+    """Whether every r x r matrix A within eta of the mpf matrix a, entry by
+    entry, is nonsingular. By the multilinearity of det and Hadamard's
+    inequality, |det a - det A| <= B = sqrt(r) eta sum_j prod_{i != j}
+    (|a_i| + sqrt(r) eta) over the rows a_i. det a is taken exactly from
+    the binary entries and B at the current precision, so the test is
+    |det a| > 2B, the factor 2 covering the rounding of B."""
+    r = len(a)
+    s = mp.sqrt(r) * eta
+    norms = [mp.sqrt(mp.fsum(v * v for v in row)) + s for row in a]
+    bound = 2 * s * mp.fsum(mp.fprod(norms[:j] + norms[j + 1:]) for j in range(r))
+    return abs(det_fraction([[_exact(v) for v in row] for row in a])) > _exact(bound)
+
+
+def _pivots(logs, r: int) -> tuple[list[int], list[int]]:
+    """r row and r column indices of the matrix logs, chosen by Gaussian
+    elimination with complete pivoting on a float copy; PrecisionError when
+    a pivot is zero or not finite."""
+    a = [[float(v) for v in row] for row in logs]
+    rows, cols = [], []
+    for _ in range(r):
+        i, j = max(((i, j) for i in range(len(a)) if i not in rows
+                    for j in range(len(a[0])) if j not in cols),
+                   key=lambda ij: abs(a[ij[0]][ij[1]]))
+        pivot = a[i][j]
+        if pivot == 0 or not math.isfinite(pivot):
+            raise PrecisionError("log-modulus matrix has no pivot left")
+        rows.append(i)
+        cols.append(j)
+        for t in range(len(a)):
+            if t not in rows:
+                f = a[t][j] / pivot
+                a[t] = [x - f * y for x, y in zip(a[t], a[i])]
+    return rows, cols
+
+
+def _log_modulus_error(g: FieldElement, value, idx: int, e: EmbeddingSet):
+    """(log|value|, eta): value is g at the stored root z of embedding idx,
+    computed by evaluate, and eta bounds |log|value| - log|g(t)|| for the
+    root t of f within delta = root_radii[idx] of z. With c the rational
+    power-basis coefficients of g, n the degree, rho = max(1, |z| + delta)
+    and u the unit roundoff, |g(t) - g(z)| <= delta (n-1) |c|_1 rho^(n-1)
+    (mean value theorem) and Horner's rounding error is at most
+    8(n+1) u |c|_1 rho^(n-1), 8(n+1) u covering the coefficients too. Their
+    sum E over |value| is q; then |log|g(t)| - log|value|| <= 2q when
+    q <= 1/2, and log and abs add at most 2u(1 + |log|value||). q > 1/2
+    raises PrecisionError."""
+    n = e.degree
+    u = mpf(2) ** (1 - mp.prec)
+    delta = e.root_radii[idx]
+    rho = max(mpf(1), abs(e.roots[idx]) + delta)
+    norm1 = mpf(sum(abs(c) for c in g.num)) / g.den
+    q = (norm1 * rho ** (n - 1) * ((n - 1) * delta + 8 * (n + 1) * u)) / abs(value)
+    if q > 0.5:
+        raise PrecisionError("logarithm too ill-conditioned to bound")
+    log_value = mp.log(abs(value))
+    return log_value, 2 * q + 2 * u * (1 + abs(log_value))
+
+
+def _exact(v) -> Fraction:
+    """The binary mpf v as an exact Fraction."""
+    man, exp = v.man_exp
+    return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
+
+
 def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:
     """Find the multiplicative relation lattice of a list of units.
 
-    The HNF basis of the numerically discovered relations is proved exactly
-    by _verified_basis; a row that fails raises PrecisionError (retry with
-    more digits). The torsion order of the presented group is read off the
-    Smith form and certified by exact powering of a torsion generator.
+    The HNF basis, its torsion order and its completeness are proved by
+    _proved_lattice; a failed proof raises PrecisionError (retry with more
+    digits), so a returned presentation misses no relation.
     """
     elems = list(elems)
     if not elems:
@@ -168,10 +360,9 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePr
         if not g.is_unit():
             raise DomainError(f"generator {g!r} is not a unit")
 
-    basis = _verified_basis(elems, _relation_candidates(elems, precision))
+    basis, torsion = _proved_lattice(elems, precision)
     return MultiplicativePresentation(
-        tuple(elems), tuple(tuple(r) for r in basis),
-        _certify_torsion(elems, basis), precision)
+        tuple(elems), tuple(tuple(r) for r in basis), torsion, precision)
 
 
 def power_product(elems, exponents) -> FieldElement:
@@ -317,9 +508,10 @@ def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
 def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
     """Exponent coordinates of elem over the presentation generators.
 
-    Coordinates are read off the first row of the proved relation basis of
-    elem and the generators (_verified_basis), exponents capped by
-    DEFAULT_EXPONENT_BOUND; they are well defined only up to the relation
+    Coordinates are read off the first row of the relation basis of elem
+    and the generators, proved complete by _proved_lattice, so "not
+    expressible" is a proved statement; exponents are capped by
+    DEFAULT_EXPONENT_BOUND. They are well defined only up to the relation
     lattice, which is enough for wedge classes.
     """
     if p.rank == 0:
@@ -334,8 +526,7 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[i
 
     if not elem.is_unit():
         raise DomainError("only units have coordinates in a unit presentation")
-    extended = [elem] + list(p.generators)
-    basis = _verified_basis(extended, _relation_candidates(extended, p.precision))
+    basis, _ = _proved_lattice([elem] + list(p.generators), p.precision)
     if basis and basis[0][0] == 1:
         coords = tuple(-x for x in basis[0][1:])
         if max(abs(c) for c in coords) <= DEFAULT_EXPONENT_BOUND:

@@ -12,7 +12,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import arithreg.relations
 from arithreg.cli import run_job
+from test_cli import count_calls
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DILOG_STEP = 1  # every dilog_plane job: all 5113 replay in about 6 s
@@ -59,10 +61,17 @@ def test_arakelov_degrees_universe_matches_golden(monkeypatch, capsys):
 
 def test_bloch_sweep_universe_matches_golden(monkeypatch, capsys):
     """Every bloch-check and regulator job the bloch_sweep workload can
-    draw, the failing ones included, against its recorded digest."""
+    draw, the failing ones included, against its recorded digest. Every
+    relation lattice among them is found and proved from double columns:
+    none falls back to the working-precision columns."""
     workloads, universe, golden = _bench_universe(monkeypatch, "bloch_sweep")
     assert len(universe) == golden["jobs"]
+    calls = {"_float_columns": 0, "_embedding_columns": 0}
+    for name in calls:
+        count_calls(monkeypatch, calls, arithreg.relations, name)
     _replay(workloads, universe, golden, capsys)
+    assert calls["_float_columns"] > 0
+    assert calls["_embedding_columns"] == 0
 
 
 def test_dilog_plane_sample_matches_golden(monkeypatch, capsys):

@@ -669,7 +669,8 @@ def count_calls(monkeypatch, calls, owner, name):
 def _counted_bloch_check(monkeypatch, job, evaluate=None):
     """(calls, record, pair count) of one bloch-check job, counting the
     Steinberg images, Bloch-Wigner values, unit tests, inverses and
-    evaluations (relation discovery and regulator together) it makes.
+    working-precision evaluations (relation discovery's rank proof and the
+    regulator together) it makes.
     evaluate, when given, stands in for the regulator's evaluate."""
     import arithreg.regulator
     import arithreg.relations
@@ -694,10 +695,12 @@ def _counted_bloch_check(monkeypatch, job, evaluate=None):
 
 def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once,
-    evaluates each generator of the presentation once in relation discovery
-    and each support element once in the regulator, and computes one
-    Bloch-Wigner value per (pair representative, anharmonic orbit with a
-    support column that has a nonzero entry in some kernel row): both
+    evaluates at the working precision only the generators of the rank
+    proof of relation discovery, as many as the presented group has free
+    rank (discovery itself runs in doubles), and each support element once
+    in the regulator, and computes one Bloch-Wigner value per (pair
+    representative, anharmonic orbit with a support column that has a
+    nonzero entry in some kernel row): both
     candidates, x and 1/(1-x), are used and lie in the orbit of x, so that
     is one value per pair representative. Unit status is tested once per
     generator of the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests,
@@ -716,7 +719,9 @@ def test_bloch_check_work_counts(monkeypatch):
     assert used == 2
     assert calls == {"steinberg_image": len(candidates), "bloch_wigner": pairs,
                      "is_unit": 5, "inverse": 1,
-                     "evaluate": len(rec["generators"]) + len(candidates)}
+                     "evaluate": (len(rec["generators"]) - len(rec["relation_basis"])
+                                  + len(candidates))}
+    assert calls["evaluate"] == 1 + 2
 
 
 def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
@@ -749,8 +754,10 @@ def test_bloch_check_shared_support_evaluated_once(monkeypatch):
     calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
     assert rec["kernel_basis"] == [[1, 1], [0, 2]]
     assert len(rec["regulators"]) == 2 and pairs == 1
-    # generators -1, x, 1-x in relation discovery; x, 1-x in the regulator
-    assert (calls["evaluate"], calls["bloch_wigner"]) == (3 + 2, 1)
+    # generators -1, x, 1-x span free rank 1: one generator in the rank
+    # proof of relation discovery; x, 1-x in the regulator
+    assert len(rec["generators"]) - len(rec["relation_basis"]) == 1
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (1 + 2, 1)
 
 
 def test_bloch_check_empty_kernels_do_no_numerical_work(monkeypatch):
@@ -764,8 +771,10 @@ def test_bloch_check_empty_kernels_do_no_numerical_work(monkeypatch):
         monkeypatch, job, evaluate=lambda a, e: (mpc(0),) * e.degree)
     assert (rec["kernel_basis"], rec["torsion_only_kernel"], rec["regulators"]) == ([], [], [])
     assert pairs == 1
-    # generators -1, x, 1-x, all in relation discovery
-    assert (calls["evaluate"], calls["bloch_wigner"]) == (3, 0)
+    # generators -1, x, 1-x span free rank 2: two generators in the rank
+    # proof of relation discovery, none in the regulator
+    assert len(rec["generators"]) - len(rec["relation_basis"]) == 2
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (2, 0)
 
 
 def test_main_writes_to_the_stdout_of_its_call(capsys):

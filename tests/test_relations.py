@@ -5,18 +5,22 @@ import json
 import random
 
 import pytest
+from mpmath import mp
 
 import arithreg.relations
 from arithreg.cli import _candidate_presentation, parse_element, run_job
 from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
 from arithreg.intmat import identity, in_lattice, lll
-from arithreg.nf import FieldElement, parse_field
-from arithreg.relations import (BlochElement, _verified_basis, bloch_kernel, coordinates_of,
-                                exterior_square, exterior_square_of_lattice,
-                                power_product, relation_lattice, steinberg_image,
-                                torsion_only_kernel, verify_bloch_element,
+from arithreg.nf import FieldElement, embeddings, parse_field
+from arithreg.precision import GUARD_DIGITS
+from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingular,
+                                _embedding_columns, _search_lattice, _verified_basis,
+                                bloch_kernel, coordinates_of, exterior_square,
+                                exterior_square_of_lattice, power_product, relation_lattice,
+                                steinberg_image, torsion_only_kernel, verify_bloch_element,
                                 wedge_of_vectors)
-from intmat_oracles import group_invariants, invariant_factors_by_minors, lll_fraction
+from intmat_oracles import (group_invariants, invariant_factors_by_minors,
+                            left_kernel_by_transform, lll_fraction)
 from test_cli import count_calls
 from wedge_oracles import bloch_sum_vanishes, exceptional_units
 
@@ -83,32 +87,173 @@ class TestRelationLattice:
             relation_lattice([fields["Q"].element([2])], 50)
 
 
+def known_relation_lattice(m, signs, powers):
+    """HNF basis of the relations among g_i = (-1)^signs[i] x^powers[i] on
+    x^m - x + 1, known by construction: prod g_i^e_i = (-1)^(e.signs)
+    x^(e.powers). For m = 2, x is a primitive sixth root of unity with
+    x^3 = -1, so e is a relation when 3 e.signs + e.powers = 0 mod 6; for
+    m >= 3, x has infinite order and -1 is no power of it, so e is one when
+    e.powers = 0 and e.signs is even."""
+    if m == 2:
+        stacked = [[3 * s + t] for s, t in zip(signs, powers)] + [[6]]
+    else:
+        stacked = [[t, s] for s, t in zip(signs, powers)] + [[0, 2]]
+    return [row[:len(signs)] for row in left_kernel_by_transform(stacked)]
+
+
+class TestCompleteness:
+    """A returned relation lattice is the whole relation lattice: a relation
+    the search misses raises PrecisionError instead of being dropped."""
+
+    def test_exponent_65_raises(self, fields):
+        """x and x^65 on x^3 - x + 1 have the one relation (65, -1), beyond
+        DEFAULT_EXPONENT_BOUND: the search finds nothing, and presenting a
+        free group of rank 2 in a field of unit rank 1 is refused."""
+        x = fields["cubic"].gen()
+        assert relation_lattice([x, x ** 64], 50).relation_basis == ((64, -1),)
+        with pytest.raises(PrecisionError):
+            relation_lattice([x, x ** 65], 50)
+
+    def test_certainly_nonsingular(self):
+        """The minor test of the rank proof: a matrix is accepted only when no
+        matrix within eta of it, entry by entry, is singular."""
+        with mp.workdps(60):
+            eye = [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
+            assert _certainly_nonsingular(eye, mp.mpf("1e-40"))
+            # singular exactly, and its computed determinant is 0
+            assert not _certainly_nonsingular([[mp.mpf(1), mp.mpf(2)],
+                                               [mp.mpf(2), mp.mpf(4)]], mp.mpf("1e-40"))
+            # nonsingular, but a perturbation of size eta makes it singular
+            assert not _certainly_nonsingular([[mp.mpf("1e-20")]], mp.mpf("1e-19"))
+            assert _certainly_nonsingular([[mp.mpf("1e-20")]], mp.mpf("1e-22"))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
+    def test_seeded_power_products_of_known_units(self, m):
+        """Seeded g_i = (-1)^a_i x^b_i on the irreducible x^m - x + 1 with
+        |b_i| <= 64: every returned HNF equals the lattice known by
+        construction, and the cases whose relations the search cannot reach
+        raise PrecisionError."""
+        K = parse_field({"poly": [1, -1] + [0] * (m - 2) + [1]})
+        x = K.gen()
+        rng = random.Random(f"known-units-{m}")
+        outcomes = []
+        for _ in range(12):
+            k = rng.choice((2, 2, 3, 4))
+            signs = [rng.randint(0, 1) for _ in range(k)]
+            powers = [rng.randint(-64, 64) for _ in range(k)]
+            gens = [K.element([(-1) ** s]) * x ** t for s, t in zip(signs, powers)]
+            try:
+                p = relation_lattice(gens, 50)
+            except PrecisionError:
+                outcomes.append("refused")
+                continue
+            assert [list(r) for r in p.relation_basis] == known_relation_lattice(
+                m, signs, powers), (signs, powers)
+            outcomes.append("returned")
+        assert "returned" in outcomes
+        if m > 2:  # x has infinite order, so some pairs need large exponents
+            assert "refused" in outcomes
+
+
+class TestFallback:
+    """The working-precision search runs when the double one cannot, or
+    when its result fails a proof, and gives the same presentation."""
+
+    @staticmethod
+    def mpmath_only(monkeypatch, elems):
+        with monkeypatch.context() as patch:
+            patch.setattr(arithreg.relations, "_float_columns", lambda elems, e: None)
+            return relation_lattice(elems, 50)
+
+    def test_coefficients_beyond_doubles(self, monkeypatch, fields):
+        """x^3000 on x^3 - x + 1 has power-basis coefficients near 10^366,
+        which no double holds: the search runs on the working-precision
+        columns and proves the presentation there."""
+        K = fields["cubic"]
+        gens = [K.gen() ** 3000, -(K.gen() ** 3000)]
+        assert max(abs(c) for c in gens[0].num) > 10 ** 308
+        assert arithreg.relations._float_columns(gens, embeddings(K, 50)) is None
+        calls = {"_embedding_columns": 0}
+        count_calls(monkeypatch, calls, arithreg.relations, "_embedding_columns")
+        p = relation_lattice(gens, 50)
+        assert calls == {"_embedding_columns": 1}
+        assert (p.relation_basis, p.torsion_order) == (((2, -2),), 2)
+        assert p == self.mpmath_only(monkeypatch, gens)
+
+    @pytest.mark.parametrize("poly, power", [
+        # the missed relation leaves free rank 2 over unit rank 1
+        ([1, -1, 0, 1], 3),
+        # unit rank 2: the minor of x, x^2 is 0, so its bound is not met
+        ([-1, -1, 0, 0, 1], 2),
+    ])
+    def test_perturbed_double_log(self, monkeypatch, poly, power):
+        """A double column source that moves one log by 10^-3 hides the
+        relation between x and x^power: the rank proof refuses the double
+        result, and the working-precision search returns the presentation
+        it gives alone."""
+        K = parse_field({"poly": poly})
+        gens = [K.element([-1]), K.gen(), K.gen() ** power]
+        want = self.mpmath_only(monkeypatch, gens)
+        real_columns = arithreg.relations._float_columns
+
+        def perturbed(elems, e):
+            logs, args = real_columns(elems, e)
+            logs[2][0] += 1e-3
+            return logs, args
+
+        real_proof = arithreg.relations._prove_rank
+        seen = []
+
+        def recorded(*a):
+            try:
+                real_proof(*a)
+            except PrecisionError:
+                seen.append("failed")
+                raise
+            seen.append("proved")
+
+        monkeypatch.setattr(arithreg.relations, "_float_columns", perturbed)
+        monkeypatch.setattr(arithreg.relations, "_prove_rank", recorded)
+        assert power_product(gens, [0, power, -1]).is_one()
+        assert (len(want.relation_basis), want.torsion_order) == (2, 2)
+        assert relation_lattice(gens, 50) == want
+        assert seen == ["failed", "proved"]
+
+
 class TestVerifiedBasis:
     """Relations are proved once, on the stored HNF basis, by comparing the
     products over the positive and the negative exponents."""
 
     @staticmethod
     def add_false_candidate(monkeypatch):
-        """Make every relation search also report e_0, i.e. elems[0] == 1."""
+        """Make every relation search also report e_0, i.e. elems[0] == 1;
+        returns the list of the scale exponents of the searches made."""
         real = arithreg.relations._relation_candidates
+        searches = []
 
-        def with_false_row(elems, precision):
-            return real(elems, precision) + [[1] + [0] * (len(elems) - 1)]
+        def with_false_row(logs, args, digits):
+            searches.append(digits)
+            return real(logs, args, digits) + [[1] + [0] * (len(logs) - 1)]
 
         monkeypatch.setattr(arithreg.relations, "_relation_candidates", with_false_row)
+        return searches
 
     def test_false_candidate_fails_relation_lattice(self, monkeypatch, cubic_setup):
+        """The false row fails exact proof in the double search, then again in
+        the working-precision search, which raises."""
         _, _, p = cubic_setup
-        self.add_false_candidate(monkeypatch)
+        searches = self.add_false_candidate(monkeypatch)
         with pytest.raises(PrecisionError):
             relation_lattice(p.generators, 50)
+        assert searches == [FLOAT_DIGITS, 50 - GUARD_DIGITS]
 
     def test_false_candidate_fails_coordinates_of(self, monkeypatch, cubic_setup):
         _, lam, p = cubic_setup
         assert power_product(p.generators, coordinates_of(lam ** 2, p)) == lam ** 2
-        self.add_false_candidate(monkeypatch)
+        searches = self.add_false_candidate(monkeypatch)
         with pytest.raises(PrecisionError):
             coordinates_of(lam ** 2, p)
+        assert searches == [FLOAT_DIGITS, 50 - GUARD_DIGITS]
 
     def test_proofs_invert_nothing(self, monkeypatch, fields):
         """The relation rows and the torsion order of -1, x, 1-x on
@@ -322,6 +467,8 @@ class TestSteinberg:
             assert not verify_bloch_element(BlochElement((lam,), (n,)), p0)
 
     def test_presentation_incomplete(self, fields):
+        """phi is not in the group -1 generates: the relation lattice of phi
+        and -1 is proved complete, so this is a proved statement."""
         K = fields["Qphi"]
         phi = K.gen()
         p = relation_lattice([K.element([-1])], 50)  # phi not in the span
@@ -435,8 +582,8 @@ class TestWedgeOracle:
 
 
 class TestRelationSearchLattices:
-    """lll on the lattices _relation_candidates builds gives exactly the
-    basis of the Fraction Gram-Schmidt oracle."""
+    """lll on the lattices relation discovery builds gives exactly the basis
+    of the Fraction Gram-Schmidt oracle."""
 
     @staticmethod
     def recorded_lattices(monkeypatch):
@@ -459,14 +606,16 @@ class TestRelationSearchLattices:
         for rows in seen:
             assert lll(rows) == lll_fraction(rows)
 
-    # sha256 of the JSON of the relation-search lattice for the 14 units
-    # below and of lll_fraction's output on it, recorded with
+    # sha256 of the JSON of the working-precision relation-search lattice for
+    # the 14 units below and of lll_fraction's output on it, recorded with
     # tests/intmat_oracles.lll_fraction, which needs 20-35 s on this lattice
     K14_LATTICE_SHA256 = "529d772518913f659705badc8bec017f107a2434f9a915c9240b0512c581da2a"
     K14_REDUCED_SHA256 = "0fb7b01bd5b3f01374e543ab8d4ec1df1245ab16fa7cb2f6d2a01a118210673b"
 
     def test_fourteen_units_of_x3_minus_3x_plus_1(self, monkeypatch):
-        from arithreg.nf import parse_field
+        """relation_lattice searches the double lattice only, where lll
+        agrees with lll_fraction; the working-precision lattice, built from
+        _embedding_columns directly, keeps its recorded digests."""
         K = parse_field({"poly": [1, -3, 0, 1]})
         x, one = K.gen(), K.one()
         rng = random.Random(14)
@@ -479,10 +628,14 @@ class TestRelationSearchLattices:
         seen = self.recorded_lattices(monkeypatch)
         p = relation_lattice(units, 50)
         assert (len(p.relation_basis), p.torsion_order) == (12, 2)
+        (rows,) = seen
+        assert lll(rows) == lll_fraction(rows)
 
         def digest(rows):
             return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
-        (rows,) = seen
+        e = embeddings(K, 50)
+        with mp.workdps(e.working_dps):
+            rows = _search_lattice(*_embedding_columns(units, e), 50 - GUARD_DIGITS)
         assert digest(rows) == self.K14_LATTICE_SHA256
         assert digest(lll(rows)) == self.K14_REDUCED_SHA256
