@@ -10,6 +10,10 @@ generating an ideal, multiplying two and scaling one are integer bilinear
 algebra followed by one canonicalization, intmat.hnf_rational; the product
 of two ideals lies over the product of their denominators. The first such
 operation builds T, and with it rejects a basis that is not an order.
+As an O-module, den * M is generated by d = [O : den M] and a few of its
+HNF rows, often one and at most n in any order (the two-element
+representation of Cohen, section 4.7), so L * M is spanned by the products
+of L's basis with those generators, often 2n rows.
 
 Membership is one exact test: a lies in L when den * a has integral
 coordinates and those lie in the row lattice (intmat.in_lattice). The rows
@@ -34,19 +38,22 @@ EmbeddingSet.check_invariant.
 
 The degree itself is
     (log #(L / R s) - (1/2) sum_sigma log h_sigma(s)) / degree(K)
-for any nonzero section s, and is independent of that choice.
+for any nonzero section s, and is independent of that choice. The default
+section is s0 itself, which lies in L and has h_sigma(s0) = metric[sigma],
+so it takes no membership test and no quotient s/s0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, MembershipError
-from .intmat import _scaled_rows, hnf_rational, identity, in_lattice
+from .intmat import _scaled_rows, hnf, hnf_rational, identity, in_lattice
 from .nf import EmbeddingSet, FieldElement, NumberField, _power, _vec_mat, evaluate
 
 
@@ -94,7 +101,7 @@ class FractionalIdeal:
             raise DomainError("the zero ideal is not supported")
         den = lcm(*(d for _, d in nums))
         left = [[c * (den // d) for c in coords] for coords, d in nums]
-        return cls._canonical(field, _products(field, left, identity(field.degree)), den)
+        return cls._canonical(field, [row for a in left for row in _times(field, a)], den)
 
     @classmethod
     def principal(cls, elem: FieldElement) -> "FractionalIdeal":
@@ -119,11 +126,40 @@ class FractionalIdeal:
         return (not any(c % d for c in scaled)
                 and in_lattice([c // d for c in scaled], self.rows))
 
+    @cached_property
+    def _generators(self) -> tuple[int, tuple[list[list[int]], ...]]:
+        """(d, mats): den * L = d*O + sum_g g*O with d = [O : den L] and one
+        matrix per further generator g, whose row j is g * omega_j. Every
+        lattice of index d contains d*Z^n, so d lies in den * L in any order.
+        HNF rows are added in order, skipping those already spanned, until
+        the HNF of their O-multiples is rows: a sublattice with the same HNF
+        is the whole lattice. At most n further generators, usually one."""
+        n = self.field.degree
+        d = prod(r[i] for i, r in enumerate(self.rows))
+        span = [[d * x for x in row] for row in identity(n)]
+        target = [list(r) for r in self.rows]
+        mats = []
+        for row in self.rows:
+            if span == target:
+                break
+            if not in_lattice(row, span):
+                mats.append(_times(self.field, row))
+                span = hnf(span + mats[-1])
+        if span != target:
+            raise DomainError("lattice is not closed under ring multiplication")
+        return d, tuple(mats)
+
     def multiply(self, other: "FractionalIdeal") -> "FractionalIdeal":
+        """The product through the generators of other, so a power reuses
+        its base's: (d O + sum_g g O) * M = d M + sum_g g M for the module
+        M = den * self, n rows per generator."""
         if self.field != other.field:
             raise DomainError("ideals over different fields")
-        return FractionalIdeal._canonical(self.field, _products(self.field, self.rows, other.rows),
-                                          self.den * other.den)
+        d, mats = other._generators
+        rows = [[d * x for x in r] for r in self.rows]
+        for mat in mats:
+            rows.extend(_vec_mat(r, mat) for r in self.rows)
+        return FractionalIdeal._canonical(self.field, rows, self.den * other.den)
 
     def power(self, n: int) -> "FractionalIdeal":
         """The n-th power by nf._power: n.bit_length() - 2 + popcount(n)
@@ -153,13 +189,17 @@ def _products(field: NumberField, left, right) -> list[list[int]]:
     right, all integer rows of integral-basis coordinates. Bilinear in the
     rows through the field's multiplication table; no field element is
     formed."""
-    table = field.multiplication_table
     out = []
     for a in left:
-        # row j: coordinates of a * omega_j; T[j][i] = T[i][j]
-        times_a = [_vec_mat(a, table_j) for table_j in table]
+        times_a = _times(field, a)
         out.extend(_vec_mat(b, times_a) for b in right)
     return out
+
+
+def _times(field: NumberField, a) -> list[list[int]]:
+    """The matrix of multiplication by a (integral-basis coordinates): row
+    j holds the coordinates of a * omega_j; T[j][i] = T[i][j]."""
+    return [_vec_mat(a, table_j) for table_j in field.multiplication_table]
 
 
 def index_quotient(ideal: FractionalIdeal, s: FieldElement) -> Fraction:
@@ -168,6 +208,11 @@ def index_quotient(ideal: FractionalIdeal, s: FieldElement) -> Fraction:
         raise DomainError("the zero section spans nothing")
     if not ideal.contains(s):
         raise MembershipError("section does not lie in the ideal")
+    return _index(ideal, s)
+
+
+def _index(ideal: FractionalIdeal, s: FieldElement) -> Fraction:
+    """|N(s)| / N(L) for a nonzero s known to lie in L, checked integral."""
     value = abs(s.norm()) / ideal.norm
     if value.denominator != 1:
         raise DomainError("index is not integral; the ideal basis is inconsistent")
@@ -216,19 +261,24 @@ def arithmetic_degree(bundle: MetrizedLineBundle, e: EmbeddingSet,
 def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
                       s: FieldElement | None) -> tuple[mpf, Fraction]:
     """arithmetic_degree together with the index_quotient of the section it
-    used, so a caller reporting both tests the membership once."""
+    used, so a caller reporting both tests the membership once. The default
+    section s0 is the first HNF row, so it needs no membership test, and
+    s/s0 = 1 leaves the metric as it is."""
     e.check_invariant(bundle.metric.values, "metric")
     s0 = bundle.ideal.reference_section()
     if s is None:
-        s = s0
-    idx_count = index_quotient(bundle.ideal, s)
-    ratio = evaluate(s / s0, e)
+        idx_count = _index(bundle.ideal, s0)
+    else:
+        idx_count = index_quotient(bundle.ideal, s)
+        ratio = evaluate(s / s0, e)
     with mp.workdps(e.working_dps):
         log_index = mp.log(mpf(idx_count.numerator)) - mp.log(mpf(idx_count.denominator))
         metric_part = mpf(0)
         for i in e.class_representatives:
             weight = 1 if e.is_real(i) else 2
-            norm_sq = bundle.metric.values[i] * abs(ratio[i]) ** 2
+            norm_sq = bundle.metric.values[i]
+            if s is not None:
+                norm_sq *= abs(ratio[i]) ** 2
             metric_part += weight * mp.log(norm_sq)
         return (log_index - metric_part / 2) / e.degree, idx_count
 

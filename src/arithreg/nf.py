@@ -343,7 +343,12 @@ class FieldElement:
 
 def _parse_rational(s) -> Fraction:
     """An int, Fraction or rational string such as "-3/4"; JSON booleans and
-    floats are not rational entries."""
+    floats are not rational entries. ASCII digits with at most one leading
+    minus, the common case of an ideal basis entry, go through int."""
+    if isinstance(s, str):
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(s))
     if isinstance(s, (int, Fraction, str)) and not isinstance(s, bool):
         try:
             return Fraction(s)

@@ -816,8 +816,10 @@ def test_bloch_check_non_unit_candidate(capsys):
 
 
 def test_degree_work_counts(monkeypatch):
-    """A degree job on x^24 - x - 1 solves the section's membership and takes
-    its norm once, for the degree and the reported index together."""
+    """A degree job on x^24 - x - 1 takes its section's norm once, for the
+    degree and the reported index together, and solves the membership of a
+    given section once; the default section is the first HNF row, so its
+    membership is not tested."""
     import arithreg.arakelov
     from arithreg.nf import FieldElement
 
@@ -827,12 +829,12 @@ def test_degree_work_counts(monkeypatch):
     field = json.dumps({"poly": [-1, -1] + [0] * 22 + [1]})
     rows = [["1" if i == j else "0" for j in range(24)] for i in range(24)]
     bundle = json.dumps({"ideal_basis": rows, "metric": ["1"] * 24})
-    for extra in ([], ["--section", "1+x^2"]):
+    for extra, tested in (([], 0), (["--section", "1+x^2"], 1)):
         calls.update(index_quotient=0, norm=0)
         out = io.StringIO()
         assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle, *extra]),
                        out=out) == 0
-        assert calls == {"index_quotient": 1, "norm": 1}, extra
+        assert calls == {"index_quotient": tested, "norm": 1}, extra
 
 
 def test_height_work_counts(monkeypatch):
@@ -840,11 +842,12 @@ def test_height_work_counts(monkeypatch):
     its ideal products through the field's multiplication table. When every
     product was a FieldElement product, this job made 464 of them and 457
     integral_coords calls. What is left is the section arithmetic: the
-    generator (x+2)^2 and s0^2, one squaring each, and two quotients, one
-    product each (8 when powers started from 1). Two elements get integral
-    coordinates, as integer numerators over one denominator: the generator
-    of the principal ideal and the section whose membership is tested.
-    Neither forms Fraction coordinates through integral_coords."""
+    generator (x+2)^2 and s0^2, one squaring each, and one quotient, one
+    product (8 when powers started from 1); the degree of the default
+    section forms no quotient and tests no membership. One element gets
+    integral coordinates, as integer numerators over one denominator: the
+    generator of the principal ideal. It forms no Fraction coordinates
+    through integral_coords."""
     from arithreg.nf import FieldElement
 
     calls = {"__mul__": 0, "integral_coords": 0, "_integral_numerators": 0}
@@ -860,7 +863,7 @@ def test_height_work_counts(monkeypatch):
     out = io.StringIO()
     assert run_job(_build_job(["height", "--field", field, "--bundle", bundle,
                                "--N", "2", "--generator", "(x+2)^2"]), out=out) == 0
-    assert calls == {"__mul__": 4, "integral_coords": 0, "_integral_numerators": 2}
+    assert calls == {"__mul__": 3, "integral_coords": 0, "_integral_numerators": 1}
 
 
 def test_height_of_a_huge_power_returns():
@@ -881,6 +884,27 @@ def test_height_of_a_huge_power_returns():
         assert abs(mpf(rec["height"]) + (mp.log(2) + 2 * mp.log(3)) / 6) < mpf(10) ** -40
 
 
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("n_power", [2, 3])
+def test_height_above_the_bench_degrees(n, n_power):
+    """height on x^n - x - 1 with the principal ideal (x + 2), above the
+    bench's largest ideal (degree 16). Each ideal product goes through d and
+    one HNF row of (x + 2), so the job takes milliseconds once the field is
+    embedded; the limit also covers the embedding itself."""
+    rows = [[2 if j == i else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 3) + [2])  # (x + 2) x^i, with x^n = x + 1
+    job = {"command": "height", "field": {"poly": [-1, -1] + [0] * (n - 2) + [1]},
+           "output": "json",
+           "payload": {"bundle": {"ideal_basis": [[str(c) for c in row] for row in rows],
+                                  "metric": ["3"] * 2 + ["0.5"] * (n - 2)},
+                       "N": n_power, "generator": f"(x+2)^{n_power}"}}
+    out = io.StringIO()
+    with time_limit(10):
+        assert run_job(job, out=out) == 0
+    with mp.workdps(60):
+        assert mpf(json.loads(out.getvalue())["abs_difference"]) < mpf(10) ** -40
+
+
 @pytest.mark.parametrize("n_power", [10 ** 5, 10 ** 12])
 def test_height_wrong_generator_of_a_huge_power_returns(capsys, n_power):
     """x + 2 generates the ideal (x + 2) of norm 5 on x^3 - x + 1, not its
@@ -899,8 +923,8 @@ def test_degree_closure_work_counts(monkeypatch):
     """A degree job on x^12 - x - 1 tests the closure of its bundle's ideal
     once per product with a ring generator: the power basis has the one
     generator x, so 12 lattice-membership tests, where multiplying by every
-    basis element made 144. The default section's membership is one more
-    test, counted apart by its caller."""
+    basis element made 144. The default section is the first HNF row, so
+    its membership is not tested."""
     import arithreg.arakelov as arakelov
 
     calls = {"_is_module_closed": 0, "contains": 0}
@@ -923,7 +947,7 @@ def test_degree_closure_work_counts(monkeypatch):
                          "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
     out = io.StringIO()
     assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle]), out=out) == 0
-    assert calls == {"_is_module_closed": 12, "contains": 1}
+    assert calls == {"_is_module_closed": 12, "contains": 0}
 
 
 def test_multiplication_table_is_lazy(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from arithreg.errors import DomainError, FormatError, SquarefreeError
-from arithreg.nf import FieldElement, embeddings, evaluate, parse_field
+from arithreg.nf import FieldElement, _parse_rational, embeddings, evaluate, parse_field
 import nf_oracles as oracle
 from test_cli import count_calls
 from time_limits import time_limit
@@ -133,6 +133,22 @@ class TestParseField:
                          "maximal": True})
         assert K.maximality_asserted
         assert K.integral_basis[0][0] == Fraction(1)
+
+
+@pytest.mark.parametrize("text", ["12", "-12", "007", "-0", "+3", " 12", "1_000", "١٢", "²",
+                                  "--3", "-", "", "3/4", "1e3"])
+def test_parse_rational_agrees_with_fraction(text):
+    # plain ASCII integers take a shortcut through int; every string must
+    # give Fraction's value, or FormatError where Fraction raises ("²" is a
+    # digit to str.isdigit, but neither int nor Fraction reads it)
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(FormatError):
+            _parse_rational(text)
+    else:
+        value = _parse_rational(text)
+        assert type(value) is Fraction and value == expected
 
 
 class TestMultiplicationTable:
