@@ -19,12 +19,11 @@ Membership is one exact test: a lies in L when den * a has integral
 coordinates and those lie in the row lattice (intmat.in_lattice). The rows
 are triangular, so the norm of L is the product of the pivots over den^n.
 
-Closure is tested on ring generators only (NumberField.ring_generators): x
-when it lies in the order, with every basis element outside Z[x], or the
-whole basis when x lies outside the order. Every omega_k then lies in Z[x]
-or among the generators, and the generators lie in the order, so L*g in L
-for each generator g gives L*O in L; on a power basis that is n membership
-tests instead of n^2.
+Closure is tested once, by the same generators. Their span d*O + sum_g g*O
+is an O-module that holds every HNF row (each is a generator or already
+spanned), so it contains den * L; d and the g lie in den * L, so the span
+equals den * L, and rebuilds its HNF, exactly when L is an O-module.
+from_rows raises DomainError otherwise.
 
 A metric is one positive number per embedding, conjugation invariant, read
 as the squared norm of the first HNF basis vector of the ideal (the
@@ -87,10 +86,10 @@ class FractionalIdeal:
     @classmethod
     def from_rows(cls, field: NumberField, rows) -> "FractionalIdeal":
         """Canonicalize arbitrary generating rows (rational integral-basis
-        coordinates), which must span a module over the ring."""
+        coordinates), which must span a module over the ring: building the
+        O-module generators is the closure test, and multiply reuses them."""
         ideal = cls._canonical(field, *_scaled_rows(rows))
-        if not ideal._is_module_closed():
-            raise DomainError("lattice is not closed under ring multiplication")
+        ideal._generators  # DomainError unless den * L is an O-module
         return ideal
 
     @classmethod
@@ -111,14 +110,10 @@ class FractionalIdeal:
     def unit_ideal(cls, field: NumberField) -> "FractionalIdeal":
         return cls.principal(field.one())
 
-    def _is_module_closed(self) -> bool:
-        return all(in_lattice(row, self.rows)
-                   for row in _products(self.field, self.field.ring_generators, self.rows))
-
     def reference_section(self) -> FieldElement:
         """First HNF basis vector; anchors metrics and default sections."""
         return self.field.element([Fraction(c, self.den)
-                                   for c in self.field.integral_coords_to_power(self.rows[0])])
+                                   for c in _vec_mat(self.rows[0], self.field.integral_basis)])
 
     def contains(self, elem: FieldElement) -> bool:
         coords, d = elem._integral_numerators()
@@ -133,7 +128,8 @@ class FractionalIdeal:
         lattice of index d contains d*Z^n, so d lies in den * L in any order.
         HNF rows are added in order, skipping those already spanned, until
         the HNF of their O-multiples is rows: a sublattice with the same HNF
-        is the whole lattice. At most n further generators, usually one."""
+        is the whole lattice. At most n further generators, usually one.
+        When L is no O-module the span outgrows rows: DomainError."""
         n = self.field.degree
         d = prod(r[i] for i, r in enumerate(self.rows))
         span = [[d * x for x in row] for row in identity(n)]
@@ -171,29 +167,16 @@ class FractionalIdeal:
         return _power(self, n, FractionalIdeal.multiply)
 
     def scale(self, a: FieldElement) -> "FractionalIdeal":
+        """a * L as (a) * L, through the cached generators of L."""
         if a.is_zero():
             raise DomainError("cannot scale an ideal by zero")
-        coords, d = a._integral_numerators()
-        return FractionalIdeal._canonical(self.field, _products(self.field, [coords], self.rows),
-                                          d * self.den)
+        return FractionalIdeal.principal(a).multiply(self)
 
     @property
     def norm(self) -> Fraction:
         """The absolute norm [O : den L] / den^n, the index being the product
         of the pivots."""
         return Fraction(prod(r[i] for i, r in enumerate(self.rows)), self.den ** len(self.rows))
-
-
-def _products(field: NumberField, left, right) -> list[list[int]]:
-    """Integral-basis coordinates of every product a*b, a in left and b in
-    right, all integer rows of integral-basis coordinates. Bilinear in the
-    rows through the field's multiplication table; no field element is
-    formed."""
-    out = []
-    for a in left:
-        times_a = _times(field, a)
-        out.extend(_vec_mat(b, times_a) for b in right)
-    return out
 
 
 def _times(field: NumberField, a) -> list[list[int]]:

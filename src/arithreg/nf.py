@@ -31,7 +31,7 @@ from operator import mul
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
-from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction, identity
+from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
 from .precision import working_dps
 
 
@@ -43,7 +43,7 @@ class NumberField:
     """K = Q[x]/(f) with a recorded integral basis for its ring of integers."""
 
     defining_poly: tuple[int, ...]  # ascending, monic
-    integral_basis: tuple[tuple[Fraction, ...], ...]
+    integral_basis: tuple[tuple[int | Fraction, ...], ...]
     maximality_asserted: bool = True
 
     def __post_init__(self):
@@ -106,24 +106,6 @@ class NumberField:
         return tuple(tuple(row) for row in table)
 
     @cached_property
-    def ring_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Integral coordinates of elements that generate the order as a
-        ring: x when it lies in the order, with every basis element whose
-        power coordinates are not all integers; the whole basis when x does
-        not lie in the order; none in degree 1. A lattice L with L*g in L
-        for each generator g is a module over the order."""
-        n = self.degree
-        if n == 1:
-            return ()
-        inverse, e = self._scaled_inverse
-        if any(c % e for c in inverse[1]):
-            return tuple(map(tuple, identity(n)))
-        outside = [tuple(int(i == k) for i in range(n))
-                   for k, row in enumerate(self.integral_basis)
-                   if any(c.denominator != 1 for c in row)]
-        return (tuple(c // e for c in inverse[1]), *outside)
-
-    @cached_property
     def _reduction_terms(self) -> tuple[tuple[int, int], ...]:
         """(k, f_k) for the nonzero f_k, k < n: x^n = -sum f_k x^k mod f."""
         f = self.defining_poly
@@ -177,9 +159,6 @@ class NumberField:
         if self.degree == 1:
             return self.element([-self.defining_poly[0]])
         return self.element([0, 1])
-
-    def integral_coords_to_power(self, coords) -> list[Fraction]:
-        return _vec_mat(coords, self.integral_basis)
 
 
 def _power(x, n: int, times):
@@ -341,15 +320,17 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_rational(s) -> Fraction:
+def _parse_rational(s) -> int | Fraction:
     """An int, Fraction or rational string such as "-3/4"; JSON booleans and
-    floats are not rational entries. ASCII digits with at most one leading
-    minus, the common case of an ideal basis entry, go through int."""
+    floats are not rational entries. An int, or ASCII digits with at most
+    one leading minus (the common ideal basis entry), stays an int."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
     if isinstance(s, str):
         digits = s[1:] if s[:1] == "-" else s
         if digits.isascii() and digits.isdigit():
-            return Fraction(int(s))
-    if isinstance(s, (int, Fraction, str)) and not isinstance(s, bool):
+            return int(s)
+    if isinstance(s, (Fraction, str)):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):

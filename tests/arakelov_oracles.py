@@ -23,9 +23,14 @@ def basis_matrix(ideal):
     return [[Fraction(x, ideal.den) for x in row] for row in ideal.rows]
 
 
+def element(field, coords):
+    """The element with these integral-basis coordinates."""
+    return field.element([sum(c * omega[k] for c, omega in zip(coords, field.integral_basis))
+                          for k in range(field.degree)])
+
+
 def basis_elements(ideal):
-    field = ideal.field
-    return [field.element(field.integral_coords_to_power(row)) for row in basis_matrix(ideal)]
+    return [element(ideal.field, row) for row in basis_matrix(ideal)]
 
 
 def ideal_from_rows(field, rows):

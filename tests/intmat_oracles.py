@@ -89,7 +89,8 @@ def det_by_elimination(mat: list[list[Fraction]]) -> Fraction:
 
 def gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
     """Row-reduce an n-row augmented matrix until its left n x n block is the
-    identity; returns the columns to the right of that block."""
+    identity; returns the columns to the right of that block. Entries are
+    ints or Fractions, and every quotient is a Fraction."""
     n = len(aug)
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
@@ -97,7 +98,7 @@ def gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
             raise ZeroDivisionError("singular matrix")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1) / aug[col][col]
         aug[col] = [t * inv for t in aug[col]]
         for i in range(n):
             if i != col and aug[i][col]:

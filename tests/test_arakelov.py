@@ -167,7 +167,7 @@ class TestProductsAgainstOracle:
         while True:
             coords = [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(K.degree)]
             if any(coords):
-                return K.element(K.integral_coords_to_power(coords))
+                return oracle.element(K, coords)
 
     def ideals(self, K, rng):
         gens = [self.rand_el(K, rng) for _ in range(3)]
@@ -214,9 +214,10 @@ class TestProductsAgainstOracle:
         verdicts = []
         for basis in lattices:
             lattice = oracle.ideal_from_rows(K, basis)
-            verdicts.append(lattice._is_module_closed())
-            assert verdicts[-1] == oracle.is_module_closed(lattice), basis
-            if not verdicts[-1]:
+            verdicts.append(oracle.is_module_closed(lattice))
+            if verdicts[-1]:
+                assert FractionalIdeal.from_rows(K, basis) == lattice, basis
+            else:
                 with pytest.raises(DomainError, match="not closed"):
                     FractionalIdeal.from_rows(K, basis)
         assert True in verdicts and False in verdicts
@@ -266,6 +267,16 @@ class TestGeneratorProducts:
             d, mats = a._generators
             assert 1 + len(mats) <= K.degree + 1
             assert d == a.norm * a.den ** K.degree
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_FIELDS))
+    def test_scale_matches_oracle(self, name):
+        # scale multiplies by the principal ideal through the generators of
+        # the scaled ideal, in non-maximal orders too
+        K = parse_field(GENERATOR_FIELDS[name])
+        rng = random.Random(f"ideal-scale-{name}")
+        for ideal in self.ideals(K, rng):
+            a = TestProductsAgainstOracle.rand_el(K, rng, den=rng.choice((1, 2, 3)))
+            assert ideal.scale(a) == oracle.multiply(ideal, FractionalIdeal.principal(a))
 
     def test_conductor_of_z2i(self):
         # 2Z[i] = span{2, 2i} is an ideal of Z[2i] that is not invertible
@@ -333,9 +344,10 @@ CLOSURE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
 def test_closure_on_ring_generators_matches_oracle(name):
-    # from_rows tests closure against the field's ring generators only; its
-    # verdict must be the one the element-by-element oracle reaches on the
-    # whole basis
+    # from_rows tests closure by rebuilding the HNF from O-module generators;
+    # its verdict must be the one the element-by-element oracle reaches on
+    # the whole basis, in orders where x lies outside the order (Z[2i]),
+    # where a basis element lies outside Z[x] (Q(sqrt5)) and in degree 1
     record, cases = CLOSURE_CASES[name]
     K = parse_field(record)
     for rows, closed in cases:

@@ -920,24 +920,25 @@ def test_height_wrong_generator_of_a_huge_power_returns(capsys, n_power):
 
 
 def test_degree_closure_work_counts(monkeypatch):
-    """A degree job on x^12 - x - 1 tests the closure of its bundle's ideal
-    once per product with a ring generator: the power basis has the one
-    generator x, so 12 lattice-membership tests, where multiplying by every
-    basis element made 144. The default section is the first HNF row, so
-    its membership is not tested."""
+    """The closure test of an ideal on x^12 - x - 1 is the building of its
+    O-module generators: (x+2) is generated by d and its first HNF row, one
+    membership test and one HNF of 2n = 24 rows. The degree job needs
+    nothing more, since the default section is the first HNF row; the
+    height --N 2 job squares the ideal through those same generators, where
+    a second closure test over the ring generators made 12 more membership
+    tests."""
     import arithreg.arakelov as arakelov
 
-    calls = {"_is_module_closed": 0, "contains": 0}
-    in_lattice = arakelov.in_lattice
+    calls = {"in_lattice": 0}
+    count_calls(monkeypatch, calls, arakelov, "in_lattice")
+    sizes = []
+    hnf = arakelov.hnf
 
-    def counted(*args):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name not in calls:
-            frame = frame.f_back
-        calls[frame.f_code.co_name] += 1
-        return in_lattice(*args)
+    def sized(rows):
+        sizes.append(len(rows))
+        return hnf(rows)
 
-    monkeypatch.setattr(arakelov, "in_lattice", counted)
+    monkeypatch.setattr(arakelov, "hnf", sized)
     n = 12
     field = json.dumps({"poly": [-1, -1] + [0] * (n - 2) + [1]})
     # power-basis rows of (x+2) * x^i, i < 12, with x^12 = x + 1
@@ -945,9 +946,13 @@ def test_degree_closure_work_counts(monkeypatch):
     rows.append([1, 1] + [0] * (n - 3) + [2])
     bundle = json.dumps({"ideal_basis": [[str(c) for c in row] for row in rows],
                          "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
-    out = io.StringIO()
-    assert run_job(_build_job(["degree", "--field", field, "--bundle", bundle]), out=out) == 0
-    assert calls == {"_is_module_closed": 12, "contains": 0}
+    for argv in (["degree"], ["height", "--N", "2", "--generator", "(x+2)^2"]):
+        calls["in_lattice"] = 0
+        sizes.clear()
+        out = io.StringIO()
+        assert run_job(_build_job([argv[0], "--field", field, "--bundle", bundle, *argv[1:]]),
+                       out=out) == 0
+        assert calls == {"in_lattice": 1} and len(sizes) == 1 and sizes[0] <= 2 * n, argv
 
 
 def test_multiplication_table_is_lazy(monkeypatch):

@@ -101,14 +101,17 @@ def test_hnf_and_left_kernel_match_transform_oracle(label, rows):
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_hnf_of_ideal_square_matches_oracle(n):
-    # the n^2 product rows of squaring (x + 2) on x^n - x - 1, the input
-    # FractionalIdeal.multiply hands to hnf
-    from arithreg.arakelov import FractionalIdeal, _products
+    # the n^2 products of the basis of (x + 2) on x^n - x - 1 with itself:
+    # a square spanned by every basis product, where FractionalIdeal.multiply
+    # hands hnf 2n rows
+    from arithreg.arakelov import FractionalIdeal
     from arithreg.nf import parse_field
 
     K = parse_field({"poly": [-1, -1] + [0] * (n - 2) + [1]})
     ideal = FractionalIdeal.principal(K.gen() + K.element([2]))
-    rows = _products(K, ideal.rows, ideal.rows)
+    # on the power basis, coordinates are the coefficients
+    basis = [K.element(row) for row in ideal.rows]
+    rows = [[int(c) for c in (a * b).coeffs] for a in basis for b in basis]
     assert ideal.den == 1 and len(rows) == n * n
     h = hnf(rows)
     assert h == hnf_rows(rows)

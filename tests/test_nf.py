@@ -148,7 +148,18 @@ def test_parse_rational_agrees_with_fraction(text):
             _parse_rational(text)
     else:
         value = _parse_rational(text)
-        assert type(value) is Fraction and value == expected
+        assert type(value) in (int, Fraction) and value == expected
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("12", 12), (12, 12), ("-0", 0), ("-3/4", Fraction(-3, 4)), ("+3", Fraction(3)),
+    (Fraction(5, 2), Fraction(5, 2)),
+])
+def test_parse_rational_keeps_integers_as_ints(value, expected):
+    # integer entries stay ints, so rows of them are scaled to integers
+    # without building a Fraction; anything else is a Fraction
+    parsed = _parse_rational(value)
+    assert type(parsed) is type(expected) and parsed == expected
 
 
 class TestMultiplicationTable:
@@ -181,26 +192,6 @@ class TestMultiplicationTable:
         with pytest.raises(DomainError, match="^integral basis is not an order: "
                            "1 has non-integral coordinates$"):
             K.multiplication_table
-
-
-class TestRingGenerators:
-    """Integral coordinates of the ring generators that the ideal closure
-    test multiplies by."""
-
-    @pytest.mark.parametrize("record, generators", [
-        # a power basis: x alone
-        ({"poly": [-1, -1, 0, 0, 0, 1]}, ((0, 1, 0, 0, 0),)),
-        # (1, (1+x)/2) over x^2 - 5: x = 2 omega_1 - 1, and omega_1 lies outside Z[x]
-        ({"poly": [-5, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]},
-         ((-1, 2), (0, 1))),
-        # (1, 2x) over x^2 + 1: x lies outside the order, so the whole basis
-        ({"poly": [1, 0, 1], "integral_basis": [["1", "0"], ["0", "2"]], "maximal": False},
-         ((1, 0), (0, 1))),
-        # degree 1: Z is generated by 1 alone, and needs no generator
-        ({"poly": [-3, 1]}, ()),
-    ])
-    def test_generators(self, record, generators):
-        assert parse_field(record).ring_generators == generators
 
 
 class TestArith:
