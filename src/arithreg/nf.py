@@ -17,7 +17,9 @@ once; it is also the one place that builds and checks conjugation-invariant
 per-embedding vectors. evaluate gives an element's whole vector of
 conjugates in one call, one Horner evaluation per conjugacy class mirrored
 onto the partner, so a caller evaluates each element once per embedding
-set. Exact predicates (integrality, norm = +-1) never touch floating point.
+set; it runs in Python integers and rounds each step exactly as mpmath
+would. Exact predicates (integrality, norm = +-1) never touch floating
+point.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import MPZ, from_int, fzero, mpf_div, round_nearest
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
@@ -497,6 +500,15 @@ class EmbeddingSet:
         return tuple(complex(z) for z in self.roots)
 
     @cached_property
+    def _horner_parts(self) -> tuple[int, tuple]:
+        """(prec, parts): the working precision in bits and, per root, its
+        real and imaginary parts as (signed mantissa, exponent) pairs, the
+        operands of evaluate's integer Horner kernel."""
+        with mp.workdps(self.working_dps):
+            prec = mp.prec
+        return prec, tuple((_signed(re), _signed(im)) for re, im in (z._mpc_ for z in self.roots))
+
+    @cached_property
     def root_radii(self) -> tuple:
         """Per embedding, a radius about the stored root z that holds a root
         of f: f'(z)/f(z) = sum_j 1/(z - z_j), so some root lies within
@@ -673,24 +685,111 @@ def _aberth(coeffs: tuple[int, ...], wp: int) -> list:
 def evaluate(a: FieldElement, e: EmbeddingSet) -> tuple:
     """Numerical values of a at every embedding, in embedding order (Horner).
 
-    The coefficients become mpf once, and Horner's rule runs once per
-    conjugacy class at the working precision: on the real part at a real
-    embedding, so that value is exactly real, and at the root of a pair
-    representative, whose conjugate is stored at the partner embedding. The
-    partner's root is the exact conjugate and the coefficients are real, so
-    that copy is bit for bit the Horner value at the partner root.
+    Horner's rule runs once per conjugacy class at the working precision
+    (prec bits), in Python integers on (signed mantissa, exponent) pairs
+    (EmbeddingSet._horner_parts), and every step rounds to nearest, ties to
+    even, exactly as the mpmath operation it stands for, so the values are
+    mpmath's Horner values on mpf and mpc, bit for bit:
+    - an integer coefficient is rounded to prec bits, as mpf(c); a
+      coefficient p/q with q > 1 is mpf(p) / mpf(q);
+    - at a real embedding, on the real part x of the root, each step is
+      RN(acc * x), then RN(acc + c), so the value is exactly real;
+    - at a pair representative, root x + iy, each step is
+      re = RN(ar x - ai y) and im = RN(ar y + ai x) from exact products, as
+      mpc_mul rounds, then re = RN(re + c), as mpc_add_mpf;
+    - every rounded sum takes mpf_add's shortcut for far-apart operands
+      (_add), which can round differently from the exact sum.
+    The partner of a pair representative gets the exact conjugate: its root
+    is the exact conjugate and the coefficients are real, so that copy is
+    bit for bit the Horner value at the partner root.
     """
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
+    prec, parts = e._horner_parts
+    if a.den == 1:
+        coeffs = [_round(c, 0, prec) for c in a.num]
+    else:
+        coeffs = [_signed(mpf_div(from_int(c.numerator, prec, round_nearest),
+                                  from_int(c.denominator, prec, round_nearest),
+                                  prec, round_nearest))
+                  for c in a.coeffs]
+    while len(coeffs) > 1 and not coeffs[-1][0]:
+        coeffs.pop()  # a leading zero only passes the next coefficient on
+    (lead, lead_exp), rest = coeffs[-1], coeffs[-2::-1]
     out = [None] * e.degree
-    with mp.workdps(e.working_dps):
-        if a.den == 1:
-            coeffs = [mpf(c) for c in a.num]
-        else:
-            coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in a.coeffs]
-        for idx in e.real_indices:
-            out[idx] = mpc(_horner(coeffs, mp.re(e.roots[idx])), 0)
-        for idx in e.pair_representatives:
-            out[idx] = value = _horner(coeffs, e.roots[idx])
-            out[e.conjugation_pairing[idx]] = mp.conj(value)
+    for idx in e.real_indices:
+        x, ex = parts[idx][0]
+        m, k = lead, lead_exp
+        for c, ce in rest:
+            m, k = _round(m * x, k + ex, prec)
+            if c:
+                m, k = _add(m, k, c, ce, prec)
+        out[idx] = mp.make_mpc((_unsigned(m, k), fzero))
+    for idx in e.pair_representatives:
+        (x, ex), (y, ey) = parts[idx]
+        re, kr, im, ki = lead, lead_exp, 0, 0
+        for c, ce in rest:
+            (re, kr), (im, ki) = (_add(re * x, kr + ex, -im * y, ki + ey, prec),
+                                  _add(re * y, kr + ey, im * x, ki + ex, prec))
+            if c:
+                re, kr = _add(re, kr, c, ce, prec)
+        real, imag = _unsigned(re, kr), _unsigned(im, ki)
+        out[idx] = mp.make_mpc((real, imag))
+        out[e.conjugation_pairing[idx]] = mp.make_mpc((real, _unsigned(-im, ki)))
     return tuple(out)
+
+
+def _round(m: int, k: int, prec: int) -> tuple[int, int]:
+    """m * 2^k rounded to prec bits, to nearest with ties to even, as
+    mpmath's normalize rounds a mantissa: (m', k') with m' odd, or (0, 0)."""
+    return _add(m, k, 0, 0, prec)
+
+
+def _add(a: int, ka: int, b: int, kb: int, prec: int) -> tuple[int, int]:
+    """a * 2^ka + b * 2^kb rounded to prec bits as mpmath's mpf_add rounds
+    it, for odd (or zero) a and b; b = 0 rounds a alone (_round). When the
+    exponents differ by more than 100 and the magnitudes by more than
+    prec + 4 bits, the larger operand is shifted left by prec + 4 bits and
+    moved one unit toward the sign of the smaller, then rounded; otherwise
+    the exact sum is rounded once, to nearest with ties to even. The result
+    (m, k) has m odd, or is (0, 0)."""
+    if not b:
+        m, k = a, ka
+    elif not a:
+        m, k = b, kb
+    else:
+        if ka < kb:
+            a, ka, b, kb = b, kb, a, ka
+        offset = ka - kb
+        if offset > 100 and a.bit_length() + offset - b.bit_length() > prec + 4:
+            m, k = (a << (prec + 4)) + (1 if b > 0 else -1), ka - prec - 4
+        else:
+            m, k = (a << offset) + b, kb
+    if not m:
+        return 0, 0
+    n = m.bit_length() - prec
+    if n > 0:
+        h = -m if m < 0 else m
+        t = h >> (n - 1)
+        h = (t >> 1) + 1 if t & 1 and (t & 2 or h & ((1 << (n - 1)) - 1)) else t >> 1
+        m = -h if m < 0 else h
+        k += n
+    if not m & 1:
+        t = (m & -m).bit_length() - 1
+        m >>= t
+        k += t
+    return m, k
+
+
+def _signed(v) -> tuple[int, int]:
+    """The finite mpf tuple v as (signed mantissa, exponent)."""
+    sign, man, exp, _ = v
+    return (-man if sign else man), exp
+
+
+def _unsigned(m: int, k: int) -> tuple:
+    """The mpf tuple of m * 2^k, m odd or 0."""
+    if not m:
+        return fzero
+    h = MPZ(-m if m < 0 else m)
+    return (int(m < 0), h, k, h.bit_length())

@@ -168,19 +168,22 @@ def _search_lattice(logs, args, digits: int) -> list[list[int]]:
 
 
 def _relation_candidates(logs, args, digits: int):
-    """Exponent vectors of candidate relations: the LLL-reduced vectors of
-    _search_lattice whose residuals are at most 10^(digits // 2) and whose
-    exponents are within DEFAULT_EXPONENT_BOUND. They are unproved until
-    _verified_basis."""
+    """(candidates, dropped): the exponent vectors of candidate relations,
+    the LLL-reduced vectors of _search_lattice whose residuals are at most
+    10^(digits // 2) and whose exponents are within DEFAULT_EXPONENT_BOUND,
+    and whether a vector within the residual threshold was dropped for its
+    exponents alone. The candidates are unproved until _verified_basis."""
     k = len(logs)
     threshold = 10 ** (digits // 2)
-    out = []
+    out, dropped = [], False
     for v in lll(_search_lattice(logs, args, digits)):
         exps, resid = v[:k], v[k:]
-        if (any(exps) and max(abs(r) for r in resid) <= threshold
-                and max(abs(x) for x in exps) <= DEFAULT_EXPONENT_BOUND):
-            out.append(exps)
-    return out
+        if any(exps) and max(abs(r) for r in resid) <= threshold:
+            if max(abs(x) for x in exps) <= DEFAULT_EXPONENT_BOUND:
+                out.append(exps)
+            else:
+                dropped = True
+    return out, dropped
 
 
 def _verified_basis(elems, candidates) -> list[list[int]]:
@@ -220,11 +223,22 @@ def _proved_lattice(elems, precision: int) -> tuple[list[list[int]], int]:
 
 def _complete_basis(elems, columns, digits: int, e: EmbeddingSet):
     """(basis, torsion order) of one search on columns scaled by 10^digits,
-    with every proof of _proved_lattice; PrecisionError when one fails."""
+    with every proof of _proved_lattice; PrecisionError when one fails,
+    naming DEFAULT_EXPONENT_BOUND when the search dropped a vector for its
+    exponents alone."""
     logs, args = columns
-    basis = _verified_basis(elems, _relation_candidates(logs, args, digits))
-    torsion = _certify_torsion(elems, basis)
-    _prove_rank(elems, basis, logs, e)
+    candidates, dropped = _relation_candidates(logs, args, digits)
+    try:
+        basis = _verified_basis(elems, candidates)
+        torsion = _certify_torsion(elems, basis)
+        _prove_rank(elems, basis, logs, e)
+    except PrecisionError as err:
+        if not dropped:
+            raise
+        raise PrecisionError(
+            "the relation lattice may be incomplete: a relation with an exponent "
+            f"beyond the exponent bound {DEFAULT_EXPONENT_BOUND} was found and dropped, "
+            "as it is at any precision, so more digits will not help") from err
     return basis, torsion
 
 
@@ -348,7 +362,8 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePr
 
     The HNF basis, its torsion order and its completeness are proved by
     _proved_lattice; a failed proof raises PrecisionError (retry with more
-    digits), so a returned presentation misses no relation.
+    digits, unless the message names the exponent bound, which no
+    precision lifts), so a returned presentation misses no relation.
     """
     elems = list(elems)
     if not elems:

@@ -9,9 +9,10 @@ Euclidean algorithm over Q. It reads only an element's `coeffs` and the
 field's `defining_poly` and `integral_basis`. The rational-root search is
 the trial-division scan over the divisors of the constant term.
 
-evaluate_at is the per-embedding evaluation the package used before
-evaluate returned the whole vector of conjugates: the coefficients become
-mpf and Horner's rule runs at one embedding, on the real part of a real root.
+evaluate_at is the oracle of evaluate's integer Horner kernel: the
+per-embedding Horner loop on mpmath mpf and mpc values that evaluate ran
+before, whose bits the kernel must reproduce. The coefficients become mpf
+and Horner's rule runs at one embedding, on the real part of a real root.
 """
 
 from fractions import Fraction
@@ -178,8 +179,9 @@ def rational_root(coeffs):
 
 
 def evaluate_at(a, e, index: int):
-    """Numerical value of a at the indexed embedding (Horner); exactly real,
-    as an mpc, at a real embedding."""
+    """Numerical value of a at the indexed embedding by Horner's rule on
+    mpf and mpc at the working precision, the bits that nf.evaluate must
+    reproduce; exactly real, as an mpc, at a real embedding."""
     if index < 0 or index >= e.degree:
         raise DomainError(f"embedding index {index} out of range")
     if a.field != e.field:

@@ -5,7 +5,9 @@ import pytest
 from mpmath import mp, mpf
 
 from arithreg.errors import DomainError, FormatError, SquarefreeError
-from arithreg.nf import FieldElement, _parse_rational, embeddings, evaluate, parse_field
+import arithreg.nf
+from arithreg.nf import (EmbeddingSet, FieldElement, _parse_rational, embeddings, evaluate,
+                         parse_field)
 import nf_oracles as oracle
 from test_cli import count_calls
 from time_limits import time_limit
@@ -586,6 +588,7 @@ class TestEvaluateVector:
         "totally complex": ([1, 0, 0, 0, 1], (0, 2)),  # x^4 + 1
         "mixed": ([1, -1, 0, 1], (1, 1)),
         "degree 16": ([-1, -1] + [0] * 14 + [1], (2, 7)),  # x^16 - x - 1
+        "degree 24": ([-1, -1] + [0] * 22 + [1], (2, 11)),  # x^24 - x - 1
     }
 
     @staticmethod
@@ -623,6 +626,76 @@ class TestEvaluateVector:
                 assert (got[j].real, got[j].imag) == (partner.real, partner.imag)
             for i in e.real_indices:
                 assert got[i].imag == 0
+
+
+def assert_matches_oracle(a, e):
+    """evaluate(a, e) is nf_oracles.evaluate_at at every index, bit for bit."""
+    got = evaluate(a, e)
+    bad = [i for i in range(e.degree) if got[i]._mpc_ != oracle.evaluate_at(a, e, i)._mpc_]
+    assert not bad, (a, bad)
+
+
+class TestHornerKernel:
+    """The rounding corners of evaluate's integer Horner kernel against the
+    mpmath Horner loop of nf_oracles.evaluate_at, bit for bit: each test
+    fails on a kernel that skips the rule it names."""
+
+    @pytest.mark.parametrize("poly", [[1, -1, 0, 1], [-1, -1] + [0] * 22 + [1]],
+                             ids=["x^3-x+1", "x^24-x-1"])
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_coefficients_beyond_working_precision(self, poly, digits):
+        """Integer coefficients near 10^80 and Fractions over 10^90 have more
+        bits than the working precision: each is rounded to it first, as
+        mpf(c) and mpf(p) / mpf(q) round it."""
+        rng = random.Random(25)
+        e = embeddings(parse_field({"poly": poly}), digits)
+        n, big = e.degree, 10 ** 80
+        for _ in range(12):
+            a = e.field.element([rng.randint(-big, big) for _ in range(n)])
+            assert a.den == 1
+            assert_matches_oracle(a, e)
+            b = e.field.element([Fraction(rng.randint(-10 * big, 10 * big),
+                                          rng.randint(2, 10 ** 90)) for _ in range(n)])
+            assert b.den != 1
+            assert_matches_oracle(b, e)
+
+    def test_far_apart_operands(self, monkeypatch):
+        """3000 (coefficients, z) cases at 60 digits with Im z between 2^-112
+        and 2^-100, so that a sum of Horner's real part meets an operand more
+        than prec + 4 bits smaller: the kernel must take mpf_add's shortcut
+        there, whose bits can differ from the exact sum rounded once.
+
+        Each case is an element of a degree-12 field evaluated at one of six
+        such points of an EmbeddingSet built on them and their conjugates;
+        evaluate reads the roots only, so they need not be roots of f."""
+        fired = []  # the sums that take the shortcut
+        real_add = arithreg.nf._add
+
+        def counted(a, ka, b, kb, prec):
+            if a and b:
+                (hi, khi), (lo, klo) = sorted([(a, ka), (b, kb)], key=lambda t: -t[1])
+                if khi - klo > 100 and (hi.bit_length() + khi) - (lo.bit_length() + klo) > prec + 4:
+                    fired.append(1)
+            return real_add(a, ka, b, kb, prec)
+
+        monkeypatch.setattr(arithreg.nf, "_add", counted)
+        rng = random.Random(2)
+        n = 12
+        K = parse_field({"poly": [-1, -1] + [0] * (n - 2) + [1]})
+        pairing = tuple(i ^ 1 for i in range(n))
+        cases = 0
+        with mp.workdps(60):
+            for _ in range(500):
+                points = [mp.mpc(mpf(rng.randint(-2 ** 60, 2 ** 60)) / 2 ** rng.randint(55, 65),
+                                 mpf(rng.randint(2 ** 59, 2 ** 60)) / 2 ** rng.randint(160, 171))
+                          for _ in range(n // 2)]
+                roots = tuple(w for z in points for w in (z, mp.conj(z)))
+                e = EmbeddingSet(K, 50, roots, pairing, (0, n // 2))
+                assert e.working_dps == 60
+                assert_matches_oracle(K.element([rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]), e)
+                cases += len(e.pair_representatives)
+        assert cases == 3000
+        assert len(fired) > 1000
 
 
 class TestConjugationSymmetry:

@@ -107,11 +107,12 @@ class TestCompleteness:
 
     def test_exponent_65_raises(self, fields):
         """x and x^65 on x^3 - x + 1 have the one relation (65, -1), beyond
-        DEFAULT_EXPONENT_BOUND: the search finds nothing, and presenting a
-        free group of rank 2 in a field of unit rank 1 is refused."""
+        DEFAULT_EXPONENT_BOUND: the search drops it, and presenting a free
+        group of rank 2 in a field of unit rank 1 is refused with an error
+        that names the bound, since more digits would drop it again."""
         x = fields["cubic"].gen()
         assert relation_lattice([x, x ** 64], 50).relation_basis == ((64, -1),)
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match="exponent bound"):
             relation_lattice([x, x ** 65], 50)
 
     def test_certainly_nonsingular(self):
@@ -233,7 +234,8 @@ class TestVerifiedBasis:
 
         def with_false_row(logs, args, digits):
             searches.append(digits)
-            return real(logs, args, digits) + [[1] + [0] * (len(logs) - 1)]
+            candidates, dropped = real(logs, args, digits)
+            return candidates + [[1] + [0] * (len(logs) - 1)], dropped
 
         monkeypatch.setattr(arithreg.relations, "_relation_candidates", with_false_row)
         return searches
