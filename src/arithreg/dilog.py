@@ -47,14 +47,35 @@ Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
 Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
 S(t) = sum_k c'_k t^k, c'_k = B_(2k+2) (4 pi^2)^k / (2k+3)!. u, v and
 u - v/4 + u v S stay in mpc, which keeps relative precision for tiny u. S is
-summed by Horner's rule on Python integers scaled by 2^bits, bits = mp.prec
-+ _GUARD_BITS, over coefficients rounded once per bits and cached. Since
-|c'_k| = 2 zeta(2k+2) / (4 pi^2 (2k+3)) <= 1/36 and |t| = q^2 < 0.04, each
-step adds under 2 units of 2^-bits (the floor of the shifted product, the
-rounded coefficient, the rounded t times |S| < 0.03) and shrinks the error
-carried in by |t|, so the sum is off by less than 3 * 2^-bits whatever the
-number of terms. A Horner loop in v itself would multiply the error of step
-k by |v|^k, about 1.1^k near e^(+-i pi/3).
+summed on Python integers scaled by 2^bits, bits = mp.prec + _GUARD_BITS,
+over coefficients rounded once per bits and cached. The coefficients are
+real, so S takes the second-order recurrence for a real polynomial at a
+complex point (Goertzel; Knuth, TAOCP vol. 2, 4.6.4): t and conj(t) are the
+roots of x^2 - r x + s with r = 2 Re t and s = |t|^2, and
+b_k = c'_k + r b_(k+1) - s b_(k+2), from b_n = b_(n+1) = 0, gives
+S(t) = b_0 - conj(t) b_1. A term costs two products of integers and one
+shift, where Horner's rule in the complex t costs four products.
+
+Error, in units of 2^-bits. Let t be the fixed-point value of v / (4 pi^2)
+that the loop uses, within 1.83 units of the exact one in each part (the
+floor of v, the rounded 1 / (4 pi^2) times |v| < 1.6, the floor of the
+product), so r = 2 Re t is exact and s is |t|^2 floored once. The computed
+b_k are then exactly the recurrence with r and s = |t|^2 over the real
+coefficients c'_k + d_k, where d_k adds the floor (under 1), the rounded
+c'_k (1/2) and the floored s times b_(k+2) (under 0.04). Since
+|c'_k| = 2 zeta(2k+2) / (4 pi^2 (2k+3)) <= 1/36 and |t| = q^2 < 0.04, and
+b_k = sum_m (c'_(k+m) + d_(k+m)) U_m with
+|U_m| = |t^(m+1) - conj(t)^(m+1)| / |t - conj(t)| <= (m+1) |t|^m,
+|b_k| <= (1/36 + 1.54 * 2^-bits) / (1 - |t|)^2 < 0.031, so |d_k| < 1.54.
+The identity above then gives b_0 - conj(t) b_1 = sum_m (c'_m + d_m) t^m
+exactly: d_0 is real, and the other d_m add under 1.54 |t| / (1 - |t|) <
+0.07 to either part. The last step floors Re t b_1 and Im t b_1, under 1
+unit each, so the real part is off by under 2.61 and the imaginary part by
+under 1.07, 2.83 in modulus. Moving t by under 2.6 units in modulus moves
+S by under 0.08, since |S'| <= (1/36) / (1 - |t|)^2 < 0.031. So S is off
+by less than 3 units whatever the number of terms. A Horner loop in v
+itself would multiply the error of step k by |v|^k, about 1.1^k near
+e^(+-i pi/3).
 """
 
 from __future__ import annotations
@@ -138,6 +159,21 @@ def _fixed_table(bits: int, count: int) -> tuple[int, list]:
     return entry
 
 
+def _fixed_sum(v, bits: int, count: int) -> tuple[int, int]:
+    """(Re S, Im S) * 2^bits as integers, S(v / (4 pi^2)) summed over its
+    first count >= 2 terms by the real-coefficient recurrence; off by less
+    than 3 * 2^-bits (module docstring)."""
+    scale, coeffs = _fixed_table(bits, count)
+    v_re, v_im = v._mpc_
+    t_re = (to_fixed(v_re, bits) * scale) >> bits
+    t_im = (to_fixed(v_im, bits) * scale) >> bits
+    r, s = 2 * t_re, (t_re * t_re + t_im * t_im) >> bits
+    b0, b1 = coeffs[count - 1], 0
+    for c in coeffs[count - 2::-1]:
+        b0, b1 = c + ((r * b0 - s * b1) >> bits), b0
+    return b0 - ((t_re * b1) >> bits), (t_im * b1) >> bits
+
+
 def _bernoulli_series(u) -> mpc:
     """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) for u = -log(1-w) of a reduced
     w (q < 0.2) and v = u^2, with S summed in fixed point (module docstring)."""
@@ -148,14 +184,7 @@ def _bernoulli_series(u) -> mpc:
     n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
     count = n_terms // 2  # only B_0, B_1 and the even B_n are nonzero
     bits = mp.prec + _GUARD_BITS
-    scale, coeffs = _fixed_table(bits, count)
-    v_re, v_im = v._mpc_
-    t_re = (to_fixed(v_re, bits) * scale) >> bits
-    t_im = (to_fixed(v_im, bits) * scale) >> bits
-    s_re, s_im = coeffs[count - 1], 0
-    for k in range(count - 2, -1, -1):
-        s_re, s_im = (((s_re * t_re - s_im * t_im) >> bits) + coeffs[k],
-                      (s_re * t_im + s_im * t_re) >> bits)
+    s_re, s_im = _fixed_sum(v, bits, count)
     s = mp.make_mpc((from_man_exp(s_re, -bits, mp.prec, round_nearest),
                      from_man_exp(s_im, -bits, mp.prec, round_nearest)))
     return u - v / 4 + u * v * s
@@ -173,8 +202,9 @@ def _li2_principal(z) -> tuple:
     w = z
     u = None  # -log(1 - w), once a reflection has computed it
     log_abs = arg_one_minus = None  # log|z| and arg(1 - z), where the route takes them at z
-    pi2_6 = mp.pi ** 2 / 6
     chain = _reduction_chain(z)
+    if chain:
+        pi2_6 = mp.pi ** 2 / 6
     for step, move in enumerate(chain):
         if move == "inv":
             log_minus_w = mp.log(-w)

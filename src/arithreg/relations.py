@@ -36,6 +36,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
 from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
@@ -352,9 +353,8 @@ def _log_modulus_error(g: FieldElement, value, idx: int, e: EmbeddingSet):
 
 
 def _exact(v) -> Fraction:
-    """The binary mpf v as an exact Fraction."""
-    man, exp = v.man_exp
-    return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
+    """The binary mpf v as an exact Fraction, sign included."""
+    return Fraction(*to_rational(v._mpf_))
 
 
 def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:
@@ -460,17 +460,21 @@ class ExteriorSquare:
     def reduce(self, raw) -> tuple[int, ...]:
         if len(raw) != self.dim:
             raise DomainError("wedge coordinate vector has wrong length")
-        return self.reduce_smith([sum(raw[c] * self.v_matrix[c][j] for c in range(self.dim))
+        # a wedge of two generators has one nonzero raw entry: sum only the
+        # rows of the Smith transform that nonzero entries select
+        rows = [(x, self.v_matrix[c]) for c, x in enumerate(raw) if x]
+        return self.reduce_smith([sum(x * row[j] for x, row in rows)
                                   for j in range(self.dim)])
 
     def reduce_smith(self, y) -> tuple[int, ...]:
         return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariants))
 
 
-def _pair_basis(k: int):
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    index = {p: c for c, p in enumerate(pairs)}
-    return pairs, index
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j < k, of the basis e_i ^ e_j, in coordinate
+    order."""
+    return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
 @lru_cache(maxsize=256)
@@ -478,7 +482,8 @@ def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
     torsion included, as Smith normal form data."""
-    pairs, index = _pair_basis(k)
+    pairs = _pairs(k)
+    index = {p: c for c, p in enumerate(pairs)}
     dim = len(pairs)
     relators = []
     for r in relation_rows:
@@ -508,11 +513,7 @@ def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
 
 def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
     """Class of (sum u_i g_i) ^ (sum v_j g_j) written additively."""
-    k = p.rank
-    pairs, index = _pair_basis(k)
-    raw = [0] * len(pairs)
-    for (i, j), c in index.items():
-        raw[c] = u[i] * v[j] - u[j] * v[i]
+    raw = [u[i] * v[j] - u[j] * v[i] for i, j in _pairs(p.rank)]
     sq = exterior_square(p)
     return WedgeClass(p, sq.reduce(raw))
 

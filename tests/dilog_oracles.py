@@ -6,11 +6,20 @@ library sums, converges only for |w| < 1 and slows down as |w| -> 1.
 
 The mpc Bernoulli series is the library's own series summed the plain way,
 in floating point on mpc values: the reference for its fixed-point kernel.
+
+The fixed-point sums take the arguments of arithreg.dilog._fixed_sum and
+return S(v / (4 pi^2)) * 2^bits over the first count terms:
+complex_horner_sum is the complex Horner loop the library ran before its
+real-coefficient recurrence, and exact_series_sum is the same truncated sum
+in mpc at 64 more bits than the kernel keeps.
 """
 
 import math
 
 from mpmath import bernoulli, factorial, mp, mpc
+from mpmath.libmp import to_fixed
+
+from arithreg.dilog import _fixed_table
 
 
 def series_terms(absw: float, wp: int) -> int:
@@ -48,3 +57,29 @@ def mpc_bernoulli_series(w) -> mpc:
     for k in range(n_terms // 2, 0, -1):
         acc = acc * v + bernoulli(2 * k) / factorial(2 * k + 1)
     return u - v / 4 + u * v * acc
+
+
+def complex_horner_sum(v, bits: int, count: int) -> tuple[int, int]:
+    """Horner's rule in the complex t on integers scaled by 2^bits: four
+    products and two shifts per term."""
+    scale, coeffs = _fixed_table(bits, count)
+    v_re, v_im = v._mpc_
+    t_re = (to_fixed(v_re, bits) * scale) >> bits
+    t_im = (to_fixed(v_im, bits) * scale) >> bits
+    s_re, s_im = coeffs[count - 1], 0
+    for k in range(count - 2, -1, -1):
+        s_re, s_im = (((s_re * t_re - s_im * t_im) >> bits) + coeffs[k],
+                      (s_re * t_im + s_im * t_re) >> bits)
+    return s_re, s_im
+
+
+def exact_series_sum(v, bits: int, count: int) -> mpc:
+    """The truncated sum at the exact t = v / (4 pi^2), as an mpc at
+    bits + 64 bits of precision, still scaled by 2^bits."""
+    with mp.workprec(bits + 64):
+        four_pi2 = 4 * mp.pi ** 2
+        t = v / four_pi2
+        acc = mpc(0)
+        for k in range(count - 1, -1, -1):
+            acc = acc * t + bernoulli(2 * k + 2) * four_pi2 ** k / factorial(2 * k + 3)
+        return mpc(mp.ldexp(acc.real, bits), mp.ldexp(acc.imag, bits))

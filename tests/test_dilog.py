@@ -10,7 +10,8 @@ from arithreg.dilog import (_CHAINS, _as_mpc, _bernoulli_series, _li2_principal,
                             _orbit_value, _reduction_chain, bloch_wigner, li2,
                             li2_and_bloch_wigner)
 from arithreg.precision import working_dps
-from dilog_oracles import mpc_bernoulli_series, power_series
+from dilog_oracles import (complex_horner_sum, exact_series_sum, mpc_bernoulli_series,
+                           power_series)
 from time_limits import time_limit
 
 DIGITS = 50
@@ -296,7 +297,8 @@ def relative_error(value, oracle):
 
 
 class TestFixedPointKernel:
-    """The integer Horner sum against the mpc series it replaced, and against
+    """The integer recurrence against the mpc series, against the complex
+    Horner loop it replaced and against the exact truncated sum, and against
     mpmath where a Horner loop in v itself would lose digits."""
 
     @pytest.mark.parametrize("digits", [30, 50, 100, 200])
@@ -307,6 +309,34 @@ class TestFixedPointKernel:
                     w = _orbit_value(z, _reduction_chain(z))
                     value = _bernoulli_series(-mp.log(1 - w))
                     assert relative_error(value, mpc_bernoulli_series(w)) < mpf(10) ** -digits
+
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    def test_recurrence_against_complex_horner(self, digits, monkeypatch):
+        # every sum li2 makes over the bench regions and at e^(+-i pi/3),
+        # where q = 1/6 and the loop runs longest, lies within the module
+        # docstring's 3 units of 2^-bits of the exact truncated sum, so
+        # within 6 of the complex Horner loop it replaced
+        calls = []
+        kernel = arithreg.dilog._fixed_sum
+
+        def spy(v, bits, count):
+            calls.append((v, bits, count, kernel(v, bits, count)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(arithreg.dilog, "_fixed_sum", spy)
+        with mp.workdps(digits + 10):
+            points = [z for region in ("disk", "wide", "ring", "fixed", "real")
+                      for z in region_points(region, 8, digits)]
+            points += [mp.expjpi(mpf(s) / 3) for s in (1, -1)]
+        for z in points:
+            li2(z, digits)
+        assert len(calls) == len(points)
+        for v, bits, count, (s_re, s_im) in calls:
+            old_re, old_im = complex_horner_sum(v, bits, count)
+            assert abs(mpc(s_re - old_re, s_im - old_im)) < 6
+            exact = exact_series_sum(v, bits, count)
+            with mp.workprec(bits + 64):
+                assert abs(mpc(s_re, s_im) - exact) < 3
 
     @pytest.mark.parametrize("digits", [500, 1000])
     def test_near_fixed_points_at_high_precision(self, digits):

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -19,7 +20,7 @@ from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingul
                                 exterior_square_of_lattice, power_product, relation_lattice,
                                 steinberg_image, torsion_only_kernel, verify_bloch_element,
                                 wedge_of_vectors)
-from intmat_oracles import (group_invariants, invariant_factors_by_minors,
+from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
 from test_cli import count_calls
 from wedge_oracles import bloch_sum_vanishes, exceptional_units
@@ -127,6 +128,27 @@ class TestCompleteness:
             # nonsingular, but a perturbation of size eta makes it singular
             assert not _certainly_nonsingular([[mp.mpf("1e-20")]], mp.mpf("1e-19"))
             assert _certainly_nonsingular([[mp.mpf("1e-20")]], mp.mpf("1e-22"))
+            # singular only with its signs: the matrix of |a_ij| has det 2
+            signed = [[1, -1, 0], [0, 1, 1], [1, 0, 1]]
+            assert not _certainly_nonsingular([[mp.mpf(x) for x in row] for row in signed],
+                                              mp.mpf("1e-40"))
+            # seeded signed dyadic matrices, exact as mpf, half of them made
+            # singular by a signed combination of rows: with eta far below
+            # any nonzero det, the test agrees with an exact determinant
+            rng = random.Random("signed-minors")
+            outcomes = []
+            for _ in range(40):
+                r = rng.randint(2, 5)
+                rows = [[Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 8)) for _ in range(r)]
+                        for _ in range(r)]
+                if rng.random() < 0.5:
+                    mults = [rng.choice((-2, -1, 1, 3)) for _ in range(r - 1)]
+                    rows[-1] = [sum(m * row[j] for m, row in zip(mults, rows)) for j in range(r)]
+                a = [[mp.mpf(x.numerator) / x.denominator for x in row] for row in rows]
+                nonsingular = det_by_elimination(rows) != 0
+                assert _certainly_nonsingular(a, mp.mpf("1e-40")) == nonsingular, rows
+                outcomes.append(nonsingular)
+        assert True in outcomes and False in outcomes
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
     def test_seeded_power_products_of_known_units(self, m):
