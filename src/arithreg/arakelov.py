@@ -112,8 +112,8 @@ class FractionalIdeal:
 
     def reference_section(self) -> FieldElement:
         """First HNF basis vector; anchors metrics and default sections."""
-        return self.field.element([Fraction(c, self.den)
-                                   for c in _vec_mat(self.rows[0], self.field.integral_basis)])
+        basis, d = self.field._scaled_basis
+        return self.field._reduce(_vec_mat(self.rows[0], basis), self.den * d)
 
     def contains(self, elem: FieldElement) -> bool:
         coords, d = elem._integral_numerators()

@@ -335,8 +335,8 @@ def _bundle_from(payload, e):
     metric_raw = _require(record, "metric", list)
     if len(metric_raw) != e.field.degree:
         raise SchemaError("key 'metric' must list one positive value per embedding")
-    if any(not isinstance(row, list) for row in rows):
-        raise SchemaError("key 'ideal_basis' must be a list of rows")
+    if any(not isinstance(row, list) or len(row) != e.field.degree for row in rows):
+        raise SchemaError("key 'ideal_basis' must be a list of rows of one entry per basis element")
     rows = [[_parse_rational(x) for x in row] for row in rows]
     ideal = FractionalIdeal.from_rows(e.field, rows)
     try:

@@ -14,12 +14,13 @@ The embedding set carries the numerical side: certified roots of f, the
 complex-conjugation pairing, and the (r1, r2) signature, with the roots'
 double copies and radii about them that hold roots of f, each computed
 once; it is also the one place that builds and checks conjugation-invariant
-per-embedding vectors. evaluate gives an element's whole vector of
-conjugates in one call, one Horner evaluation per conjugacy class mirrored
-onto the partner, so a caller evaluates each element once per embedding
-set; it runs in Python integers and rounds each step exactly as mpmath
-would. Exact predicates (integrality, norm = +-1) never touch floating
-point.
+per-embedding vectors. One Horner kernel (_horner_mp), in Python integers
+rounding each step exactly as mpmath would, computes every polynomial value
+at a multiprecision point: the Aberth and Newton steps, residual checks and
+root radii of root finding, and evaluate, which gives an element's whole
+vector of conjugates in one call, one Horner evaluation per conjugacy class
+mirrored onto the partner. Exact predicates (integrality, norm = +-1) never
+touch floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import MPZ, from_int, fzero, mpf_div, round_nearest
+from mpmath.libmp import MPZ, dps_to_prec, from_int, fzero, mpf_div, mpf_neg, round_nearest
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
@@ -75,6 +76,11 @@ class NumberField:
         return len(self.defining_poly) - 1
 
     @cached_property
+    def _scaled_basis(self) -> tuple[list[list[int]], int]:
+        """(B, d): the integral basis is B / d with B an integer matrix."""
+        return _scaled_rows(self.integral_basis)
+
+    @cached_property
     def _scaled_inverse(self) -> tuple[list[list[int]], int]:
         """(M, e): the inverse of the integral basis is M / e with M an
         integer matrix, so integral coordinates are power coordinates * M / e."""
@@ -91,7 +97,7 @@ class NumberField:
         coordinates and every T[i][j][k] be an integer.
         """
         n = self.degree
-        basis, d = _scaled_rows(self.integral_basis)
+        basis, d = self._scaled_basis
         inverse, e = self._scaled_inverse
         if any(x % e for x in inverse[0]):
             raise DomainError("integral basis is not an order: 1 has non-integral coordinates")
@@ -500,15 +506,6 @@ class EmbeddingSet:
         return tuple(complex(z) for z in self.roots)
 
     @cached_property
-    def _horner_parts(self) -> tuple[int, tuple]:
-        """(prec, parts): the working precision in bits and, per root, its
-        real and imaginary parts as (signed mantissa, exponent) pairs, the
-        operands of evaluate's integer Horner kernel."""
-        with mp.workdps(self.working_dps):
-            prec = mp.prec
-        return prec, tuple((_signed(re), _signed(im)) for re, im in (z._mpc_ for z in self.roots))
-
-    @cached_property
     def root_radii(self) -> tuple:
         """Per embedding, a radius about the stored root z that holds a root
         of f: f'(z)/f(z) = sum_j 1/(z - z_j), so some root lies within
@@ -516,16 +513,13 @@ class EmbeddingSet:
         Horner rounding bound 8(n+1) u sum |a_i| |z|^i, u the unit roundoff
         of the working precision, and the quotient is doubled to cover the
         rounding of f'(z)."""
-        f = self.field.defining_poly
         n = self.degree
         with mp.workdps(self.working_dps):
-            u = mpf(2) ** (1 - mp.prec)
-            fcoeffs = [mpf(c) for c in f]
-            dcoeffs = [mpf(i * f[i]) for i in range(1, n + 1)]
-            moduli = [abs(c) for c in fcoeffs]
-            return tuple(
-                2 * n * (abs(_horner(fcoeffs, z)) + 8 * (n + 1) * u * _horner(moduli, abs(z)))
-                / abs(_horner(dcoeffs, z)) for z in self.roots)
+            prec = mp.prec
+            f, df, moduli = _root_operands(self.field.defining_poly, prec)
+            rounding = 8 * (n + 1) * mpf(2) ** (1 - prec)
+            return tuple(2 * n * (abs(_horner_mp(f, z, prec)) + rounding * _horner_mp(moduli, abs(z), prec))
+                         / abs(_horner_mp(df, z, prec)) for z in self.roots)
 
     def invariant_vector(self, value) -> tuple:
         """Per-embedding tuple of value(idx) at working precision, evaluated
@@ -551,39 +545,36 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     """Compute all complex embeddings of the field at the given precision.
 
     Roots come from simultaneous (Aberth) iteration started at perturbed
-    points on a circle of Cauchy-bound radius; every root is certified by a
-    residual bound of 10^(-precision) (tighter than the documented
-    10^(-precision + guard) contract). Results are memoized per (field,
-    precision), the one embedding cache of the package; an EmbeddingSet is
-    immutable, so every caller can share it.
+    points on a circle of Cauchy-bound radius, with Horner's rule on the
+    integer kernel of evaluate (_horner_mp). Every root z, before and after
+    its Newton polish, is certified by a backward error of 10^(-precision):
+    |f(z)| < 10^(-precision) * max(1, sum |f_i| |z|^i), which the kernel's
+    rounding error, at most 8(n+1) u sum |f_i| |z|^i at the unit roundoff u
+    of the working precision, cannot reach however large f's coefficients.
+    Results are memoized per (field, precision), the one embedding cache of
+    the package; an EmbeddingSet is immutable, so every caller can share it.
     """
     wp = working_dps(precision)
     n = field.degree
     coeffs = field.defining_poly
 
     with mp.workdps(wp):
-        if n == 1:
-            roots = [mpc(-coeffs[0], 0)]
-        else:
-            roots = _aberth(coeffs, wp)
-
+        prec = mp.prec
+        f, df, moduli = _root_operands(coeffs, prec)
+        roots = [mpc(-coeffs[0], 0)] if n == 1 else _aberth(coeffs, f, df, wp)
         tol_resid = mpf(10) ** (-precision)
-        fcoeffs = [mpf(c) for c in coeffs]
-        dcoeffs = [mpf(i * coeffs[i]) for i in range(1, n + 1)]
-        for z in roots:
-            if abs(_horner(fcoeffs, z)) >= tol_resid:
-                raise PrecisionError(
-                    "root residual exceeds certification bound; retry at higher precision")
 
-        # separation check
-        if n > 1:
-            min_sep = min(abs(roots[i] - roots[j])
-                          for i in range(n) for j in range(i + 1, n))
-            if min_sep < mpf(10) ** (-precision) * 1000:
-                raise PrecisionError(
-                    "root separation below tolerance at requested precision")
-        else:
-            min_sep = mpf(1)
+        def certified(z):
+            return abs(_horner_mp(f, z, prec)) < tol_resid * max(1, _horner_mp(moduli, abs(z), prec))
+
+        if not all(map(certified, roots)):
+            raise PrecisionError(
+                "root residual exceeds certification bound; retry at higher precision")
+
+        min_sep = min((abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n)),
+                      default=mpf(1))
+        if min_sep < tol_resid * 1000:
+            raise PrecisionError("root separation below tolerance at requested precision")
 
         # conjugation pairing by nearest-conjugate matching
         pairing = [None] * n
@@ -600,58 +591,59 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
         canon = [None] * n
         for i in range(n):
             if pairing[i] == i:
-                canon[i] = mpc(_newton(fcoeffs, dcoeffs, mp.re(roots[i])), 0)
+                canon[i] = mpc(_newton(f, df, mp.re(roots[i]), prec), 0)
             elif canon[i] is None:
                 j = pairing[i]
-                rep = roots[i] if mp.im(roots[i]) > 0 else roots[j]
-                rep = _newton(fcoeffs, dcoeffs, rep)
+                rep = _newton(f, df, roots[i] if mp.im(roots[i]) > 0 else roots[j], prec)
                 if mp.im(rep) < 0:
                     rep = mp.conj(rep)
                 canon[i] = rep if mp.im(roots[i]) > 0 else mp.conj(rep)
                 canon[j] = mp.conj(canon[i])
-
-        for z in canon:
-            if abs(_horner(fcoeffs, z)) >= tol_resid:
-                raise PrecisionError("polished root failed certification")
+        if not all(map(certified, canon)):
+            raise PrecisionError("polished root failed certification")
 
         # deterministic ordering: real roots first by value, then by (re, im)
-        order = sorted(range(n),
-                       key=lambda i: (0 if pairing[i] == i else 1,
-                                      mp.re(canon[i]), mp.im(canon[i])))
+        order = sorted(range(n), key=lambda i: (pairing[i] != i, mp.re(canon[i]), mp.im(canon[i])))
         inv_order = {old: new for new, old in enumerate(order)}
-        sorted_roots = tuple(canon[i] for i in order)
         sorted_pairing = tuple(inv_order[pairing[i]] for i in order)
-
         r1 = sum(1 for i in range(n) if sorted_pairing[i] == i)
-        r2 = (n - r1) // 2
-
-    return EmbeddingSet(field, precision, sorted_roots, sorted_pairing, (r1, r2))
+    return EmbeddingSet(field, precision, tuple(canon[i] for i in order), sorted_pairing,
+                        (r1, (n - r1) // 2))
 
 
 def _horner(coeffs, z):
+    """Horner's rule on ints or doubles; mpmath values take _horner_mp."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
 
 
-def _newton(fcoeffs, dcoeffs, z):
-    """Eight Newton steps; a real start stays on the real line."""
+def _root_operands(coeffs: tuple[int, ...], prec: int) -> tuple[list, list, list]:
+    """f, f' and the moduli |f_i| as _horner_mp operands at prec bits, each
+    integer coefficient rounded as mpf(c) rounds it."""
+    f = [_round(c, 0, prec) for c in coeffs]
+    df = [_round(i * c, 0, prec) for i, c in enumerate(coeffs) if i]
+    return f, df, [(abs(m), k) for m, k in f]
+
+
+def _newton(f, df, z, prec: int):
+    """Eight Newton steps on f and f'; a real start stays on the real line."""
     for _ in range(8):
-        fz = _horner(fcoeffs, z)
-        dz = _horner(dcoeffs, z)
+        fz = _horner_mp(f, z, prec)
+        dz = _horner_mp(df, z, prec)
         if dz == 0:
             break
         z = z - fz / dz
     return z
 
 
-def _aberth(coeffs: tuple[int, ...], wp: int) -> list:
-    """Simultaneous root iteration for a monic squarefree integer polynomial."""
+def _aberth(coeffs: tuple[int, ...], f, df, wp: int) -> list:
+    """Simultaneous root iteration for a monic squarefree integer polynomial,
+    with f and f' as _horner_mp operands at wp digits."""
     n = len(coeffs) - 1
-    fcoeffs = [mpf(c) for c in coeffs]
-    dcoeffs = [mpf(i * coeffs[i]) for i in range(1, n + 1)]
-    radius = 1 + max(abs(mpf(c)) for c in coeffs[:-1])
+    prec = mp.prec
+    radius = 1 + mpf(max(abs(c) for c in coeffs[:-1]))
     # perturbed roots-of-unity start; the fixed offset breaks symmetry
     z = [radius * mp.exp(mpc(0, 2 * mp.pi * (k + mpf("0.397")) / n + mpf("0.7")))
          for k in range(n)]
@@ -660,8 +652,8 @@ def _aberth(coeffs: tuple[int, ...], wp: int) -> list:
         max_step = mpf(0)
         for i in range(n):
             zi = z[i]
-            fz = _horner(fcoeffs, zi)
-            dz = _horner(dcoeffs, zi)
+            fz = _horner_mp(f, zi, prec)
+            dz = _horner_mp(df, zi, prec)
             s = mpc(0)
             for j in range(n):
                 if j != i:
@@ -683,29 +675,19 @@ def _aberth(coeffs: tuple[int, ...], wp: int) -> list:
 
 
 def evaluate(a: FieldElement, e: EmbeddingSet) -> tuple:
-    """Numerical values of a at every embedding, in embedding order (Horner).
-
-    Horner's rule runs once per conjugacy class at the working precision
-    (prec bits), in Python integers on (signed mantissa, exponent) pairs
-    (EmbeddingSet._horner_parts), and every step rounds to nearest, ties to
-    even, exactly as the mpmath operation it stands for, so the values are
-    mpmath's Horner values on mpf and mpc, bit for bit:
-    - an integer coefficient is rounded to prec bits, as mpf(c); a
-      coefficient p/q with q > 1 is mpf(p) / mpf(q);
-    - at a real embedding, on the real part x of the root, each step is
-      RN(acc * x), then RN(acc + c), so the value is exactly real;
-    - at a pair representative, root x + iy, each step is
-      re = RN(ar x - ai y) and im = RN(ar y + ai x) from exact products, as
-      mpc_mul rounds, then re = RN(re + c), as mpc_add_mpf;
-    - every rounded sum takes mpf_add's shortcut for far-apart operands
-      (_add), which can round differently from the exact sum.
-    The partner of a pair representative gets the exact conjugate: its root
-    is the exact conjugate and the coefficients are real, so that copy is
-    bit for bit the Horner value at the partner root.
+    """Numerical values of a at every embedding, in embedding order: Horner's
+    rule on the integer kernel (_horner_mp) once per conjugacy class, at the
+    working precision, so the values are mpmath's Horner values on mpf and
+    mpc, bit for bit. An integer coefficient is rounded as mpf(c), a
+    coefficient p/q with q > 1 is mpf(p) / mpf(q). The value at a real
+    embedding is exactly real; the partner of a pair representative gets
+    the exact conjugate (mpf_neg, which does not round): its root is the
+    exact conjugate and the coefficients are real, so that copy is bit for
+    bit the Horner value at the partner root.
     """
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
-    prec, parts = e._horner_parts
+    prec = dps_to_prec(e.working_dps)
     if a.den == 1:
         coeffs = [_round(c, 0, prec) for c in a.num]
     else:
@@ -715,28 +697,44 @@ def evaluate(a: FieldElement, e: EmbeddingSet) -> tuple:
                   for c in a.coeffs]
     while len(coeffs) > 1 and not coeffs[-1][0]:
         coeffs.pop()  # a leading zero only passes the next coefficient on
-    (lead, lead_exp), rest = coeffs[-1], coeffs[-2::-1]
     out = [None] * e.degree
-    for idx in e.real_indices:
-        x, ex = parts[idx][0]
-        m, k = lead, lead_exp
-        for c, ce in rest:
-            m, k = _round(m * x, k + ex, prec)
-            if c:
-                m, k = _add(m, k, c, ce, prec)
-        out[idx] = mp.make_mpc((_unsigned(m, k), fzero))
-    for idx in e.pair_representatives:
-        (x, ex), (y, ey) = parts[idx]
-        re, kr, im, ki = lead, lead_exp, 0, 0
-        for c, ce in rest:
+    for idx in e.class_representatives:
+        out[idx] = value = _horner_mp(coeffs, e.roots[idx], prec)
+        partner = e.conjugation_pairing[idx]
+        if partner != idx:
+            real, imag = value._mpc_
+            out[partner] = mp.make_mpc((real, mpf_neg(imag)))
+    return tuple(out)
+
+
+def _horner_mp(coeffs, z, prec: int):
+    """Horner's rule at the mpf or mpc z, for the polynomial with ascending
+    coefficients coeffs given as (signed mantissa, exponent) pairs: the one
+    Horner loop on multiprecision values, in Python integers, whose value
+    (of z's type) is mpmath's Horner value on mpf and mpc at prec bits, bit
+    for bit. Every step rounds to nearest, ties to even, exactly as the
+    mpmath operation it stands for:
+    - at z = x + iy with y != 0, re = RN(ar x - ai y) and im = RN(ar y + ai x)
+      from exact products, as mpc_mul rounds, then re = RN(re + c), as
+      mpc_add_mpf;
+    - at a real z (y = 0), RN(acc * x), then RN(acc + c), as mpf_mul and
+      mpf_add: the same step, whose imaginary part stays exactly 0;
+    - every rounded sum takes mpf_add's shortcut for far-apart operands
+      (_add), which can round differently from the exact sum.
+    """
+    (sx, x, ex, _), (sy, y, ey, _) = (z._mpf_, fzero) if isinstance(z, mpf) else z._mpc_
+    x, y = -x if sx else x, -y if sy else y
+    (re, kr), im, ki = coeffs[-1], 0, 0
+    for c, ce in coeffs[-2::-1]:
+        if y:
             (re, kr), (im, ki) = (_add(re * x, kr + ex, -im * y, ki + ey, prec),
                                   _add(re * y, kr + ey, im * x, ki + ex, prec))
-            if c:
-                re, kr = _add(re, kr, c, ce, prec)
-        real, imag = _unsigned(re, kr), _unsigned(im, ki)
-        out[idx] = mp.make_mpc((real, imag))
-        out[e.conjugation_pairing[idx]] = mp.make_mpc((real, _unsigned(-im, ki)))
-    return tuple(out)
+        else:
+            re, kr = _round(re * x, kr + ex, prec)
+        if c:
+            re, kr = _add(re, kr, c, ce, prec)
+    real = _unsigned(re, kr)
+    return mp.make_mpf(real) if isinstance(z, mpf) else mp.make_mpc((real, _unsigned(im, ki)))
 
 
 def _round(m: int, k: int, prec: int) -> tuple[int, int]:

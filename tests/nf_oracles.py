@@ -13,6 +13,12 @@ evaluate_at is the oracle of evaluate's integer Horner kernel: the
 per-embedding Horner loop on mpmath mpf and mpc values that evaluate ran
 before, whose bits the kernel must reproduce. The coefficients become mpf
 and Horner's rule runs at one embedding, on the real part of a real root.
+
+mpc_embeddings and mpc_root_radii are the oracle of root finding on that
+kernel: the Aberth iteration, Newton polish, canonicalization and root
+radii that nf.embeddings ran with Horner's rule on mpf and mpc values
+(mpc_horner), whose roots, pairing, signature and radii it must reproduce
+bit for bit.
 """
 
 from fractions import Fraction
@@ -20,8 +26,9 @@ from math import isqrt
 
 from mpmath import mp, mpc, mpf
 
-from arithreg.errors import DomainError
+from arithreg.errors import DomainError, PrecisionError
 from arithreg.intmat import det_fraction
+from arithreg.precision import working_dps
 from intmat_oracles import invert_by_gauss_jordan
 
 
@@ -196,3 +203,104 @@ def evaluate_at(a, e, index: int):
         for c in reversed(coeffs[:-1]):
             acc = acc * z + c
         return mpc(acc, 0) if e.is_real(index) else acc
+
+
+def mpc_horner(coeffs, z):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def mpc_newton(fcoeffs, dcoeffs, z):
+    """Eight Newton steps; a real start stays on the real line."""
+    for _ in range(8):
+        fz = mpc_horner(fcoeffs, z)
+        dz = mpc_horner(dcoeffs, z)
+        if dz == 0:
+            break
+        z = z - fz / dz
+    return z
+
+
+def mpc_aberth(coeffs, wp: int) -> list:
+    """Simultaneous root iteration for a monic squarefree integer polynomial."""
+    n = len(coeffs) - 1
+    fcoeffs = [mpf(c) for c in coeffs]
+    dcoeffs = [mpf(i * coeffs[i]) for i in range(1, n + 1)]
+    radius = 1 + max(abs(mpf(c)) for c in coeffs[:-1])
+    z = [radius * mp.exp(mpc(0, 2 * mp.pi * (k + mpf("0.397")) / n + mpf("0.7")))
+         for k in range(n)]
+    target = mpf(10) ** (-(wp - 3))
+    for _ in range(1000):
+        max_step = mpf(0)
+        for i in range(n):
+            zi = z[i]
+            fz = mpc_horner(fcoeffs, zi)
+            dz = mpc_horner(dcoeffs, zi)
+            s = mpc(0)
+            for j in range(n):
+                if j != i:
+                    s += 1 / (zi - z[j])
+            denom = dz - fz * s
+            if denom == 0:
+                z[i] = zi + mpf("0.5") * radius / n
+                max_step = radius
+                continue
+            step = fz / denom
+            z[i] = zi - step
+            rel = abs(step) / (1 + abs(zi))
+            if rel > max_step:
+                max_step = rel
+        if max_step < target:
+            return z
+    raise PrecisionError("root iteration failed to converge")
+
+
+def mpc_embeddings(field, precision: int):
+    """(roots, pairing, signature) of field at precision, from the mpc
+    Aberth iteration, Newton polish and canonical ordering."""
+    wp = working_dps(precision)
+    coeffs = field.defining_poly
+    n = len(coeffs) - 1
+    with mp.workdps(wp):
+        roots = [mpc(-coeffs[0], 0)] if n == 1 else mpc_aberth(coeffs, wp)
+        fcoeffs = [mpf(c) for c in coeffs]
+        dcoeffs = [mpf(i * coeffs[i]) for i in range(1, n + 1)]
+        min_sep = min((abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n)),
+                      default=mpf(1))
+        pairing = []
+        for i in range(n):
+            dists = [abs(mp.conj(roots[i]) - roots[j]) for j in range(n)]
+            j = min(range(n), key=lambda k: dists[k])
+            assert dists[j] <= min_sep / 4
+            pairing.append(j)
+        canon = [None] * n
+        for i in range(n):
+            if pairing[i] == i:
+                canon[i] = mpc(mpc_newton(fcoeffs, dcoeffs, mp.re(roots[i])), 0)
+            elif canon[i] is None:
+                j = pairing[i]
+                rep = mpc_newton(fcoeffs, dcoeffs, roots[i] if mp.im(roots[i]) > 0 else roots[j])
+                if mp.im(rep) < 0:
+                    rep = mp.conj(rep)
+                canon[i] = rep if mp.im(roots[i]) > 0 else mp.conj(rep)
+                canon[j] = mp.conj(canon[i])
+        order = sorted(range(n), key=lambda i: (pairing[i] != i, mp.re(canon[i]), mp.im(canon[i])))
+        inv_order = {old: new for new, old in enumerate(order)}
+        pairing = tuple(inv_order[pairing[i]] for i in order)
+        r1 = sum(1 for i in range(n) if pairing[i] == i)
+        return tuple(canon[i] for i in order), pairing, (r1, (n - r1) // 2)
+
+
+def mpc_root_radii(e) -> tuple:
+    """EmbeddingSet.root_radii from Horner's rule on mpf and mpc values."""
+    f, n = e.field.defining_poly, e.degree
+    with mp.workdps(e.working_dps):
+        u = mpf(2) ** (1 - mp.prec)
+        fcoeffs = [mpf(c) for c in f]
+        dcoeffs = [mpf(i * f[i]) for i in range(1, n + 1)]
+        moduli = [abs(c) for c in fcoeffs]
+        return tuple(
+            2 * n * (abs(mpc_horner(fcoeffs, z)) + 8 * (n + 1) * u * mpc_horner(moduli, abs(z)))
+            / abs(mpc_horner(dcoeffs, z)) for z in e.roots)

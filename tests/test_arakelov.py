@@ -223,6 +223,19 @@ class TestProductsAgainstOracle:
         assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("record", [*ORACLE_FIELDS.values(), {
+    "poly": [7, 0, 1], "integral_basis": [["1", "0"], ["1/2", "1/2"]]}],
+    ids=[*ORACLE_FIELDS, "x^2+7, (1+x)/2"])
+def test_reference_section_is_first_row_over_the_basis(record):
+    """reference_section, formed in integers on the scaled integral basis,
+    is the first HNF row times the rational integral basis over den."""
+    K = parse_field(record)
+    for ideal in TestProductsAgainstOracle().ideals(K, random.Random(f"section-{record}")):
+        coords = [Fraction(c, ideal.den) for c in ideal.rows[0]]
+        power = [sum(c * b[k] for c, b in zip(coords, K.integral_basis)) for k in range(K.degree)]
+        assert ideal.reference_section() == K.element(power)
+
+
 GENERATOR_FIELDS = {
     # non-maximal orders: 1, 2i and 1, 3i in Z[i]; 1, 2x, 4x^2 in Z[2^(1/3)]
     "Z[2i]": {"poly": [1, 0, 1], "integral_basis": [["1", "0"], ["0", "2"]], "maximal": False},

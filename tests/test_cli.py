@@ -224,6 +224,12 @@ MALFORMED_JOBS = {
     "ideal-row-string": {"command": "degree", "field": {"poly": [1, 0, 1]},
                          "payload": {"bundle": {"ideal_basis": ["10", "01"],
                                                 "metric": ["1", "1"]}}},
+    # every row has one entry per basis element, as integral_basis rows do
+    "ideal-row-short": {"command": "degree", "field": {"poly": [-1, -1, 1]},
+                        "payload": {"bundle": {"ideal_basis": [[1, 0], [0]], "metric": ["1", "1"]}}},
+    "ideal-row-long": {"command": "degree", "field": {"poly": [-1, -1, 1]},
+                       "payload": {"bundle": {"ideal_basis": [[1, 0, 0], [0, 1, 0]],
+                                              "metric": ["1", "1"]}}},
     "ideal-entry-float": {"command": "degree", "field": {"poly": [0, 1]},
                           "payload": {"bundle": {"ideal_basis": [[0.5]], "metric": ["4"]}}},
     "basis-entry-boolean": {"command": "field-info",

@@ -524,6 +524,21 @@ class TestEmbeddings:
                         acc = acc * z + c
                     assert abs(acc) < mpf(10) ** -50
 
+    @pytest.mark.parametrize("poly", [[10 ** 12 + 1, 0, 1], [10 ** 30 + 1, 0, 1],
+                                      [-10 ** 11 - 3, 0, 0, 1]],
+                             ids=["x^2+10^12+1", "x^2+10^30+1", "x^3-10^11-3"])
+    @pytest.mark.parametrize("digits", [30, 50, 200])
+    def test_large_coefficients_certify(self, poly, digits):
+        """The rounding error of f(z) grows with sum |f_i| |z|^i, so roots
+        are certified by a backward error of 10^-digits relative to it,
+        which holds at every precision however large the coefficients."""
+        e = embeddings(parse_field({"poly": poly}), digits)
+        assert e.signature == ((0, 1) if len(poly) == 3 else (1, 1))
+        with mp.workdps(2 * e.working_dps):
+            for z in e.roots:
+                size = sum(abs(c) * abs(z) ** i for i, c in enumerate(poly))
+                assert abs(mp.polyval(poly[::-1], z)) < mpf(10) ** -digits * size
+
     def test_min_precision_enforced(self, fields):
         with pytest.raises(DomainError):
             embeddings(fields["Qi"], 8)
@@ -626,6 +641,27 @@ class TestEvaluateVector:
                 assert (got[j].real, got[j].imag) == (partner.real, partner.imag)
             for i in e.real_indices:
                 assert got[i].imag == 0
+
+
+class TestRootBits:
+    """embeddings, which runs Horner's rule on the integer kernel
+    nf._horner_mp, against the root finding on mpf and mpc values of
+    nf_oracles.mpc_embeddings, bit for bit."""
+
+    # the evaluate fields, and coefficients of more bits than the working
+    # precision, which are rounded first as mpf(c) rounds them
+    POLYS = {**{name: poly for name, (poly, _) in TestEvaluateVector.FIELDS.items()},
+             "x^2+10^100+1": [10 ** 100 + 1, 0, 1], "x^3-10^11-3": [-10 ** 11 - 3, 0, 0, 1]}
+
+    @pytest.mark.parametrize("name", POLYS)
+    @pytest.mark.parametrize("digits", [30, 50, 100])
+    def test_matches_mpc_root_finding(self, name, digits):
+        K = parse_field({"poly": self.POLYS[name]})
+        e = embeddings(K, digits)
+        roots, pairing, signature = oracle.mpc_embeddings(K, digits)
+        assert [z._mpc_ for z in e.roots] == [z._mpc_ for z in roots]
+        assert (e.conjugation_pairing, e.signature) == (pairing, signature)
+        assert [r._mpf_ for r in e.root_radii] == [r._mpf_ for r in oracle.mpc_root_radii(e)]
 
 
 def assert_matches_oracle(a, e):
