@@ -33,49 +33,79 @@ so |w| <= 1, Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and
 (q = 1/6 at the fixed points e^(+-i pi/3)). The series length follows from q
 a priori and is never adapted at runtime.
 
-u keeps full relative precision at bounded cost: u = -log1p(-w), which
-mpmath forms as 1 - w at twice the working precision, or as w + w^2/2 when
-|w| < 2^-prec, so a tiny |w| costs no more bits. On a route that ends in a
-reflection u = -log(w') reuses the log of the pre-reflection argument w' that
-the reflection identity has already taken. D reuses the logs the route took
-at z itself: arg(1-z) = -Im u on the identity route, log|z| = Re log z and
-arg(1-z) = Im log(1-z) on a route that starts with a reflection, and
-log|z| = Re log(-z) on one that starts with an inversion; only the missing
-log is taken again.
+Two logarithms. The six orbit elements of z have logs that are integer
+combinations of L0 = log z, L1 = log(1-z) and i pi s, s = sign(Im z)
+(Zagier, section 1): log(1/w) = -log w and log(-w) = log w - i pi sign(Im w)
+off the real axis, and Im(1/z), Im(1-z) have the sign -s. _ORBIT_LOGS holds
+one row per orbit element, for log w and log(-w), so a route takes at most
+L0 and L1 and reads every other log from the table: the inversion identity
+needs log(-w), the reflection identity log w and log(1-w). An exactly-real z
+is taken as z - i0, so s = -1 and L0 is conjugated for z < 0 (mpmath's log
+of a negative real has imaginary part +pi); on the cut this gives the limit
+from below.
+
+u keeps full relative precision at bounded cost. On a route that ends in a
+reflection u = -log w' for the pre-reflection argument w', which is -L0, L0
+or L1, each taken at z itself. On the identity route and on routes that end
+in an inversion u = -log1p(-w), which mpmath forms as 1 - w at twice the
+working precision, or as w + w^2/2 when |w| < 2^-prec, so a tiny |w| costs
+no more bits.
+
+D at the reduced argument. D is odd under z -> 1/z and under z -> 1-z, so
+D(z) = (-1)^m D(w) after m moves, with D(w) = Re(log w) (-Im u) + Im Li2(w):
+Re(log w) is the real part of a table row (log|z|, one real log, on the
+identity route), arg(1-w) = -Im u, and Im Li2(w) is the series' own. No
+route constant enters D. Formed at z itself, log|z| arg(1-z) + Im Li2(z)
+is a difference of two terms that carry the O(log^2 |z|) route constants:
+at z = -1e30 + 1e-5 i both terms are near 7e-34 and D is near 7e-64.
 
 Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
 Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
 S(t) = sum_k c'_k t^k, c'_k = B_(2k+2) (4 pi^2)^k / (2k+3)!. u, v and
 u - v/4 + u v S stay in mpc, which keeps relative precision for tiny u. S is
-summed on Python integers scaled by 2^bits, bits = mp.prec + _GUARD_BITS,
-over coefficients rounded once per bits and cached. The coefficients are
-real, so S takes the second-order recurrence for a real polynomial at a
-complex point (Goertzel; Knuth, TAOCP vol. 2, 4.6.4): t and conj(t) are the
-roots of x^2 - r x + s with r = 2 Re t and s = |t|^2, and
-b_k = c'_k + r b_(k+1) - s b_(k+2), from b_n = b_(n+1) = 0, gives
-S(t) = b_0 - conj(t) b_1. A term costs two products of integers and one
-shift, where Horner's rule in the complex t costs four products.
+summed on Python integers, over coefficients rounded once per bits and
+cached. The coefficients are real, so S takes the second-order recurrence
+for a real polynomial at a complex point (Goertzel; Knuth, TAOCP vol. 2,
+4.6.4): t and conj(t) are the roots of x^2 - r x + s with r = 2 Re t and
+s = |t|^2, and b_k = c'_k + r b_(k+1) - s b_(k+2), from b_n = b_(n+1) = 0,
+gives S(t) = b_0 - conj(t) b_1. A term costs two products of integers and
+one shift, where Horner's rule in the complex t costs four products.
+
+Falling precision. |t| = q^2 < 0.04 < 2^-4.6, so term k of S is below
+2^-4.6k and needs only bits - 4k bits, bits = mp.prec + _GUARD_BITS (Brent
+and Zimmermann, Modern Computer Arithmetic, 4.4). The recurrence runs in
+blocks of _BLOCK = 16 terms: block j (terms 16j to 16j + 15) works at the
+scale 2^(bits - 64j), with its coefficients rounded and r and s floored to
+that scale, and a left shift, which is exact, carries b_k from one block's
+scale to the next. _bernoulli_series asks for count < 0.22 prec + 3 terms,
+so every scale keeps more than 0.13 prec + 9 bits, at least 11 when
+prec >= 10.
 
 Error, in units of 2^-bits. Let t be the fixed-point value of v / (4 pi^2)
 that the loop uses, within 1.83 units of the exact one in each part (the
 floor of v, the rounded 1 / (4 pi^2) times |v| < 1.6, the floor of the
-product), so r = 2 Re t is exact and s is |t|^2 floored once. The computed
-b_k are then exactly the recurrence with r and s = |t|^2 over the real
-coefficients c'_k + d_k, where d_k adds the floor (under 1), the rounded
-c'_k (1/2) and the floored s times b_(k+2) (under 0.04). Since
-|c'_k| = 2 zeta(2k+2) / (4 pi^2 (2k+3)) <= 1/36 and |t| = q^2 < 0.04, and
+product), so r = 2 Re t is exact at the scale of block 0 and s is |t|^2
+floored once. The computed b_k are then exactly the recurrence with r and
+s = |t|^2 over the real coefficients c'_k + d_k, where d_k adds, in units of
+its block's scale, the floor (under 1), the rounded c'_k (1/2) and the
+floored r and s times b_(k+1) and b_(k+2) (under 0.031 each; r is exact in
+block 0, so there |d_k| < 1.54). Since |c'_k| = 2 zeta(2k+2) / (4 pi^2
+(2k+3)) <= 1/36 and |t| = q^2 < 0.04, and
 b_k = sum_m (c'_(k+m) + d_(k+m)) U_m with
 |U_m| = |t^(m+1) - conj(t)^(m+1)| / |t - conj(t)| <= (m+1) |t|^m,
-|b_k| <= (1/36 + 1.54 * 2^-bits) / (1 - |t|)^2 < 0.031, so |d_k| < 1.54.
-The identity above then gives b_0 - conj(t) b_1 = sum_m (c'_m + d_m) t^m
-exactly: d_0 is real, and the other d_m add under 1.54 |t| / (1 - |t|) <
-0.07 to either part. The last step floors Re t b_1 and Im t b_1, under 1
-unit each, so the real part is off by under 2.61 and the imaginary part by
-under 1.07, 2.83 in modulus. Moving t by under 2.6 units in modulus moves
-S by under 0.08, since |S'| <= (1/36) / (1 - |t|)^2 < 0.031. So S is off
-by less than 3 units whatever the number of terms. A Horner loop in v
-itself would multiply the error of step k by |v|^k, about 1.1^k near
-e^(+-i pi/3).
+|b_k| <= (1/36 + 1.57 * 2^-11) / (1 - |t|)^2 < 0.031, so |d_k| < 1.57 units
+of its scale. In units of 2^-bits that is under 1.54 in block 0 and under
+1.57 * 2^(64j) <= 1.57 * 16^k in block j, for k >= 16j. The identity above
+then gives b_0 - conj(t) b_1 = sum_m (c'_m + d_m) t^m exactly: d_0 is real,
+and the other d_m add under 1.54 |t| / (1 - |t|) < 0.065 to either part,
+plus under 1.57 (16 |t|)^16 / (1 - 16 |t|) < 0.0035 from the blocks that
+drop bits, all that the falling precision adds. The last step floors
+Re t b_1 and Im t b_1, under 1 unit each, so the real part is off by under
+2.61 and the imaginary part by under 1.07, 2.83 in modulus. Moving t by
+under 2.6 units in modulus moves S by under 0.08, since
+|S'| <= (1/36) / (1 - |t|)^2 < 0.031. So S is off by less than 3 units
+whatever the number of terms. A Horner loop in v itself would multiply the
+error of step k by |v|^k, about 1.1^k near e^(+-i pi/3).
 """
 
 from __future__ import annotations
@@ -101,11 +131,25 @@ _CHAINS = (
     ("ref", "inv", "ref"),
 )
 
+# log w and log(-w) of each orbit element w = _orbit_value(z, chain) as
+# (m, n, k, j): log w = m L0 + n L1 + k i pi s and log(-w) = m L0 + n L1 +
+# j i pi s, with L0 = log z, L1 = log(1-z), s = sign(Im z) (module docstring)
+_ORBIT_LOGS = dict(zip(_CHAINS, (
+    (1, 0, 0, -1),  # z
+    (-1, 0, 0, 1),  # 1/z
+    (0, 1, 0, 1),  # 1-z
+    (0, -1, 0, -1),  # 1/(1-z)
+    (-1, 1, 1, 0),  # 1 - 1/z
+    (1, -1, -1, 0),  # z/(z-1)
+)))
+
 _TIE_MARGIN = 1e-9  # relative; closer moduli are compared in mpc
 _LOG_HALF = math.log(0.5)
 _GUARD_BITS = 16
+_BLOCK = 16  # series terms per fixed-point scale; the scale drops 4 bits a term
 
-# bits -> (2^bits / (4 pi^2), [c'_0, c'_1, ...] * 2^bits), rounded to integers
+# bits -> (2^bits / (4 pi^2), [c'_0, c'_1, ...]), rounded to integers, c'_k
+# at the scale 2^(bits - 4 _BLOCK floor(k / _BLOCK)) of its block
 _FIXED: dict[int, tuple[int, list]] = {}
 
 
@@ -143,8 +187,9 @@ def _reduction_chain(z) -> tuple:
 
 
 def _fixed_table(bits: int, count: int) -> tuple[int, list]:
-    """(2^bits / (4 pi^2), c'_k 2^bits for k < count or more), each rounded
-    to an integer; computed once per bits and extended on demand."""
+    """(2^bits / (4 pi^2), c'_k for k < count or more, each at its block's
+    scale), rounded to integers; computed once per bits and extended on
+    demand."""
     entry = _FIXED.get(bits)
     if entry is not None and len(entry[1]) >= count:
         return entry
@@ -155,22 +200,26 @@ def _fixed_table(bits: int, count: int) -> tuple[int, list]:
         coeffs = entry[1]
         for k in range(len(coeffs), count):
             c = mpmath.bernoulli(2 * k + 2) * four_pi2 ** k / mpmath.factorial(2 * k + 3)
-            coeffs.append(int(mpmath.nint(mpmath.ldexp(c, bits))))
+            coeffs.append(int(mpmath.nint(mpmath.ldexp(c, bits - 4 * (k - k % _BLOCK)))))
     return entry
 
 
 def _fixed_sum(v, bits: int, count: int) -> tuple[int, int]:
     """(Re S, Im S) * 2^bits as integers, S(v / (4 pi^2)) summed over its
-    first count >= 2 terms by the real-coefficient recurrence; off by less
-    than 3 * 2^-bits (module docstring)."""
+    first count >= 2 terms by the real-coefficient recurrence at falling
+    precision; off by less than 3 * 2^-bits (module docstring)."""
     scale, coeffs = _fixed_table(bits, count)
     v_re, v_im = v._mpc_
     t_re = (to_fixed(v_re, bits) * scale) >> bits
     t_im = (to_fixed(v_im, bits) * scale) >> bits
     r, s = 2 * t_re, (t_re * t_re + t_im * t_im) >> bits
-    b0, b1 = coeffs[count - 1], 0
-    for c in coeffs[count - 2::-1]:
-        b0, b1 = c + ((r * b0 - s * b1) >> bits), b0
+    b0 = b1 = 0
+    for start in range((count - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        drop = 4 * start  # this block works at the scale 2^(bits - drop)
+        width, r_block, s_block = bits - drop, r >> drop, s >> drop
+        b0, b1 = b0 << 4 * _BLOCK, b1 << 4 * _BLOCK  # from the previous block's scale
+        for c in reversed(coeffs[start:min(start + _BLOCK, count)]):
+            b0, b1 = c + ((r_block * b0 - s_block * b1) >> width), b0
     return b0 - ((t_re * b1) >> bits), (t_im * b1) >> bits
 
 
@@ -190,42 +239,50 @@ def _bernoulli_series(u) -> mpc:
     return u - v / 4 + u * v * s
 
 
-def _li2_principal(z) -> tuple:
-    """(Li2(z), log|z|, arg(1-z)) at the current mp working precision,
-    principal branch; each log is None unless the route has taken it.
+def _orbit_log(coefficients, logs):
+    """m L0 + n L1 + k i pi s for logs = (L0, L1, i pi s) and coefficients
+    (m, n, k) or (m, n) in {-1, 0, 1}, not all 0."""
+    terms = [x if c > 0 else -x for c, x in zip(coefficients, logs) if c]
+    return sum(terms[1:], terms[0])
 
-    Caller guarantees z != 0, 1 and, for exactly real z, z <= 1 (the cut is
-    handled one level up by conjugation).
+
+def _li2_principal(z) -> tuple:
+    """(Li2(z), D(z)) at the current mp working precision, principal branch,
+    from at most the two logs L0 = log z and L1 = log(1-z) (module
+    docstring); D is 0 for exactly-real z.
+
+    Caller guarantees z != 0, 1. An exactly-real z is taken as z - i0, so
+    on the cut Li2 is the limit from below.
     """
-    sign = 1
-    const = mpc(0)
-    w = z
-    u = None  # -log(1 - w), once a reflection has computed it
-    log_abs = arg_one_minus = None  # log|z| and arg(1 - z), where the route takes them at z
     chain = _reduction_chain(z)
+    sign, const, u = 1, mpc(0), None
     if chain:
         pi2_6 = mp.pi ** 2 / 6
+        log_z = mp.log(z)
+        if not z.imag and z.real < 0:
+            log_z = mp.conj(log_z)  # z - i0 lies below the cut of log
+        # only the route ("inv",) has no row with an L1 term
+        log_one_minus_z = mp.log(1 - z) if chain != ("inv",) else None
+        logs = (log_z, log_one_minus_z, mpc(0, mp.pi if z.imag > 0 else -mp.pi))
     for step, move in enumerate(chain):
+        m, n, k, j = _ORBIT_LOGS[chain[:step]]
         if move == "inv":
-            log_minus_w = mp.log(-w)
-            if not step:
-                log_abs = log_minus_w.real
-            const += -sign * (pi2_6 + log_minus_w ** 2 / 2)
-            w = 1 / w
+            const += -sign * (pi2_6 + _orbit_log((m, n, j), logs) ** 2 / 2)
             u = None
         else:
-            log_w, log_one_minus_w = mp.log(w), mp.log(1 - w)
-            if not step:
-                log_abs, arg_one_minus = log_w.real, log_one_minus_w.imag
+            log_w = _orbit_log((m, n, k), logs)
+            log_one_minus_w = _orbit_log(_ORBIT_LOGS[chain[:step + 1]][:3], logs)
             const += sign * (pi2_6 - log_w * log_one_minus_w)
-            w = 1 - w
             u = -log_w
         sign = -sign
     if u is None:
-        u = -mp.log1p(-w)
-        if not chain:
-            arg_one_minus = -u.imag
-    return sign * _bernoulli_series(u) + const, log_abs, arg_one_minus
+        u = -mp.log1p(-_orbit_value(z, chain))
+    series = _bernoulli_series(u)
+    value = sign * series + const
+    if not z.imag:
+        return value, mpf(0)
+    log_abs_w = _orbit_log(_ORBIT_LOGS[chain][:2], logs).real if chain else mp.log(abs(z))
+    return value, sign * (log_abs_w * -u.imag + series.imag)
 
 
 def _as_mpc(z) -> mpc:
@@ -269,8 +326,8 @@ def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
 
 def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
     """(li2(z, digits), bloch_wigner(z, digits)) from one evaluation of Li2:
-    D is formed from the working-precision value of Li2 before either is
-    rounded to digits."""
+    D is formed at the reduced argument from the same series value, at the
+    working precision, before either is rounded to digits."""
     real_input = _is_exact_real(z)
     with mp.workdps(working_dps(digits)):
         w = _as_mpc(z)
@@ -280,20 +337,10 @@ def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
         elif w == 1:
             out = mpc(mp.pi ** 2 / 6, 0)
         else:
-            # mpmath has no signed zero, so arg(-x) = +pi for x > 0; pushing
-            # an exactly-real cut argument (real_input, w.real > 1) through the
-            # reduction identities then yields the limit from below, which is
-            # the documented convention. No extra handling needed.
-            out, log_abs, arg_one_minus = _li2_principal(w)
+            out, d = _li2_principal(w)
             if real_input and w.real <= 1:
                 # value is real; discard the guard-level imaginary dust the
                 # composite identities can leave behind
                 out = mpc(out.real, 0)
-            elif w.imag != 0:
-                if log_abs is None:
-                    log_abs = mp.log(abs(w))
-                if arg_one_minus is None:
-                    arg_one_minus = mp.arg(1 - w)
-                d = log_abs * arg_one_minus + out.imag
     with mp.workdps(digits):
         return +out, +d

@@ -32,11 +32,11 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import MPZ, dps_to_prec, from_int, fzero, mpf_div, mpf_neg, round_nearest
+from mpmath.libmp import MPZ, from_int, fzero, mpf_div, mpf_neg, round_nearest
 
 from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
-from .precision import working_dps
+from .precision import working_dps, working_prec
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +500,10 @@ class EmbeddingSet:
         return working_dps(self.precision)
 
     @cached_property
+    def working_prec(self) -> int:
+        return working_prec(self.precision)
+
+    @cached_property
     def float_roots(self) -> tuple[complex, ...]:
         """The roots as Python complex doubles, converted once; a root beyond
         the double range comes out infinite."""
@@ -514,8 +518,8 @@ class EmbeddingSet:
         of the working precision, and the quotient is doubled to cover the
         rounding of f'(z)."""
         n = self.degree
+        prec = self.working_prec
         with mp.workdps(self.working_dps):
-            prec = mp.prec
             f, df, moduli = _root_operands(self.field.defining_poly, prec)
             rounding = 8 * (n + 1) * mpf(2) ** (1 - prec)
             return tuple(2 * n * (abs(_horner_mp(f, z, prec)) + rounding * _horner_mp(moduli, abs(z), prec))
@@ -554,12 +558,11 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     Results are memoized per (field, precision), the one embedding cache of
     the package; an EmbeddingSet is immutable, so every caller can share it.
     """
-    wp = working_dps(precision)
+    wp, prec = working_dps(precision), working_prec(precision)
     n = field.degree
     coeffs = field.defining_poly
 
     with mp.workdps(wp):
-        prec = mp.prec
         f, df, moduli = _root_operands(coeffs, prec)
         roots = [mpc(-coeffs[0], 0)] if n == 1 else _aberth(coeffs, f, df, wp)
         tol_resid = mpf(10) ** (-precision)
@@ -687,7 +690,7 @@ def evaluate(a: FieldElement, e: EmbeddingSet) -> tuple:
     """
     if a.field != e.field:
         raise DomainError("element and embedding set belong to different fields")
-    prec = dps_to_prec(e.working_dps)
+    prec = e.working_prec
     if a.den == 1:
         coeffs = [_round(c, 0, prec) for c in a.num]
     else:

@@ -7,19 +7,25 @@ library sums, converges only for |w| < 1 and slows down as |w| -> 1.
 The mpc Bernoulli series is the library's own series summed the plain way,
 in floating point on mpc values: the reference for its fixed-point kernel.
 
+stepwise_li2 is the library's reduction route as it ran before it read the
+logs of the orbit elements from log z and log(1-z): one fresh mp.log at
+every intermediate orbit element, on the same route and the same series.
+
 The fixed-point sums take the arguments of arithreg.dilog._fixed_sum and
 return S(v / (4 pi^2)) * 2^bits over the first count terms:
 complex_horner_sum is the complex Horner loop the library ran before its
-real-coefficient recurrence, and exact_series_sum is the same truncated sum
-in mpc at 64 more bits than the kernel keeps.
+real-coefficient recurrence, at full precision for every term, and
+exact_series_sum is the same truncated sum in mpc at 64 more bits than the
+kernel keeps.
 """
 
 import math
+from functools import lru_cache
 
-from mpmath import bernoulli, factorial, mp, mpc
+from mpmath import bernoulli, factorial, ldexp, mp, mpc, nint
 from mpmath.libmp import to_fixed
 
-from arithreg.dilog import _fixed_table
+from arithreg.dilog import _bernoulli_series, _reduction_chain
 
 
 def series_terms(absw: float, wp: int) -> int:
@@ -59,10 +65,43 @@ def mpc_bernoulli_series(w) -> mpc:
     return u - v / 4 + u * v * acc
 
 
+def stepwise_li2(z) -> mpc:
+    """Li2(z) for z != 0, 1 at the current precision: each inversion takes
+    log(-w) and each reflection log w and log(1-w) at the current orbit
+    element w. mpmath's log puts a negative real on the upper side of its
+    cut, which gives the limit from below for an exactly-real z on the cut."""
+    sign, const, u, w = 1, mpc(0), None, z
+    pi2_6 = mp.pi ** 2 / 6
+    for move in _reduction_chain(z):
+        if move == "inv":
+            const += -sign * (pi2_6 + mp.log(-w) ** 2 / 2)
+            w, u = 1 / w, None
+        else:
+            log_w = mp.log(w)
+            const += sign * (pi2_6 - log_w * mp.log(1 - w))
+            w, u = 1 - w, -log_w
+        sign = -sign
+    if u is None:
+        u = -mp.log1p(-w)
+    return sign * _bernoulli_series(u) + const
+
+
+@lru_cache(maxsize=None)
+def full_scale_coefficient(bits: int, k: int) -> int:
+    """c'_k 2^bits rounded to an integer: every coefficient at the full
+    scale, as the library rounded them before its series ran at falling
+    precision."""
+    with mp.workprec(bits + 20):
+        four_pi2 = 4 * mp.pi ** 2
+        return int(nint(ldexp(bernoulli(2 * k + 2) * four_pi2 ** k / factorial(2 * k + 3), bits)))
+
+
 def complex_horner_sum(v, bits: int, count: int) -> tuple[int, int]:
     """Horner's rule in the complex t on integers scaled by 2^bits: four
     products and two shifts per term."""
-    scale, coeffs = _fixed_table(bits, count)
+    with mp.workprec(bits + 20):
+        scale = int(nint(ldexp(1 / (4 * mp.pi ** 2), bits)))
+    coeffs = [full_scale_coefficient(bits, k) for k in range(count)]
     v_re, v_im = v._mpc_
     t_re = (to_fixed(v_re, bits) * scale) >> bits
     t_im = (to_fixed(v_im, bits) * scale) >> bits

@@ -11,7 +11,7 @@ from arithreg.dilog import (_CHAINS, _as_mpc, _bernoulli_series, _li2_principal,
                             li2_and_bloch_wigner)
 from arithreg.precision import working_dps
 from dilog_oracles import (complex_horner_sum, exact_series_sum, mpc_bernoulli_series,
-                           power_series)
+                           power_series, stepwise_li2)
 from time_limits import time_limit
 
 DIGITS = 50
@@ -247,8 +247,9 @@ def route_points() -> list:
 
 
 class TestBlochWignerReusesLogs:
-    """D formed from the logs the reduction route took prints as the old
-    formula log|z| arg(1-z) + Im Li2(z), with both logs taken afresh, did."""
+    """D taken at the reduced argument from the logs the route already has
+    prints as the formula log|z| arg(1-z) + Im Li2(z), with both logs taken
+    afresh, at every route and on both sides of each tie."""
 
     def test_points_cover_every_route_and_both_sides_of_each_tie(self):
         with mp.workdps(working_dps(DIGITS)):
@@ -266,6 +267,103 @@ class TestBlochWignerReusesLogs:
                 old = mp.log(abs(w)) * mp.arg(1 - w) + _li2_principal(w)[0].imag
             with mp.workdps(digits):
                 assert mp.nstr(d, digits) == mp.nstr(+old, digits), (z, digits)
+
+
+def exact_reals() -> list:
+    """Exactly-real points on either side of 0, 1/2, 1 and 2, on the cut,
+    and on the negative axis, where log z is taken below its cut."""
+    with mp.workdps(60):
+        points = [mpf(c) + sign * mpf("3e-10") for c in (0, 0.5, 1, 2) for sign in (-1, 1)]
+    return points + [mpf(3), mpf(10), mpf(10) ** 6, mpf(-0.875), mpf(-3)]
+
+
+def log_counts(monkeypatch) -> dict:
+    """Counts of the mp.log, mp.log1p and mp.arg calls made from now on; a
+    log1p counts once, not also as the log it calls itself."""
+    counts = {"log": 0, "log1p": 0, "arg": 0}
+    inside_log1p = []
+    log, log1p, arg = mp.log, mp.log1p, mp.arg
+
+    def counted_log(*args, **kwargs):
+        counts["log"] += not inside_log1p
+        return log(*args, **kwargs)
+
+    def counted_log1p(*args, **kwargs):
+        counts["log1p"] += 1
+        inside_log1p.append(True)
+        try:
+            return log1p(*args, **kwargs)
+        finally:
+            inside_log1p.pop()
+
+    def counted_arg(*args, **kwargs):
+        counts["arg"] += 1
+        return arg(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "log", counted_log)
+    monkeypatch.setattr(mp, "log1p", counted_log1p)
+    monkeypatch.setattr(mp, "arg", counted_arg)
+    return counts
+
+
+class TestTwoLogs:
+    """The route reads the log of every orbit element from log z and
+    log(1-z): it prints as the stepwise route with a fresh log at every
+    orbit element, and takes at most those two logs of z."""
+
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    def test_prints_as_the_stepwise_route(self, digits):
+        with mp.workdps(60):
+            points = route_points() + exact_reals()
+            points += [z for region in ("disk", "wide", "ring", "fixed", "real")
+                       for z in region_points(region, 8, digits)]
+        for z in points:
+            value, d = li2_and_bloch_wigner(z, digits)
+            with mp.workdps(working_dps(digits)):
+                w = mpc(z)
+                old = stepwise_li2(w)
+                if not w.imag:
+                    old, old_d = mpc(old.real, 0 if w.real <= 1 else old.imag), mpf(0)
+                else:
+                    old_d = mp.log(abs(w)) * mp.arg(1 - w) + old.imag
+            with mp.workdps(digits):
+                assert ([mp.nstr(x, digits) for x in (value.real, value.imag, d)]
+                        == [mp.nstr(+x, digits) for x in (old.real, old.imag, old_d)]), (z, digits)
+
+    def test_log_calls_per_route(self, monkeypatch):
+        # log1p only where u is not -log of an orbit element the route has
+        # already taken: on the identity route and after a final inversion
+        logs_of_z = {(): 1, ("inv",): 1, ("ref",): 2, ("ref", "inv"): 2, ("inv", "ref"): 2,
+                     ("ref", "inv", "ref"): 2}
+        with mp.workdps(working_dps(DIGITS)):
+            points = [mpc(z) for z in route_points() + exact_reals()]
+            chains = [_reduction_chain(z) for z in points]
+        assert set(chains) == set(_CHAINS)
+        counts = log_counts(monkeypatch)
+        for z, chain in zip(points, chains):
+            for key in counts:
+                counts[key] = 0
+            li2_and_bloch_wigner(z, DIGITS)
+            takes_log1p = not chain or chain[-1] == "inv"
+            if z.imag:
+                assert counts == {"log": logs_of_z[chain], "log1p": takes_log1p, "arg": 0}, z
+            else:  # D = 0 takes no log|z| on the identity route
+                assert counts == {"log": logs_of_z[chain] - (not chain), "log1p": takes_log1p,
+                                  "arg": 0}, z
+
+
+class TestBlochWignerFarFromTheUnitCircle:
+    """D taken at the reduced argument keeps its digits where the route
+    constants are of size log^2 |z| and D is tiny, against
+    log|z| arg(1-z) + Im Li2(z) from mpmath.polylog at 400 digits."""
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_against_polylog(self, digits):
+        for text in ("-1e30+1e-5j", "1e30+1j", "1e20-3j", "1e15+1e15j", "-1e12-1e-3j"):
+            with mp.workdps(400):
+                z = mp.mpmathify(text)
+                oracle = mp.log(abs(z)) * mp.arg(1 - z) + mpmath.polylog(2, z).imag
+                assert relative_error(bloch_wigner(z, digits), oracle) < mpf(10) ** (1 - digits), text
 
 
 def region_points(region, count, seed):
@@ -310,12 +408,13 @@ class TestFixedPointKernel:
                     value = _bernoulli_series(-mp.log(1 - w))
                     assert relative_error(value, mpc_bernoulli_series(w)) < mpf(10) ** -digits
 
-    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200, 500])
     def test_recurrence_against_complex_horner(self, digits, monkeypatch):
         # every sum li2 makes over the bench regions and at e^(+-i pi/3),
         # where q = 1/6 and the loop runs longest, lies within the module
         # docstring's 3 units of 2^-bits of the exact truncated sum, so
-        # within 6 of the complex Horner loop it replaced
+        # within 6 of the complex Horner loop it replaced; at 500 digits the
+        # falling precision drops the most bits
         calls = []
         kernel = arithreg.dilog._fixed_sum
 
