@@ -33,31 +33,41 @@ so |w| <= 1, Re w <= 1/2 and |1-w| <= 1. Hence 1/2 <= |1-w| <= 1 and
 (q = 1/6 at the fixed points e^(+-i pi/3)). The series length follows from q
 a priori and is never adapted at runtime.
 
-Two logarithms. The six orbit elements of z have logs that are integer
-combinations of L0 = log z, L1 = log(1-z) and i pi s, s = sign(Im z)
-(Zagier, section 1): log(1/w) = -log w and log(-w) = log w - i pi sign(Im w)
-off the real axis, and Im(1/z), Im(1-z) have the sign -s. _ORBIT_LOGS holds
-one row per orbit element, for log w and log(-w), so a route takes at most
-L0 and L1 and reads every other log from the table: the inversion identity
-needs log(-w), the reflection identity log w and log(1-w). An exactly-real z
-is taken as z - i0, so s = -1 and L0 is conjugated for z < 0 (mpmath's log
-of a negative real has imaginary part +pi); on the cut this gives the limit
-from below.
+Route table. The identities Li2(w) = -Li2(1/w) - pi^2/6 - log(-w)^2/2 and
+Li2(w) = -Li2(1-w) + pi^2/6 - log w log(1-w) (Zagier, section 1), walked
+along m moves, give Li2(z) = (-1)^m Li2(w) + C. Every log they take is an
+integer combination of log z, B = log(1-z) and i pi s, s = sign(Im z), since
+log(1/w) = -log w, log(-w) = log w - i pi sign(Im w), and Im(1/w), Im(1-w)
+have the sign of -Im w. So, with A = log z or log(-z) = log z - i pi s, C is
+a quadratic form in A and B, and u = -log(1-w) and log|w| are linear forms,
+one row of _ROUTES per chain:
 
-u keeps full relative precision at bounded cost. On a route that ends in a
-reflection u = -log w' for the pre-reflection argument w', which is -L0, L0
-or L1, each taken at z itself. On the identity route and on routes that end
-in an inversion u = -log1p(-w), which mpmath forms as 1 - w at twice the
-working precision, or as w + w^2/2 when |w| < 2^-prec, so a tiny |w| costs
-no more bits.
+    route            A        u              log|w|       C
+    ()               -        -log1p(-z)     log|z|       0
+    (inv)            log(-z)  -log1p(-w)     -Re A        -pi^2/6 - A^2/2
+    (ref)            log z    -A             Re B         pi^2/6 - A B
+    (ref, inv)       log(-z)  -log1p(-w)     -Re B        -pi^2/6 + B^2/2 - A B
+    (inv, ref)       log z    A              Re B - Re A  pi^2/6 + A^2/2 - A B
+    (ref, inv, ref)  log z    B              Re A - Re B  -B^2/2
+
+With A = log(-z) on the routes that end in an inversion no row keeps an i pi
+term, so no terms of size pi log|z| cancel, and C takes at most two mpc
+products. An exactly-real z is taken as z - i0, the side of the cut on which
+mpmath puts a negative real, so log(-z) and log(1-z) need no correction. For
+z < 0, |1/(1-z)| < 1 < |1-z|, |1-1/z|: log z meets a negative real only on
+(ref, inv, ref), which reads log|z| alone.
+
+u keeps full relative precision at bounded cost: after a final reflection u
+is -A, A or B, logs of z itself; on the other routes u = -log1p(-w), which
+mpmath forms as 1 - w at twice the working precision, or as w + w^2/2 when
+|w| < 2^-prec, so a tiny |w| costs no more bits.
 
 D at the reduced argument. D is odd under z -> 1/z and under z -> 1-z, so
-D(z) = (-1)^m D(w) after m moves, with D(w) = Re(log w) (-Im u) + Im Li2(w):
-Re(log w) is the real part of a table row (log|z|, one real log, on the
-identity route), arg(1-w) = -Im u, and Im Li2(w) is the series' own. No
-route constant enters D. Formed at z itself, log|z| arg(1-z) + Im Li2(z)
-is a difference of two terms that carry the O(log^2 |z|) route constants:
-at z = -1e30 + 1e-5 i both terms are near 7e-34 and D is near 7e-64.
+D(z) = (-1)^m D(w), with D(w) = log|w| (-Im u) + Im Li2(w) from the row's
+log|w|, arg(1-w) = -Im u and the series' own Im Li2(w); C does not enter D.
+Formed at z itself, log|z| arg(1-z) + Im Li2(z) is a difference of two terms
+that carry the O(log^2 |z|) constant: at z = -1e30 + 1e-5 i both terms are
+near 7e-34 and D is near 7e-64.
 
 Fixed-point sum. Only B_0, B_1 and the even B_n are nonzero, so
 Li2(w) = u - v/4 + u v S(t) with v = u^2, t = v / (4 pi^2) and
@@ -69,7 +79,8 @@ for a real polynomial at a complex point (Goertzel; Knuth, TAOCP vol. 2,
 4.6.4): t and conj(t) are the roots of x^2 - r x + s with r = 2 Re t and
 s = |t|^2, and b_k = c'_k + r b_(k+1) - s b_(k+2), from b_n = b_(n+1) = 0,
 gives S(t) = b_0 - conj(t) b_1. A term costs two products of integers and
-one shift, where Horner's rule in the complex t costs four products.
+one shift, where Horner's rule in the complex t costs four products. b_1 is
+real, so Im S = Im t b_1 is one mpf product of Im v and b_1 / (4 pi^2).
 
 Falling precision. |t| = q^2 < 0.04 < 2^-4.6, so term k of S is below
 2^-4.6k and needs only bits - 4k bits, bits = mp.prec + _GUARD_BITS (Brent
@@ -100,12 +111,21 @@ then gives b_0 - conj(t) b_1 = sum_m (c'_m + d_m) t^m exactly: d_0 is real,
 and the other d_m add under 1.54 |t| / (1 - |t|) < 0.065 to either part,
 plus under 1.57 (16 |t|)^16 / (1 - 16 |t|) < 0.0035 from the blocks that
 drop bits, all that the falling precision adds. The last step floors
-Re t b_1 and Im t b_1, under 1 unit each, so the real part is off by under
-2.61 and the imaginary part by under 1.07, 2.83 in modulus. Moving t by
-under 2.6 units in modulus moves S by under 0.08, since
-|S'| <= (1/36) / (1 - |t|)^2 < 0.031. So S is off by less than 3 units
+Re t b_1, under 1 unit, so Re S is off by under 2.61. Moving t by under 2.6
+units in modulus moves S by under 0.08, since
+|S'| <= (1/36) / (1 - |t|)^2 < 0.031. So Re S is off by less than 3 units
 whatever the number of terms. A Horner loop in v itself would multiply the
 error of step k by |v|^k, about 1.1^k near e^(+-i pi/3).
+
+Im S, relative. b_1 = sum_m (c'_(m+1) + d_(m+1)) U_m, so the d_k move it by
+under 1.54 / (1 - |t|)^2 < 1.68 units from block 0 and under
+1.57 * 16 sum_(m >= 15) (m+1) (16 |t|)^m < 1.54 from the later blocks, and
+the error in t by under 0.05, as |c'_k| <= c'_2 < 0.0074 for k >= 2. And
+|b_1| >= |c'_1| - c'_2 sum_(m >= 1) (m+1) |t|^m > 0.0103, |c'_1| = pi^2/900.
+So b_1 is off by under 3.3 units, 330 relative, and the rounded
+2^bits / (4 pi^2) adds under 20: Im S = Im v b_1 / (4 pi^2) is good to
+350 * 2^-bits < 2^-(prec + 7) relative before its one rounding, however
+small Im v is.
 """
 
 from __future__ import annotations
@@ -115,33 +135,24 @@ import math
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
 
 from .precision import DEFAULT_DIGITS, working_dps
 
 __all__ = ["li2", "bloch_wigner", "li2_and_bloch_wigner"]
 
-# orbit of z under inversion and reflection; chains apply left to right
-_CHAINS = (
-    (),
-    ("inv",),
-    ("ref",),
-    ("ref", "inv"),
-    ("inv", "ref"),
-    ("ref", "inv", "ref"),
-)
-
-# log w and log(-w) of each orbit element w = _orbit_value(z, chain) as
-# (m, n, k, j): log w = m L0 + n L1 + k i pi s and log(-w) = m L0 + n L1 +
-# j i pi s, with L0 = log z, L1 = log(1-z), s = sign(Im z) (module docstring)
-_ORBIT_LOGS = dict(zip(_CHAINS, (
-    (1, 0, 0, -1),  # z
-    (-1, 0, 0, 1),  # 1/z
-    (0, 1, 0, 1),  # 1-z
-    (0, -1, 0, -1),  # 1/(1-z)
-    (-1, 1, 1, 0),  # 1 - 1/z
-    (1, -1, -1, 0),  # z/(z-1)
-)))
+# chain (moves left to right) -> (a, u, log|w|, (p, q, r, t)) for A = log(a z),
+# B = log(1-z): u (None: -log1p(-w)) and log|w| as coefficients of (A, B),
+# the constant p pi^2/6 + q A^2 + r B^2 + t A B (module docstring)
+_ROUTES = {
+    (): (0, None, (1, 0), (0, 0, 0, 0)),
+    ("inv",): (-1, None, (-1, 0), (-1, -0.5, 0, 0)),
+    ("ref",): (1, (-1, 0), (0, 1), (1, 0, 0, -1)),
+    ("ref", "inv"): (-1, None, (0, -1), (-1, 0, 0.5, -1)),
+    ("inv", "ref"): (1, (1, 0), (-1, 1), (1, 0.5, 0, -1)),
+    ("ref", "inv", "ref"): (1, (0, 1), (1, -1), (0, 0, -0.5, 0)),
+}
+_CHAINS = tuple(_ROUTES)  # in the order that breaks ties
 
 _TIE_MARGIN = 1e-9  # relative; closer moduli are compared in mpc
 _LOG_HALF = math.log(0.5)
@@ -151,6 +162,7 @@ _BLOCK = 16  # series terms per fixed-point scale; the scale drops 4 bits a term
 # bits -> (2^bits / (4 pi^2), [c'_0, c'_1, ...]), rounded to integers, c'_k
 # at the scale 2^(bits - 4 _BLOCK floor(k / _BLOCK)) of its block
 _FIXED: dict[int, tuple[int, list]] = {}
+_PI2_6: dict[int, mpf] = {}  # mp.prec -> pi^2 / 6, formed once per precision
 
 
 def _orbit_value(z, chain):
@@ -205,9 +217,10 @@ def _fixed_table(bits: int, count: int) -> tuple[int, list]:
 
 
 def _fixed_sum(v, bits: int, count: int) -> tuple[int, int]:
-    """(Re S, Im S) * 2^bits as integers, S(v / (4 pi^2)) summed over its
+    """(Re S, b_1) * 2^bits as integers, S(v / (4 pi^2)) summed over its
     first count >= 2 terms by the real-coefficient recurrence at falling
-    precision; off by less than 3 * 2^-bits (module docstring)."""
+    precision, Im S = Im t b_1; Re S is off by less than 3 * 2^-bits and b_1
+    by less than 330 * 2^-bits relative (module docstring)."""
     scale, coeffs = _fixed_table(bits, count)
     v_re, v_im = v._mpc_
     t_re = (to_fixed(v_re, bits) * scale) >> bits
@@ -220,68 +233,54 @@ def _fixed_sum(v, bits: int, count: int) -> tuple[int, int]:
         b0, b1 = b0 << 4 * _BLOCK, b1 << 4 * _BLOCK  # from the previous block's scale
         for c in reversed(coeffs[start:min(start + _BLOCK, count)]):
             b0, b1 = c + ((r_block * b0 - s_block * b1) >> width), b0
-    return b0 - ((t_re * b1) >> bits), (t_im * b1) >> bits
+    return b0 - ((t_re * b1) >> bits), b1
 
 
 def _bernoulli_series(u) -> mpc:
     """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) for u = -log(1-w) of a reduced
-    w (q < 0.2) and v = u^2, with S summed in fixed point (module docstring)."""
+    w (q < 0.2) and v = u^2, with S summed in fixed point and Im S taken as
+    Im v b_1 / (4 pi^2) (module docstring)."""
     v = u * u
     abs_u = math.hypot(float(u.real), float(u.imag))
     q = abs_u / (2 * math.pi)
     need = mp.dps * math.log(10) + math.log(8 * (abs_u + 1) / (1 - q * q))
     n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
     count = n_terms // 2  # only B_0, B_1 and the even B_n are nonzero
-    bits = mp.prec + _GUARD_BITS
-    s_re, s_im = _fixed_sum(v, bits, count)
-    s = mp.make_mpc((from_man_exp(s_re, -bits, mp.prec, round_nearest),
-                     from_man_exp(s_im, -bits, mp.prec, round_nearest)))
+    bits, prec = mp.prec + _GUARD_BITS, mp.prec
+    s_re, b1 = _fixed_sum(v, bits, count)
+    b1_over_4pi2 = from_man_exp(b1 * _fixed_table(bits, count)[0], -2 * bits)
+    s = mp.make_mpc((from_man_exp(s_re, -bits, prec, round_nearest),
+                     mpf_mul(v._mpc_[1], b1_over_4pi2, prec, round_nearest)))
     return u - v / 4 + u * v * s
 
 
-def _orbit_log(coefficients, logs):
-    """m L0 + n L1 + k i pi s for logs = (L0, L1, i pi s) and coefficients
-    (m, n, k) or (m, n) in {-1, 0, 1}, not all 0."""
-    terms = [x if c > 0 else -x for c, x in zip(coefficients, logs) if c]
-    return sum(terms[1:], terms[0])
+def _linear(form, logs):
+    """x A + y B for form (x, y) in {-1, 0, 1}^2, not (0, 0), and logs (A, B)."""
+    terms = [log if c > 0 else -log for c, log in zip(form, logs) if c]
+    return terms[0] + terms[1] if len(terms) > 1 else terms[0]
 
 
 def _li2_principal(z) -> tuple:
     """(Li2(z), D(z)) at the current mp working precision, principal branch,
-    from at most the two logs L0 = log z and L1 = log(1-z) (module
-    docstring); D is 0 for exactly-real z.
+    from the route's row of _ROUTES: at most the two logs A and B = log(1-z)
+    (module docstring); D is 0 for exactly-real z.
 
     Caller guarantees z != 0, 1. An exactly-real z is taken as z - i0, so
     on the cut Li2 is the limit from below.
     """
     chain = _reduction_chain(z)
-    sign, const, u = 1, mpc(0), None
+    a, u_form, log_abs_form, (p, q, r, t) = _ROUTES[chain]
     if chain:
-        pi2_6 = mp.pi ** 2 / 6
-        log_z = mp.log(z)
-        if not z.imag and z.real < 0:
-            log_z = mp.conj(log_z)  # z - i0 lies below the cut of log
-        # only the route ("inv",) has no row with an L1 term
-        log_one_minus_z = mp.log(1 - z) if chain != ("inv",) else None
-        logs = (log_z, log_one_minus_z, mpc(0, mp.pi if z.imag > 0 else -mp.pi))
-    for step, move in enumerate(chain):
-        m, n, k, j = _ORBIT_LOGS[chain[:step]]
-        if move == "inv":
-            const += -sign * (pi2_6 + _orbit_log((m, n, j), logs) ** 2 / 2)
-            u = None
-        else:
-            log_w = _orbit_log((m, n, k), logs)
-            log_one_minus_w = _orbit_log(_ORBIT_LOGS[chain[:step + 1]][:3], logs)
-            const += sign * (pi2_6 - log_w * log_one_minus_w)
-            u = -log_w
-        sign = -sign
-    if u is None:
-        u = -mp.log1p(-_orbit_value(z, chain))
+        A, B = mp.log(-z if a < 0 else z), mp.log(1 - z) if chain != ("inv",) else None
+        pi2_6 = _PI2_6.get(mp.prec) or _PI2_6.setdefault(mp.prec, mp.pi ** 2 / 6)
+        const = sum((c * x * y for c, x, y in ((q, A, A), (r, B, B), (t, A, B)) if c), p * pi2_6)
+    u = _linear(u_form, (A, B)) if u_form else -mp.log1p(-_orbit_value(z, chain))
     series = _bernoulli_series(u)
-    value = sign * series + const
+    sign = -1 if len(chain) % 2 else 1
+    value = sign * series + const if chain else series
     if not z.imag:
         return value, mpf(0)
-    log_abs_w = _orbit_log(_ORBIT_LOGS[chain][:2], logs).real if chain else mp.log(abs(z))
+    log_abs_w = _linear(log_abs_form, (A, B)).real if chain else mp.log(abs(z))
     return value, sign * (log_abs_w * -u.imag + series.imag)
 
 

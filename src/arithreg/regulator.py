@@ -89,13 +89,13 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
     rows = [[mpf(0)] * e.degree for _ in elements]
     if reps:
         with mp.workdps(e.working_dps):
-            degenerate_tol = mpf(10) ** (-(e.precision // 2))
+            tol2 = mpf(10) ** (-2 * (e.precision // 2))  # squared, to skip square roots
             dvalues = []  # per support element: D at each pair representative, or None
             bases = []  # (lambda, 1 - lambda, D values) of each orbit met so far
             for k, lam in enumerate(support):
                 conjugates = evaluate(lam, e)
                 zs = [conjugates[idx] for idx in reps]
-                if any(abs(z) < degenerate_tol or abs(z - 1) < degenerate_tol for z in zs):
+                if any(min(z.real ** 2, (z.real - 1) ** 2) + z.imag ** 2 < tol2 for z in zs):
                     raise PrecisionError(
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")

@@ -10,6 +10,8 @@ in floating point on mpc values: the reference for its fixed-point kernel.
 stepwise_li2 is the library's reduction route as it ran before it read the
 logs of the orbit elements from log z and log(1-z): one fresh mp.log at
 every intermediate orbit element, on the same route and the same series.
+symbolic_route walks the same identities on exact polynomials in A, B and
+P = i pi sign(Im z), the oracle for the library's table of routes.
 
 The fixed-point sums take the arguments of arithreg.dilog._fixed_sum and
 return S(v / (4 pi^2)) * 2^bits over the first count terms:
@@ -20,6 +22,7 @@ kernel keeps.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import bernoulli, factorial, ldexp, mp, mpc, nint
@@ -84,6 +87,58 @@ def stepwise_li2(z) -> mpc:
     if u is None:
         u = -mp.log1p(-w)
     return sign * _bernoulli_series(u) + const
+
+
+def _plus(*forms) -> dict:
+    out = {}
+    for form in forms:
+        for key, c in form.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _times(c, form) -> dict:
+    return {key: c * x for key, x in form.items()}
+
+
+def _product(f, g) -> dict:
+    """f g for linear forms f, g in A, B and P, with P^2 = -pi^2."""
+    out = {}
+    for x, a in f.items():
+        for y, b in g.items():
+            key, c = (("pi2",), -a * b) if x == y == "P" else (tuple(sorted((x, y))), a * b)
+            out = _plus(out, {key: c})
+    return out
+
+
+def symbolic_route(chain, a) -> tuple:
+    """(C, u, log w) of the route chain as exact Fraction polynomials: C, the
+    constant in Li2(z) = (-1)^m Li2(w) + C, is quadratic in A, B, P and pi^2,
+    and u = -log(1-w) (None for -log1p(-w)) and log w are linear in A, B, P.
+    A = log(a z), B = log(1-z), P = i pi s with s = sign(Im z), so
+    log z = A + P when a = -1 (log(-z) = log z - i pi s), and A when a = 1
+    or 0. Each move rewrites log w, log(1-w) and side = sign(Im w) / s the
+    way the identities need them: log(1/w) = -log w,
+    log(1 - 1/w) = log(1-w) - log w + i pi sign(Im w) and
+    log(-w) = log w - i pi sign(Im w)."""
+    one = Fraction(1)
+    log_w = {"A": one, "P": one} if a < 0 else {"A": one}
+    log_one_minus_w, side, sign, const, u = {"B": one}, 1, 1, {}, None
+    for move in chain:
+        if move == "inv":
+            log_minus_w = _plus(log_w, {"P": -side})
+            square = _product(log_minus_w, log_minus_w)
+            const = _plus(const, _times(-sign, _plus({("pi2",): one / 6}, _times(one / 2, square))))
+            log_w, log_one_minus_w = (_times(-1, log_w),
+                                      _plus(log_one_minus_w, _times(-1, log_w), {"P": side}))
+            u = None
+        else:
+            product = _product(log_w, log_one_minus_w)
+            const = _plus(const, _times(sign, _plus({("pi2",): one / 6}, _times(-1, product))))
+            u = _times(-1, log_w)
+            log_w, log_one_minus_w = log_one_minus_w, log_w
+        side, sign = -side, -sign
+    return const, u, log_w
 
 
 @lru_cache(maxsize=None)

@@ -174,6 +174,30 @@ class TestK3Regulator:
         with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
             k3_regulator([BlochElement((lam, unused), (2, 0))], e)
 
+    @pytest.mark.parametrize("centre", [0, 1])
+    @pytest.mark.parametrize("direction", [mpc(-1), mpc(0.6, 0.8)], ids=["real", "complex"])
+    @pytest.mark.parametrize("factor, degenerate", [(0.9, True), (1.1, False)])
+    def test_degeneracy_threshold(self, fields, embset, monkeypatch, centre, direction, factor,
+                                  degenerate):
+        # an element within 0.9 tol of 0 or 1 at a pair representative
+        # signals a precision failure and one 1.1 tol away does not, for
+        # tol = 10^-(precision // 2)
+        import arithreg.regulator
+
+        K, e = fields["cubic"], embset["cubic"]
+        lam, unused = K.gen(), K.one() - K.gen()
+        with mp.workdps(e.working_dps):
+            z = centre + factor * mpf(10) ** -(e.precision // 2) * direction
+        real = arithreg.regulator.evaluate
+        monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
+            (z,) * e.degree if a == unused else real(a, e)))
+        xs = [BlochElement((lam, unused), (2, 0))]
+        if degenerate:
+            with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
+                k3_regulator(xs, e)
+        else:
+            assert len(k3_regulator(xs, e)) == 1
+
     @pytest.mark.parametrize("poly", list(SHIFTED_ROOTS.values()), ids=list(SHIFTED_ROOTS))
     @pytest.mark.parametrize("name", list(ORBIT_MAPS))
     def test_orbit_member_matches_direct_values(self, poly, name, monkeypatch):
