@@ -95,6 +95,9 @@ class FractionalIdeal:
     @classmethod
     def from_elements(cls, field: NumberField, elems) -> "FractionalIdeal":
         """Ideal generated by field elements as a module over the ring."""
+        elems = list(elems)
+        if any(el.field != field for el in elems):
+            raise DomainError("element and ideal belong to different fields")
         nums = [el._integral_numerators() for el in elems if not el.is_zero()]
         if not nums:
             raise DomainError("the zero ideal is not supported")
@@ -116,6 +119,8 @@ class FractionalIdeal:
         return self.field._reduce(_vec_mat(self.rows[0], basis), self.den * d)
 
     def contains(self, elem: FieldElement) -> bool:
+        if elem.field != self.field:
+            raise DomainError("element and ideal belong to different fields")
         coords, d = elem._integral_numerators()
         scaled = [self.den * c for c in coords]
         return (not any(c % d for c in scaled)

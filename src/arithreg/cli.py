@@ -19,6 +19,7 @@ arithmetic, so "1/2" is the exact rational and negative powers invert exactly.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 from mpmath import mp, mpc, mpf
@@ -37,118 +38,72 @@ from .relations import (BlochElement, _bloch_kernels, relation_lattice,
 # ---------------------------------------------------------------------------
 # element expression parser
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text: str):
-        toks = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c.isdecimal():  # the digits int() reads; isdigit() admits superscripts
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                toks.append(("num", int(text[i:j])))
-                i = j
-            elif c == "x":
-                toks.append(("x", None))
-                i += 1
-            elif text.startswith("**", i):
-                toks.append(("^", None))
-                i += 2
-            elif c in "+-*/^()":
-                toks.append((c, None))
-                i += 1
-            else:
-                raise SchemaError(f"unexpected character {c!r} in element expression")
-        return toks
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+# one token per match: a run of decimal digits, an operator (** is ^), or any
+# other non-space character, which is an error. For str patterns \d and \s
+# are str.isdecimal and str.isspace: \d takes the digits of every script that
+# int() reads, and not superscripts, which str.isdigit would admit
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()x])|(\S))")
 
 
 def parse_element_expr(text: str, field: NumberField) -> FieldElement:
-    """Exact evaluation of a polynomial expression in the generator x."""
-    toks = _Tokens(text)
+    """Exact evaluation of a polynomial expression in the generator x, by
+    recursive descent: sums of products of signed powers, whose exponent is
+    an integer after any number of signs."""
+    toks = []
+    for digits, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise SchemaError(f"unexpected character {bad!r} in element expression")
+        toks.append(int(digits) if digits else "^" if op == "**" else op)
+    toks = [None, *reversed(toks)]  # the next token is toks[-1]; None ends the input
+
+    def expression():
+        value = product()
+        while toks[-1] in ("+", "-"):
+            op, rhs = toks.pop(), product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def product():
+        value = unary()
+        while toks[-1] in ("*", "/"):
+            op, rhs = toks.pop(), unary()
+            value = value * rhs if op == "*" else value / rhs
+        return value
+
+    def unary():
+        if toks[-1] in ("-", "+"):
+            return -unary() if toks.pop() == "-" else unary()
+        return power()
+
+    def power():
+        tok = toks.pop()
+        if isinstance(tok, int):
+            base = field.element([tok])
+        elif tok == "x":
+            base = field.gen()
+        elif tok == "(":
+            base = expression()
+            if toks.pop() != ")":
+                raise SchemaError("unbalanced parenthesis in element expression")
+        else:
+            raise SchemaError("malformed element expression")
+        if toks[-1] != "^":
+            return base
+        toks.pop()
+        sign = 1
+        while toks[-1] in ("-", "+"):
+            sign = -sign if toks.pop() == "-" else sign
+        if not isinstance(toks[-1], int):
+            raise SchemaError("exponent must be an integer")
+        return base ** (sign * toks.pop())
+
     try:
-        value = _parse_sum(toks, field)
+        value = expression()
     except RecursionError:
         raise SchemaError("element expression nests too deeply") from None
-    if toks.peek() is not None:
+    if toks[-1] is not None:
         raise SchemaError(f"trailing input in element expression {text!r}")
     return value
-
-
-def _parse_sum(toks, field):
-    value = _parse_product(toks, field)
-    while toks.peek() in ("+", "-"):
-        op, _ = toks.next()
-        rhs = _parse_product(toks, field)
-        value = value + rhs if op == "+" else value - rhs
-    return value
-
-
-def _parse_product(toks, field):
-    value = _parse_unary(toks, field)
-    while toks.peek() in ("*", "/"):
-        op, _ = toks.next()
-        rhs = _parse_unary(toks, field)
-        value = value * rhs if op == "*" else value / rhs
-    return value
-
-
-def _parse_unary(toks, field):
-    if toks.peek() == "-":
-        toks.next()
-        return -_parse_unary(toks, field)
-    if toks.peek() == "+":
-        toks.next()
-        return _parse_unary(toks, field)
-    return _parse_power(toks, field)
-
-
-def _parse_power(toks, field):
-    base = _parse_atom(toks, field)
-    if toks.peek() == "^":
-        toks.next()
-        sign = 1
-        while toks.peek() in ("-", "+"):
-            if toks.next()[0] == "-":
-                sign = -sign
-        kind, val = toks.next() if toks.peek() == "num" else (None, None)
-        if kind != "num":
-            raise SchemaError("exponent must be an integer")
-        return base ** (sign * val)
-    return base
-
-
-def _parse_atom(toks, field):
-    kind = toks.peek()
-    if kind == "num":
-        _, val = toks.next()
-        return field.element([val])
-    if kind == "x":
-        toks.next()
-        return field.gen()
-    if kind == "(":
-        toks.next()
-        value = _parse_sum(toks, field)
-        if toks.peek() != ")":
-            raise SchemaError("unbalanced parenthesis in element expression")
-        toks.next()
-        return value
-    raise SchemaError("malformed element expression")
 
 
 def parse_element(payload, field: NumberField) -> FieldElement:

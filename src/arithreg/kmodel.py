@@ -30,30 +30,18 @@ class GradedKAlgebra:
     def signature(self) -> tuple[int, int]:
         return self.embedding_set.signature
 
-    def generators(self, degree: int) -> tuple[tuple[str, int], ...]:
-        """Generator descriptors in a given degree; lazily valid for any
-        degree 1-2p (even negative degrees have none)."""
-        if degree >= 0 or degree % 2 == 0:
-            return ()
-        p = (1 - degree) // 2
-        e = self.embedding_set
-        gens = []
-        if p % 2 == 1:
-            gens.extend(("real", i) for i in e.real_indices)
-        gens.extend(("pair", i) for i in e.pair_representatives)
-        return tuple(gens)
-
     def generator_labels(self, degree: int) -> list[str]:
-        labels = []
-        for kind, idx in self.generators(degree):
-            if kind == "real":
-                labels.append(f"x(s{idx})_{degree}")
-            else:
-                labels.append(f"x(s{idx}s{self.embedding_set.conjugate_index(idx)})_{degree}")
-        return labels
+        """Generator labels in a degree 1-2p, for any p (other degrees have
+        none): one per real embedding when p is odd, then one per pair."""
+        if degree >= 0 or degree % 2 == 0:
+            return []
+        e = self.embedding_set
+        reals = e.real_indices if (1 - degree) // 2 % 2 == 1 else ()
+        return ([f"x(s{i})_{degree}" for i in reals]
+                + [f"x(s{i}s{e.conjugate_index(i)})_{degree}" for i in e.pair_representatives])
 
     def dim_m_prime(self, degree: int) -> int:
-        return len(self.generators(degree))
+        return len(self.generator_labels(degree))
 
 
 def build_model(e: EmbeddingSet, max_p: int) -> GradedKAlgebra:

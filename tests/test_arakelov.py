@@ -63,6 +63,22 @@ class TestFractionalIdeal:
         assert half.contains(K.element([3]))
         assert not half.contains(K.element([Fraction(1, 3)]))
 
+    def test_elements_of_another_field_are_rejected(self, fields):
+        """Membership, the index and generation compare the element's field
+        with the ideal's, as products of elements do: an element of a field
+        of another degree must not index past the ideal's rows, and one of
+        the same degree must not be read in the ideal's basis."""
+        K2, Ki, K3 = fields["Qsqrt2"], fields["Qi"], fields["cubic"]
+        two = FractionalIdeal.principal(K2.element([2]))
+        cases = [lambda: two.contains(K3.element([2])),
+                 lambda: two.contains(Ki.element([2])),
+                 lambda: index_quotient(two, Ki.element([2])),
+                 lambda: FractionalIdeal.from_elements(K2, [Ki.gen()]),
+                 lambda: FractionalIdeal.from_elements(K2, [K2.one(), K3.gen()])]
+        for case in cases:
+            with pytest.raises(DomainError, match="^element and ideal belong to different fields$"):
+                case()
+
     def test_singular_basis_rejected(self, fields):
         with pytest.raises(DomainError, match="^ideal basis is not in Hermite normal form$"):
             FractionalIdeal(fields["Qi"], ((1, 2), (0, 0)), 1)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -59,6 +60,34 @@ class TestElementParsing:
     def test_unbalanced_paren(self, fields):
         with pytest.raises(SchemaError):
             parse_element_expr("(1+x", fields["Qi"])
+
+    def test_decimal_digits_of_any_script_are_numbers(self, fields):
+        K = fields["cubic"]
+        # Arabic-Indic 3, full-width 1 2, and a run that mixes scripts
+        assert parse_element_expr("٣*x + １２", K) == K.element([12, 3])
+        assert parse_element_expr("1٠٣", K) == K.element([103])
+
+    def test_any_whitespace_separates_tokens(self, fields):
+        K = fields["cubic"]
+        assert parse_element_expr("\n(x\xa0+\t1)\xa0^\n2\t", K) == (K.gen() + 1) ** 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_0", "unexpected character '_' in element expression"),
+        ("1.5", "unexpected character '.' in element expression"),
+        ("0x10", "trailing input in element expression '0x10'"),
+        ("2x", "trailing input in element expression '2x'"),
+    ])
+    def test_number_forms_other_than_decimal_digits_rejected(self, fields, text, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_element_expr(text, fields["cubic"])
+
+    def test_exponents(self, fields):
+        K = fields["cubic"]
+        x = K.gen()
+        assert parse_element_expr("x**3", K) == parse_element_expr("x^3", K) == x ** 3
+        assert parse_element_expr("x^--2", K) == x ** 2
+        assert parse_element_expr("x^+-1", K) == x ** -1
+        assert parse_element_expr("x ** - + - 2", K) == x ** 2
 
 
 class TestParseComplex:
