@@ -260,7 +260,7 @@ def _degree_and_index(bundle: MetrizedLineBundle, e: EmbeddingSet,
         idx_count = index_quotient(bundle.ideal, s)
         ratio = evaluate(s / s0, e)
     with mp.workdps(e.working_dps):
-        log_index = mp.log(mpf(idx_count.numerator)) - mp.log(mpf(idx_count.denominator))
+        log_index = mp.log(mpf(idx_count.numerator))  # _index proves it an integer
         metric_part = mpf(0)
         for i in e.class_representatives:
             weight = 1 if e.is_real(i) else 2

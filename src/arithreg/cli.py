@@ -26,7 +26,8 @@ from mpmath import mp, mpc, mpf
 
 from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
 from .dilog import li2_and_bloch_wigner
-from .errors import ArithregError, DomainError, FormatError, PrecisionError, SchemaError
+from .errors import (ArithregError, DomainError, FormatError, PrecisionError, SchemaError,
+                     oversized_number)
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
@@ -45,15 +46,18 @@ from .relations import (BlochElement, _bloch_kernels, relation_lattice,
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\*\*|[-+*/^()x])|(\S))")
 
 
-def parse_element_expr(text: str, field: NumberField) -> FieldElement:
-    """Exact evaluation of a polynomial expression in the generator x, by
-    recursive descent: sums of products of signed powers, whose exponent is
-    an integer after any number of signs."""
+def parse_element_expr(text: str, field: NumberField, key: str) -> FieldElement:
+    """Exact evaluation of a polynomial expression in the generator x, the
+    value of key, by recursive descent: sums of products of signed powers,
+    whose exponent is an integer after any number of signs."""
     toks = []
     for digits, op, bad in _TOKEN.findall(text):
         if bad:
             raise SchemaError(f"unexpected character {bad!r} in element expression")
-        toks.append(int(digits) if digits else "^" if op == "**" else op)
+        try:
+            toks.append(int(digits) if digits else "^" if op == "**" else op)
+        except ValueError:  # an integer over Python's int-string limit
+            raise oversized_number(key, digits) from None
     toks = [None, *reversed(toks)]  # the next token is toks[-1]; None ends the input
 
     def expression():
@@ -106,13 +110,14 @@ def parse_element_expr(text: str, field: NumberField) -> FieldElement:
     return value
 
 
-def parse_element(payload, field: NumberField) -> FieldElement:
-    """Element from an expression string or a coefficient record."""
+def parse_element(payload, field: NumberField, key: str) -> FieldElement:
+    """Element from an expression string or a coefficient record, the value
+    of key, which errors name."""
     if isinstance(payload, str):
-        return parse_element_expr(payload, field)
+        return parse_element_expr(payload, field, key)
     coeffs = payload.get("coeffs") if isinstance(payload, dict) else None
     if isinstance(coeffs, list):
-        return field.element([_parse_rational(c) for c in coeffs])
+        return field.element([_parse_rational(c, key) for c in coeffs])
     raise SchemaError(f"cannot parse element payload {payload!r}")
 
 
@@ -120,6 +125,7 @@ def parse_element(payload, field: NumberField) -> FieldElement:
 # complex input
 
 def parse_complex(text: str) -> mpc:
+    """The complex number of the dilog key 'z', such as "0.5-0.25i"."""
     s = text.strip().replace(" ", "")
     if not s:
         raise SchemaError("empty complex number")
@@ -142,7 +148,8 @@ def parse_complex(text: str) -> mpc:
     try:
         z = mpc(mpf(re_part), mpf(im_part))
     except ValueError as exc:
-        raise SchemaError(f"cannot parse complex number {text!r}") from exc
+        raise oversized_number("z", text) or SchemaError(
+            f"cannot parse complex number {text!r}") from exc
     if not mp.isfinite(z):
         raise SchemaError(f"complex number {text!r} is not finite")
     return z
@@ -251,7 +258,8 @@ def _candidate_presentation(field, candidates, precision):
 
 
 def _cmd_bloch_check(payload, e):
-    candidates = [parse_element(c, e.field) for c in _require(payload, "candidates", list)]
+    candidates = [parse_element(c, e.field, "candidates")
+                  for c in _require(payload, "candidates", list)]
     pres = _candidate_presentation(e.field, candidates, e.precision)
     kernel, flagged = _bloch_kernels(candidates, pres)
     return {
@@ -266,7 +274,7 @@ def _cmd_bloch_check(payload, e):
 
 def _cmd_regulator(payload, e):
     record = _require(payload, "bloch", dict)
-    support = [parse_element(s, e.field) for s in _require(record, "support", list)]
+    support = [parse_element(s, e.field, "support") for s in _require(record, "support", list)]
     mults = _require(record, "multiplicities", list)
     if len(support) != len(mults) or any(not _is_int(n) for n in mults):
         raise SchemaError("key 'multiplicities' must be integers matching the support")
@@ -278,7 +286,8 @@ def _cmd_regulator(payload, e):
 
 
 def _cmd_unit_reg(payload, e):
-    vec = unit_regulator(parse_element(_require(payload, "element", (str, dict)), e.field), e)
+    element = parse_element(_require(payload, "element", (str, dict)), e.field, "element")
+    vec = unit_regulator(element, e)
     rec = vec.to_record()
     rec["mean"] = mp.nstr(s_map(vec), e.precision)
     return rec
@@ -292,13 +301,14 @@ def _bundle_from(payload, e):
         raise SchemaError("key 'metric' must list one positive value per embedding")
     if any(not isinstance(row, list) or len(row) != e.field.degree for row in rows):
         raise SchemaError("key 'ideal_basis' must be a list of rows of one entry per basis element")
-    rows = [[_parse_rational(x) for x in row] for row in rows]
+    rows = [[_parse_rational(x, "ideal_basis") for x in row] for row in rows]
     ideal = FractionalIdeal.from_rows(e.field, rows)
     try:
         with mp.workdps(e.working_dps):
             values = tuple(mpf(str(v)) for v in metric_raw)
     except ValueError as exc:
-        raise SchemaError(f"key 'metric' must hold decimal numbers: {exc}") from exc
+        raise oversized_number("metric", str(metric_raw)) or SchemaError(
+            f"key 'metric' must hold decimal numbers: {exc}") from exc
     if not all(mp.isfinite(v) for v in values):
         raise SchemaError("key 'metric' must hold finite decimal numbers")
     metric = Metric(values)
@@ -308,7 +318,8 @@ def _bundle_from(payload, e):
 
 def _cmd_degree(payload, e):
     bundle = _bundle_from(payload, e)
-    section = parse_element(payload["section"], e.field) if "section" in payload else None
+    section = (parse_element(payload["section"], e.field, "section")
+               if "section" in payload else None)
     value, index = _degree_and_index(bundle, e, section)
     return {
         "degree": mp.nstr(value, e.precision),
@@ -320,7 +331,7 @@ def _cmd_degree(payload, e):
 def _cmd_height(payload, e):
     bundle = _bundle_from(payload, e)
     n_power = _require(payload, "N", int)
-    generator = parse_element(_require(payload, "generator", (str, dict)), e.field)
+    generator = parse_element(_require(payload, "generator", (str, dict)), e.field, "generator")
     h = c_hat_height(bundle, n_power, generator, e)
     d = arithmetic_degree(bundle, e)
     with mp.workdps(e.working_dps):
@@ -365,6 +376,8 @@ def _load_json(key: str, text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"key '{key}' is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer over Python's int-string limit
+        raise oversized_number(key, text) from None
 
 
 def _build_job(argv: list[str]) -> dict:
@@ -392,10 +405,7 @@ def _build_job(argv: list[str]) -> dict:
     if args["job"] is not None:
         if args["job"] != "-":
             raise SchemaError("--job reads a job from stdin only; its value must be '-'")
-        try:
-            job = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"stdin is not valid JSON: {exc}") from exc
+        job = _load_json("job", sys.stdin.read())
         if not isinstance(job, dict):
             raise SchemaError("job must be a JSON object")
         if job.get("schema", 1) != 1:

@@ -53,9 +53,13 @@ one row of _ROUTES per chain:
 With A = log(-z) on the routes that end in an inversion no row keeps an i pi
 term, so no terms of size pi log|z| cancel, and C takes at most two mpc
 products. An exactly-real z is taken as z - i0, the side of the cut on which
-mpmath puts a negative real, so log(-z) and log(1-z) need no correction. For
-z < 0, |1/(1-z)| < 1 < |1-z|, |1-1/z|: log z meets a negative real only on
-(ref, inv, ref), which reads log|z| alone.
+mpmath puts a negative real, so log(-z) and log(1-z) need no correction.
+
+Real input is real by construction. The rule takes a real z <= 1 by (),
+(ref), (ref, inv) or (ref, inv, ref), so w is real in [-1/2, 1/2], and u
+and C read logs of positive reals only: log z of a z < 0 is read by log|w|
+alone. mpmath's log of a positive real has imaginary part exactly 0, and
+sums and products of reals stay real, so Im u, Im S and Im C are 0.
 
 u keeps full relative precision at bounded cost: after a final reflection u
 is -A, A or B, logs of z itself; on the other routes u = -log1p(-w), which
@@ -290,18 +294,6 @@ def _as_mpc(z) -> mpc:
     return mpc(z)
 
 
-def _is_exact_real(z) -> bool:
-    if isinstance(z, (int, float, Fraction)):
-        return True
-    if isinstance(z, mpf):
-        return True
-    if isinstance(z, complex):
-        return z.imag == 0
-    if isinstance(z, mpc):
-        return z.imag == 0
-    return False
-
-
 def li2(z, digits: int = DEFAULT_DIGITS) -> mpc:
     """Principal-branch dilogarithm of a complex argument.
 
@@ -318,7 +310,7 @@ def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
     per-embedding value vectors stay rigorously conjugation-equivariant at
     real embeddings.
     """
-    if _is_exact_real(z):
+    if not z.imag:
         return mpf(0)
     return li2_and_bloch_wigner(z, digits)[1]
 
@@ -327,19 +319,11 @@ def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:
     """(li2(z, digits), bloch_wigner(z, digits)) from one evaluation of Li2:
     D is formed at the reduced argument from the same series value, at the
     working precision, before either is rounded to digits."""
-    real_input = _is_exact_real(z)
     with mp.workdps(working_dps(digits)):
         w = _as_mpc(z)
-        d = mpf(0)
-        if w == 0:
-            out = mpc(0)
-        elif w == 1:
-            out = mpc(mp.pi ** 2 / 6, 0)
+        if w in (0, 1):
+            out, d = mpc(mp.pi ** 2 / 6 if w else 0), mpf(0)
         else:
             out, d = _li2_principal(w)
-            if real_input and w.real <= 1:
-                # value is real; discard the guard-level imaginary dust the
-                # composite identities can leave behind
-                out = mpc(out.real, 0)
     with mp.workdps(digits):
         return +out, +d

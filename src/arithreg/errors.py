@@ -4,6 +4,9 @@ Error classes map onto CLI exit codes: FormatError/SchemaError -> 1,
 DomainError and subclasses -> 2, PrecisionError -> 3.
 """
 
+import re
+import sys
+
 
 class ArithregError(Exception):
     """Base class for all library errors."""
@@ -42,3 +45,16 @@ class SquarefreeError(DomainError):
 class PrecisionError(ArithregError):
     """Numerical data was insufficient at the requested precision; callers
     may retry with a larger digit count."""
+
+
+def oversized_number(key: str, text: str) -> SchemaError | None:
+    """The error for the value text of key when it holds a number longer
+    than Python converts between int and str, sys.get_int_max_str_digits()
+    digits (CVE-2020-10735), or None when it holds none. The message names
+    the key and the limit and quotes at most 80 characters of the number."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    number = limit and re.search(r"[\d.]{%d,}" % (limit + 1), text)
+    if not number:
+        return None
+    return SchemaError(f"key '{key}' holds a number of {len(number[0])} characters, over the "
+                       f"limit of {limit} digits: {number[0][:80]}...")

@@ -34,7 +34,7 @@ from operator import mul
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import MPZ, from_int, fzero, mpf_div, mpf_neg, round_nearest
 
-from .errors import DomainError, FormatError, PrecisionError, SquarefreeError
+from .errors import DomainError, FormatError, PrecisionError, SquarefreeError, oversized_number
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
 from .precision import working_dps, working_prec
 
@@ -165,8 +165,6 @@ class NumberField:
         return self.element([1])
 
     def gen(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.element([-self.defining_poly[0]])
         return self.element([0, 1])
 
 
@@ -184,8 +182,8 @@ def _power(x, n: int, times):
 
 def _vec_mat(vec, rows) -> list:
     """Exact product of a row vector with a matrix given by its rows, one row
-    per entry of vec: integer when both are, Fraction otherwise."""
-    out = [0] * len(rows[0])
+    per entry of vec: integer when both are, Fraction otherwise; [] for no rows."""
+    out = [0] * len(rows[0]) if rows else []
     for c, row in zip(vec, rows):
         if c:
             out = [s + c * t for s, t in zip(out, row)]
@@ -329,21 +327,20 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_rational(s) -> int | Fraction:
+def _parse_rational(s, key: str) -> int | Fraction:
     """An int, Fraction or rational string such as "-3/4"; JSON booleans and
     floats are not rational entries. An int, or ASCII digits with at most
-    one leading minus (the common ideal basis entry), stays an int."""
-    if isinstance(s, int) and not isinstance(s, bool):
+    one leading minus (the common ideal basis entry), stays an int. A number
+    over Python's int-string limit is an error that names key."""
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return s
     if isinstance(s, str):
         digits = s[1:] if s[:1] == "-" else s
-        if digits.isascii() and digits.isdigit():
-            return int(s)
-    if isinstance(s, (Fraction, str)):
         try:
-            return Fraction(s)
+            return int(s) if digits.isascii() and digits.isdigit() else Fraction(s)
         except (ValueError, ZeroDivisionError):
-            pass
+            if error := oversized_number(key, s):
+                raise error from None
     raise FormatError(f"cannot parse rational value {s!r}")
 
 
@@ -371,7 +368,7 @@ def parse_field(record: dict) -> NumberField:
         if (not isinstance(basis, (list, tuple)) or len(basis) != n
                 or any(not isinstance(r, (list, tuple)) or len(r) != n for r in basis)):
             raise FormatError("integral_basis must be an n x n matrix")
-        basis = tuple(tuple(_parse_rational(x) for x in r) for r in basis)
+        basis = tuple(tuple(_parse_rational(x, "integral_basis") for x in r) for r in basis)
     maximal = record.get("maximal", True)
     if not isinstance(maximal, bool):
         raise FormatError("'maximal' must be a boolean")

@@ -18,12 +18,13 @@ as the presented group has free rank are shown independent by one minor
 against an a priori error bound (Pohst and Zassenhaus, Algorithmic
 Algebraic Number Theory, 1989), so no relation is missing. A relation that
 floating error hides therefore raises PrecisionError; none is invented.
-Exterior squares keep their torsion: the
-quotient presentation is reduced to Smith normal form and wedge
-coordinates are canonicalized componentwise against its invariants. A raw
-wedge vector is taken to Smith coordinates once, by ExteriorSquare.reduce;
-wedge classes and their integer combinations are already in Smith
-coordinates and are reduced modulo the invariants only.
+Exterior squares keep their torsion: the relators, the raw wedges r ^ e_j
+of each relation r with each basis vector, come from the one formula
+u_i v_j - u_j v_i of wedge_of_vectors (_raw_wedge); the quotient is reduced
+to Smith normal form and wedge coordinates are canonicalized against its
+invariants. A raw wedge vector is taken to Smith coordinates once, by
+ExteriorSquare.reduce; wedge classes and their integer combinations are
+already in Smith coordinates and are reduced modulo the invariants only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from mpmath.libmp import to_rational
 from .errors import DomainError, PrecisionError, PresentationIncompleteError
 from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
                      lll, snf)
-from .nf import EmbeddingSet, FieldElement, _horner, _prime_divisors, embeddings, evaluate
+from .nf import (EmbeddingSet, FieldElement, _horner, _prime_divisors, _vec_mat, embeddings,
+                 evaluate)
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
 DEFAULT_EXPONENT_BOUND = 64
@@ -460,11 +462,7 @@ class ExteriorSquare:
     def reduce(self, raw) -> tuple[int, ...]:
         if len(raw) != self.dim:
             raise DomainError("wedge coordinate vector has wrong length")
-        # a wedge of two generators has one nonzero raw entry: sum only the
-        # rows of the Smith transform that nonzero entries select
-        rows = [(x, self.v_matrix[c]) for c, x in enumerate(raw) if x]
-        return self.reduce_smith([sum(x * row[j] for x, row in rows)
-                                  for j in range(self.dim)])
+        return self.reduce_smith(_vec_mat(raw, self.v_matrix))
 
     def reduce_smith(self, y) -> tuple[int, ...]:
         return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariants))
@@ -477,33 +475,22 @@ def _pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
+def _raw_wedge(u, v) -> list[int]:
+    """The coordinates of u ^ v on the basis e_i ^ e_j, i < j, in _pairs
+    order: u_i v_j - u_j v_i."""
+    return [u[i] * v[j] - u[j] * v[i] for i, j in _pairs(len(u))]
+
+
 @lru_cache(maxsize=256)
 def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
-    torsion included, as Smith normal form data."""
-    pairs = _pairs(k)
-    index = {p: c for c, p in enumerate(pairs)}
-    dim = len(pairs)
-    relators = []
-    for r in relation_rows:
-        for j in range(k):
-            row = [0] * dim
-            nonzero = False
-            for i in range(k):
-                if i == j or r[i] == 0:
-                    continue
-                if i < j:
-                    row[index[(i, j)]] += r[i]
-                else:
-                    row[index[(j, i)]] -= r[i]
-                nonzero = True
-            if nonzero:
-                relators.append(row)
-    if not relators:
-        return ExteriorSquare(k, tuple([0] * dim),
-                              tuple(tuple(row) for row in identity(dim)))
-    invariants, v = snf(relators)
+    torsion included, as Smith normal form data: the relators are the
+    nonzero raw wedges r ^ e_j, for each relation r and then each j < k."""
+    relators = [_raw_wedge(r, e_j) for r in relation_rows for e_j in identity(k)]
+    relators = [w for w in relators if any(w)]
+    dim = len(_pairs(k))
+    invariants, v = snf(relators) if relators else ([0] * dim, identity(dim))
     return ExteriorSquare(k, tuple(invariants), tuple(tuple(row) for row in v))
 
 
@@ -513,9 +500,7 @@ def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
 
 def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
     """Class of (sum u_i g_i) ^ (sum v_j g_j) written additively."""
-    raw = [u[i] * v[j] - u[j] * v[i] for i, j in _pairs(p.rank)]
-    sq = exterior_square(p)
-    return WedgeClass(p, sq.reduce(raw))
+    return WedgeClass(p, exterior_square(p).reduce(_raw_wedge(u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +595,7 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
 def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
     """Whether sum n_i * image_i, in Smith coordinates, is 0 modulo the
     invariants."""
-    total = [sum(n * img.coords[c] for n, img in zip(multiplicities, images))
-             for c in range(sq.dim)]
-    return not any(sq.reduce_smith(total))
+    return not any(sq.reduce_smith(_vec_mat(multiplicities, [img.coords for img in images])))
 
 
 def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation) -> bool:

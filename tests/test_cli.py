@@ -34,42 +34,42 @@ def run_cli(*args, stdin=None):
 class TestElementParsing:
     def test_expression_inverse_power(self, fields):
         K = fields["cubic"]
-        el = parse_element_expr("(1-x)^-1", K)
+        el = parse_element_expr("(1-x)^-1", K, "element")
         assert (el * (K.one() - K.gen())).is_one()
 
     def test_rational_coefficients(self, fields):
         K = fields["Qi"]
-        el = parse_element_expr("1/2 + 3/4*x", K)
+        el = parse_element_expr("1/2 + 3/4*x", K, "element")
         from fractions import Fraction
         assert el.coeffs == (Fraction(1, 2), Fraction(3, 4))
 
     def test_double_star_power(self, fields):
         K = fields["Qi"]
-        assert parse_element_expr("x**2", K) == K.gen() ** 2
+        assert parse_element_expr("x**2", K, "element") == K.gen() ** 2
 
     def test_coefficient_record(self, fields):
         K = fields["Qi"]
-        el = parse_element({"coeffs": ["1/2", "-3"]}, K)
+        el = parse_element({"coeffs": ["1/2", "-3"]}, K, "element")
         from fractions import Fraction
         assert el.coeffs == (Fraction(1, 2), Fraction(-3))
 
     def test_garbage_rejected(self, fields):
         with pytest.raises(SchemaError):
-            parse_element_expr("x + $", fields["Qi"])
+            parse_element_expr("x + $", fields["Qi"], "element")
 
     def test_unbalanced_paren(self, fields):
         with pytest.raises(SchemaError):
-            parse_element_expr("(1+x", fields["Qi"])
+            parse_element_expr("(1+x", fields["Qi"], "element")
 
     def test_decimal_digits_of_any_script_are_numbers(self, fields):
         K = fields["cubic"]
         # Arabic-Indic 3, full-width 1 2, and a run that mixes scripts
-        assert parse_element_expr("٣*x + １２", K) == K.element([12, 3])
-        assert parse_element_expr("1٠٣", K) == K.element([103])
+        assert parse_element_expr("٣*x + １２", K, "element") == K.element([12, 3])
+        assert parse_element_expr("1٠٣", K, "element") == K.element([103])
 
     def test_any_whitespace_separates_tokens(self, fields):
         K = fields["cubic"]
-        assert parse_element_expr("\n(x\xa0+\t1)\xa0^\n2\t", K) == (K.gen() + 1) ** 2
+        assert parse_element_expr("\n(x\xa0+\t1)\xa0^\n2\t", K, "element") == (K.gen() + 1) ** 2
 
     @pytest.mark.parametrize("text, message", [
         ("1_0", "unexpected character '_' in element expression"),
@@ -79,15 +79,16 @@ class TestElementParsing:
     ])
     def test_number_forms_other_than_decimal_digits_rejected(self, fields, text, message):
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            parse_element_expr(text, fields["cubic"])
+            parse_element_expr(text, fields["cubic"], "element")
 
     def test_exponents(self, fields):
         K = fields["cubic"]
         x = K.gen()
-        assert parse_element_expr("x**3", K) == parse_element_expr("x^3", K) == x ** 3
-        assert parse_element_expr("x^--2", K) == x ** 2
-        assert parse_element_expr("x^+-1", K) == x ** -1
-        assert parse_element_expr("x ** - + - 2", K) == x ** 2
+        assert (parse_element_expr("x**3", K, "element")
+                == parse_element_expr("x^3", K, "element") == x ** 3)
+        assert parse_element_expr("x^--2", K, "element") == x ** 2
+        assert parse_element_expr("x^+-1", K, "element") == x ** -1
+        assert parse_element_expr("x ** - + - 2", K, "element") == x ** 2
 
 
 class TestParseComplex:
@@ -441,6 +442,45 @@ def test_bloch_check_where_the_smith_transform_is_not_the_identity(capsys):
 def test_invalid_json_flag_names_its_key(argv, key, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error[schema]: key '{key}' is not valid JSON")
+
+
+LONG = "1" * 5000  # over Python's limit of 4300 digits on int-string conversion
+LONG_BASIS = json.dumps({"ideal_basis": [[LONG, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                         "metric": [1, 1, 1]})
+UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+# key -> (argument vector, stdin) of a job whose value of key holds a number
+# over the limit, one per path that reads such a number
+OVERSIZED_NUMBER_JOBS = {
+    "element": (["unit-reg", "--field", CUBIC, "--element", f"x + {LONG}"], None),
+    "support": (["--job", "-"], json.dumps({
+        "command": "regulator", "field": json.loads(CUBIC),
+        "payload": {"bloch": {"support": [{"coeffs": [LONG, "0", "0"]}],
+                              "multiplicities": [1]}}})),
+    "ideal_basis": (["degree", "--field", CUBIC, "--bundle", LONG_BASIS], None),
+    "integral_basis": (["field-info", "--field", json.dumps(
+        {"poly": [1, -1, 0, 1], "integral_basis": [[LONG, "0", "0"]] + UNIT_BASIS[1:]})], None),
+    "field": (["field-info", "--field", f'{{"poly":[{LONG},-1,0,1]}}'], None),
+    "job": (["--job", "-"], f'{{"command":"field-info","field":{{"poly":[{LONG},-1,0,1]}}}}'),
+    "z": (["dilog", "--z", f"0.5+{LONG}i"], None),
+    "metric": (["degree", "--field", CUBIC, "--bundle", json.dumps(
+        {"ideal_basis": UNIT_BASIS, "metric": [LONG, 1, 1]})], None),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERSIZED_NUMBER_JOBS))
+def test_oversized_number_is_one_schema_line(key, monkeypatch, capsys):
+    """A number over Python's int-string limit is one schema line that names
+    the key and the limit and quotes 80 characters of the number, not a
+    traceback or Python's advice to raise the limit."""
+    argv, stdin = OVERSIZED_NUMBER_JOBS[key]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error[schema]: key '{key}' holds a number of 5000 characters, over the "
+                   f"limit of {sys.get_int_max_str_digits()} digits: {LONG[:80]}...\n")
 
 
 def test_empty_section_is_a_schema_violation(capsys):

@@ -34,6 +34,24 @@ def rand_points(seed, count, rmin=0.1, rmax=3.0):
     return pts
 
 
+def _real_points(rng, count):
+    """count seeded rationals <= 1: 0, 1 and integers, points near -1, -1/2,
+    1/2 and 1, and points spread over the intervals that the route rule
+    splits the real line into below 1."""
+    out = [Fraction(0), Fraction(1), Fraction(-1)]
+    while len(out) < count:
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(Fraction(rng.randint(-10 ** 6, 1)))
+        elif kind == 1:
+            near = rng.choice((Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)))
+            out.append(near - Fraction(rng.choice((-1, 1)), 2 ** rng.randint(3, 300)))
+        else:
+            lo, hi = rng.choice(((-10 ** 6, -1), (-1, -0.5), (-0.5, 0.5), (0.5, 1)))
+            out.append(Fraction(rng.uniform(lo, hi)) + Fraction(rng.randrange(2 ** 40), 2 ** 700))
+    return [x for x in out if x <= 1]
+
+
 class TestLi2:
     def test_zero(self):
         assert li2(0, DIGITS) == 0
@@ -69,8 +87,32 @@ class TestLi2:
                 assert abs(li2(z, DIGITS) - mpmath.polylog(2, z)) < TOL
 
     def test_real_input_returns_real(self):
-        for x in ("-7.3", "-1", "-0.2", "0.4", "0.999"):
-            assert li2(mpf(x), DIGITS).imag == 0
+        # a real z <= 1 comes out exactly real on every route the rule picks
+        # for it, whatever type holds it, with no patch after the series
+        # (module docstring); on the cut z > 1, Im Li2(z) = -pi log z
+        rng = random.Random(3101)
+        routes = set()
+        for digits in (16, 30, 50, 100, 200):
+            for x in _real_points(rng, 100):
+                with mp.workdps(working_dps(digits)):
+                    exact = mpf(x.numerator) / x.denominator
+                    routes.add(_reduction_chain(mpc(exact)) if exact not in (0, 1) else None)
+                    holders = [x, float(x), mpf(x.numerator) / x.denominator,
+                               complex(float(x), 0), mpc(exact)]
+                if x.denominator == 1:
+                    holders.append(int(x))
+                for z in holders:
+                    value, d = li2_and_bloch_wigner(z, digits)
+                    assert value.imag == 0 and d == 0, (z, digits)
+                    assert li2(z, digits).imag == 0 and bloch_wigner(z, digits) == 0, (z, digits)
+            for x in (Fraction(3, 2), Fraction(7, 4), Fraction(5), Fraction(10 ** 6 + 1, 8)):
+                for z in (x, float(x), mpf(x.numerator) / x.denominator):
+                    with mp.workdps(working_dps(digits)):
+                        expected = -mp.pi * mp.log(mpf(x.numerator) / x.denominator)
+                    tol = abs(expected) * mpf(10) ** (1 - digits)
+                    assert abs(li2(z, digits).imag - expected) <= tol, (z, digits)
+                    assert bloch_wigner(z, digits) == 0
+        assert routes == {None, (), ("ref",), ("ref", "inv"), ("ref", "inv", "ref")}
 
     def test_cut_limit_from_below(self):
         with mp.workdps(70):

@@ -147,9 +147,9 @@ def test_parse_rational_agrees_with_fraction(text):
         expected = Fraction(text)
     except ValueError:
         with pytest.raises(FormatError):
-            _parse_rational(text)
+            _parse_rational(text, "ideal_basis")
     else:
-        value = _parse_rational(text)
+        value = _parse_rational(text, "ideal_basis")
         assert type(value) in (int, Fraction) and value == expected
 
 
@@ -160,7 +160,7 @@ def test_parse_rational_agrees_with_fraction(text):
 def test_parse_rational_keeps_integers_as_ints(value, expected):
     # integer entries stay ints, so rows of them are scaled to integers
     # without building a Fraction; anything else is a Fraction
-    parsed = _parse_rational(value)
+    parsed = _parse_rational(value, "ideal_basis")
     assert type(parsed) is type(expected) and parsed == expected
 
 
@@ -200,6 +200,12 @@ class TestArith:
     def test_i_squared(self, fields):
         x = fields["Qi"].gen()
         assert (x * x).coeffs == (Fraction(-1), Fraction(0))
+
+    @pytest.mark.parametrize("f0", [0, 3, -5, 10 ** 40])
+    def test_gen_of_degree_one(self, f0):
+        # x reduces modulo x + f_0 to the root -f_0
+        K = parse_field({"poly": [f0, 1]})
+        assert K.gen() == K.element([-f0])
 
     def test_sqrt2_conjugate_product(self, fields):
         K = fields["Qsqrt2"]

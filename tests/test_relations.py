@@ -23,7 +23,8 @@ from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingul
 from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
 from test_cli import count_calls
-from wedge_oracles import bloch_sum_vanishes, exceptional_units
+from wedge_oracles import (bloch_sum_vanishes, exceptional_units, exterior_square_by_relators,
+                           wedge_relators)
 
 # x^m - x + 1 for m = 3, 4, 5: the candidate presentations of their
 # exceptional units have Smith transforms that move wedge coordinates
@@ -405,24 +406,26 @@ class TestExteriorSquare:
             m = rng.randint(0, 3)
             rows = tuple(tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(m))
             sq = exterior_square_of_lattice(k, rows)
-            # independent expansion + minors-gcd invariant factors
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-            relators = []
-            for r in rows:
-                for j in range(k):
-                    row = [0] * len(pairs)
-                    for i in range(k):
-                        if i == j or r[i] == 0:
-                            continue
-                        if i < j:
-                            row[pairs.index((i, j))] += r[i]
-                        else:
-                            row[pairs.index((j, i))] -= r[i]
-                    if any(row):
-                        relators.append(row)
+            # index-by-index relators + minors-gcd invariant factors
+            relators = wedge_relators(k, rows)
             mine = sorted(d for d in sq.invariants if d > 0)
             oracle = sorted(invariant_factors_by_minors(relators)) if relators else []
             assert mine == oracle
+
+    def test_raw_wedge_relators_match_index_by_index_relators(self):
+        # the relators r ^ e_j from the raw-wedge formula are those built index
+        # by index, in the same order, so snf returns the same invariants and
+        # the same transform; k <= 1 and lattices of no relation included
+        rng = random.Random(3102)
+        seen = set()
+        for trial in range(200):
+            k = trial % 7
+            m = rng.randint(0, 4) if trial % 5 else 0
+            rows = tuple(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(k))
+                         for _ in range(m))
+            seen.add((k, bool(wedge_relators(k, rows))))
+            assert exterior_square_of_lattice(k, rows) == exterior_square_by_relators(k, rows)
+        assert {(k, False) for k in range(7)} | {(k, True) for k in range(2, 7)} <= seen
 
     def test_wedge_bilinearity_and_antisymmetry(self):
         # a presentation whose square has a free coordinate and two Z/2
@@ -430,7 +433,8 @@ class TestExteriorSquare:
         # wedge classes add in Smith coordinates, reduced modulo the
         # invariants only
         K = parse_field(SHIFTED_ROOT_FIELDS[5])
-        p = _candidate_presentation(K, [parse_element(c, K) for c in ("-x", "x", "1+x")], 50)
+        candidates = [parse_element(c, K, "candidates") for c in ("-x", "x", "1+x")]
+        p = _candidate_presentation(K, candidates, 50)
         sq = exterior_square(p)
         assert group_invariants(sq.invariants) == ([2, 2], 1)
         assert any(sq.reduce(e) != sq.reduce_smith(e) for e in identity(sq.dim))

@@ -4,12 +4,51 @@ arithreg.relations against.
 The oracle never adds vectors in Smith coordinates: it sums the wedges
 n_i * (coords(lambda_i) ^ coords(1 - lambda_i)) in raw coordinates, over the
 pairs (i, j), i < j, of generator indices, and takes the total to Smith
-coordinates with one call of ExteriorSquare.reduce.
+coordinates with one call of ExteriorSquare.reduce. The relators of the
+exterior square are built here index by index, with the sign rule
+e_i ^ e_j = -(e_j ^ e_i), not by the raw-wedge formula that relations uses.
 """
 
 from itertools import product
 
-from arithreg.relations import coordinates_of, exterior_square
+from arithreg.intmat import identity, snf
+from arithreg.relations import ExteriorSquare, coordinates_of, exterior_square
+
+
+def wedge_relators(k, relation_rows):
+    """The nonzero relators r ^ e_j, for each relation r and then each j < k,
+    as raw-coordinate rows: r ^ e_j = sum_i r_i e_i ^ e_j, entered at the
+    pair (i, j) when i < j and with its sign flipped at (j, i) when i > j."""
+    pairs = tuple((i, j) for i in range(k) for j in range(i + 1, k))
+    index = {p: c for c, p in enumerate(pairs)}
+    dim = len(pairs)
+    relators = []
+    for r in relation_rows:
+        for j in range(k):
+            row = [0] * dim
+            nonzero = False
+            for i in range(k):
+                if i == j or r[i] == 0:
+                    continue
+                if i < j:
+                    row[index[(i, j)]] += r[i]
+                else:
+                    row[index[(j, i)]] -= r[i]
+                nonzero = True
+            if nonzero:
+                relators.append(row)
+    return relators
+
+
+def exterior_square_by_relators(k, relation_rows):
+    """The ExteriorSquare of Z^k modulo relation_rows from snf of
+    wedge_relators, the identity transform when there is no relator."""
+    relators = wedge_relators(k, relation_rows)
+    if not relators:
+        dim = k * (k - 1) // 2
+        return ExteriorSquare(k, (0,) * dim, tuple(tuple(row) for row in identity(dim)))
+    invariants, v = snf(relators)
+    return ExteriorSquare(k, tuple(invariants), tuple(tuple(row) for row in v))
 
 
 def raw_wedge(u, v):
