@@ -27,7 +27,7 @@ from mpmath import mp, mpc, mpf
 from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
 from .dilog import li2_and_bloch_wigner
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError, SchemaError,
-                     oversized_number)
+                     oversized_number, quoted)
 from .heights import c_hat_height
 from .kmodel import build_model, dimension_table
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
@@ -106,7 +106,7 @@ def parse_element_expr(text: str, field: NumberField, key: str) -> FieldElement:
     except RecursionError:
         raise SchemaError("element expression nests too deeply") from None
     if toks[-1] is not None:
-        raise SchemaError(f"trailing input in element expression {text!r}")
+        raise SchemaError(f"trailing input in element expression {quoted(text)}")
     return value
 
 
@@ -118,7 +118,7 @@ def parse_element(payload, field: NumberField, key: str) -> FieldElement:
     coeffs = payload.get("coeffs") if isinstance(payload, dict) else None
     if isinstance(coeffs, list):
         return field.element([_parse_rational(c, key) for c in coeffs])
-    raise SchemaError(f"cannot parse element payload {payload!r}")
+    raise SchemaError(f"cannot parse element payload of key '{key}': {quoted(payload)}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +149,9 @@ def parse_complex(text: str) -> mpc:
         z = mpc(mpf(re_part), mpf(im_part))
     except ValueError as exc:
         raise oversized_number("z", text) or SchemaError(
-            f"cannot parse complex number {text!r}") from exc
+            f"cannot parse complex number {quoted(text)}") from exc
     if not mp.isfinite(z):
-        raise SchemaError(f"complex number {text!r} is not finite")
+        raise SchemaError(f"complex number {quoted(text)} is not finite")
     return z
 
 
@@ -210,7 +210,7 @@ def _print_text(result: dict, out):
 def _dispatch(job: dict) -> dict:
     command = _require(job, "command", str)
     if command not in COMMANDS:
-        raise SchemaError(f"unknown command '{command}'")
+        raise SchemaError(f"unknown command {quoted(command)}")
     precision = job.get("precision", DEFAULT_DIGITS)
     if not _is_int(precision) or precision < MIN_DIGITS:
         raise SchemaError(f"key 'precision' must be an integer >= {MIN_DIGITS}")
@@ -305,10 +305,10 @@ def _bundle_from(payload, e):
     ideal = FractionalIdeal.from_rows(e.field, rows)
     try:
         with mp.workdps(e.working_dps):
-            values = tuple(mpf(str(v)) for v in metric_raw)
+            values = tuple(mpf(str(entry := v)) for v in metric_raw)  # entry: the one that fails
     except ValueError as exc:
-        raise oversized_number("metric", str(metric_raw)) or SchemaError(
-            f"key 'metric' must hold decimal numbers: {exc}") from exc
+        raise oversized_number("metric", entry) or SchemaError(
+            f"key 'metric' must hold decimal numbers, not {quoted(entry)}") from exc
     if not all(mp.isfinite(v) for v in values):
         raise SchemaError("key 'metric' must hold finite decimal numbers")
     metric = Metric(values)

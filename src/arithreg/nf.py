@@ -10,17 +10,17 @@ multiplication by its numerator and the inverse solves a linear system with
 that matrix, both by the one fraction-free elimination of arithreg.intmat.
 Each field screens its defining polynomial once, when it is built: the same
 determinant proves it squarefree, and a Hensel lift finds any integer root.
-The embedding set carries the numerical side: certified roots of f, the
-complex-conjugation pairing, and the (r1, r2) signature, with the roots'
-double copies and radii about them that hold roots of f, each computed
-once; it is also the one place that builds and checks conjugation-invariant
-per-embedding vectors. One Horner kernel (_horner_mp), in Python integers
-rounding each step exactly as mpmath would, computes every polynomial value
-at a multiprecision point: the Aberth and Newton steps, residual checks and
-root radii of root finding, and evaluate, which gives an element's whole
-vector of conjugates in one call, one Horner evaluation per conjugacy class
-mirrored onto the partner. Exact predicates (integrality, norm = +-1) never
-touch floating point.
+The embedding set carries the numerical side: certified roots of f, closed
+under exact conjugation, and read off them the complex-conjugation pairing,
+the (r1, r2) signature, double copies and radii about them that hold roots
+of f, each computed once; it is also the one place that builds and checks
+conjugation-invariant per-embedding vectors. One Horner kernel
+(_horner_mp), in Python integers rounding each step exactly as mpmath
+would, computes every polynomial value at a multiprecision point: the
+Aberth and Newton steps, residual checks and root radii of root finding,
+and evaluate, which gives an element's whole vector of conjugates in one
+call, one Horner evaluation per conjugacy class mirrored onto the partner.
+Exact predicates (integrality, norm = +-1) never touch floating point.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from operator import mul
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import MPZ, from_int, fzero, mpf_div, mpf_neg, round_nearest
 
-from .errors import DomainError, FormatError, PrecisionError, SquarefreeError, oversized_number
+from .errors import (DomainError, FormatError, PrecisionError, SquarefreeError, oversized_number,
+                     quoted)
 from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
 from .precision import working_dps, working_prec
 
@@ -339,9 +340,8 @@ def _parse_rational(s, key: str) -> int | Fraction:
         try:
             return int(s) if digits.isascii() and digits.isdigit() else Fraction(s)
         except (ValueError, ZeroDivisionError):
-            if error := oversized_number(key, s):
-                raise error from None
-    raise FormatError(f"cannot parse rational value {s!r}")
+            pass
+    raise oversized_number(key, s) or FormatError(f"cannot parse rational value {quoted(s)}")
 
 
 def parse_field(record: dict) -> NumberField:
@@ -360,7 +360,7 @@ def parse_field(record: dict) -> NumberField:
     coeffs = []
     for c in poly:
         if isinstance(c, bool) or not isinstance(c, int):
-            raise FormatError(f"polynomial coefficient {c!r} is not an integer")
+            raise FormatError(f"polynomial coefficient {quoted(c)} is not an integer")
         coeffs.append(c)
     n = len(coeffs) - 1
     basis = record.get("integral_basis")
@@ -454,19 +454,31 @@ def _prime_divisors(n: int):
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Certified roots of the defining polynomial with conjugation pairing.
+    """Certified roots (mpc) of the defining polynomial, closed under exact
+    conjugation; the conjugation pairing and the signature are read off them.
 
     Ordering is deterministic: real roots first sorted by value, then complex
-    roots sorted by (real part, imaginary part). Each complex pair stores
-    exactly conjugate values; the representative of a pair is its member with
-    positive imaginary part.
+    roots sorted by (real part, imaginary part). The representative of a
+    pair is its member with positive imaginary part.
     """
 
     field: NumberField
     precision: int
     roots: tuple
-    conjugation_pairing: tuple[int, ...]
-    signature: tuple[int, int]
+
+    @cached_property
+    def conjugation_pairing(self) -> tuple[int, ...]:
+        """Per root, the index of its exact conjugate (re, mpf_neg(im)), which
+        mp.conj would round; DomainError when a root has none."""
+        index = {z._mpc_: i for i, z in enumerate(self.roots)}
+        try:
+            return tuple(index[re, mpf_neg(im)] for re, im in (z._mpc_ for z in self.roots))
+        except KeyError:
+            raise DomainError("roots are not closed under complex conjugation") from None
+
+    @cached_property
+    def signature(self) -> tuple[int, int]:
+        return len(self.real_indices), len(self.pair_representatives)
 
     @property
     def degree(self) -> int:
@@ -478,8 +490,7 @@ class EmbeddingSet:
 
     @cached_property
     def pair_representatives(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.conjugation_pairing)
-                     if i != j and mp.im(self.roots[i]) > 0)
+        return tuple(i for i, z in enumerate(self.roots) if z.imag > 0)
 
     @cached_property
     def class_representatives(self) -> tuple[int, ...]:
@@ -501,10 +512,10 @@ class EmbeddingSet:
         return working_prec(self.precision)
 
     @cached_property
-    def float_roots(self) -> tuple[complex, ...]:
-        """The roots as Python complex doubles, converted once; a root beyond
-        the double range comes out infinite."""
-        return tuple(complex(z) for z in self.roots)
+    def float_roots(self) -> tuple:
+        """The roots as Python doubles, converted once: a float at a real root,
+        a complex at the others; a root beyond the double range is infinite."""
+        return tuple(complex(z) if z.imag else float(z.real) for z in self.roots)
 
     @cached_property
     def root_radii(self) -> tuple:
@@ -556,8 +567,7 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     the package; an EmbeddingSet is immutable, so every caller can share it.
     """
     wp, prec = working_dps(precision), working_prec(precision)
-    n = field.degree
-    coeffs = field.defining_poly
+    n, coeffs = field.degree, field.defining_poly
 
     with mp.workdps(wp):
         f, df, moduli = _root_operands(coeffs, prec)
@@ -576,39 +586,28 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
         if min_sep < tol_resid * 1000:
             raise PrecisionError("root separation below tolerance at requested precision")
 
-        # conjugation pairing by nearest-conjugate matching
-        pairing = [None] * n
-        for i in range(n):
-            dists = [abs(mp.conj(roots[i]) - roots[j]) for j in range(n)]
-            j = min(range(n), key=lambda k: dists[k])
+        # real roots are polished on the real line, a pair from its Im > 0 member
+        polished = []
+        for i, z in enumerate(roots):
+            dists = [abs(mp.conj(z) - w) for w in roots]
+            j = min(range(n), key=dists.__getitem__)
             if dists[j] > min_sep / 4:
                 raise PrecisionError("conjugation matching failed; retry at higher precision")
-            pairing[i] = j
-        if any(pairing[pairing[i]] != i for i in range(n)):
-            raise PrecisionError("conjugation pairing is not an involution")
-
-        # canonicalize: real roots polished on the real line, pairs mirrored
-        canon = [None] * n
-        for i in range(n):
-            if pairing[i] == i:
-                canon[i] = mpc(_newton(f, df, mp.re(roots[i]), prec), 0)
-            elif canon[i] is None:
-                j = pairing[i]
-                rep = _newton(f, df, roots[i] if mp.im(roots[i]) > 0 else roots[j], prec)
-                if mp.im(rep) < 0:
-                    rep = mp.conj(rep)
-                canon[i] = rep if mp.im(roots[i]) > 0 else mp.conj(rep)
-                canon[j] = mp.conj(canon[i])
-        if not all(map(certified, canon)):
+            if j == i:
+                polished.append(mpc(_newton(f, df, mp.re(z), prec), 0))
+            elif mp.im(z) > 0:
+                rep = _newton(f, df, z, prec)
+                polished += [rep, mp.conj(rep)]
+        if not all(map(certified, polished)):
             raise PrecisionError("polished root failed certification")
 
         # deterministic ordering: real roots first by value, then by (re, im)
-        order = sorted(range(n), key=lambda i: (pairing[i] != i, mp.re(canon[i]), mp.im(canon[i])))
-        inv_order = {old: new for new, old in enumerate(order)}
-        sorted_pairing = tuple(inv_order[pairing[i]] for i in order)
-        r1 = sum(1 for i in range(n) if sorted_pairing[i] == i)
-    return EmbeddingSet(field, precision, tuple(canon[i] for i in order), sorted_pairing,
-                        (r1, (n - r1) // 2))
+        e = EmbeddingSet(field, precision,
+                         tuple(sorted(polished, key=lambda z: (z.imag != 0, z.real, z.imag))))
+        # only coinciding polished roots can leave a root that is no partner
+        if any(e.conjugation_pairing[j] != i for i, j in enumerate(e.conjugation_pairing)):
+            raise PrecisionError("conjugation pairing is not an involution")
+    return e
 
 
 def _horner(coeffs, z):

@@ -4,12 +4,12 @@ and the kernel of formal sums under that map.
 
 Relations are discovered numerically: LLL on a scaled logarithmic
 embedding, one log-modulus column per conjugacy class of embeddings plus
-argument columns with auxiliary rows absorbing whole turns. The columns are
-taken in doubles first (scale 10^12) and at the working precision when that
-search fails. The candidates are reduced to their HNF basis, the rows that
-are stored, and each basis row is proved once by exact field
-multiplication, without inverting: the product over positive exponents must
-equal the product over negative ones. The candidates are integer
+argument columns with auxiliary rows absorbing whole turns, which one loop
+(_columns) takes from values in doubles first (scale 10^12), and at the
+working precision when that search fails. The candidates are reduced to
+their HNF basis, the rows that are stored, and each basis row is proved once
+by exact field multiplication, without inverting: the product over positive
+exponents must equal the product over negative ones. The candidates are integer
 combinations of the basis rows, so they are proved with it. The torsion
 order, read off the Smith invariants of the basis, is proved the same way
 on powers of the two sign-split products of a torsion generator. Last, the
@@ -33,13 +33,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from .errors import DomainError, PrecisionError, PresentationIncompleteError
+from .errors import DomainError, PrecisionError, PresentationIncompleteError, quoted
 from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
                      lll, snf)
 from .nf import (EmbeddingSet, FieldElement, _horner, _prime_divisors, _vec_mat, embeddings,
@@ -100,52 +100,40 @@ class BlochElement:
 # ---------------------------------------------------------------------------
 # relation discovery
 
-def _float_columns(elems, e: EmbeddingSet):
-    """(log-modulus rows, argument/2pi rows) of the elements per conjugacy
-    class, as _embedding_columns gives them, from doubles: the coefficients
-    and the roots (EmbeddingSet.float_roots) become Python floats and complex
-    numbers, Horner's rule runs in doubles, then math.log and cmath.phase.
-    None when a coefficient overflows a double or a value is not a finite
-    nonzero double."""
-    roots = e.float_roots
-    points = [roots[idx].real if e.is_real(idx) else roots[idx]
-              for idx in e.class_representatives]
+def _columns(rows, log, phase, turn):
+    """(log-modulus rows, argument/2pi rows) of rows of values v at the class
+    representatives: log(|v|) and phase(v) / turn; DomainError when v = 0."""
     logs, args = [], []
-    try:
-        for g in elems:
-            coeffs = [c / g.den for c in g.num]
-            lrow, arow = [], []
-            for z in points:
-                value = _horner(coeffs, z)
-                lrow.append(math.log(abs(value)))
-                arow.append(cmath.phase(value) / math.tau)
-            logs.append(lrow)
-            args.append(arow)
-    except (OverflowError, ValueError):
-        return None
-    if not all(math.isfinite(v) for row in logs + args for v in row):
-        return None
-    return logs, args
-
-
-def _embedding_columns(elems, e: EmbeddingSet):
-    """Rows of (log-modulus columns per conjugacy class, then argument/2pi
-    columns per conjugacy class) for each element, at the working precision
-    of e; call it inside mp.workdps(e.working_dps)."""
-    reps = e.class_representatives
-    logs, args = [], []
-    for g in elems:
+    for row in rows:
         lrow, arow = [], []
-        vals = evaluate(g, e)
-        for idx in reps:
-            val = vals[idx]
-            if abs(val) == 0:
+        for value in row:
+            if not value:
                 raise DomainError("zero element has no logarithmic embedding")
-            lrow.append(mp.log(abs(val)))
-            arow.append(mp.arg(val) / (2 * mp.pi))
+            lrow.append(log(abs(value)))
+            arow.append(phase(value) / turn)
         logs.append(lrow)
         args.append(arow)
     return logs, args
+
+
+def _float_columns(elems, e: EmbeddingSet):
+    """The _columns of the elements in doubles: Horner's rule on the
+    coefficients as floats at EmbeddingSet.float_roots, then math.log and
+    cmath.phase. None when a coefficient overflows a double or a value is
+    not a finite nonzero double."""
+    points = [e.float_roots[idx] for idx in e.class_representatives]
+    try:
+        logs, args = _columns((map(partial(_horner, [c / g.den for c in g.num]), points)
+                               for g in elems), math.log, cmath.phase, math.tau)
+    except (OverflowError, DomainError):
+        return None
+    return (logs, args) if all(math.isfinite(v) for row in logs + args for v in row) else None
+
+
+def _embedding_columns(elems, e: EmbeddingSet):
+    """The _columns of evaluate's values; call it inside mp.workdps(e.working_dps)."""
+    return _columns((map(evaluate(g, e).__getitem__, e.class_representatives) for g in elems),
+                    mp.log, mp.arg, 2 * mp.pi)
 
 
 def _nint(x) -> int:
@@ -375,7 +363,7 @@ def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePr
         if g.field != field:
             raise DomainError("generators live in different fields")
         if not g.is_unit():
-            raise DomainError(f"generator {g!r} is not a unit")
+            raise DomainError(f"generator {quoted(g)} is not a unit")
 
     basis, torsion = _proved_lattice(elems, precision)
     return MultiplicativePresentation(
@@ -535,7 +523,7 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[i
         raise PresentationIncompleteError(
             "coordinates exceed the exponent-height bound")
     raise PresentationIncompleteError(
-        f"element {elem!r} is not expressible over the supplied generators")
+        f"element {quoted(elem)} is not expressible over the supplied generators")
 
 
 def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> WedgeClass:

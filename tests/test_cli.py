@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 import arithreg.errors
 from arithreg.cli import (COMMANDS, _build_job, main, parse_complex, parse_element,
                           parse_element_expr, run_job)
-from arithreg.errors import SchemaError
+from arithreg.errors import SchemaError, quoted
 from arithreg.precision import DEFAULT_DIGITS
 from time_limits import time_limit
 
@@ -483,6 +483,59 @@ def test_oversized_number_is_one_schema_line(key, monkeypatch, capsys):
                    f"limit of {sys.get_int_max_str_digits()} digits: {LONG[:80]}...\n")
 
 
+# command -> (payload, key) of a dict job whose payload holds an int over the
+# int-string limit, which no JSON text can; one per path that printed it
+INT_OVER_LIMIT_JOBS = {
+    "degree": ({"bundle": {"ideal_basis": UNIT_BASIS, "metric": [10 ** 5000, 1, 1]}}, "metric"),
+    "unit-reg": ({"element": {"nocoeffs": 10 ** 5000}}, "element"),
+    "bloch-check": ({"candidates": [{"x": 10 ** 5000}]}, "candidates"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INT_OVER_LIMIT_JOBS))
+def test_int_over_the_limit_in_a_dict_job_is_one_schema_line(command, capsys):
+    """run_job takes dicts, whose ints have no length limit: such an int is
+    one schema line naming its key, not a ValueError from printing it."""
+    payload, key = INT_OVER_LIMIT_JOBS[command]
+    job = {"command": command, "field": json.loads(CUBIC), "payload": payload}
+    assert run_job(job, out=io.StringIO()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[schema]: ") and f"key '{key}'" in err
+
+
+TEXT_4000 = "a" * 4000  # under the int-string limit: no oversized_number message
+
+# path -> a job whose schema message quotes a long input
+QUOTED_INPUT_JOBS = {
+    "poly": {"command": "field-info", "field": {"poly": [TEXT_4000, -1, 0, 1]}},
+    "rational": _json_job("degree", {"bundle": {"ideal_basis": [[TEXT_4000, "0", "0"]]
+                                                + UNIT_BASIS[1:], "metric": [1, 1, 1]}}, CUBIC),
+    "trailing": _json_job("unit-reg", {"element": "1" + " 1" * 2000}, CUBIC),
+    "z": {"command": "dilog", "payload": {"z": TEXT_4000}},
+    "metric": _json_job("degree", {"bundle": {"ideal_basis": UNIT_BASIS,
+                                              "metric": [TEXT_4000, 1, 1]}}, CUBIC),
+    "command": {"command": TEXT_4000},
+    "payload": _json_job("unit-reg", {"element": {"x": "y" * 4990}}, CUBIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED_INPUT_JOBS))
+def test_quoted_input_is_one_short_line(name, capsys):
+    """A message that quotes caller input quotes at most 80 characters."""
+    assert run_job(QUOTED_INPUT_JOBS[name], out=io.StringIO()) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[schema]: ")
+    assert len(err.encode()) < 250
+
+
+def test_quoted():
+    assert quoted("abc") == "'abc'" and quoted([1, None]) == "[1, None]"
+    assert quoted("a" * 78) == repr("a" * 78)
+    assert quoted("a" * 100) == repr("a" * 100)[:80] + "..."
+    assert quoted(10 ** 5000) == "<int past the int-string limit>"
+    assert quoted({"x": [10 ** 5000]}) == "<dict past the int-string limit>"
+
+
 def test_empty_section_is_a_schema_violation(capsys):
     """An empty --section is parsed like the job key "section": "", not
     dropped in favour of the reference section."""
@@ -888,6 +941,16 @@ def test_bloch_check_non_unit_candidate(capsys):
     assert out.getvalue() == ""
     assert capsys.readouterr().err == (
         "error[domain]: generator FieldElement(['0', '2', '0']) is not a unit\n")
+
+
+@pytest.mark.parametrize("power", [3000, 100000])
+def test_huge_non_unit_candidate_is_one_short_line(power, capsys):
+    """The message quotes the element: 2x^3000 has coefficients of about
+    370 digits, and 2x^100000 of over 40 000, more than Python prints."""
+    assert main(["bloch-check", "--field", CUBIC, "--candidates", f'["2*x^{power}"]']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[domain]: generator ") and err.endswith(" is not a unit\n")
+    assert err.count("\n") == 1 and len(err) < 250
 
 
 def test_degree_work_counts(monkeypatch):

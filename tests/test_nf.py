@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_neg
 
 from arithreg.errors import DomainError, FormatError, SquarefreeError
 import arithreg.nf
@@ -550,6 +551,67 @@ class TestEmbeddings:
             embeddings(fields["Qi"], 8)
 
 
+class TestDerivedPairing:
+    """An EmbeddingSet is its roots: the conjugation pairing is read off
+    exact conjugates, the parts (re, -im) bit for bit, and the signature
+    off the pairing."""
+
+    def test_partners_need_not_be_adjacent(self):
+        """-2i, -i, i, 2i have equal real parts, so they sort by imaginary
+        part and each root's partner sits at the mirror index."""
+        with mp.workdps(60):
+            roots = tuple(mp.mpc(0, y) for y in (-2, -1, 1, 2))
+        e = EmbeddingSet(parse_field({"poly": [-1, -1, 0, 0, 1]}), 50, roots)
+        assert e.conjugation_pairing == (3, 2, 1, 0)
+        assert e.signature == (0, 2)
+        assert e.class_representatives == (2, 3)
+
+    def test_roots_without_exact_conjugates_are_refused(self, fields):
+        with mp.workdps(60):
+            roots = (mp.mpc(1, 1), mp.mpc(2, -1))
+        e = EmbeddingSet(fields["Qi"], 50, roots)
+        with pytest.raises(DomainError, match="not closed under complex conjugation"):
+            e.conjugation_pairing
+
+    def test_conjugate_must_be_exact(self, fields):
+        """A partner one bit away from the exact conjugate is no partner."""
+        with mp.workdps(60):
+            z = mp.mpc(1, 1) / 3
+            roots = (z, mp.mpc(z.real, -z.imag * (1 + mpf(2) ** -150)))
+            assert roots[1].imag != -roots[0].imag
+        with pytest.raises(DomainError):
+            EmbeddingSet(fields["Qi"], 50, roots).conjugation_pairing
+
+    def test_read_at_any_ambient_precision(self, fields):
+        """The pairing compares the stored parts, so the precision it is read
+        at does not matter; mp.conj would round the parts to that one."""
+        with mp.workdps(60):
+            z = mp.mpc(1, 1) / 3
+            roots = (z, mp.conj(z))
+        for dps in (15, 60, 100):
+            with mp.workdps(dps):
+                assert EmbeddingSet(fields["Qi"], 50, roots).conjugation_pairing == (1, 0)
+
+    def test_degree_one(self, fields):
+        e = embeddings(fields["Q"], 50)
+        assert e.conjugation_pairing == (0,)
+        assert e.signature == (1, 0)
+
+    @pytest.mark.parametrize("poly", [[1, -1, 0, 1], [-1, -1, 0, 0, 1], [-1, -1, 0, 0, 0, 1],
+                                      [1, 0, 0, 0, 1]])
+    @pytest.mark.parametrize("digits", [16, 50, 200])
+    def test_embeddings_pair_exact_conjugates(self, poly, digits):
+        """The polished roots of embeddings are closed under exact
+        conjugation at every precision, with the real roots first."""
+        e = embeddings(parse_field({"poly": poly}), digits)
+        for i, j in enumerate(e.conjugation_pairing):
+            (re_i, im_i), (re_j, im_j) = e.roots[i]._mpc_, e.roots[j]._mpc_
+            assert re_i == re_j and im_i == mpf_neg(im_j)
+        r1, r2 = e.signature
+        assert r1 + 2 * r2 == e.degree
+        assert e.real_indices == tuple(range(r1))
+
+
 class TestEvaluate:
     def test_constant(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
@@ -724,7 +786,6 @@ class TestHornerKernel:
         rng = random.Random(2)
         n = 12
         K = parse_field({"poly": [-1, -1] + [0] * (n - 2) + [1]})
-        pairing = tuple(i ^ 1 for i in range(n))
         cases = 0
         with mp.workdps(60):
             for _ in range(500):
@@ -732,8 +793,9 @@ class TestHornerKernel:
                                  mpf(rng.randint(2 ** 59, 2 ** 60)) / 2 ** rng.randint(160, 171))
                           for _ in range(n // 2)]
                 roots = tuple(w for z in points for w in (z, mp.conj(z)))
-                e = EmbeddingSet(K, 50, roots, pairing, (0, n // 2))
+                e = EmbeddingSet(K, 50, roots)
                 assert e.working_dps == 60
+                assert e.conjugation_pairing == tuple(i ^ 1 for i in range(n))
                 assert_matches_oracle(K.element([rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]), e)
                 cases += len(e.pair_representatives)
         assert cases == 3000

@@ -179,6 +179,38 @@ class TestCompleteness:
             assert "refused" in outcomes
 
 
+class TestColumns:
+    """The double and working-precision searches take their columns
+    through one _columns loop, and agree on them."""
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_double_and_working_precision_columns_agree(self, m):
+        """On the anharmonic orbit of lambda = x in x^m - x + 1, all units:
+        logs agree to 1e-12, and arguments (in turns) to 1e-12 modulo 1."""
+        K = parse_field({"poly": [1, -1] + [0] * (m - 2) + [1]})
+        lam, one = K.gen(), K.one()
+        units = [K.element([-1]), lam, one - lam, lam ** -1, (one - lam) ** -1,
+                 (lam - one) / lam, lam / (lam - one)]
+        e = embeddings(K, 50)
+        logs, args = arithreg.relations._float_columns(units, e)
+        with mp.workdps(e.working_dps):
+            mp_logs, mp_args = _embedding_columns(units, e)
+        r1, r2 = e.signature
+        assert len(logs) == len(mp_logs) == 7
+        assert all(len(row) == r1 + r2 for row in logs + args + mp_logs + mp_args)
+        for row, mp_row in zip(logs, mp_logs):
+            assert all(abs(x - float(y)) < 1e-12 for x, y in zip(row, mp_row))
+        for row, mp_row in zip(args, mp_args):
+            assert all(abs((x - float(y) + 0.5) % 1 - 0.5) < 1e-12 for x, y in zip(row, mp_row))
+
+    def test_zero_has_no_columns(self, fields):
+        K = fields["cubic"]
+        e = embeddings(K, 50)
+        assert arithreg.relations._float_columns([K.gen(), K.zero()], e) is None
+        with mp.workdps(e.working_dps), pytest.raises(DomainError, match="zero element"):
+            _embedding_columns([K.gen(), K.zero()], e)
+
+
 class TestFallback:
     """The working-precision search runs when the double one cannot, or
     when its result fails a proof, and gives the same presentation."""
