@@ -23,6 +23,7 @@ import re
 import sys
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, mpf_pow_int, round_down
 
 from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_index, arithmetic_degree
 from .dilog import li2_and_bloch_wigner
@@ -124,6 +125,14 @@ def parse_element(payload, field: NumberField, key: str) -> FieldElement:
 # ---------------------------------------------------------------------------
 # complex input
 
+# bound on the decimal exponent e, 10^e <= |part| < 10^(e+1), of each part of
+# dilog's z: near |z| = 1 mpmath's complex log sums both squares exactly, in bits
+# that grow with e (0.6 s, 360 MB at the bound). 10^-MAX, 10^(MAX+1) round down.
+MAX_Z_EXPONENT = 2 * 10 ** 8
+_Z_LO, _Z_HI = (mp.make_mpf(mpf_pow_int(from_int(10), e, 53, round_down))
+                for e in (-MAX_Z_EXPONENT, MAX_Z_EXPONENT + 1))
+
+
 def parse_complex(text: str) -> mpc:
     """The complex number of the dilog key 'z', such as "0.5-0.25i"."""
     s = text.strip().replace(" ", "")
@@ -131,27 +140,21 @@ def parse_complex(text: str) -> mpc:
         raise SchemaError("empty complex number")
     re_part, im_part = s, "0"
     if s.endswith("i"):
-        body = s[:-1]
-        split = None
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split is None:
-            re_part, im_part = "0", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
+        # the imaginary part starts at the last sign past the first character, not after an e
+        split = re.fullmatch(r"(.*[^eE])([+-].*)", s[:-1], re.S)
+        re_part, im_part = split.groups() if split else ("0", s[:-1])
+        im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
     try:
-        z = mpc(mpf(re_part), mpf(im_part))
+        parts = mpf(re_part), mpf(im_part)
     except ValueError as exc:
         raise oversized_number("z", text) or SchemaError(
             f"cannot parse complex number {quoted(text)}") from exc
+    z = mpc(*parts)
     if not mp.isfinite(z):
         raise SchemaError(f"complex number {quoted(text)} is not finite")
+    if any(part and not _Z_LO <= abs(part) < _Z_HI for part in parts):
+        raise SchemaError(f"key 'z' holds a part whose decimal exponent exceeds "
+                          f"{MAX_Z_EXPONENT} in absolute value: {quoted(text)}")
     return z
 
 
@@ -383,11 +386,15 @@ def _load_json(key: str, text: str):
 def _build_job(argv: list[str]) -> dict:
     import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error: one error[schema] line, exit 1
+            raise SchemaError(message)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
 
-    parser = argparse.ArgumentParser(prog="arithreg", description=__doc__)
+    parser = Parser(prog="arithreg", description=__doc__)
     parser.add_argument("--job", help="read a full JSON job from stdin; the only value is '-'")
     parser.add_argument("--precision", type=int, default=DEFAULT_DIGITS)
     parser.add_argument("--output", choices=("text", "json"), default="text")
@@ -426,9 +433,8 @@ def _build_job(argv: list[str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        job = _build_job(argv)
+        job = _build_job(sys.argv[1:] if argv is None else argv)
     except SchemaError as exc:
         print(f"error[schema]: {exc}", file=sys.stderr)
         return 1

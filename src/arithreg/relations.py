@@ -18,13 +18,12 @@ as the presented group has free rank are shown independent by one minor
 against an a priori error bound (Pohst and Zassenhaus, Algorithmic
 Algebraic Number Theory, 1989), so no relation is missing. A relation that
 floating error hides therefore raises PrecisionError; none is invented.
-Exterior squares keep their torsion: the relators, the raw wedges r ^ e_j
-of each relation r with each basis vector, come from the one formula
-u_i v_j - u_j v_i of wedge_of_vectors (_raw_wedge); the quotient is reduced
-to Smith normal form and wedge coordinates are canonicalized against its
-invariants. A raw wedge vector is taken to Smith coordinates once, by
-ExteriorSquare.reduce; wedge classes and their integer combinations are
-already in Smith coordinates and are reduced modulo the invariants only.
+Exterior squares keep their torsion and are read off the Smith form
+U L V = diag(d_1, ..., d_k) of the relation basis L itself: x -> xV takes
+the presented group to the sum of the Z/d_i (d_i = 0 a free coordinate);
+Lambda^2 Z/a = 0 and Z/a (x) Z/b = Z/gcd(a, b), so the exterior square is
+the sum over pairs i < j of Z/gcd(d_i, d_j), and pair coordinate (i, j) of
+u ^ v is a_i b_j - a_j b_i (_raw_wedge) on a = uV, b = vV, mod gcd(d_i, d_j).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from mpmath import mp, mpf
@@ -68,7 +67,8 @@ class MultiplicativePresentation:
 @dataclass(frozen=True)
 class WedgeClass:
     """Canonically reduced element of the exterior square of the presented
-    group; coords live in the Smith coordinates of the quotient."""
+    group; coords are its pair coordinates over the group's Smith
+    coordinates (ExteriorSquare.wedge)."""
 
     presentation: MultiplicativePresentation
     coords: tuple[int, ...]
@@ -123,8 +123,9 @@ def _float_columns(elems, e: EmbeddingSet):
     not a finite nonzero double."""
     points = [e.float_roots[idx] for idx in e.class_representatives]
     try:
-        logs, args = _columns((map(partial(_horner, [c / g.den for c in g.num]), points)
-                               for g in elems), math.log, cmath.phase, math.tau)
+        rows = [[_horner(coeffs, z) for z in points]
+                for coeffs in ([c / g.den for c in g.num] for g in elems)]
+        logs, args = _columns(rows, math.log, cmath.phase, math.tau)
     except (OverflowError, DomainError):
         return None
     return (logs, args) if all(math.isfinite(v) for row in logs + args for v in row) else None
@@ -429,15 +430,11 @@ def _certify_torsion(elems, basis) -> int:
 
 @dataclass(frozen=True)
 class ExteriorSquare:
-    """Smith-normal-form presentation of the exterior square of a group
-    presented as Z^k modulo a relation lattice: basis e_i ^ e_j (i < j)
-    modulo rows r ^ e_j for every relation r.
-
-    invariants[c] is the diagonal entry owning Smith coordinate c (0 marks a
-    free coordinate). reduce() takes a raw wedge-coordinate vector to Smith
-    coordinates once; reduce_smith() reduces a vector already in Smith
-    coordinates, such as a sum of wedge classes, modulo the invariants only.
-    """
+    """Exterior square of Z^k modulo a relation lattice in the pair
+    coordinates of the module docstring: invariants[c] is gcd(d_i, d_j) of
+    the c-th pair (i, j) of _pairs (0 marks a free coordinate), v_matrix
+    the k x k Smith transform V. reduce_smith() reduces pair coordinates,
+    such as wedge(u, v) or a sum of wedge classes, modulo the invariants."""
 
     rank: int
     invariants: tuple[int, ...]
@@ -447,10 +444,10 @@ class ExteriorSquare:
     def dim(self) -> int:
         return len(self.invariants)
 
-    def reduce(self, raw) -> tuple[int, ...]:
-        if len(raw) != self.dim:
-            raise DomainError("wedge coordinate vector has wrong length")
-        return self.reduce_smith(_vec_mat(raw, self.v_matrix))
+    def wedge(self, u, v) -> tuple[int, ...]:
+        if len(u) != self.rank or len(v) != self.rank:
+            raise DomainError("exponent vector has wrong length")
+        return self.reduce_smith(_raw_wedge(*(_vec_mat(w, self.v_matrix) for w in (u, v))))
 
     def reduce_smith(self, y) -> tuple[int, ...]:
         return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariants))
@@ -473,13 +470,10 @@ def _raw_wedge(u, v) -> list[int]:
 def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
-    torsion included, as Smith normal form data: the relators are the
-    nonzero raw wedges r ^ e_j, for each relation r and then each j < k."""
-    relators = [_raw_wedge(r, e_j) for r in relation_rows for e_j in identity(k)]
-    relators = [w for w in relators if any(w)]
-    dim = len(_pairs(k))
-    invariants, v = snf(relators) if relators else ([0] * dim, identity(dim))
-    return ExteriorSquare(k, tuple(invariants), tuple(tuple(row) for row in v))
+    torsion included, from the Smith form of the k-column relation rows."""
+    d, v = snf(relation_rows) if relation_rows else ([0] * k, identity(k))
+    return ExteriorSquare(k, tuple(math.gcd(d[i], d[j]) for i, j in _pairs(k)),
+                          tuple(tuple(row) for row in v))
 
 
 def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
@@ -488,7 +482,7 @@ def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
 
 def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
     """Class of (sum u_i g_i) ^ (sum v_j g_j) written additively."""
-    return WedgeClass(p, exterior_square(p).reduce(_raw_wedge(u, v)))
+    return WedgeClass(p, exterior_square(p).wedge(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +575,7 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
 
 
 def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
-    """Whether sum n_i * image_i, in Smith coordinates, is 0 modulo the
+    """Whether sum n_i * image_i, in pair coordinates, is 0 modulo the
     invariants."""
     return not any(sq.reduce_smith(_vec_mat(multiplicities, [img.coords for img in images])))
 

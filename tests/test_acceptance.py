@@ -358,19 +358,17 @@ def test_criterion_10_exterior_square_oracle():
         assert sorted(x for x in sq.invariants if x > 0) == sorted(oracle_inv)
 
         # wedge bilinearity and antisymmetry on exponent vectors, exact
-        def raw_wedge(u, v):
-            return [u[i] * v[j] - u[j] * v[i] for (i, j) in pairs]
-
         def add(x, y):
             return [a + b for a, b in zip(x, y)]
 
+        zero = (0,) * sq.dim
         for _ in range(5):
             u = [rng.randint(-5, 5) for _ in range(k)]
             u2 = [rng.randint(-5, 5) for _ in range(k)]
             v = [rng.randint(-5, 5) for _ in range(k)]
-            lhs = sq.reduce(raw_wedge(add(u, u2), v))
-            rhs = sq.reduce(add(raw_wedge(u, v), raw_wedge(u2, v)))
+            lhs = sq.wedge(add(u, u2), v)
+            rhs = sq.reduce_smith(add(sq.wedge(u, v), sq.wedge(u2, v)))
             assert lhs == rhs
-            assert sq.reduce(raw_wedge(u, u)) == sq.reduce([0] * sq.dim)
-            assert sq.reduce(add(raw_wedge(u, v), raw_wedge(v, u))) == sq.reduce([0] * sq.dim)
+            assert sq.wedge(u, u) == zero
+            assert sq.reduce_smith(add(sq.wedge(u, v), sq.wedge(v, u))) == zero
     print("ACCEPTANCE 10 exterior-square oracle (25 random groups): PASS")

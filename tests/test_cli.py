@@ -12,8 +12,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import arithreg.errors
-from arithreg.cli import (COMMANDS, _build_job, main, parse_complex, parse_element,
-                          parse_element_expr, run_job)
+from arithreg.cli import (COMMANDS, MAX_Z_EXPONENT, _build_job, main, parse_complex,
+                          parse_element, parse_element_expr, run_job)
 from arithreg.errors import SchemaError, quoted
 from arithreg.precision import DEFAULT_DIGITS
 from time_limits import time_limit
@@ -534,6 +534,44 @@ def test_quoted():
     assert quoted("a" * 100) == repr("a" * 100)[:80] + "..."
     assert quoted(10 ** 5000) == "<int past the int-string limit>"
     assert quoted({"x": [10 ** 5000]}) == "<dict past the int-string limit>"
+
+
+@pytest.mark.parametrize("argv", [["dilog", "--zz", "1"], ["dilog"], ["frob"],
+                                  ["--precision", "abc", "dilog", "--z", "1"]])
+def test_usage_error_is_one_schema_line(argv, capsys):
+    """A command line the parser rejects exits 1 with one error[schema]
+    line, as every schema violation does, and prints no usage."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error[schema]: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dilog", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: arithreg")
+
+
+@pytest.mark.parametrize("z", ["1e-200000001+1i", "0.5-1e-300000000i", "1e200000001",
+                               "2e200000001i"])
+def test_z_part_beyond_the_exponent_bound_is_one_schema_line(z, capsys):
+    """Next to |z| = 1, mpmath's complex log sums the squares of both parts
+    exactly: a part whose decimal exponent is beyond MAX_Z_EXPONENT is
+    refused before any work."""
+    with time_limit(5):
+        assert main(["dilog", f"--z={z}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error[schema]: key 'z' holds a part whose decimal exponent exceeds "
+        f"{MAX_Z_EXPONENT} in absolute value: {z!r}\n")
+
+
+@pytest.mark.parametrize("z", ["1e-1000000+1i", "0.5-9.99e200000000i", "0+0i"])
+def test_z_part_within_the_exponent_bound_is_accepted(z, capsys):
+    assert main(["dilog", f"--z={z}", "--precision", "20"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_empty_section_is_a_schema_violation(capsys):

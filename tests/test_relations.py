@@ -23,8 +23,8 @@ from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingul
 from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
 from test_cli import count_calls
-from wedge_oracles import (bloch_sum_vanishes, exceptional_units, exterior_square_by_relators,
-                           wedge_relators)
+from wedge_oracles import (bloch_sum_vanishes, exceptional_units, raw_wedge, reduce_raw,
+                           relator_smith_form, wedge_relators)
 
 # x^m - x + 1 for m = 3, 4, 5: the candidate presentations of their
 # exceptional units have Smith transforms that move wedge coordinates
@@ -444,32 +444,62 @@ class TestExteriorSquare:
             oracle = sorted(invariant_factors_by_minors(relators)) if relators else []
             assert mine == oracle
 
-    def test_raw_wedge_relators_match_index_by_index_relators(self):
-        # the relators r ^ e_j from the raw-wedge formula are those built index
-        # by index, in the same order, so snf returns the same invariants and
-        # the same transform; k <= 1 and lattices of no relation included
-        rng = random.Random(3102)
+    @staticmethod
+    def seeded_lattices():
+        """(k, relation rows): no relation, k <= 1, (Z/2)^2, Z/2 + Z/4 with
+        and without a free generator, a lattice that is not diagonal, and
+        seeded rows for k up to 10."""
+        yield from [(0, ()), (1, ()), (1, ((3,),)), (2, ()), (4, ()),
+                    (2, ((2, 0), (0, 2))), (2, ((2, 0), (0, 4))), (3, ((2, 0, 0), (0, 4, 0))),
+                    (3, ((2, 2, 0), (0, 4, 2)))]
+        rng = random.Random(3302)
+        for trial in range(40):
+            k = 2 + trial % 9
+            m = rng.randint(1, min(k, 4))
+            yield k, tuple(tuple(rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(k))
+                           for _ in range(m))
+
+    def test_wedge_matches_relator_oracle(self):
+        # the invariants are those of the Smith form of the k(k-1)/2-column
+        # relators, and two wedges are equal exactly when the oracle's
+        # reductions of their raw vectors are; the seeded pairs include
+        # u + r, v + 2u and (-v, u), which leave the class unchanged
+        rng = random.Random(3303)
         seen = set()
-        for trial in range(200):
-            k = trial % 7
-            m = rng.randint(0, 4) if trial % 5 else 0
-            rows = tuple(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(k))
-                         for _ in range(m))
-            seen.add((k, bool(wedge_relators(k, rows))))
-            assert exterior_square_of_lattice(k, rows) == exterior_square_by_relators(k, rows)
-        assert {(k, False) for k in range(7)} | {(k, True) for k in range(2, 7)} <= seen
+        for k, rows in self.seeded_lattices():
+            sq = exterior_square_of_lattice(k, rows)
+            assert list(sq.invariants) == relator_smith_form(k, rows)[0], (k, rows)
+            if k < 2:
+                continue
+            vectors = []
+            for _ in range(8):
+                u = [rng.randint(-3, 3) for _ in range(k)]
+                v = [rng.randint(-3, 3) for _ in range(k)]
+                r = list(rng.choice(rows)) if rows else [0] * k
+                vectors += [(u, v), ([a + b for a, b in zip(u, r)], v),
+                            (u, [b + 2 * a for a, b in zip(u, v)]), ([-b for b in v], u)]
+            wedges = [sq.wedge(u, v) for u, v in vectors]
+            reduced = [reduce_raw(k, rows, raw_wedge(u, v)) for u, v in vectors]
+            for a, b in itertools.combinations(range(len(vectors)), 2):
+                assert (wedges[a] == wedges[b]) == (reduced[a] == reduced[b]), (k, rows)
+                seen.add(wedges[a] == wedges[b])
+        assert seen == {True, False}
+
+    def test_wedge_checks_vector_lengths(self):
+        sq = exterior_square_of_lattice(3, ((2, 0, 0),))
+        with pytest.raises(DomainError, match="wrong length"):
+            sq.wedge([1, 0], [0, 1, 0])
 
     def test_wedge_bilinearity_and_antisymmetry(self):
         # a presentation whose square has a free coordinate and two Z/2
-        # coordinates, and whose Smith transform moves some raw unit vector:
-        # wedge classes add in Smith coordinates, reduced modulo the
-        # invariants only
+        # coordinates, and whose Smith transform is not the identity: wedge
+        # classes add in pair coordinates, reduced modulo the invariants only
         K = parse_field(SHIFTED_ROOT_FIELDS[5])
         candidates = [parse_element(c, K, "candidates") for c in ("-x", "x", "1+x")]
         p = _candidate_presentation(K, candidates, 50)
         sq = exterior_square(p)
         assert group_invariants(sq.invariants) == ([2, 2], 1)
-        assert any(sq.reduce(e) != sq.reduce_smith(e) for e in identity(sq.dim))
+        assert sq.v_matrix != tuple(map(tuple, identity(p.rank)))
 
         def plus(a, b):
             return sq.reduce_smith([x + y for x, y in zip(a.coords, b.coords)])
@@ -484,6 +514,34 @@ class TestExteriorSquare:
             assert left.coords == plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, u2, v))
             assert not any(plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, v, u)))
             assert wedge_of_vectors(p, u, u).is_zero()
+
+    def test_many_candidate_bloch_check_reduces_no_matrix_wider_than_the_generators(
+            self, monkeypatch):
+        # twelve candidates on x^7 - x + 1 give 25 generators: snf reduces
+        # the 25-column relation basis only, never the 300-column relators
+        # of the pairs; the kernel rows vanish under the raw-coordinate oracle
+        K = parse_field({"poly": [1, -1, 0, 0, 0, 0, 0, 1]})
+        candidates = exceptional_units(K)[:12]
+        widths = []
+        real = arithreg.relations.snf
+
+        def recording(rows):
+            widths.append(len(rows[0]))
+            return real(rows)
+
+        monkeypatch.setattr(arithreg.relations, "snf", recording)
+        exterior_square_of_lattice.cache_clear()
+        out = io.StringIO()
+        job = {"command": "bloch-check", "field": {"poly": list(K.defining_poly)},
+               "output": "json", "payload": {"candidates": [c.to_record() for c in candidates]}}
+        assert run_job(job, out) == 0
+        record = json.loads(out.getvalue())
+        assert len(record["generators"]) == 25
+        assert widths and max(widths) <= 25
+        p = _candidate_presentation(K, candidates, 50)
+        assert record["kernel_basis"]
+        for mults in record["kernel_basis"]:
+            assert bloch_sum_vanishes(candidates, mults, p)
 
 
 class TestSteinberg:

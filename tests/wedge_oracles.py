@@ -1,18 +1,22 @@
 """Raw-coordinate reference for the exact wedge test that the tests compare
 arithreg.relations against.
 
-The oracle never adds vectors in Smith coordinates: it sums the wedges
-n_i * (coords(lambda_i) ^ coords(1 - lambda_i)) in raw coordinates, over the
-pairs (i, j), i < j, of generator indices, and takes the total to Smith
-coordinates with one call of ExteriorSquare.reduce. The relators of the
-exterior square are built here index by index, with the sign rule
-e_i ^ e_j = -(e_j ^ e_i), not by the raw-wedge formula that relations uses.
+The oracle presents the exterior square of Z^k modulo a relation lattice as
+raw coordinates over the pairs (i, j), i < j, of generator indices, modulo
+the relators r ^ e_j, which it builds index by index with the sign rule
+e_i ^ e_j = -(e_j ^ e_i). A raw vector is reduced through the Smith form of
+those relators (relator_smith_form), from intmat.snf directly, never through
+relations.ExteriorSquare, whose Smith form is that of the relation lattice
+itself. bloch_sum_vanishes never adds vectors in reduced coordinates: it sums
+the wedges n_i * (coords(lambda_i) ^ coords(1 - lambda_i)) in raw
+coordinates and reduces the total once.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from arithreg.intmat import identity, snf
-from arithreg.relations import ExteriorSquare, coordinates_of, exterior_square
+from arithreg.relations import coordinates_of
 
 
 def wedge_relators(k, relation_rows):
@@ -40,15 +44,22 @@ def wedge_relators(k, relation_rows):
     return relators
 
 
-def exterior_square_by_relators(k, relation_rows):
-    """The ExteriorSquare of Z^k modulo relation_rows from snf of
-    wedge_relators, the identity transform when there is no relator."""
+@lru_cache(maxsize=None)
+def relator_smith_form(k, relation_rows):
+    """(invariants, V) of snf of wedge_relators: the exterior square of Z^k
+    modulo the tuple of relation_rows, 0 marking a free coordinate; all
+    invariants 0 and the identity transform when there is no relator."""
     relators = wedge_relators(k, relation_rows)
-    if not relators:
-        dim = k * (k - 1) // 2
-        return ExteriorSquare(k, (0,) * dim, tuple(tuple(row) for row in identity(dim)))
-    invariants, v = snf(relators)
-    return ExteriorSquare(k, tuple(invariants), tuple(tuple(row) for row in v))
+    dim = k * (k - 1) // 2
+    return snf(relators) if relators else ([0] * dim, identity(dim))
+
+
+def reduce_raw(k, relation_rows, raw):
+    """The canonical form of a raw vector in the exterior square of Z^k
+    modulo relation_rows: raw * V, each coordinate modulo its invariant."""
+    invariants, v = relator_smith_form(k, relation_rows)
+    y = [sum(c * row[j] for c, row in zip(raw, v)) for j in range(len(raw))]
+    return tuple(c % d if d else c for c, d in zip(y, invariants))
 
 
 def raw_wedge(u, v):
@@ -60,12 +71,11 @@ def raw_wedge(u, v):
 def bloch_sum_vanishes(support, multiplicities, p) -> bool:
     """Whether sum n_i (lambda_i ^ (1 - lambda_i)) is 0 in the exterior square
     of the presentation p, torsion included."""
-    sq = exterior_square(p)
-    total = [0] * sq.dim
+    total = [0] * (p.rank * (p.rank - 1) // 2)
     for lam, n in zip(support, multiplicities):
         w = raw_wedge(coordinates_of(lam, p), coordinates_of(lam.field.one() - lam, p))
         total = [t + n * c for t, c in zip(total, w)]
-    return not any(sq.reduce(total))
+    return not any(reduce_raw(p.rank, p.relation_basis, total))
 
 
 def exceptional_units(field, nonzero: int = 2):
