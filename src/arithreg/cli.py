@@ -388,6 +388,11 @@ def _build_job(argv: list[str]) -> dict:
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):  # a usage error: one error[schema] line, exit 1
+            # argparse echoes an argument, or its value after "=", whole, by
+            # repr or bare: each longer than 80 characters is cut by quoted()
+            texts = {text for arg in argv for text in (arg, arg.partition("=")[2])}
+            for text in sorted((t for t in texts if len(t) > 80), key=len, reverse=True):
+                message = message.replace(repr(text), quoted(text)).replace(text, quoted(text))
             raise SchemaError(message)
 
     common = argparse.ArgumentParser(add_help=False)

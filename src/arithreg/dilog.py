@@ -5,6 +5,16 @@ Precision. li2, bloch_wigner and li2_and_bloch_wigner take digits, an int,
 compute at precision.working_dps(digits) and round to digits; the helpers
 below run at the current mp precision.
 
+Arithmetic. Between the logs and the fixed-point sum (the route constant,
+the series tail and D), the evaluation works on mpmath's raw tuples, the
+_mpc_ and _mpf_ inside its objects, and calls the libmp functions that the
+mpc and mpf operators call, at mp.prec with round_nearest: the same bits
+without the object layer's conversions. A product by +-1, +-1/2 or 1/4 is
+a negation or a shift instead. Its operand is already rounded to mp.prec,
+and mpmath has no exponent range, so scaling by a power of two and negation
+commute with rounding to nearest and the exact result is the rounded one.
+The operator form is kept in the tests as the bit-for-bit reference.
+
 Li2 uses the principal branch everywhere, with the cut along (1, oo)
 following the principal logarithm; exactly-real arguments on the cut get the
 limit from below. Evaluation reduces the argument with the inversion
@@ -54,6 +64,9 @@ With A = log(-z) on the routes that end in an inversion no row keeps an i pi
 term, so no terms of size pi log|z| cancel, and C takes at most two mpc
 products. An exactly-real z is taken as z - i0, the side of the cut on which
 mpmath puts a negative real, so log(-z) and log(1-z) need no correction.
+The row (ref, inv, ref) reads A only as Re A = log|z|, and only for D, so
+it takes log|z| by mpf_log_hypot, the real part of mpmath's complex log
+without its atan2, and no log of z when z is real.
 
 Real input is real by construction. The rule takes a real z <= 1 by (),
 (ref), (ref, inv) or (ref, inv, ref), so w is real in [-1/2, 1/2], and u
@@ -139,7 +152,9 @@ import math
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_mul, mpc_neg, mpc_shift, mpc_sub,
+                          mpf_add, mpf_log_hypot, mpf_mul, mpf_mul_int, mpf_neg, round_nearest,
+                          to_fixed, to_float)
 
 from .precision import DEFAULT_DIGITS, working_dps
 
@@ -166,7 +181,7 @@ _BLOCK = 16  # series terms per fixed-point scale; the scale drops 4 bits a term
 # bits -> (2^bits / (4 pi^2), [c'_0, c'_1, ...]), rounded to integers, c'_k
 # at the scale 2^(bits - 4 _BLOCK floor(k / _BLOCK)) of its block
 _FIXED: dict[int, tuple[int, list]] = {}
-_PI2_6: dict[int, mpf] = {}  # mp.prec -> pi^2 / 6, formed once per precision
+_PI2_6: dict[int, tuple] = {}  # mp.prec -> pi^2 / 6 as a raw mpf
 
 
 def _orbit_value(z, chain):
@@ -240,52 +255,72 @@ def _fixed_sum(v, bits: int, count: int) -> tuple[int, int]:
     return b0 - ((t_re * b1) >> bits), b1
 
 
-def _bernoulli_series(u) -> mpc:
-    """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) for u = -log(1-w) of a reduced
-    w (q < 0.2) and v = u^2, with S summed in fixed point and Im S taken as
-    Im v b_1 / (4 pi^2) (module docstring)."""
-    v = u * u
-    abs_u = math.hypot(float(u.real), float(u.imag))
+def _bernoulli_series(u) -> tuple:
+    """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) as a raw mpc, for the raw mpc
+    u = -log(1-w) of a reduced w (q < 0.2) and v = u^2, with S summed in
+    fixed point and Im S taken as Im v b_1 / (4 pi^2) (module docstring)."""
+    prec = mp.prec
+    v = mpc_mul(u, u, prec, round_nearest)
+    abs_u = math.hypot(to_float(u[0], rnd=round_nearest), to_float(u[1], rnd=round_nearest))
     q = abs_u / (2 * math.pi)
     need = mp.dps * math.log(10) + math.log(8 * (abs_u + 1) / (1 - q * q))
     n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
     count = n_terms // 2  # only B_0, B_1 and the even B_n are nonzero
-    bits, prec = mp.prec + _GUARD_BITS, mp.prec
-    s_re, b1 = _fixed_sum(v, bits, count)
+    bits = prec + _GUARD_BITS
+    s_re, b1 = _fixed_sum(mp.make_mpc(v), bits, count)
     b1_over_4pi2 = from_man_exp(b1 * _fixed_table(bits, count)[0], -2 * bits)
-    s = mp.make_mpc((from_man_exp(s_re, -bits, prec, round_nearest),
-                     mpf_mul(v._mpc_[1], b1_over_4pi2, prec, round_nearest)))
-    return u - v / 4 + u * v * s
+    s = (from_man_exp(s_re, -bits, prec, round_nearest),
+         mpf_mul(v[1], b1_over_4pi2, prec, round_nearest))
+    return mpc_add(mpc_sub(u, mpc_shift(v, -2), prec, round_nearest),
+                   mpc_mul(mpc_mul(u, v, prec, round_nearest), s, prec, round_nearest),
+                   prec, round_nearest)
 
 
-def _linear(form, logs):
-    """x A + y B for form (x, y) in {-1, 0, 1}^2, not (0, 0), and logs (A, B)."""
-    terms = [log if c > 0 else -log for c, log in zip(form, logs) if c]
-    return terms[0] + terms[1] if len(terms) > 1 else terms[0]
+def _linear(form, logs, neg=mpc_neg, add=mpc_add):
+    """x A + y B for form (x, y) in {-1, 0, 1}^2, not (0, 0), and raw logs
+    (A, B): mpc, or mpf with neg=mpf_neg and add=mpf_add."""
+    terms = [log if c > 0 else neg(log) for c, log in zip(form, logs) if c]
+    return add(terms[0], terms[1], mp.prec, round_nearest) if len(terms) > 1 else terms[0]
 
 
 def _li2_principal(z) -> tuple:
     """(Li2(z), D(z)) at the current mp working precision, principal branch,
-    from the route's row of _ROUTES: at most the two logs A and B = log(1-z)
-    (module docstring); D is 0 for exactly-real z.
+    from the route's row of _ROUTES: at most the two logs A and
+    B = log(1-z), and on the route (ref, inv, ref), which reads Re A alone,
+    log|z| for D in place of A (module docstring); D is 0 for exactly-real
+    z.
 
     Caller guarantees z != 0, 1. An exactly-real z is taken as z - i0, so
     on the cut Li2 is the limit from below.
     """
+    prec = mp.prec
     chain = _reduction_chain(z)
     a, u_form, log_abs_form, (p, q, r, t) = _ROUTES[chain]
+    A = mp.log(-z if a < 0 else z)._mpc_ if chain and chain != ("ref", "inv", "ref") else None
+    B = mp.log(1 - z)._mpc_ if chain and chain != ("inv",) else None
+    u = _linear(u_form, (A, B)) if u_form else mpc_neg(mp.log1p(-_orbit_value(z, chain))._mpc_)
+    series = value = _bernoulli_series(u)
+    odd = len(chain) % 2
     if chain:
-        A, B = mp.log(-z if a < 0 else z), mp.log(1 - z) if chain != ("inv",) else None
-        pi2_6 = _PI2_6.get(mp.prec) or _PI2_6.setdefault(mp.prec, mp.pi ** 2 / 6)
-        const = sum((c * x * y for c, x, y in ((q, A, A), (r, B, B), (t, A, B)) if c), p * pi2_6)
-    u = _linear(u_form, (A, B)) if u_form else -mp.log1p(-_orbit_value(z, chain))
-    series = _bernoulli_series(u)
-    sign = -1 if len(chain) % 2 else 1
-    value = sign * series + const if chain else series
-    if not z.imag:
-        return value, mpf(0)
-    log_abs_w = _linear(log_abs_form, (A, B)).real if chain else mp.log(abs(z))
-    return value, sign * (log_abs_w * -u.imag + series.imag)
+        pi2_6 = _PI2_6.get(prec) or _PI2_6.setdefault(prec, (mp.pi ** 2 / 6)._mpf_)
+        const = (mpf_mul_int(pi2_6, p, prec, round_nearest), fzero)
+        for c, x, y in ((q, A, A), (r, B, B), (t, A, B)):
+            if c:  # c x y for c in {+-1, +-1/2}: a negation and a shift, both exact
+                term = mpc_mul(x, y, prec, round_nearest)
+                term = mpc_shift(term, -1) if abs(c) == 0.5 else term
+                const = mpc_add(const, mpc_neg(term) if c < 0 else term, prec, round_nearest)
+        value = mpc_add(mpc_neg(series) if odd else series, const, prec, round_nearest)
+    z_re, z_im = z._mpc_
+    if z_im == fzero:
+        return mp.make_mpc(value), mpf(0)
+    if chain:
+        re_a = mpf_log_hypot(z_re, z_im, prec, round_nearest) if A is None else A[0]
+        log_abs_w = _linear(log_abs_form, (re_a, B[0] if B else None), mpf_neg, mpf_add)
+    else:
+        log_abs_w = mp.log(abs(z))._mpf_
+    d = mpf_add(mpf_mul(log_abs_w, mpf_neg(u[1]), prec, round_nearest), series[1],
+                prec, round_nearest)
+    return mp.make_mpc(value), mp.make_mpf(mpf_neg(d) if odd else d)
 
 
 def _as_mpc(z) -> mpc:

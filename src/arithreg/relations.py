@@ -399,6 +399,14 @@ def _is_root_of_one(pos, neg, n) -> bool:
     return pos ** n == neg ** n
 
 
+@lru_cache(maxsize=256)
+def _smith_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """(invariants, V) of snf(rows), formed once per relation basis: the
+    torsion proof and the exterior square both read it."""
+    invariants, v = snf(rows)
+    return tuple(invariants), tuple(map(tuple, v))
+
+
 def _certify_torsion(elems, basis) -> int:
     """Order w of the torsion of Z^k modulo the relation basis, read off its
     Smith invariants and proved on the generator t = P / N of the torsion
@@ -406,7 +414,7 @@ def _certify_torsion(elems, basis) -> int:
     prime q | w (_is_root_of_one)."""
     if not basis:
         return 1
-    invariants, v = snf(basis)
+    invariants, v = _smith_form(tuple(map(tuple, basis)))
     nontrivial = [d for d in invariants if d > 1]
     if not nontrivial:
         return 1
@@ -471,7 +479,7 @@ def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
     torsion included, from the Smith form of the k-column relation rows."""
-    d, v = snf(relation_rows) if relation_rows else ([0] * k, identity(k))
+    d, v = _smith_form(relation_rows) if relation_rows else ([0] * k, identity(k))
     return ExteriorSquare(k, tuple(math.gcd(d[i], d[j]) for i, j in _pairs(k)),
                           tuple(tuple(row) for row in v))
 

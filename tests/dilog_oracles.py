@@ -19,16 +19,23 @@ complex_horner_sum is the complex Horner loop the library ran before its
 real-coefficient recurrence, at full precision for every term, and
 exact_series_sum is the same truncated sum in mpc at 64 more bits than the
 kernel keeps.
+
+object_li2_and_bloch_wigner is the library's evaluation as it ran before its
+glue arithmetic moved to raw mpmath tuples: the same route, table row, logs
+and fixed-point sum, with every product, sum, negation and rounding done by
+mpc and mpf operators. The library must match it bit for bit.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import bernoulli, factorial, ldexp, mp, mpc, nint
-from mpmath.libmp import to_fixed
+from mpmath import bernoulli, factorial, ldexp, mp, mpc, mpf, nint
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
 
-from arithreg.dilog import _bernoulli_series, _reduction_chain
+from arithreg.dilog import (_GUARD_BITS, _ROUTES, _as_mpc, _fixed_sum, _fixed_table, _orbit_value,
+                            _reduction_chain)
+from arithreg.precision import working_dps
 
 
 def series_terms(absw: float, wp: int) -> int:
@@ -86,7 +93,7 @@ def stepwise_li2(z) -> mpc:
         sign = -sign
     if u is None:
         u = -mp.log1p(-w)
-    return sign * _bernoulli_series(u) + const
+    return sign * object_bernoulli_series(u) + const
 
 
 def _plus(*forms) -> dict:
@@ -177,3 +184,54 @@ def exact_series_sum(v, bits: int, count: int) -> mpc:
         for k in range(count - 1, -1, -1):
             acc = acc * t + bernoulli(2 * k + 2) * four_pi2 ** k / factorial(2 * k + 3)
         return mpc(mp.ldexp(acc.real, bits), mp.ldexp(acc.imag, bits))
+
+
+def object_bernoulli_series(u) -> mpc:
+    """Li2(w) = u - v/4 + u v S(v / (4 pi^2)) on mpc values, with the
+    library's fixed-point S."""
+    v = u * u
+    abs_u = math.hypot(float(u.real), float(u.imag))
+    q = abs_u / (2 * math.pi)
+    need = mp.dps * math.log(10) + math.log(8 * (abs_u + 1) / (1 - q * q))
+    n_terms = max(4, int(need / math.log(1 / q)) + 4) if q > 0 else 4
+    count = n_terms // 2
+    bits, prec = mp.prec + _GUARD_BITS, mp.prec
+    s_re, b1 = _fixed_sum(v, bits, count)
+    b1_over_4pi2 = from_man_exp(b1 * _fixed_table(bits, count)[0], -2 * bits)
+    s = mp.make_mpc((from_man_exp(s_re, -bits, prec, round_nearest),
+                     mpf_mul(v._mpc_[1], b1_over_4pi2, prec, round_nearest)))
+    return u - v / 4 + u * v * s
+
+
+def _object_linear(form, logs):
+    terms = [log if c > 0 else -log for c, log in zip(form, logs) if c]
+    return terms[0] + terms[1] if len(terms) > 1 else terms[0]
+
+
+def _object_li2_principal(z) -> tuple:
+    chain = _reduction_chain(z)
+    a, u_form, log_abs_form, (p, q, r, t) = _ROUTES[chain]
+    if chain:
+        A, B = mp.log(-z if a < 0 else z), mp.log(1 - z) if chain != ("inv",) else None
+        pi2_6 = mp.pi ** 2 / 6
+        const = sum((c * x * y for c, x, y in ((q, A, A), (r, B, B), (t, A, B)) if c), p * pi2_6)
+    u = _object_linear(u_form, (A, B)) if u_form else -mp.log1p(-_orbit_value(z, chain))
+    series = object_bernoulli_series(u)
+    sign = -1 if len(chain) % 2 else 1
+    value = sign * series + const if chain else series
+    if not z.imag:
+        return value, mpf(0)
+    log_abs_w = _object_linear(log_abs_form, (A, B)).real if chain else mp.log(abs(z))
+    return value, sign * (log_abs_w * -u.imag + series.imag)
+
+
+def object_li2_and_bloch_wigner(z, digits: int) -> tuple:
+    """(Li2(z), D(z)) rounded to digits, every step on mpc and mpf values."""
+    with mp.workdps(working_dps(digits)):
+        w = _as_mpc(z)
+        if w in (0, 1):
+            out, d = mpc(mp.pi ** 2 / 6 if w else 0), mpf(0)
+        else:
+            out, d = _object_li2_principal(w)
+    with mp.workdps(digits):
+        return +out, +d

@@ -537,14 +537,19 @@ def test_quoted():
 
 
 @pytest.mark.parametrize("argv", [["dilog", "--zz", "1"], ["dilog"], ["frob"],
-                                  ["--precision", "abc", "dilog", "--z", "1"]])
+                                  ["--precision", "abc", "dilog", "--z", "1"],
+                                  ["--precision", "1" * 4000 + "x", "dilog", "--z", "1"],
+                                  ["x" * 4000], ["dilog", "--z", "1", "y" * 4000],
+                                  ["dilog", "--z=1", "--output=" + "t" * 4000]])
 def test_usage_error_is_one_schema_line(argv, capsys):
     """A command line the parser rejects exits 1 with one error[schema]
-    line, as every schema violation does, and prints no usage."""
+    line, as every schema violation does, prints no usage, and quotes at
+    most 80 characters of each argument it echoes."""
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error[schema]: ")
+    assert len(err.encode()) < 250
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["dilog", "--help"]])

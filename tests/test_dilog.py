@@ -11,7 +11,8 @@ from arithreg.dilog import (_CHAINS, _ROUTES, _as_mpc, _bernoulli_series, _li2_p
                             li2_and_bloch_wigner)
 from arithreg.precision import working_dps
 from dilog_oracles import (complex_horner_sum, exact_series_sum, mpc_bernoulli_series,
-                           power_series, stepwise_li2, symbolic_route)
+                           object_li2_and_bloch_wigner, power_series, stepwise_li2,
+                           symbolic_route)
 from time_limits import time_limit
 
 DIGITS = 50
@@ -320,11 +321,13 @@ def exact_reals() -> list:
 
 
 def log_counts(monkeypatch) -> dict:
-    """Counts of the mp.log, mp.log1p and mp.arg calls made from now on; a
+    """Counts of the mp.log, mp.log1p and mp.arg calls made from now on, and
+    of the real logs log|z| that arithreg.dilog takes by mpf_log_hypot; a
     log1p counts once, not also as the log it calls itself."""
-    counts = {"log": 0, "log1p": 0, "arg": 0}
+    counts = {"log": 0, "log1p": 0, "arg": 0, "log_hypot": 0}
     inside_log1p = []
     log, log1p, arg = mp.log, mp.log1p, mp.arg
+    log_hypot = arithreg.dilog.mpf_log_hypot
 
     def counted_log(*args, **kwargs):
         counts["log"] += not inside_log1p
@@ -342,7 +345,12 @@ def log_counts(monkeypatch) -> dict:
         counts["arg"] += 1
         return arg(*args, **kwargs)
 
+    def counted_log_hypot(*args, **kwargs):
+        counts["log_hypot"] += 1
+        return log_hypot(*args, **kwargs)
+
     monkeypatch.setattr(mp, "log", counted_log)
+    monkeypatch.setattr(arithreg.dilog, "mpf_log_hypot", counted_log_hypot)
     monkeypatch.setattr(mp, "log1p", counted_log1p)
     monkeypatch.setattr(mp, "arg", counted_arg)
     return counts
@@ -374,9 +382,11 @@ class TestTwoLogs:
 
     def test_log_calls_per_route(self, monkeypatch):
         # log1p only where u is not -log of an orbit element the route has
-        # already taken: on the identity route and after a final inversion
+        # already taken: on the identity route and after a final inversion;
+        # (ref, inv, ref) reads A = log z as Re A alone, so it takes one
+        # complex log, B, and for D the real log|z| by mpf_log_hypot
         logs_of_z = {(): 1, ("inv",): 1, ("ref",): 2, ("ref", "inv"): 2, ("inv", "ref"): 2,
-                     ("ref", "inv", "ref"): 2}
+                     ("ref", "inv", "ref"): 1}
         with mp.workdps(working_dps(DIGITS)):
             points = [mpc(z) for z in route_points() + exact_reals()]
             chains = [_reduction_chain(z) for z in points]
@@ -388,10 +398,53 @@ class TestTwoLogs:
             li2_and_bloch_wigner(z, DIGITS)
             takes_log1p = not chain or chain[-1] == "inv"
             if z.imag:
-                assert counts == {"log": logs_of_z[chain], "log1p": takes_log1p, "arg": 0}, z
-            else:  # D = 0 takes no log|z| on the identity route
+                assert counts == {"log": logs_of_z[chain], "log1p": takes_log1p, "arg": 0,
+                                  "log_hypot": chain == ("ref", "inv", "ref")}, z
+            else:  # D = 0 takes no log|z|: no log on the identity route, no log_hypot
                 assert counts == {"log": logs_of_z[chain] - (not chain), "log1p": takes_log1p,
-                                  "arg": 0}, z
+                                  "arg": 0, "log_hypot": 0}, z
+
+
+def raw_arithmetic_points(digits) -> list:
+    """Seeded inputs of every kind li2_and_bloch_wigner takes: the route and
+    tie points, exact reals on and off the cut as mpf, Fraction, int and
+    float, 0 and 1, points of the benchmark regions, tiny and huge |z|,
+    complex and str input, and mpc values carrying 40 digits more than the
+    working precision, which mpc(z) rounds first."""
+    rng = random.Random(f"raw-{digits}")
+    with mp.workdps(working_dps(digits) + 40):
+        points = route_points() + exact_reals() + _real_points(rng, 40) + [0, 1, 2, -1, 0.5]
+        points += [z for region in ("disk", "wide", "ring", "fixed", "real")
+                   for z in region_points(region, 12, digits)]
+        for _ in range(60):  # fine points carry the extra 40 digits into li2
+            r, theta = mpf(10) ** rng.uniform(-6, 6), rng.uniform(-3.2, 3.2)
+            points.append(r * mp.expj(theta))
+        for exponent in (-400, -300, -60, -20, 20, 60, 300, 400):
+            theta = rng.uniform(-3.2, 3.2)
+            points += [mpf(10) ** exponent * mp.expj(theta), mpc(mpf(10) ** exponent, 0),
+                       mpc(-mpf(10) ** exponent, 0), 1 + mpf(10) ** exponent * mp.expj(theta)]
+    points += [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(10)]
+    points += [rng.uniform(-3, 3) for _ in range(10)]
+    points += ["0.375", "-3.75", "2"]
+    return points
+
+
+class TestRawArithmeticBits:
+    """The route constant, series tail and D are formed on raw mpmath
+    tuples; li2_and_bloch_wigner returns the same bits as the mpc and mpf operators of the object
+    layer (dilog_oracles.object_li2_and_bloch_wigner), at every route, on
+    both sides of each tie, on and off the cut, and from tiny to huge |z|."""
+
+    @pytest.mark.parametrize("digits", [16, 17, 30, 50, 100, 200])
+    def test_same_tuples_as_the_object_layer(self, digits):
+        points = raw_arithmetic_points(digits)
+        with mp.workdps(working_dps(digits)):  # 1 + 1e-20 i rounds to 1 at 16 digits
+            chains = {_reduction_chain(w) for w in map(_as_mpc, points) if w not in (0, 1)}
+        assert chains == set(_CHAINS)
+        for z in points:
+            value, d = li2_and_bloch_wigner(z, digits)
+            old_value, old_d = object_li2_and_bloch_wigner(z, digits)
+            assert (value._mpc_, d._mpf_) == (old_value._mpc_, old_d._mpf_), (z, digits)
 
 
 class TestBlochWignerFarFromTheUnitCircle:
@@ -491,7 +544,7 @@ class TestFixedPointKernel:
             for region in ("disk", "wide", "ring", "fixed", "real"):
                 for z in region_points(region, 8, digits):
                     w = _orbit_value(z, _reduction_chain(z))
-                    value = _bernoulli_series(-mp.log(1 - w))
+                    value = mp.make_mpc(_bernoulli_series((-mp.log(1 - w))._mpc_))
                     assert relative_error(value, mpc_bernoulli_series(w)) < mpf(10) ** -digits
 
     @pytest.mark.parametrize("digits", [30, 50, 100, 200, 500])

@@ -515,6 +515,28 @@ class TestExteriorSquare:
             assert not any(plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, v, u)))
             assert wedge_of_vectors(p, u, u).is_zero()
 
+    def test_bloch_check_reduces_each_relation_basis_once(self, monkeypatch):
+        # the torsion proof and the exterior square of a presentation read
+        # one cached Smith form of its relation basis
+        K = parse_field({"poly": [1, -1, 0, 1]})
+        candidates = exceptional_units(K)[:4]
+        bases = []
+        real = arithreg.relations.snf
+
+        def recording(rows):
+            bases.append(tuple(map(tuple, rows)))
+            return real(rows)
+
+        monkeypatch.setattr(arithreg.relations, "snf", recording)
+        arithreg.relations._smith_form.cache_clear()
+        exterior_square_of_lattice.cache_clear()
+        job = {"command": "bloch-check", "field": {"poly": list(K.defining_poly)},
+               "output": "json", "payload": {"candidates": [c.to_record() for c in candidates]}}
+        out = io.StringIO()
+        assert run_job(job, out) == 0
+        basis = tuple(map(tuple, json.loads(out.getvalue())["relation_basis"]))
+        assert basis in bases and len(bases) == len(set(bases))
+
     def test_many_candidate_bloch_check_reduces_no_matrix_wider_than_the_generators(
             self, monkeypatch):
         # twelve candidates on x^7 - x + 1 give 25 generators: snf reduces
@@ -530,6 +552,7 @@ class TestExteriorSquare:
             return real(rows)
 
         monkeypatch.setattr(arithreg.relations, "snf", recording)
+        arithreg.relations._smith_form.cache_clear()
         exterior_square_of_lattice.cache_clear()
         out = io.StringIO()
         job = {"command": "bloch-check", "field": {"poly": list(K.defining_poly)},
