@@ -146,7 +146,7 @@ def parse_complex(text: str) -> mpc:
         im_part = {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
     try:
         parts = mpf(re_part), mpf(im_part)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # from_str divides "a/b"
         raise oversized_number("z", text) or SchemaError(
             f"cannot parse complex number {quoted(text)}") from exc
     z = mpc(*parts)
@@ -309,7 +309,7 @@ def _bundle_from(payload, e):
     try:
         with mp.workdps(e.working_dps):
             values = tuple(mpf(str(entry := v)) for v in metric_raw)  # entry: the one that fails
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # from_str divides "a/b"
         raise oversized_number("metric", entry) or SchemaError(
             f"key 'metric' must hold decimal numbers, not {quoted(entry)}") from exc
     if not all(mp.isfinite(v) for v in values):

@@ -14,10 +14,11 @@ combinations of the basis rows, so they are proved with it. The torsion
 order, read off the Smith invariants of the basis, is proved the same way
 on powers of the two sign-split products of a torsion generator. Last, the
 lattice is proved complete: the log-modulus vectors of as many generators
-as the presented group has free rank are shown independent by one minor
-against an a priori error bound (Pohst and Zassenhaus, Algorithmic
-Algebraic Number Theory, 1989), so no relation is missing. A relation that
-floating error hides therefore raises PrecisionError; none is invented.
+as the presented group has free rank are shown independent by one minor,
+evaluated at the precision of the pass, against an a priori error bound
+(Pohst and Zassenhaus, Algorithmic Algebraic Number Theory, 1989), so no
+relation is missing. A relation that floating error hides therefore
+raises PrecisionError; none is invented.
 Exterior squares keep their torsion and are read off the Smith form
 U L V = diag(d_1, ..., d_k) of the relation basis L itself: x -> xV takes
 the presented group to the sum of the Z/d_i (d_i = 0 a free coordinate);
@@ -247,10 +248,49 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet):
     fails, since M has rank at most that by the product formula.
 
     Otherwise r generator rows and r class columns are chosen by complete
-    pivoting on a float copy of `logs`; only those r generators are
-    evaluated, at the working precision, and the r x r minor A~ of their
-    computed logs, each within eta of the true log (_log_modulus_error), is
-    shown nonsingular by _certainly_nonsingular.
+    pivoting on a float copy of `logs`, which picks the pivots and nothing
+    else: the proof evaluates those r generators itself, at the precision
+    of the pass that took `logs`, in doubles when they are doubles
+    (_double_log_moduli), else at the working precision (_mp_log_moduli).
+    The r x r minor of their computed logs, each within eta of the true log
+    (_log_modulus_error), is shown nonsingular by _certainly_nonsingular; a
+    failure in doubles sends _proved_lattice on to the working-precision
+    pass.
+
+    Error bound. Let g = sum c_i x^i (i < n) have rational coefficients,
+    |c|_1 = sum |c_i|, and let u be the pass's unit: 2^-53 in doubles,
+    2^(1-prec) at the working precision (twice mpmath's unit roundoff).
+    The pass takes v, g at a point z by Horner's rule, with z within R of a
+    root t of f. At the working precision z is the stored root and
+    R = root_radii[idx]. In doubles z is its double float_roots[idx], each
+    part rounded to nearest, so within 2^-53 |z| + 2^-1074 of it (2^-1075
+    per part below the normal range), and R = 2 delta + 2^-52 |z| + 2^-1000
+    with delta the double of root_radii[idx]: the factors 2 and the 2^-1000
+    cover the roundings of delta, |z| and the sums. With rho = max(1, |z| + R):
+    - |g(t) - g(z)| <= (n-1) R |c|_1 rho^(n-1) by the mean value theorem,
+      as |g'| <= (n-1) |c|_1 rho^(n-2) on the disc;
+    - |v - g(z)| <= 4nu |c|_1 rho^(n-1). v = sum c_i z^i (1 + theta_i): each
+      c_i is rounded (once; evaluate rounds p/q thrice, at u/2 each), then
+      meets at most n-1 sums, within u, and n-1 products, within sqrt(5) u
+      (a complex product in doubles: Brent, Percival and Zimmermann, Math.
+      Comp. 2007) or u/2 (mpmath rounds each part of the exact product), so
+      |theta_i| <= (1 + u)^n (1 + sqrt(5) u)^(n-1) - 1 < 4nu (Higham,
+      Accuracy and Stability of Numerical Algorithms, 5.1). In doubles an
+      operation below the normal range errs by up to 2^-1072 more, and the
+      3n such errors stay under 2^-953 rho^(n-1), which taking |c|_1 as at
+      least 2^-900 there covers; mpmath has no exponent range.
+    So |g(t) - v| <= E = |c|_1 rho^(n-1) ((n-1) R + 8(n+1) u). Unless
+    E <= |v| / 2 (else PrecisionError, as for v = 0 or an infinite double),
+    q = E / |v| <= 1/2, so |g(t)| / |v| lies in [1 - q, 1 + q] and
+    |log|g(t)| - log|v|| <= -log(1 - q) <= 2 log(2) q < 1.39 q. |v| is taken
+    by abs and then log. mpmath's abs is correctly rounded; its log, and the
+    platform's hypot and log, are assumed within one ulp: u relative at the
+    working precision, 2u in doubles. So they add at most
+    2u (1 + |log|v||) + 5u^2 (1 + |log|v||), and eta = 2q + 2u (1 + |log|v||)
+    bounds the error with 0.61 q > 4.8 (n+1) u / (1 + 5nu) to spare, since
+    |v| <= (1 + 5nu) |c|_1 rho^(n-1). As u |log|v|| < 1, that spare exceeds
+    the u^2 term and the roundings made in forming eta, a relative O(nu) of
+    it, pow's included (assumed within one ulp too).
 
     Assumption about the embedding certificate: each stored root lies
     within EmbeddingSet.root_radii of a root of f, a radius derived from
@@ -268,34 +308,16 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet):
             "retry at higher precision")
     rows, cols = _pivots(logs, r)
     reps = [e.class_representatives[j] for j in cols]
-    with mp.workdps(e.working_dps):
-        minor, eta = [], mpf(0)
-        for i in rows:
-            conjugates = evaluate(elems[i], e)
-            row = []
-            for idx in reps:
-                value, err = _log_modulus_error(elems[i], conjugates[idx], idx, e)
-                row.append(value)
-                eta = max(eta, err)
-            minor.append(row)
-        if not _certainly_nonsingular(minor, eta):
-            raise PrecisionError(
-                "log-modulus minor does not exceed its error bound: the "
-                "relation lattice may be incomplete, retry at higher precision")
-
-
-def _certainly_nonsingular(a, eta) -> bool:
-    """Whether every r x r matrix A within eta of the mpf matrix a, entry by
-    entry, is nonsingular. By the multilinearity of det and Hadamard's
-    inequality, |det a - det A| <= B = sqrt(r) eta sum_j prod_{i != j}
-    (|a_i| + sqrt(r) eta) over the rows a_i. det a is taken exactly from
-    the binary entries and B at the current precision, so the test is
-    |det a| > 2B, the factor 2 covering the rounding of B."""
-    r = len(a)
-    s = mp.sqrt(r) * eta
-    norms = [mp.sqrt(mp.fsum(v * v for v in row)) + s for row in a]
-    bound = 2 * s * mp.fsum(mp.fprod(norms[:j] + norms[j + 1:]) for j in range(r))
-    return abs(det_fraction([[_exact(v) for v in row] for row in a])) > _exact(bound)
+    if isinstance(logs[0][0], float):
+        minor = [_double_log_moduli(elems[i], reps, e) for i in rows]
+    else:
+        with mp.workdps(e.working_dps):
+            minor = [_mp_log_moduli(elems[i], reps, e) for i in rows]
+    if not _certainly_nonsingular([[value for value, _ in row] for row in minor],
+                                  max(eta for row in minor for _, eta in row)):
+        raise PrecisionError(
+            "log-modulus minor does not exceed its error bound: the "
+            "relation lattice may be incomplete, retry at higher precision")
 
 
 def _pivots(logs, r: int) -> tuple[list[int], list[int]]:
@@ -320,32 +342,61 @@ def _pivots(logs, r: int) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
-def _log_modulus_error(g: FieldElement, value, idx: int, e: EmbeddingSet):
-    """(log|value|, eta): value is g at the stored root z of embedding idx,
-    computed by evaluate, and eta bounds |log|value| - log|g(t)|| for the
-    root t of f within delta = root_radii[idx] of z. With c the rational
-    power-basis coefficients of g, n the degree, rho = max(1, |z| + delta)
-    and u the unit roundoff, |g(t) - g(z)| <= delta (n-1) |c|_1 rho^(n-1)
-    (mean value theorem) and Horner's rounding error is at most
-    8(n+1) u |c|_1 rho^(n-1), 8(n+1) u covering the coefficients too. Their
-    sum E over |value| is q; then |log|g(t)| - log|value|| <= 2q when
-    q <= 1/2, and log and abs add at most 2u(1 + |log|value||). q > 1/2
-    raises PrecisionError."""
-    n = e.degree
-    u = mpf(2) ** (1 - mp.prec)
-    delta = e.root_radii[idx]
-    rho = max(mpf(1), abs(e.roots[idx]) + delta)
+def _double_log_moduli(g: FieldElement, reps, e: EmbeddingSet) -> list:
+    """_log_modulus_error of g at each embedding idx in reps, in doubles:
+    _horner on g's coefficients as doubles at z = float_roots[idx], with R
+    of _prove_rank."""
+    coeffs = [c / g.den for c in g.num]
+    norm1 = max(sum(map(abs, coeffs)), 2 ** -900)
+    return [_log_modulus_error(_horner(coeffs, z), z,
+                               2 * float(e.root_radii[idx]) + 2 ** -52 * abs(z) + 2 ** -1000,
+                               norm1, e.degree, 2 ** -53, math.log)
+            for idx in reps for z in [e.float_roots[idx]]]
+
+
+def _mp_log_moduli(g: FieldElement, reps, e: EmbeddingSet) -> list:
+    """_log_modulus_error of g at each embedding idx in reps, at the
+    working precision: evaluate's value at the stored root, with R =
+    root_radii[idx]; call it inside mp.workdps(e.working_dps)."""
+    conjugates = evaluate(g, e)
     norm1 = mpf(sum(abs(c) for c in g.num)) / g.den
-    q = (norm1 * rho ** (n - 1) * ((n - 1) * delta + 8 * (n + 1) * u)) / abs(value)
-    if q > 0.5:
+    u = mpf(2) ** (1 - mp.prec)
+    return [_log_modulus_error(conjugates[idx], e.roots[idx], e.root_radii[idx], norm1,
+                               e.degree, u, mp.log) for idx in reps]
+
+
+def _log_modulus_error(value, z, radius, norm1, n: int, u, log):
+    """(log|value|, eta) by the error bound of _prove_rank: value is g
+    computed at z, a root of f lies within radius R of z, norm1 is |c|_1
+    of g, n the degree, u the pass's unit and log its logarithm;
+    PrecisionError unless E <= |value| / 2."""
+    rho = max(1, abs(z) + radius)
+    bound = norm1 * rho ** (n - 1) * ((n - 1) * radius + 8 * (n + 1) * u)
+    modulus = abs(value)
+    if not 2 * bound <= modulus < math.inf:
         raise PrecisionError("logarithm too ill-conditioned to bound")
-    log_value = mp.log(abs(value))
-    return log_value, 2 * q + 2 * u * (1 + abs(log_value))
+    log_value = log(modulus)
+    return log_value, 2 * bound / modulus + 2 * u * (1 + abs(log_value))
+
+
+def _certainly_nonsingular(a, eta) -> bool:
+    """Whether every r x r matrix A within eta of the matrix a, entry by
+    entry, is nonsingular; a and eta hold doubles or mpfs, read as the
+    dyadic rationals they are (_exact). By the multilinearity of det and
+    Hadamard's inequality, |det a - det A| <= B = s sum_j prod_{i != j}
+    (|a_i|_1 + s) over the rows a_i, with s = ceil(sqrt(r)) eta and the
+    1-norm over the 2-norm. B is exact, so the test is |det a| > B."""
+    r = len(a)
+    a = [[_exact(v) for v in row] for row in a]
+    s = (math.isqrt(r - 1) + 1) * _exact(eta)
+    norms = [sum(map(abs, row)) + s for row in a]
+    bound = s * sum(math.prod(norms[:j] + norms[j + 1:]) for j in range(r))
+    return abs(det_fraction(a)) > bound
 
 
 def _exact(v) -> Fraction:
-    """The binary mpf v as an exact Fraction, sign included."""
-    return Fraction(*to_rational(v._mpf_))
+    """The double or binary mpf v as an exact Fraction, sign included."""
+    return Fraction(v) if isinstance(v, float) else Fraction(*to_rational(v._mpf_))
 
 
 def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:

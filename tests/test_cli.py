@@ -280,6 +280,14 @@ MALFORMED_JOBS = {
                    "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["inf"]}}},
     "metric-nan": {"command": "degree", "field": {"poly": [0, 1]},
                    "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["nan"]}}},
+    # mpmath reads "a/b" as a rational and divides, so b = 0 divides by zero
+    "dilog-z-zero-denominator": {"command": "dilog", "payload": {"z": "1/0"}},
+    "dilog-z-zero-over-zero": {"command": "dilog", "payload": {"z": "0/0"}},
+    "dilog-z-zero-denominator-imaginary-part": {"command": "dilog", "payload": {"z": "2+1/0i"}},
+    "metric-zero-denominator": {"command": "degree", "field": {"poly": [0, 1]},
+                                "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["1/0"]}}},
+    "metric-zero-over-zero": {"command": "degree", "field": {"poly": [0, 1]},
+                              "payload": {"bundle": {"ideal_basis": [["2"]], "metric": ["0/0"]}}},
     "max-p-boolean": {"command": "kranks", "field": {"poly": [0, 1]},
                       "payload": {"max_p": True}},
     "n-boolean": {"command": "height", "field": {"poly": [0, 1]},
@@ -841,7 +849,8 @@ def _counted_bloch_check(monkeypatch, job, evaluate=None):
     """(calls, record, pair count) of one bloch-check job, counting the
     Steinberg images, Bloch-Wigner values, unit tests, inverses and
     working-precision evaluations (relation discovery's rank proof and the
-    regulator together) it makes.
+    regulator together) it makes; a rank proof of the double pass evaluates
+    in doubles and counts none.
     evaluate, when given, stands in for the regulator's evaluate."""
     import arithreg.regulator
     import arithreg.relations
@@ -866,18 +875,17 @@ def _counted_bloch_check(monkeypatch, job, evaluate=None):
 
 def test_bloch_check_work_counts(monkeypatch):
     """The README bloch-check example computes each Steinberg image once,
-    evaluates at the working precision only the generators of the rank
-    proof of relation discovery, as many as the presented group has free
-    rank (discovery itself runs in doubles), and each support element once
-    in the regulator, and computes one Bloch-Wigner value per (pair
-    representative, anharmonic orbit with a support column that has a
-    nonzero entry in some kernel row): both
-    candidates, x and 1/(1-x), are used and lie in the orbit of x, so that
-    is one value per pair representative. Unit status is tested once per
-    generator of the presentation (-1, x, 1-x, (1-x)^-1, x/(x-1)), 5 tests,
-    by relation_lattice: each candidate and its complement is one of those
-    generators, so steinberg_image tests none of them again. The one
-    inverse is the parse of (1-x)^-1; proving relations inverts nothing."""
+    evaluates at the working precision only each support element, once, in
+    the regulator (relation discovery and its rank proof run in doubles),
+    and computes one Bloch-Wigner value per (pair representative,
+    anharmonic orbit with a support column that has a nonzero entry in some
+    kernel row): both candidates, x and 1/(1-x), are used and lie in the
+    orbit of x, so that is one value per pair representative. Unit status
+    is tested once per generator of the presentation (-1, x, 1-x, (1-x)^-1,
+    x/(x-1)), 5 tests, by relation_lattice: each candidate and its
+    complement is one of those generators, so steinberg_image tests none of
+    them again. The one inverse is the parse of (1-x)^-1; proving relations
+    inverts nothing."""
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     job = _build_job(argv[1:])
     calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
@@ -889,10 +897,8 @@ def test_bloch_check_work_counts(monkeypatch):
             < sum(len(row) for row in rec["kernel_basis"]))
     assert used == 2
     assert calls == {"steinberg_image": len(candidates), "bloch_wigner": pairs,
-                     "is_unit": 5, "inverse": 1,
-                     "evaluate": (len(rec["generators"]) - len(rec["relation_basis"])
-                                  + len(candidates))}
-    assert calls["evaluate"] == 1 + 2
+                     "is_unit": 5, "inverse": 1, "evaluate": len(candidates)}
+    assert calls["evaluate"] == 2
 
 
 def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
@@ -925,27 +931,29 @@ def test_bloch_check_shared_support_evaluated_once(monkeypatch):
     calls, rec, pairs = _counted_bloch_check(monkeypatch, job)
     assert rec["kernel_basis"] == [[1, 1], [0, 2]]
     assert len(rec["regulators"]) == 2 and pairs == 1
-    # generators -1, x, 1-x span free rank 1: one generator in the rank
-    # proof of relation discovery; x, 1-x in the regulator
+    # generators -1, x, 1-x span free rank 1: the rank proof of relation
+    # discovery takes one generator in doubles; x, 1-x in the regulator
     assert len(rec["generators"]) - len(rec["relation_basis"]) == 1
-    assert (calls["evaluate"], calls["bloch_wigner"]) == (1 + 2, 1)
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (2, 1)
 
 
 def test_bloch_check_empty_kernels_do_no_numerical_work(monkeypatch):
     """On x^4 - x - 1 the wedge x ^ (1-x) has infinite order, so both
     kernels of the candidate x are empty: the regulator evaluates nothing
-    and computes no D. Its evaluate is made to put every conjugate at 0, so
-    any degeneracy check would raise PrecisionError."""
+    and computes no D, and the rank proof of relation discovery evaluates in
+    doubles, so nothing is evaluated at the working precision. The
+    regulator's evaluate is made to put every conjugate at 0, so any
+    degeneracy check would raise PrecisionError."""
     job = {"command": "bloch-check", "field": {"poly": [-1, -1, 0, 0, 1]},
            "payload": {"candidates": ["x"]}}
     calls, rec, pairs = _counted_bloch_check(
         monkeypatch, job, evaluate=lambda a, e: (mpc(0),) * e.degree)
     assert (rec["kernel_basis"], rec["torsion_only_kernel"], rec["regulators"]) == ([], [], [])
     assert pairs == 1
-    # generators -1, x, 1-x span free rank 2: two generators in the rank
-    # proof of relation discovery, none in the regulator
+    # generators -1, x, 1-x span free rank 2: the rank proof of relation
+    # discovery takes two generators in doubles, the regulator none
     assert len(rec["generators"]) - len(rec["relation_basis"]) == 2
-    assert (calls["evaluate"], calls["bloch_wigner"]) == (2, 0)
+    assert (calls["evaluate"], calls["bloch_wigner"]) == (0, 0)
 
 
 def test_main_writes_to_the_stdout_of_its_call(capsys):

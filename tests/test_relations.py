@@ -22,7 +22,8 @@ from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingul
                                 wedge_of_vectors)
 from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
-from test_cli import count_calls
+from nf_oracles import mpc_horner, mpc_newton
+from test_cli import _build_job, count_calls, readme_examples
 from wedge_oracles import (bloch_sum_vanishes, exceptional_units, raw_wedge, reduce_raw,
                            relator_smith_form, wedge_relators)
 
@@ -103,6 +104,22 @@ def known_relation_lattice(m, signs, powers):
     return [row[:len(signs)] for row in left_kernel_by_transform(stacked)]
 
 
+def seeded_power_products(m):
+    """(signs, powers, g) for 12 seeded lists g of g_i = (-1)^signs[i]
+    x^powers[i] on x^m - x + 1, 2 to 4 of them, |powers[i]| <= 64."""
+    K = parse_field({"poly": [1, -1] + [0] * (m - 2) + [1]})
+    x = K.gen()
+    rng = random.Random(f"known-units-{m}")
+    out = []
+    for _ in range(12):
+        k = rng.choice((2, 2, 3, 4))
+        signs = [rng.randint(0, 1) for _ in range(k)]
+        powers = [rng.randint(-64, 64) for _ in range(k)]
+        out.append((signs, powers, [K.element([(-1) ** s]) * x ** t
+                                    for s, t in zip(signs, powers)]))
+    return out
+
+
 class TestCompleteness:
     """A returned relation lattice is the whole relation lattice: a relation
     the search misses raises PrecisionError instead of being dropped."""
@@ -157,15 +174,8 @@ class TestCompleteness:
         |b_i| <= 64: every returned HNF equals the lattice known by
         construction, and the cases whose relations the search cannot reach
         raise PrecisionError."""
-        K = parse_field({"poly": [1, -1] + [0] * (m - 2) + [1]})
-        x = K.gen()
-        rng = random.Random(f"known-units-{m}")
         outcomes = []
-        for _ in range(12):
-            k = rng.choice((2, 2, 3, 4))
-            signs = [rng.randint(0, 1) for _ in range(k)]
-            powers = [rng.randint(-64, 64) for _ in range(k)]
-            gens = [K.element([(-1) ** s]) * x ** t for s, t in zip(signs, powers)]
+        for signs, powers, gens in seeded_power_products(m):
             try:
                 p = relation_lattice(gens, 50)
             except PrecisionError:
@@ -177,6 +187,77 @@ class TestCompleteness:
         assert "returned" in outcomes
         if m > 2:  # x has infinite order, so some pairs need large exponents
             assert "refused" in outcomes
+
+
+class TestDoubleRankBound:
+    """The rank proof of the double pass bounds every log it computes: for
+    each minor entry, against a 200-digit oracle, the disc it assumes holds
+    a root t of f, Horner's rule and the log step stay within their parts of
+    the bound, and the computed log is within eta of log|g(t)|."""
+
+    @staticmethod
+    def recorded_entries(monkeypatch):
+        """A list that fills with (g, idx, e, args of _log_modulus_error,
+        (log, eta)) per entry of each double minor."""
+        entries, pending = [], []
+        real_moduli = arithreg.relations._double_log_moduli
+        real_error = arithreg.relations._log_modulus_error
+
+        def error(*args):
+            pending.append(args)
+            return real_error(*args)
+
+        def moduli(g, reps, e):
+            pending.clear()
+            out = real_moduli(g, reps, e)
+            entries.extend((g, idx, e, args, got) for idx, args, got in zip(reps, pending, out))
+            return out
+
+        monkeypatch.setattr(arithreg.relations, "_log_modulus_error", error)
+        monkeypatch.setattr(arithreg.relations, "_double_log_moduli", moduli)
+        return entries
+
+    @staticmethod
+    def check(g, idx, e, args, got):
+        value, z, radius, _, n, u, _ = args
+        log_value, eta = got
+        assert n == e.degree
+        f = e.field.defining_poly
+        with mp.workdps(200):
+            start = mp.re(e.roots[idx]) if e.is_real(idx) else e.roots[idx]
+            t = mpc_newton([mp.mpf(c) for c in f],
+                           [mp.mpf(i * c) for i, c in enumerate(f) if i], +start)
+            assert abs(mp.polyval([mp.mpf(c) for c in reversed(f)], t)) < mp.mpf(10) ** -150
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in g.coeffs]
+            norm1 = sum(abs(c) for c in g.coeffs)
+            zz = mp.mpc(z)  # the double, exactly
+            assert abs(t - zz) <= radius
+            assert (abs(value - mpc_horner(coeffs, zz))
+                    <= 4 * n * u * float(norm1) * max(1, abs(z)) ** (n - 1))
+            assert abs(log_value - mp.log(abs(mp.mpc(value)))) <= 2 * u * (1 + abs(log_value))
+            assert abs(log_value - mp.log(abs(mpc_horner(coeffs, t)))) <= eta
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
+    def test_power_products_of_known_units(self, monkeypatch, m):
+        entries = self.recorded_entries(monkeypatch)
+        for _, _, gens in seeded_power_products(m):
+            try:
+                relation_lattice(gens, 50)
+            except PrecisionError:
+                pass
+        # on m = 2, x is a root of unity: no lattice has free rank, and the
+        # rank proof evaluates nothing
+        assert bool(entries) == (m > 2)
+        for entry in entries:
+            self.check(*entry)
+
+    def test_readme_bloch_check(self, monkeypatch):
+        entries = self.recorded_entries(monkeypatch)
+        (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+        assert run_job(_build_job(argv[1:]), out=io.StringIO()) == 0
+        assert entries
+        for entry in entries:
+            self.check(*entry)
 
 
 class TestColumns:
