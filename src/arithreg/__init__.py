@@ -13,16 +13,15 @@ from .kmodel import GradedKAlgebra, build_model, dimension_table, rank_in_degree
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
 from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
-                        WedgeClass, bloch_kernel, exterior_square,
-                        relation_lattice, steinberg_image, torsion_only_kernel,
-                        verify_bloch_element)
+                        bloch_kernel, exterior_square, relation_lattice, steinberg_image,
+                        torsion_only_kernel, verify_bloch_element)
 
 __all__ = [
     # number field core
     "NumberField", "FieldElement", "EmbeddingSet", "parse_field", "embeddings",
     "evaluate",
     # relation lattices and the wedge-map kernel
-    "MultiplicativePresentation", "WedgeClass", "BlochElement", "ExteriorSquare",
+    "MultiplicativePresentation", "BlochElement", "ExteriorSquare",
     "relation_lattice", "exterior_square", "steinberg_image", "bloch_kernel",
     "torsion_only_kernel", "verify_bloch_element",
     # dilogarithm

@@ -29,7 +29,6 @@ from mpmath import mp, mpf
 from .dilog import bloch_wigner
 from .errors import DomainError, PrecisionError
 from .nf import EmbeddingSet, FieldElement, evaluate
-from .relations import BlochElement
 
 WEIGHT_UNIT = "unit"
 WEIGHT_K3 = "k3"

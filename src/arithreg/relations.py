@@ -66,19 +66,6 @@ class MultiplicativePresentation:
 
 
 @dataclass(frozen=True)
-class WedgeClass:
-    """Canonically reduced element of the exterior square of the presented
-    group; coords are its pair coordinates over the group's Smith
-    coordinates (ExteriorSquare.wedge)."""
-
-    presentation: MultiplicativePresentation
-    coords: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-@dataclass(frozen=True)
 class BlochElement:
     """Integer combination sum n_i [lambda_i] with support in the elements
     whose complements are also units; valid ones satisfy
@@ -200,31 +187,32 @@ def _proved_lattice(elems, precision: int) -> tuple[list[list[int]], int]:
     _certify_torsion and completeness by _prove_rank. Discovery runs on
     double columns (_float_columns, scale 10^FLOAT_DIGITS) first; when they
     do not exist or any proof fails, it runs again on the working-precision
-    columns (_embedding_columns, scale 10^(precision - guard)), whose
-    failure raises PrecisionError."""
+    columns (_embedding_columns, scale 10^(precision - guard)) inside its
+    mp.workdps, whose failure raises PrecisionError. Each pass hands the
+    rank proof its evaluator, _double_log_moduli or _mp_log_moduli."""
     e = embeddings(elems[0].field, precision)
     columns = _float_columns(elems, e)
     if columns is not None:
         try:
-            return _complete_basis(elems, columns, FLOAT_DIGITS, e)
+            return _complete_basis(elems, columns, FLOAT_DIGITS, e, _double_log_moduli)
         except PrecisionError:
             pass
     with mp.workdps(e.working_dps):
         return _complete_basis(elems, _embedding_columns(elems, e),
-                               precision - GUARD_DIGITS, e)
+                               precision - GUARD_DIGITS, e, _mp_log_moduli)
 
 
-def _complete_basis(elems, columns, digits: int, e: EmbeddingSet):
+def _complete_basis(elems, columns, digits: int, e: EmbeddingSet, log_moduli):
     """(basis, torsion order) of one search on columns scaled by 10^digits,
-    with every proof of _proved_lattice; PrecisionError when one fails,
-    naming DEFAULT_EXPONENT_BOUND when the search dropped a vector for its
-    exponents alone."""
+    with every proof of _proved_lattice, the rank proof by the pass's
+    log_moduli; PrecisionError when one fails, naming DEFAULT_EXPONENT_BOUND
+    when the search dropped a vector for its exponents alone."""
     logs, args = columns
     candidates, dropped = _relation_candidates(logs, args, digits)
     try:
         basis = _verified_basis(elems, candidates)
         torsion = _certify_torsion(elems, basis)
-        _prove_rank(elems, basis, logs, e)
+        _prove_rank(elems, basis, logs, e, log_moduli)
     except PrecisionError as err:
         if not dropped:
             raise
@@ -235,7 +223,7 @@ def _complete_basis(elems, columns, digits: int, e: EmbeddingSet):
     return basis, torsion
 
 
-def _prove_rank(elems, basis, logs, e: EmbeddingSet):
+def _prove_rank(elems, basis, logs, e: EmbeddingSet, log_moduli):
     """Prove that the proved relation lattice L (HNF basis `basis`) is the
     whole relation lattice Lambda of elems, or raise PrecisionError.
 
@@ -249,10 +237,10 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet):
 
     Otherwise r generator rows and r class columns are chosen by complete
     pivoting on a float copy of `logs`, which picks the pivots and nothing
-    else: the proof evaluates those r generators itself, at the precision
-    of the pass that took `logs`, in doubles when they are doubles
-    (_double_log_moduli), else at the working precision (_mp_log_moduli).
-    The r x r minor of their computed logs, each within eta of the true log
+    else: the proof evaluates those r generators itself with log_moduli,
+    the evaluator its pass hands it, _double_log_moduli in doubles or
+    _mp_log_moduli at the working precision the pass holds. The r x r minor
+    of their computed logs, each within eta of the true log
     (_log_modulus_error), is shown nonsingular by _certainly_nonsingular; a
     failure in doubles sends _proved_lattice on to the working-precision
     pass.
@@ -308,11 +296,7 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet):
             "retry at higher precision")
     rows, cols = _pivots(logs, r)
     reps = [e.class_representatives[j] for j in cols]
-    if isinstance(logs[0][0], float):
-        minor = [_double_log_moduli(elems[i], reps, e) for i in rows]
-    else:
-        with mp.workdps(e.working_dps):
-            minor = [_mp_log_moduli(elems[i], reps, e) for i in rows]
+    minor = [log_moduli(elems[i], reps, e) for i in rows]
     if not _certainly_nonsingular([[value for value, _ in row] for row in minor],
                                   max(eta for row in minor for _, eta in row)):
         raise PrecisionError(
@@ -492,8 +476,8 @@ class ExteriorSquare:
     """Exterior square of Z^k modulo a relation lattice in the pair
     coordinates of the module docstring: invariants[c] is gcd(d_i, d_j) of
     the c-th pair (i, j) of _pairs (0 marks a free coordinate), v_matrix
-    the k x k Smith transform V. reduce_smith() reduces pair coordinates,
-    such as wedge(u, v) or a sum of wedge classes, modulo the invariants."""
+    the k x k Smith transform V. A class is the tuple of its pair
+    coordinates reduced modulo the invariants (reduce_smith)."""
 
     rank: int
     invariants: tuple[int, ...]
@@ -504,11 +488,13 @@ class ExteriorSquare:
         return len(self.invariants)
 
     def wedge(self, u, v) -> tuple[int, ...]:
+        """The class of u ^ v: the tuple of its reduced pair coordinates."""
         if len(u) != self.rank or len(v) != self.rank:
             raise DomainError("exponent vector has wrong length")
         return self.reduce_smith(_raw_wedge(*(_vec_mat(w, self.v_matrix) for w in (u, v))))
 
     def reduce_smith(self, y) -> tuple[int, ...]:
+        """The class of pair coordinates y: the tuple of y mod the invariants."""
         return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariants))
 
 
@@ -537,11 +523,6 @@ def exterior_square_of_lattice(k: int,
 
 def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
     return exterior_square_of_lattice(p.rank, p.relation_basis)
-
-
-def wedge_of_vectors(p: MultiplicativePresentation, u, v) -> WedgeClass:
-    """Class of (sum u_i g_i) ^ (sum v_j g_j) written additively."""
-    return WedgeClass(p, exterior_square(p).wedge(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +560,12 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[i
         f"element {quoted(elem)} is not expressible over the supplied generators")
 
 
-def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> WedgeClass:
-    """Class of lambda ^ (1 - lambda) in the exterior square. coordinates_of
-    tests every non-generator for unit status (relation_lattice proved the
-    generators units), so a lambda outside R-circ raises DomainError."""
-    return wedge_of_vectors(p, coordinates_of(lam, p),
-                            coordinates_of(lam.field.one() - lam, p))
+def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
+    """Class of lambda ^ (1 - lambda), the tuple ExteriorSquare.wedge gives.
+    coordinates_of tests every non-generator for unit status (relation_lattice
+    proved the generators units), so a lambda outside R-circ raises DomainError."""
+    return exterior_square(p).wedge(coordinates_of(lam, p),
+                                    coordinates_of(lam.field.one() - lam, p))
 
 
 def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
@@ -609,7 +590,7 @@ def _bloch_kernels(candidates, p: MultiplicativePresentation
     images = [steinberg_image(lam, p) for lam in candidates]
     sq = exterior_square(p)
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
-    free_kernel = left_kernel([[img.coords[j] for j in free_cols] for img in images])
+    free_kernel = left_kernel([[img[j] for j in free_cols] for img in images])
 
     strict_basis = _strict_kernel(images, sq)
     support = tuple(candidates)
@@ -622,7 +603,7 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
     """HNF basis of the integer combinations of wedge classes that vanish
     exactly, each basis row re-verified against the torsion invariants."""
     m = len(images)
-    stacked = [list(img.coords) for img in images]
+    stacked = [list(img) for img in images]
     for j, d in enumerate(sq.invariants):
         if d > 0:
             stacked.append([d if c == j else 0 for c in range(sq.dim)])
@@ -636,7 +617,7 @@ def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
 def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
     """Whether sum n_i * image_i, in pair coordinates, is 0 modulo the
     invariants."""
-    return not any(sq.reduce_smith(_vec_mat(multiplicities, [img.coords for img in images])))
+    return not any(sq.reduce_smith(_vec_mat(multiplicities, images)))
 
 
 def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation) -> bool:

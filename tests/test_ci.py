@@ -1,13 +1,19 @@
-"""The CI workflow runs some tests a second time under the gmpy backend,
-selected by name with pytest -k. A term that names no test selects nothing
-without an error, so a renamed class would drop out of that step unseen.
-The workflow is read with regular expressions: CI installs no YAML parser."""
+"""Checks for which CI installs no tool. The workflow runs some tests a second
+time under the gmpy backend, selected by name with pytest -k. A term that
+names no test selects nothing without an error, so a renamed class would
+drop out of that step unseen. The workflow is read with regular
+expressions: CI installs no YAML parser. CI installs no linter either, so
+an import that no code reads is caught here."""
 
+import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+SOURCES = sorted(p for p in (ROOT / "src" / "arithreg").glob("*.py") if p.name != "__init__.py")
 
 
 def _gmpy_step_runs():
@@ -30,3 +36,21 @@ def test_gmpy_step_selects_tests_by_names_that_exist():
         for term in terms:
             assert any(term.lower() in name for name in names), \
                 f"-k term {term!r} of the gmpy step names no test in {path}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_src_imports_are_used(path):
+    """Every name a module imports, `annotations` of __future__ aside, is
+    read somewhere in that module."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in imported.items()
+              if name != "annotations" and name not in read}
+    assert not unused, f"{path.name} imports names it never reads: {unused}"

@@ -18,8 +18,7 @@ from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingul
                                 _embedding_columns, _search_lattice, _verified_basis,
                                 bloch_kernel, coordinates_of, exterior_square,
                                 exterior_square_of_lattice, power_product, relation_lattice,
-                                steinberg_image, torsion_only_kernel, verify_bloch_element,
-                                wedge_of_vectors)
+                                steinberg_image, torsion_only_kernel, verify_bloch_element)
 from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
 from nf_oracles import mpc_horner, mpc_newton
@@ -357,6 +356,25 @@ class TestFallback:
         assert seen == ["failed", "proved"]
 
 
+class TestRankProofEvaluator:
+    """Each pass hands the rank proof its own evaluator: the double pass
+    proves the rank with _double_log_moduli alone, the working-precision
+    pass with _mp_log_moduli alone."""
+
+    def test_each_pass_proves_with_its_evaluator(self, monkeypatch, fields):
+        K = fields["cubic"]
+        gens = [K.element([-1]), K.gen(), K.gen() ** 2]
+        calls = {"_double_log_moduli": 0, "_mp_log_moduli": 0}
+        for name in calls:
+            count_calls(monkeypatch, calls, arithreg.relations, name)
+        p = relation_lattice(gens, 50)
+        assert len(gens) - len(p.relation_basis) == 1
+        assert calls == {"_double_log_moduli": 1, "_mp_log_moduli": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        assert TestFallback.mpmath_only(monkeypatch, gens) == p
+        assert calls == {"_double_log_moduli": 0, "_mp_log_moduli": 1}
+
+
 class TestVerifiedBasis:
     """Relations are proved once, on the stored HNF basis, by comparing the
     products over the positive and the negative exponents."""
@@ -583,7 +601,7 @@ class TestExteriorSquare:
         assert sq.v_matrix != tuple(map(tuple, identity(p.rank)))
 
         def plus(a, b):
-            return sq.reduce_smith([x + y for x, y in zip(a.coords, b.coords)])
+            return sq.reduce_smith([x + y for x, y in zip(a, b)])
 
         rng = random.Random(32)
         k = p.rank
@@ -591,10 +609,10 @@ class TestExteriorSquare:
             u = [rng.randint(-5, 5) for _ in range(k)]
             u2 = [rng.randint(-5, 5) for _ in range(k)]
             v = [rng.randint(-5, 5) for _ in range(k)]
-            left = wedge_of_vectors(p, [a + b for a, b in zip(u, u2)], v)
-            assert left.coords == plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, u2, v))
-            assert not any(plus(wedge_of_vectors(p, u, v), wedge_of_vectors(p, v, u)))
-            assert wedge_of_vectors(p, u, u).is_zero()
+            left = sq.wedge([a + b for a, b in zip(u, u2)], v)
+            assert left == plus(sq.wedge(u, v), sq.wedge(u2, v))
+            assert not any(plus(sq.wedge(u, v), sq.wedge(v, u)))
+            assert not any(sq.wedge(u, u))
 
     def test_bloch_check_reduces_each_relation_basis_once(self, monkeypatch):
         # the torsion proof and the exterior square of a presentation read
@@ -648,6 +666,30 @@ class TestExteriorSquare:
             assert bloch_sum_vanishes(candidates, mults, p)
 
 
+class TestCoordinatesOf:
+    def test_empty_presentation_expresses_only_one(self, fields):
+        K = fields["cubic"]
+        p = relation_lattice([])
+        assert coordinates_of(K.one(), p) == ()
+        for elem in (K.gen(), K.element([-1])):
+            with pytest.raises(PresentationIncompleteError):
+                coordinates_of(elem, p)
+
+    def test_one_is_the_zero_vector(self, fields):
+        K = fields["cubic"]
+        p = relation_lattice([K.element([-1]), K.gen()], 50)
+        assert coordinates_of(K.one(), p) == (0, 0)
+
+    def test_non_generator_found_by_proved_search(self, fields):
+        K = fields["cubic"]
+        gens = [K.element([-1]), K.gen()]
+        p = relation_lattice(gens, 50)
+        elem = -(K.gen() ** -2)
+        coords = coordinates_of(elem, p)
+        assert coords == (-1, -2)
+        assert power_product(gens, coords) == elem
+
+
 class TestSteinberg:
     def test_collinear_coordinates_give_zero(self, fields):
         # 1 - phi^-2 = phi^-1, so lam and 1-lam are powers of one generator
@@ -658,12 +700,12 @@ class TestSteinberg:
         assert (K.one() - lam) == phi ** -1
         p = relation_lattice([K.element([-1]), phi], 50)
         img = steinberg_image(lam, p)
-        assert img.is_zero()
+        assert not any(img)
 
     def test_phi_hits_torsion(self, fields):
         K = fields["Qphi"]
         p = relation_lattice([K.element([-1]), K.gen()], 50)
-        assert not steinberg_image(K.gen(), p).is_zero()
+        assert any(steinberg_image(K.gen(), p))
         assert not verify_bloch_element(BlochElement((K.gen(),), (1,)), p)
         assert verify_bloch_element(BlochElement((K.gen(),), (2,)), p)
 
@@ -683,7 +725,7 @@ class TestSteinberg:
         p0 = MultiplicativePresentation(
             (K.element([-1]), lam, K.one() - lam), (), 1, 50)
         img = steinberg_image(lam, p0)
-        assert not img.is_zero()
+        assert any(img)
         assert group_invariants(exterior_square(p0).invariants) == ([], 3)
         for n in (2, 3, 7):
             assert not verify_bloch_element(BlochElement((lam,), (n,)), p0)
