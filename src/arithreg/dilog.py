@@ -64,9 +64,23 @@ With A = log(-z) on the routes that end in an inversion no row keeps an i pi
 term, so no terms of size pi log|z| cancel, and C takes at most two mpc
 products. An exactly-real z is taken as z - i0, the side of the cut on which
 mpmath puts a negative real, so log(-z) and log(1-z) need no correction.
-The row (ref, inv, ref) reads A only as Re A = log|z|, and only for D, so
-it takes log|z| by mpf_log_hypot, the real part of mpmath's complex log
-without its atan2, and no log of z when z is real.
+
+Forms of the logs. u and C read A and B in full, log|w| reads only their
+real parts, and D reads u, log|w| and the series, never C. So a route
+takes A or B as a complex log only when u reads it, or when Li2 is wanted
+and C reads it. A log that log|w| alone reads is taken as its real part,
+log|z| = Re A or log|1-z| = Re B, by mpf_log_hypot: mpmath's complex log
+forms its real part by that same call, so the bits are equal, without the
+atan2 of its imaginary part. No real part is taken when z is real: D = 0.
+Li2 with D (li2_and_bloch_wigner) and D alone (bloch_wigner, no C) take:
+
+    route            Li2 and D        D alone
+    ()               log1p, log|z|    log1p, log|z|
+    (inv)            A, log1p         Re A, log1p
+    (ref)            A, B             A, Re B
+    (ref, inv)       A, B, log1p      Re B, log1p
+    (inv, ref)       A, B             A, Re B
+    (ref, inv, ref)  Re A, B          Re A, B
 
 Real input is real by construction. The rule takes a real z <= 1 by (),
 (ref), (ref, inv) or (ref, inv, ref), so w is real in [-1/2, 1/2], and u
@@ -283,12 +297,12 @@ def _linear(form, logs, neg=mpc_neg, add=mpc_add):
     return add(terms[0], terms[1], mp.prec, round_nearest) if len(terms) > 1 else terms[0]
 
 
-def _li2_principal(z) -> tuple:
+def _li2_principal(z, li2: bool = True) -> tuple:
     """(Li2(z), D(z)) at the current mp working precision, principal branch,
-    from the route's row of _ROUTES: at most the two logs A and
-    B = log(1-z), and on the route (ref, inv, ref), which reads Re A alone,
-    log|z| for D in place of A (module docstring); D is 0 for exactly-real
-    z.
+    from the route's row of _ROUTES, which also decides the form of each of
+    the logs A and B = log(1-z) (module docstring); D is 0 for exactly-real
+    z. With li2=False, (None, D(z)): no route constant, and a log that only
+    log|w| reads is taken as its real part alone.
 
     Caller guarantees z != 0, 1. An exactly-real z is taken as z - i0, so
     on the cut Li2 is the limit from below.
@@ -296,31 +310,38 @@ def _li2_principal(z) -> tuple:
     prec = mp.prec
     chain = _reduction_chain(z)
     a, u_form, log_abs_form, (p, q, r, t) = _ROUTES[chain]
-    A = mp.log(-z if a < 0 else z)._mpc_ if chain and chain != ("ref", "inv", "ref") else None
-    B = mp.log(1 - z)._mpc_ if chain and chain != ("inv",) else None
+    u_a, u_b = u_form or (0, 0)
+    A = mp.log(-z if a < 0 else z)._mpc_ if u_a or li2 and (q or t) else None
+    B = mp.log(1 - z)._mpc_ if u_b or li2 and (r or t) else None
     u = _linear(u_form, (A, B)) if u_form else mpc_neg(mp.log1p(-_orbit_value(z, chain))._mpc_)
-    series = value = _bernoulli_series(u)
+    series = _bernoulli_series(u)
     odd = len(chain) % 2
-    if chain:
-        pi2_6 = _PI2_6.get(prec) or _PI2_6.setdefault(prec, (mp.pi ** 2 / 6)._mpf_)
-        const = (mpf_mul_int(pi2_6, p, prec, round_nearest), fzero)
-        for c, x, y in ((q, A, A), (r, B, B), (t, A, B)):
-            if c:  # c x y for c in {+-1, +-1/2}: a negation and a shift, both exact
-                term = mpc_mul(x, y, prec, round_nearest)
-                term = mpc_shift(term, -1) if abs(c) == 0.5 else term
-                const = mpc_add(const, mpc_neg(term) if c < 0 else term, prec, round_nearest)
-        value = mpc_add(mpc_neg(series) if odd else series, const, prec, round_nearest)
+    value = None
+    if li2:
+        value = series
+        if chain:
+            pi2_6 = _PI2_6.get(prec) or _PI2_6.setdefault(prec, (mp.pi ** 2 / 6)._mpf_)
+            const = (mpf_mul_int(pi2_6, p, prec, round_nearest), fzero)
+            for c, x, y in ((q, A, A), (r, B, B), (t, A, B)):
+                if c:  # c x y for c in {+-1, +-1/2}: a negation and a shift, both exact
+                    term = mpc_mul(x, y, prec, round_nearest)
+                    term = mpc_shift(term, -1) if abs(c) == 0.5 else term
+                    const = mpc_add(const, mpc_neg(term) if c < 0 else term, prec, round_nearest)
+            value = mpc_add(mpc_neg(series) if odd else series, const, prec, round_nearest)
+        value = mp.make_mpc(value)
     z_re, z_im = z._mpc_
     if z_im == fzero:
-        return mp.make_mpc(value), mpf(0)
+        return value, mpf(0)
     if chain:
-        re_a = mpf_log_hypot(z_re, z_im, prec, round_nearest) if A is None else A[0]
-        log_abs_w = _linear(log_abs_form, (re_a, B[0] if B else None), mpf_neg, mpf_add)
+        x, y = log_abs_form  # a log not taken in full is read as its real part alone
+        re_a = x and (A[0] if A else mpf_log_hypot(z_re, z_im, prec, round_nearest))
+        re_b = y and (B[0] if B else mpf_log_hypot(*(1 - z)._mpc_, prec, round_nearest))
+        log_abs_w = _linear(log_abs_form, (re_a, re_b), mpf_neg, mpf_add)
     else:
         log_abs_w = mp.log(abs(z))._mpf_
     d = mpf_add(mpf_mul(log_abs_w, mpf_neg(u[1]), prec, round_nearest), series[1],
                 prec, round_nearest)
-    return mp.make_mpc(value), mp.make_mpf(mpf_neg(d) if odd else d)
+    return value, mp.make_mpf(mpf_neg(d) if odd else d)
 
 
 def _as_mpc(z) -> mpc:
@@ -339,7 +360,9 @@ def li2(z, digits: int = DEFAULT_DIGITS) -> mpc:
 
 
 def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
-    """The single-valued function log|z| arg(1-z) + Im Li2(z).
+    """The single-valued function log|z| arg(1-z) + Im Li2(z), formed alone:
+    the same bits as li2_and_bloch_wigner(z, digits)[1], without the route
+    constant or a log that D reads only as log|w| (module docstring).
 
     Exactly-real input returns exact 0 without any floating evaluation, so
     per-embedding value vectors stay rigorously conjugation-equivariant at
@@ -347,7 +370,10 @@ def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
     """
     if not z.imag:
         return mpf(0)
-    return li2_and_bloch_wigner(z, digits)[1]
+    with mp.workdps(working_dps(digits)):
+        d = _li2_principal(_as_mpc(z), li2=False)[1]
+    with mp.workdps(digits):
+        return +d
 
 
 def li2_and_bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> tuple[mpc, mpf]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_add, mpf_lt, mpf_mul, mpf_sub, round_nearest
 
 from .dilog import bloch_wigner
 from .errors import DomainError, PrecisionError
@@ -71,7 +72,8 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
 
     The elements share one support (DomainError otherwise), so each support
     element is evaluated and checked for degeneracy once per pair
-    representative, used or not. A support element that some n_i != 0 needs
+    representative, used or not; the check runs on the raw parts of the
+    value (_near_zero_or_one). A support element that some n_i != 0 needs
     takes its D values from the first earlier one in its anharmonic orbit
     (_orbit_sign), negated for an odd orbit map, and computes them at each
     pair representative otherwise; every sum runs in support order over the
@@ -88,13 +90,13 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
     rows = [[mpf(0)] * e.degree for _ in elements]
     if reps:
         with mp.workdps(e.working_dps):
-            tol2 = mpf(10) ** (-2 * (e.precision // 2))  # squared, to skip square roots
+            tol2 = (mpf(10) ** (-2 * (e.precision // 2)))._mpf_  # squared: no square roots
             dvalues = []  # per support element: D at each pair representative, or None
             bases = []  # (lambda, 1 - lambda, D values) of each orbit met so far
             for k, lam in enumerate(support):
                 conjugates = evaluate(lam, e)
                 zs = [conjugates[idx] for idx in reps]
-                if any(min(z.real ** 2, (z.real - 1) ** 2) + z.imag ** 2 < tol2 for z in zs):
+                if any(_near_zero_or_one(z._mpc_, tol2) for z in zs):
                     raise PrecisionError(
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")
@@ -118,6 +120,20 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
                     values[idx] = -acc
                     values[e.conjugate_index(idx)] = acc
     return [RegulatorVector(e, tuple(values), WEIGHT_K3) for values in rows]
+
+
+def _near_zero_or_one(z, tol2) -> bool:
+    """min(x^2, (x-1)^2) + y^2 < tol2 for the raw mpc z = (x, y) and the raw
+    mpf tol2, by the libmp calls of the mpf operators at mp.prec, rounding
+    to nearest: the boolean of the operator form, bit for bit. x ** 2 rounds
+    the same exact square as x * x."""
+    prec = mp.prec
+    x, y = z
+    x1 = mpf_sub(x, fone, prec, round_nearest)
+    square, square1 = mpf_mul(x, x, prec, round_nearest), mpf_mul(x1, x1, prec, round_nearest)
+    nearest = square1 if mpf_lt(square1, square) else square
+    return mpf_lt(mpf_add(nearest, mpf_mul(y, y, prec, round_nearest), prec, round_nearest),
+                  tol2)
 
 
 def _orbit_sign(mu: FieldElement, lam: FieldElement, one_minus: FieldElement) -> int:

@@ -12,8 +12,9 @@ by exact field multiplication, without inverting: the product over positive
 exponents must equal the product over negative ones. The candidates are integer
 combinations of the basis rows, so they are proved with it. The torsion
 order, read off the Smith invariants of the basis, is proved the same way
-on powers of the two sign-split products of a torsion generator. Last, the
-lattice is proved complete: the log-modulus vectors of as many generators
+on powers of the two sign-split products of a torsion generator, whose
+exponents are solved once per relation basis, beside its Smith form. Last,
+the lattice is proved complete: the log-modulus vectors of as many generators
 as the presented group has free rank are shown independent by one minor,
 evaluated at the precision of the pass, against an a priori error bound
 (Pohst and Zassenhaus, Algorithmic Algebraic Number Theory, 1989), so no
@@ -40,7 +41,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError, quoted
-from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
+from .intmat import (_fraction_free, det_fraction, hnf, identity, in_lattice, left_kernel,
                      lll, snf)
 from .nf import (EmbeddingSet, FieldElement, _horner, _prime_divisors, _vec_mat, embeddings,
                  evaluate)
@@ -435,21 +436,32 @@ def _is_root_of_one(pos, neg, n) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _smith_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """(invariants, V) of snf(rows), formed once per relation basis: the
-    torsion proof and the exterior square both read it."""
+def _smith_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple | None]:
+    """(invariants, V, x) of snf(rows), formed once per relation basis: the
+    torsion proof and the exterior square both read it. When exactly one
+    invariant d_i exceeds 1, x is row i of V^-1, the exponents of the
+    torsion generator, solved as x V = e_i by one fraction-free elimination
+    on V^T; V is unimodular, so det V = +-1 and x is integral. Otherwise x
+    is None."""
     invariants, v = snf(rows)
-    return tuple(invariants), tuple(map(tuple, v))
+    nontrivial = [i for i, d in enumerate(invariants) if d > 1]
+    row = None
+    if len(nontrivial) == 1:
+        i = nontrivial[0]
+        det, x = _fraction_free([list(col) + [int(j == i)] for j, col in enumerate(zip(*v))])
+        row = tuple(det * c for (c,) in x)  # x V = det e_i, and 1 / det = det
+    return tuple(invariants), tuple(map(tuple, v)), row
 
 
 def _certify_torsion(elems, basis) -> int:
     """Order w of the torsion of Z^k modulo the relation basis, read off its
     Smith invariants and proved on the generator t = P / N of the torsion
-    factor (_sign_split, formed once): t^w == 1 and t^(w/q) != 1 for each
-    prime q | w (_is_root_of_one)."""
+    factor (_sign_split, formed once), whose exponents _smith_form solves
+    beside the Smith form: t^w == 1 and t^(w/q) != 1 for each prime q | w
+    (_is_root_of_one)."""
     if not basis:
         return 1
-    invariants, v = _smith_form(tuple(map(tuple, basis)))
+    invariants, _, generator = _smith_form(tuple(map(tuple, basis)))
     nontrivial = [d for d in invariants if d > 1]
     if not nontrivial:
         return 1
@@ -458,8 +470,7 @@ def _certify_torsion(elems, basis) -> int:
             "presented torsion is not cyclic; the relation lattice is "
             "incomplete, retry at higher precision")
     w = nontrivial[0]
-    # v is unimodular, so its inverse has denominator 1
-    pos, neg = _sign_split(elems, _integer_inverse(v)[0][invariants.index(w)])
+    pos, neg = _sign_split(elems, generator)
     if not _is_root_of_one(pos, neg, w):
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
@@ -516,7 +527,7 @@ def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
     torsion included, from the Smith form of the k-column relation rows."""
-    d, v = _smith_form(relation_rows) if relation_rows else ([0] * k, identity(k))
+    d, v = _smith_form(relation_rows)[:2] if relation_rows else ([0] * k, identity(k))
     return ExteriorSquare(k, tuple(math.gcd(d[i], d[j]) for i, j in _pairs(k)),
                           tuple(tuple(row) for row in v))
 

@@ -447,6 +447,42 @@ class TestRawArithmeticBits:
             assert (value._mpc_, d._mpf_) == (old_value._mpc_, old_d._mpf_), (z, digits)
 
 
+class TestBlochWignerAlone:
+    """bloch_wigner forms D without Li2: no route constant, and every log
+    that only log|w| reads taken as its real part by mpf_log_hypot, the
+    real part of mpmath's complex log. Its bits are the D of
+    li2_and_bloch_wigner at every route and on both sides of each tie."""
+
+    @pytest.mark.parametrize("digits", [30, 50, 100, 200])
+    def test_same_bits_as_li2_and_bloch_wigner(self, digits):
+        # bloch_wigner reads z.imag, so it takes numbers, not strings
+        points = [z for z in raw_arithmetic_points(digits) if not isinstance(z, str)]
+        with mp.workdps(working_dps(digits)):
+            chains = {_reduction_chain(w) for w in map(_as_mpc, points) if w.imag}
+        assert chains == set(_CHAINS)
+        for z in points:
+            assert bloch_wigner(z, digits)._mpf_ == li2_and_bloch_wigner(z, digits)[1]._mpf_, \
+                (z, digits)
+
+    def test_log_calls_per_route(self, monkeypatch):
+        # a log is taken in full only where u reads it; log1p where u is
+        # -log1p(-w), on the identity route and after a final inversion
+        calls = {(): (1, 1, 0), ("inv",): (0, 1, 1), ("ref",): (1, 0, 1),
+                 ("ref", "inv"): (0, 1, 1), ("inv", "ref"): (1, 0, 1),
+                 ("ref", "inv", "ref"): (1, 0, 1)}
+        with mp.workdps(working_dps(DIGITS)):
+            points = [mpc(z) for z in route_points()]
+            chains = [_reduction_chain(z) for z in points]
+        assert all(z.imag for z in points) and set(chains) == set(_CHAINS)
+        counts = log_counts(monkeypatch)
+        for z, chain in zip(points, chains):
+            for key in counts:
+                counts[key] = 0
+            bloch_wigner(z, DIGITS)
+            log, log1p, log_hypot = calls[chain]
+            assert counts == {"log": log, "log1p": log1p, "arg": 0, "log_hypot": log_hypot}, z
+
+
 class TestBlochWignerFarFromTheUnitCircle:
     """D taken at the reduced argument keeps its digits where the route
     constants are of size log^2 |z| and D is tiny, against

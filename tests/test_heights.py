@@ -182,6 +182,17 @@ class TestCHatHeight:
         with pytest.raises(PrincipalityError):
             c_hat_height(b, 2, K.element([3, -4]), e)  # (2 - i)^2
 
+    def test_unit_multiple_of_the_generator_accepted(self, fields, embset):
+        # i (2 + i) generates (2 + i) and i (2 + i)^2 its square: accepted,
+        # with the height of the plain generator
+        K, e = fields["Qi"], embset["Qi"]
+        g, i = K.element([2, 1]), K.gen()
+        P = FractionalIdeal.principal(g)
+        b = MetrizedLineBundle(P, standard_metric(P, e))
+        with mp.workdps(60):
+            for n, plain in ((1, g), (2, g * g)):
+                assert c_hat_height(b, n, i * plain, e) == c_hat_height(b, n, plain, e)
+
     def test_wrong_power_rejected(self, fields, embset):
         K, e = fields["Qsqrtm5"], embset["Qsqrtm5"]
         P = FractionalIdeal.from_elements(K, [K.element([2]), K.one() + K.gen()])

@@ -6,7 +6,9 @@ from mpmath import mp, mpc, mpf
 from arithreg.dilog import bloch_wigner
 from arithreg.errors import DomainError, PrecisionError
 from arithreg.nf import embeddings, evaluate, parse_field
-from arithreg.regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
+from arithreg.precision import working_dps
+from arithreg.regulator import (RegulatorVector, _near_zero_or_one, k3_regulator, s_map,
+                                unit_regulator)
 from arithreg.relations import BlochElement
 
 TOL = mpf(10) ** -40
@@ -197,6 +199,26 @@ class TestK3Regulator:
                 k3_regulator(xs, e)
         else:
             assert len(k3_regulator(xs, e)) == 1
+
+    @pytest.mark.parametrize("digits", [16, 30, 60, 200])
+    def test_degeneracy_test_matches_the_operator_form(self, digits):
+        # the test on raw parts gives the boolean of
+        # min(re^2, (re-1)^2) + im^2 < tol^2 in mpf operators, on seeded
+        # points whose distance to 0 or 1 straddles tol by a few ulps
+        rng = random.Random(f"degeneracy-{digits}")
+        with mp.workdps(working_dps(digits)):
+            tol2 = mpf(10) ** (-2 * (digits // 2))
+            tol = mp.sqrt(tol2)
+            outcomes = set()
+            for _ in range(400):
+                near = rng.choice((0, 1, 0.5, 3))
+                scale = tol * (1 + rng.choice((-1, 1)) * mpf(2) ** -rng.randint(1, mp.prec + 4))
+                z = near + scale * mp.expj(rng.uniform(-3.2, 3.2))
+                z = mpc(z.real, 0) if rng.random() < 0.2 else z
+                expected = min(z.real ** 2, (z.real - 1) ** 2) + z.imag ** 2 < tol2
+                assert _near_zero_or_one(z._mpc_, tol2._mpf_) == expected, z
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("poly", list(SHIFTED_ROOTS.values()), ids=list(SHIFTED_ROOTS))
     @pytest.mark.parametrize("name", list(ORBIT_MAPS))

@@ -11,7 +11,7 @@ from mpmath import mp
 import arithreg.relations
 from arithreg.cli import _candidate_presentation, parse_element, run_job
 from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
-from arithreg.intmat import identity, in_lattice, lll
+from arithreg.intmat import _integer_inverse, det_fraction, identity, in_lattice, lll
 from arithreg.nf import FieldElement, embeddings, parse_field
 from arithreg.precision import GUARD_DIGITS
 from arithreg.relations import (FLOAT_DIGITS, BlochElement, _certainly_nonsingular,
@@ -511,6 +511,62 @@ class TestVerifiedBasis:
             assert proved == expected, v
             verdicts.add(expected)
         assert verdicts == {True, False}
+
+
+def _readme_generators(K):
+    x, one = K.gen(), K.one()
+    return [K.element([-1]), x, one - x, (one - x).inverse(), x * (x - one).inverse()]
+
+
+# name -> (poly, generators of K, torsion order): -1 on x^3 - x + 1, i, a
+# primitive cube and sixth root of unity, and the README bloch-check
+# generators, whose Smith transform V has determinant -1
+TORSION_PRESENTATIONS = {
+    "-1": ([1, -1, 0, 1], lambda K: [K.element([-1]), K.gen()], 2),
+    "i": ([1, 0, 1], lambda K: [K.gen()], 4),
+    "zeta3": ([1, 1, 1], lambda K: [K.gen()], 3),
+    "zeta6": ([1, 1, 1], lambda K: [-K.gen()], 6),
+    "readme": ([1, -1, 0, 1], _readme_generators, 2),
+}
+
+
+class TestTorsionRow:
+    """_smith_form solves the exponents of the torsion generator, row i of
+    V^-1 for the one invariant d_i > 1, as x V = e_i beside the Smith form;
+    intmat._integer_inverse(V) is the oracle."""
+
+    @staticmethod
+    def assert_torsion_row(rows):
+        invariants, v, x = arithreg.relations._smith_form(rows)
+        i = next(i for i, d in enumerate(invariants) if d > 1)
+        assert [sum(c * row[j] for c, row in zip(x, v)) for j in range(len(v))] == \
+            [int(j == i) for j in range(len(v))]
+        inverse, den = _integer_inverse(v)
+        assert den == 1 and list(x) == inverse[i]
+        return det_fraction([list(row) for row in v])
+
+    @pytest.mark.parametrize("name", list(TORSION_PRESENTATIONS))
+    def test_row_proves_the_torsion_order(self, name):
+        poly, gens, order = TORSION_PRESENTATIONS[name]
+        K = parse_field({"poly": poly})
+        elems = gens(K)
+        basis = relation_lattice(elems, 50).relation_basis
+        arithreg.relations._smith_form.cache_clear()
+        det = self.assert_torsion_row(basis)
+        assert det == (-1 if name == "readme" else 1)
+        assert arithreg.relations._certify_torsion(elems, [list(r) for r in basis]) == order
+
+    def test_row_of_a_transform_of_determinant_minus_one(self):
+        # the first basis with one invariant above 1 and det V = -1 that a
+        # search over random.Random(seed), seed = 0, 1, ..., drew: k in
+        # [2, 4], then 1 to k rows of entries in [-6, 6]; seed 0 gave it
+        arithreg.relations._smith_form.cache_clear()
+        assert self.assert_torsion_row(((-6, -2, 2), (1, 0, 6))) == -1
+
+    def test_no_row_without_exactly_one_torsion_invariant(self):
+        arithreg.relations._smith_form.cache_clear()
+        for rows in (((1, 0), (0, 1)), ((2, 0), (0, 2)), ((1, 1),)):
+            assert arithreg.relations._smith_form(rows)[2] is None
 
 
 class TestExteriorSquare:
