@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .arakelov import MetrizedLineBundle, FractionalIdeal
+from .arakelov import MetrizedLineBundle
 from .errors import DomainError, PrincipalityError
 from .nf import EmbeddingSet, FieldElement, evaluate
 
@@ -83,18 +83,19 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
     """Height of the class of a metrized bundle, computed through the N-th
     power trivialized by `generator`.
 
-    The claim that generator generates ideal^N is verified exactly and never
-    trusted: N(generator) against N(ideal)^N first, which rejects most wrong
-    generators without forming ideal^N, then the HNFs. The result must agree
-    with arithmetic_degree(bundle, e); tests enforce that equality.
+    The claim that generator generates J = ideal^N is verified exactly, never
+    trusted: |N(generator)| against N(ideal)^N first, which rejects most wrong
+    generators without forming J, then generator in J and N(J) = |N(generator)|,
+    so (generator) = J. The result must agree with arithmetic_degree(bundle, e).
     """
     if n_power < 1:
         raise DomainError("the power must be a positive integer")
     if generator.is_zero():
         raise DomainError("generator must be nonzero")
-    principal = FractionalIdeal.principal(generator)
-    if not (_is_power(bundle.ideal.norm, n_power, principal.norm)
-            and bundle.ideal.power(n_power) == principal):
+    norm = abs(generator.norm())
+    if not (_is_power(bundle.ideal.norm, n_power, norm)
+            and (power := bundle.ideal.power(n_power)).contains(generator)
+            and power.norm == norm):
         raise PrincipalityError(
             "generator does not generate the stated power of the ideal")
 

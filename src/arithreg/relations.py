@@ -2,24 +2,25 @@
 finitely generated abelian groups, the wedge map lambda -> lambda ^ (1-lambda),
 and the kernel of formal sums under that map.
 
-Relations are discovered numerically: LLL on a scaled logarithmic
-embedding, one log-modulus column per conjugacy class of embeddings plus
-argument columns with auxiliary rows absorbing whole turns, which one loop
-(_columns) takes from values in doubles first (scale 10^12), and at the
-working precision when that search fails. The candidates are reduced to
-their HNF basis, the rows that are stored, and each basis row is proved once
-by exact field multiplication, without inverting: the product over positive
-exponents must equal the product over negative ones. The candidates are integer
-combinations of the basis rows, so they are proved with it. The torsion
-order, read off the Smith invariants of the basis, is proved the same way
-on powers of the two sign-split products of a torsion generator, whose
-exponents are solved once per relation basis, beside its Smith form. Last,
-the lattice is proved complete: the log-modulus vectors of as many generators
-as the presented group has free rank are shown independent by one minor,
-evaluated at the precision of the pass, against an a priori error bound
-(Pohst and Zassenhaus, Algorithmic Algebraic Number Theory, 1989), so no
-relation is missing. A relation that floating error hides therefore
-raises PrecisionError; none is invented.
+Relations are discovered numerically: LLL (Cohen, Alg. 2.6.7) on a scaled
+logarithmic embedding, which one loop (_columns) takes from values in doubles
+first (scale 10^12), and at the working precision when that search fails. Of
+the r1 + r2 log-modulus columns, one per conjugacy class of embeddings, the
+product formula fixes the last; one argument column, with one row absorbing
+its whole turns, suffices, as a unit whose conjugates all have modulus 1 is a
+root of unity (Kronecker) and an embedding is injective on those. Each LLL
+row is proved by exact field multiplication, without inverting (the product
+over positive exponents must equal that over negative ones), then the proved
+rows are reduced to their HNF basis, which is stored. The torsion
+order, read off the Smith invariants of the basis, is proved the same way on
+powers of the two sign-split products of a torsion generator, whose exponents
+are solved once per relation basis, beside its Smith form. Last, the lattice
+is proved complete: the log-modulus vectors of as many generators as the
+presented group has free rank are shown independent by one minor, evaluated
+at the precision of the pass, against an a priori error bound (Pohst and
+Zassenhaus, Algorithmic Algebraic Number Theory, 1989), so no relation is
+missing. A relation that floating error hides raises PrecisionError; none is
+invented.
 Exterior squares keep their torsion and are read off the Smith form
 U L V = diag(d_1, ..., d_k) of the relation basis L itself: x -> xV takes
 the presented group to the sum of the Z/d_i (d_i = 0 a free coordinate);
@@ -133,27 +134,25 @@ def _nint(x) -> int:
 
 
 def _search_lattice(logs, args, digits: int) -> list[list[int]]:
-    """The lattice LLL searches for relations: per element its unit vector,
-    then its logs and args scaled by 10^digits and rounded; then one row of
-    10^digits per argument column, absorbing whole turns. Over mpf columns
-    it must run at their working precision."""
+    """The k + 1 rows LLL searches for relations among k elements: per
+    element its unit vector, then its logs at the first r1 + r2 - 1 classes
+    and its arg at the first, scaled by 10^digits and rounded; then one row
+    of 10^digits, absorbing whole turns. Over mpf columns it must run at
+    their working precision."""
     scale = 10 ** digits
-    k = len(logs)
-    ncls = len(logs[0])
+    k, free = len(logs), len(logs[0]) - 1
     rows = [[1 if j == i else 0 for j in range(k)]
-            + [_nint(scale * v) for v in logs[i] + args[i]]
+            + [_nint(scale * v) for v in logs[i][:free] + args[i][:1]]
             for i in range(k)]
-    for j in range(ncls):
-        rows.append([0] * (k + ncls + j) + [scale] + [0] * (ncls - 1 - j))
-    return rows
+    return rows + [[0] * (k + free) + [scale]]
 
 
 def _relation_candidates(logs, args, digits: int):
     """(candidates, dropped): the exponent vectors of candidate relations,
-    the LLL-reduced vectors of _search_lattice whose residuals are at most
-    10^(digits // 2) and whose exponents are within DEFAULT_EXPONENT_BOUND,
+    the LLL-reduced rows of _search_lattice whose r1 + r2 residuals are at
+    most 10^(digits // 2) and whose exponents are within DEFAULT_EXPONENT_BOUND,
     and whether a vector within the residual threshold was dropped for its
-    exponents alone. The candidates are unproved until _verified_basis."""
+    exponents alone. _verified_basis proves each candidate row as it stands."""
     k = len(logs)
     threshold = 10 ** (digits // 2)
     out, dropped = [], False
@@ -168,18 +167,17 @@ def _relation_candidates(logs, args, digits: int):
 
 
 def _verified_basis(elems, candidates) -> list[list[int]]:
-    """HNF basis of the lattice spanned by the candidate exponent rows, each
-    row proved a relation among elems by exact multiplication: the product
-    of g_i^e_i over e_i > 0 must equal that of g_i^-e_i over e_i < 0. A row
-    that fails raises PrecisionError (retry with more digits)."""
-    basis = hnf(candidates)
-    for row in basis:
+    """HNF basis of the lattice spanned by the candidate rows, each proved
+    first, as its exponents are shorter than the HNF's, a relation among
+    elems: the product of g_i^e_i over e_i > 0 must equal that of g_i^-e_i
+    over e_i < 0, else PrecisionError (retry with more digits)."""
+    for row in candidates:
         pos, neg = _sign_split(elems, row)
         if pos != neg:
             raise PrecisionError(
                 "numerically discovered relation failed exact verification; "
                 "retry at higher precision")
-    return basis
+    return hnf(candidates)
 
 
 def _proved_lattice(elems, precision: int) -> tuple[list[list[int]], int]:

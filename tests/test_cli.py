@@ -902,10 +902,10 @@ def test_bloch_check_work_counts(monkeypatch):
 
 
 def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
-    """The README bloch-check example makes 14 field multiplications, none
+    """The README bloch-check example makes 13 field multiplications, none
     with an operand equal to 1: powers and power products start from their
-    first factor (58 multiplications, 26 of them by 1, when they started
-    from 1)."""
+    first factor, and the relations proved are LLL's rows, whose exponents
+    are shorter than those of their HNF (proving the HNF rows made 14)."""
     from arithreg.nf import FieldElement
 
     operands = []
@@ -918,7 +918,7 @@ def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", recorded)
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     assert run_job(dict(_build_job(argv[1:]), output="json"), out=io.StringIO()) == 0
-    assert len(operands) == 14
+    assert len(operands) == 13
     assert not any(a.is_one() or b.is_one() for a, b in operands)
 
 
@@ -1115,7 +1115,8 @@ def test_degree_closure_work_counts(monkeypatch):
     nothing more, since the default section is the first HNF row; the
     height --N 2 job squares the ideal through those same generators, where
     a second closure test over the ring generators made 12 more membership
-    tests."""
+    tests, and proves (x+2)^2 generates the square by one more membership
+    test and the norms, with no HNF of the principal ideal."""
     import arithreg.arakelov as arakelov
 
     calls = {"in_lattice": 0}
@@ -1135,13 +1136,13 @@ def test_degree_closure_work_counts(monkeypatch):
     rows.append([1, 1] + [0] * (n - 3) + [2])
     bundle = json.dumps({"ideal_basis": [[str(c) for c in row] for row in rows],
                          "metric": ["3"] * 2 + ["0.5"] * (n - 2)})
-    for argv in (["degree"], ["height", "--N", "2", "--generator", "(x+2)^2"]):
+    for argv, tests in ((["degree"], 1), (["height", "--N", "2", "--generator", "(x+2)^2"], 2)):
         calls["in_lattice"] = 0
         sizes.clear()
         out = io.StringIO()
         assert run_job(_build_job([argv[0], "--field", field, "--bundle", bundle, *argv[1:]]),
                        out=out) == 0
-        assert calls == {"in_lattice": 1} and len(sizes) == 1 and sizes[0] <= 2 * n, argv
+        assert calls == {"in_lattice": tests} and len(sizes) == 1 and sizes[0] <= 2 * n, argv
 
 
 def test_multiplication_table_is_lazy(monkeypatch):

@@ -172,15 +172,28 @@ class TestCHatHeight:
         with pytest.raises(PrincipalityError):
             c_hat_height(b, 1, K.element([3]), e)
 
-    def test_generator_of_the_same_norm_rejected(self, fields, embset):
-        # (2 + i) and (2 - i) both have norm 5: the HNFs tell them apart
+    def test_generator_of_the_same_norm_rejected(self, monkeypatch, fields, embset):
+        """On x^2 + 1, (2 + i) and (2 - i) both have norm 5, but 2 - i does
+        not lie in (2 + i), nor (2 - i)^2 in its square: membership rejects
+        both while 2 + i passes, and no check forms the principal ideal of
+        the generator."""
         K, e = fields["Qi"], embset["Qi"]
+        assert K.defining_poly == (1, 0, 1)
         P = FractionalIdeal.principal(K.element([2, 1]))
         b = MetrizedLineBundle(P, standard_metric(P, e))
+        wrong = K.element([2, -1])
+        assert abs(wrong.norm()) == P.norm and not P.contains(wrong)
+
+        def refuse(cls, elem):
+            raise AssertionError("principal ideal formed")
+
+        monkeypatch.setattr(FractionalIdeal, "principal", classmethod(refuse))
         with pytest.raises(PrincipalityError):
-            c_hat_height(b, 1, K.element([2, -1]), e)
+            c_hat_height(b, 1, wrong, e)
         with pytest.raises(PrincipalityError):
             c_hat_height(b, 2, K.element([3, -4]), e)  # (2 - i)^2
+        with mp.workdps(60):
+            assert abs(c_hat_height(b, 1, K.element([2, 1]), e) - arithmetic_degree(b, e)) < TOL
 
     def test_unit_multiple_of_the_generator_accepted(self, fields, embset):
         # i (2 + i) generates (2 + i) and i (2 + i)^2 its square: accepted,

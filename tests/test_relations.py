@@ -259,6 +259,89 @@ class TestDoubleRankBound:
             self.check(*entry)
 
 
+def full_search_lattice(logs, args, digits):
+    """The relation-search lattice with every column: per element its unit
+    vector, its logs and args at every class scaled by 10^digits and
+    rounded, then one row of 10^digits per argument column."""
+    scale = 10 ** digits
+    k, ncls = len(logs), len(logs[0])
+    rows = [[1 if j == i else 0 for j in range(k)]
+            + [arithreg.relations._nint(scale * v) for v in logs[i] + args[i]]
+            for i in range(k)]
+    for j in range(ncls):
+        rows.append([0] * (k + ncls + j) + [scale] + [0] * (ncls - 1 - j))
+    return rows
+
+
+# (poly, torsion order w, units of the field) for the search differential
+SEARCH_FIELDS = [
+    ([1, 0, 1], 4, ["x"]),
+    ([1, 1, 1], 6, ["x"]),
+    ([1, 0, 0, 0, 1], 8, ["x", "1+x-x^3"]),
+    ([1, 1, 1, 1, 1], 10, ["x", "1+x"]),
+    ([1, 0, -1, 0, 1], 12, ["x", "1+x"]),
+    ([-2, 0, 1], 2, ["1+x"]),
+    ([1, -3, 0, 1], 2, ["x", "x-1"]),
+] + [([1, -1] + [0] * (m - 2) + [1], 2, ["x", "1-x"]) for m in range(3, 8)]
+
+
+class TestSearchDifferential:
+    """The search lattice keeps r1 + r2 - 1 log columns and one argument
+    column with one turn row. On seeded generator lists over fields with
+    torsion orders 2 to 12, relation_lattice gives the same presentation or
+    error as with the lattice of every column and one turn row per class,
+    and takes the working-precision columns no more often in all. On a
+    single list either double search may fail where the other succeeds, so
+    only the total over all lists is compared."""
+
+    @staticmethod
+    def outcome(gens, monkeypatch, search=None):
+        """((basis, torsion order) or error class, _embedding_columns calls)
+        of relation_lattice on gens, with search as the lattice if given."""
+        calls = {"_embedding_columns": 0}
+        with monkeypatch.context() as patch:
+            count_calls(patch, calls, arithreg.relations, "_embedding_columns")
+            if search is not None:
+                patch.setattr(arithreg.relations, "_search_lattice", search)
+            try:
+                p = relation_lattice(gens, 50)
+                got = (p.relation_basis, p.torsion_order)
+            except (PrecisionError, DomainError) as err:
+                got = type(err)
+        return got, calls["_embedding_columns"]
+
+    def test_same_presentation_as_the_full_lattice(self, monkeypatch):
+        """100 lists per field of 2 to 5 power products of -1 and the listed
+        units, each exponent within a bound drawn from 1 to 12 per list, so
+        some lists need the working-precision pass and some are refused."""
+        calls = {"new": 0, "full": 0}
+        refused, torsion = 0, {}
+        for poly, w, units in SEARCH_FIELDS:
+            K = parse_field({"poly": poly})
+            base = [K.element([-1])] + [parse_element(u, K, "unit") for u in units]
+            assert all(g.is_unit() for g in base)
+            rng = random.Random(f"search-{poly}")
+            for _ in range(100):
+                bound = rng.randint(1, 12)
+                gens = []
+                for _ in range(rng.randint(2, 5)):
+                    g = K.one()
+                    for b in base:
+                        g = g * b ** rng.randint(-bound, bound)
+                    gens.append(g)
+                got, new_calls = self.outcome(gens, monkeypatch)
+                want, full_calls = self.outcome(gens, monkeypatch, full_search_lattice)
+                assert got == want, (poly, gens)
+                calls["new"] += new_calls
+                calls["full"] += full_calls
+                if isinstance(got, tuple):
+                    torsion[str(poly)] = max(torsion.get(str(poly), 1), got[1])
+                else:
+                    refused += 1
+            assert torsion[str(poly)] == w
+        assert refused and calls["new"] and calls["new"] <= calls["full"], (refused, calls)
+
+
 class TestColumns:
     """The double and working-precision searches take their columns
     through one _columns loop, and agree on them."""
@@ -376,8 +459,9 @@ class TestRankProofEvaluator:
 
 
 class TestVerifiedBasis:
-    """Relations are proved once, on the stored HNF basis, by comparing the
-    products over the positive and the negative exponents."""
+    """Relations are proved once, on LLL's candidate rows before their HNF
+    is taken, by comparing the products over the positive and the negative
+    exponents."""
 
     @staticmethod
     def add_false_candidate(monkeypatch):
@@ -410,6 +494,44 @@ class TestVerifiedBasis:
         with pytest.raises(PrecisionError):
             coordinates_of(lam ** 2, p)
         assert searches == [FLOAT_DIGITS, 50 - GUARD_DIGITS]
+
+    def test_each_candidate_proved_as_found(self, monkeypatch):
+        """On the README bloch-check, _verified_basis sign-splits each LLL
+        candidate once, as it stands, and powers no generator beyond the
+        largest |entry| of the candidates."""
+        real_verified = arithreg.relations._verified_basis
+        real_split = arithreg.relations._sign_split
+        real_pow = FieldElement.__pow__
+        proofs = []  # per call: (candidates, rows sign-split, exponents powered)
+        current = [None]  # the entry of the call in progress
+
+        def verified(elems, candidates):
+            current[0] = ([list(c) for c in candidates], [], [])
+            proofs.append(current[0])
+            try:
+                return real_verified(elems, candidates)
+            finally:
+                current[0] = None
+
+        def split(elems, exponents):
+            if current[0]:
+                current[0][1].append(list(exponents))
+            return real_split(elems, exponents)
+
+        def power(self, n):
+            if current[0]:
+                current[0][2].append(n)
+            return real_pow(self, n)
+
+        monkeypatch.setattr(arithreg.relations, "_verified_basis", verified)
+        monkeypatch.setattr(arithreg.relations, "_sign_split", split)
+        monkeypatch.setattr(FieldElement, "__pow__", power)
+        (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
+        assert run_job(_build_job(argv[1:]), out=io.StringIO()) == 0
+        assert proofs and all(candidates for candidates, _, _ in proofs)
+        for candidates, rows, powers in proofs:
+            assert rows == candidates
+            assert max(map(abs, powers)) <= max(abs(x) for row in candidates for x in row)
 
     def test_proofs_invert_nothing(self, monkeypatch, fields):
         """The relation rows and the torsion order of -1, x, 1-x on
@@ -927,10 +1049,11 @@ class TestRelationSearchLattices:
             assert lll(rows) == lll_fraction(rows)
 
     # sha256 of the JSON of the working-precision relation-search lattice for
-    # the 14 units below and of lll_fraction's output on it, recorded with
-    # tests/intmat_oracles.lll_fraction, which needs 20-35 s on this lattice
-    K14_LATTICE_SHA256 = "529d772518913f659705badc8bec017f107a2434f9a915c9240b0512c581da2a"
-    K14_REDUCED_SHA256 = "0fb7b01bd5b3f01374e543ab8d4ec1df1245ab16fa7cb2f6d2a01a118210673b"
+    # the 14 units below (15 rows) and of lll_fraction's output on it, recorded
+    # with tests/intmat_oracles.lll_fraction, which needs 7-9 s on this
+    # lattice on a 2-CPU host under Python 3.11
+    K14_LATTICE_SHA256 = "8bca545cb805db172ef0efd8fe7a2f77806a08f6cb56b70f3c4ee529393a6a85"
+    K14_REDUCED_SHA256 = "16130f4ce50b03612ef5faddd98a42ec7abac353fe8b6c4756a94bb5486069ac"
 
     def test_fourteen_units_of_x3_minus_3x_plus_1(self, monkeypatch):
         """relation_lattice searches the double lattice only, where lll
