@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .arakelov import (FractionalIdeal, Metric, MetrizedLineBundle, arithmetic_degree,
                        index_quotient, standard_metric, tensor, transport, twist_metric)
 from .dilog import bloch_wigner, li2
-from .heights import (DiffK0Class, c_hat_height, height, height_scaled_trivial,
-                      scaling_alpha)
-from .kmodel import GradedKAlgebra, build_model, dimension_table, rank_in_degree
+from .heights import c_hat_height, height, height_scaled_trivial, scaling_alpha
+from .kmodel import build_model, generator_labels, rank_in_degree
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
 from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
 from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
@@ -32,8 +31,7 @@ __all__ = [
     "FractionalIdeal", "Metric", "MetrizedLineBundle", "index_quotient", "arithmetic_degree", "tensor", "twist_metric",
     "transport", "standard_metric",
     # heights
-    "DiffK0Class", "height", "height_scaled_trivial", "scaling_alpha",
-    "c_hat_height",
+    "height", "height_scaled_trivial", "scaling_alpha", "c_hat_height",
     # graded model
-    "GradedKAlgebra", "build_model", "rank_in_degree", "dimension_table",
+    "build_model", "rank_in_degree", "generator_labels",
 ]

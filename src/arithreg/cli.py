@@ -30,7 +30,7 @@ from .dilog import li2_and_bloch_wigner
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError, SchemaError,
                      oversized_number, quoted)
 from .heights import c_hat_height
-from .kmodel import build_model, dimension_table
+from .kmodel import build_model
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
 from .precision import DEFAULT_DIGITS, MIN_DIGITS, working_dps
 from .regulator import k3_regulator, s_map, unit_regulator
@@ -350,7 +350,7 @@ def _cmd_kranks(payload, e):
     max_p = payload.get("max_p", 6)
     if not _is_int(max_p) or max_p < 1:
         raise SchemaError("key 'max_p' must be a positive integer")
-    return dimension_table(build_model(e, max_p))
+    return build_model(e, max_p)
 
 
 # command -> (handler, payload flags). A flag is (flag, payload key, reader,

@@ -368,10 +368,11 @@ def bloch_wigner(z, digits: int = DEFAULT_DIGITS) -> mpf:
     per-embedding value vectors stay rigorously conjugation-equivariant at
     real embeddings.
     """
-    if not z.imag:
-        return mpf(0)
     with mp.workdps(working_dps(digits)):
-        d = _li2_principal(_as_mpc(z), li2=False)[1]
+        w = _as_mpc(z)
+        if not w.imag:
+            return mpf(0)
+        d = _li2_principal(w, li2=False)[1]
     with mp.workdps(digits):
         return +d
 

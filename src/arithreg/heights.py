@@ -16,7 +16,6 @@ arithmetic_degree; the equality is the tested content, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -26,30 +25,15 @@ from .errors import DomainError, PrincipalityError
 from .nf import EmbeddingSet, FieldElement, evaluate
 
 
-@dataclass(frozen=True)
-class DiffK0Class:
-    """Unit-like differential K-theory class in concrete form.
-
-    order_hint N: the N-th power of the class equals 1 + a(scaling_vector).
-    scaling_vector: conjugation-invariant reals, one per embedding.
-    embedding_set: the embeddings the vector is indexed by.
-    """
-
-    order_hint: int
-    scaling_vector: tuple
-    embedding_set: EmbeddingSet
-
-    def __post_init__(self):
-        if self.order_hint < 1:
-            raise DomainError("order hint must be a positive integer")
-        self.embedding_set.check_invariant(self.scaling_vector, "scaling vector")
-
-
-def height(x: DiffK0Class) -> mpf:
-    """Mean of the scaling vector over embeddings, divided by the order."""
-    n = len(x.scaling_vector)
-    with mp.workdps(x.embedding_set.working_dps):
-        return mp.fsum(x.scaling_vector) / n / x.order_hint
+def height(order: int, scaling_vector, e: EmbeddingSet) -> mpf:
+    """Height of the class whose order-th power is 1 + a(scaling_vector):
+    the mean of the conjugation-invariant vector over the embeddings of e,
+    divided by the order."""
+    if order < 1:
+        raise DomainError("order hint must be a positive integer")
+    e.check_invariant(scaling_vector, "scaling vector")
+    with mp.workdps(e.working_dps):
+        return mp.fsum(scaling_vector) / len(scaling_vector) / order
 
 
 def height_scaled_trivial(f_values, e: EmbeddingSet) -> mpf:
@@ -102,7 +86,7 @@ def c_hat_height(bundle: MetrizedLineBundle, n_power: int,
     ratio = evaluate(generator / bundle.ideal.reference_section() ** n_power, e)
     f = e.invariant_vector(lambda i: -mp.log(bundle.metric.values[i] ** n_power
                                              * abs(ratio[i]) ** 2) / 2)
-    return height(DiffK0Class(n_power, f, e))
+    return height(n_power, f, e)
 
 
 def _is_power(base: Fraction, n: int, target: Fraction) -> bool:

@@ -610,11 +610,15 @@ def _bloch_kernels(candidates, p: MultiplicativePresentation
 
 def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
     """HNF basis of the integer combinations of wedge classes that vanish
-    exactly, each basis row re-verified against the torsion invariants."""
+    exactly, each basis row re-verified against the torsion invariants.
+
+    A modulus row is stacked for each coordinate of invariant d > 1 only:
+    at d = 1 every reduced image is 0 there, so the row would only force
+    its own multiplier to 0."""
     m = len(images)
     stacked = [list(img) for img in images]
     for j, d in enumerate(sq.invariants):
-        if d > 0:
+        if d > 1:
             stacked.append([d if c == j else 0 for c in range(sq.dim)])
     basis = hnf([row[:m] for row in left_kernel(stacked)])
     for row in basis:

@@ -307,12 +307,14 @@ def test_criterion_09_borel_rank_table():
     records = [[0, 1], [1, 0, 1], [-2, 0, 1], [-1, -1, 1], [5, 0, 1], [1, -1, 0, 1]]
     for poly in records:
         K = parse_field({"poly": poly})
-        model = build_model(embeddings(K, 50), 6)
-        r1, r2 = model.signature
-        for p in range(1, 7):
+        e = embeddings(K, 50)
+        table = build_model(e, 6)
+        r1, r2 = e.signature
+        assert table["signature"] == [r1, r2]
+        for p, row in zip(range(1, 7), table["rows"], strict=True):
             d = 1 - 2 * p
             want = r1 + r2 - 1 if p == 1 else (r2 if p % 2 == 0 else r1 + r2)
-            assert rank_in_degree(model, d) == want
+            assert rank_in_degree(e, d) == row["rank"] == want
     print("ACCEPTANCE 9 rank table: PASS")
 
 

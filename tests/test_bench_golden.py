@@ -45,7 +45,9 @@ def _replay(workloads, jobs, golden, capsys):
                  f"{where}: {capsys.readouterr().err}")
         assert rc == meta["expect_rc"], label
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
-        assert digest == golden["stdout_sha256"][workloads.job_key(job)], label
+        assert digest == golden["stdout_sha256"][workloads.job_key(job)], (
+            f"{label}; golden digests were recorded under mpmath {golden['env']['mpmath']}, "
+            f"this is mpmath {mpmath.__version__}")
 
 
 def test_arakelov_degrees_universe_matches_golden(monkeypatch, capsys):

@@ -455,8 +455,7 @@ class TestBlochWignerAlone:
 
     @pytest.mark.parametrize("digits", [30, 50, 100, 200])
     def test_same_bits_as_li2_and_bloch_wigner(self, digits):
-        # bloch_wigner reads z.imag, so it takes numbers, not strings
-        points = [z for z in raw_arithmetic_points(digits) if not isinstance(z, str)]
+        points = raw_arithmetic_points(digits)
         with mp.workdps(working_dps(digits)):
             chains = {_reduction_chain(w) for w in map(_as_mpc, points) if w.imag}
         assert chains == set(_CHAINS)

@@ -6,8 +6,7 @@ from mpmath import mp, mpf
 from arithreg.arakelov import (FractionalIdeal, Metric, MetrizedLineBundle,
                                arithmetic_degree, standard_metric, twist_metric)
 from arithreg.errors import DomainError, PrincipalityError
-from arithreg.heights import (DiffK0Class, c_hat_height, height,
-                              height_scaled_trivial, scaling_alpha)
+from arithreg.heights import c_hat_height, height, height_scaled_trivial, scaling_alpha
 from arithreg.regulator import unit_regulator
 
 TOL = mpf(10) ** -40
@@ -16,18 +15,18 @@ TOL = mpf(10) ** -40
 class TestHeight:
     def test_zero_vector(self, embset):
         e = embset["Qi"]
-        assert height(DiffK0Class(1, (mpf(0), mpf(0)), e)) == 0
+        assert height(1, (mpf(0), mpf(0)), e) == 0
 
     def test_constant_vector_n1(self, embset):
         e = embset["Qi"]
         c = mpf("0.75")
-        assert height(DiffK0Class(1, (c, c), e)) == c
+        assert height(1, (c, c), e) == c
 
     def test_order_two_halves(self, embset):
         e = embset["Qsqrt2"]
         v = mpf("0.6")
         with mp.workdps(60):
-            assert abs(height(DiffK0Class(2, (v, v), e)) - v / 2) < TOL
+            assert abs(height(2, (v, v), e) - v / 2) < TOL
 
     def test_additive_in_scaling_vectors(self, embset):
         rng = random.Random(61)
@@ -39,9 +38,9 @@ class TestHeight:
                 pair_a = (a, a + 1, a + 1)
                 pair_b = (b, b - 2, b - 2)
                 total = tuple(x + y for x, y in zip(pair_a, pair_b))
-                ha = height(DiffK0Class(1, pair_a, e))
-                hb = height(DiffK0Class(1, pair_b, e))
-                ht = height(DiffK0Class(1, total, e))
+                ha = height(1, pair_a, e)
+                hb = height(1, pair_b, e)
+                ht = height(1, total, e)
                 assert abs(ha + hb - ht) < TOL
 
     def test_vanishes_on_unit_log_vectors(self, fields, embset):
@@ -50,12 +49,20 @@ class TestHeight:
             e = embset[name]
             vec = unit_regulator(u, e)
             with mp.workdps(60):
-                assert abs(height(DiffK0Class(1, vec.values, e))) < TOL
+                assert abs(height(1, vec.values, e)) < TOL
 
     def test_invariance_validated(self, embset):
         e = embset["Qi"]
-        with pytest.raises(DomainError):
-            DiffK0Class(1, (mpf(1), mpf(2)), e)
+        with pytest.raises(DomainError, match="scaling vector is not conjugation invariant"):
+            height(1, (mpf(1), mpf(2)), e)
+        with pytest.raises(DomainError, match="scaling vector must supply one value per embedding"):
+            height(1, (mpf(1),), e)
+
+    def test_order_validated(self, embset):
+        e = embset["Qi"]
+        for order in (0, -2):
+            with pytest.raises(DomainError, match="order hint must be a positive integer"):
+                height(order, (mpf(1), mpf(1)), e)
 
 
 class TestHeightScaledTrivial:
