@@ -10,9 +10,9 @@ from .dilog import bloch_wigner, li2
 from .heights import c_hat_height, height, height_scaled_trivial, scaling_alpha
 from .kmodel import build_model, generator_labels, rank_in_degree
 from .nf import EmbeddingSet, FieldElement, NumberField, embeddings, evaluate, parse_field
-from .regulator import RegulatorVector, k3_regulator, s_map, unit_regulator
-from .relations import (BlochElement, ExteriorSquare, MultiplicativePresentation,
-                        bloch_kernel, exterior_square, relation_lattice, steinberg_image,
+from .regulator import k3_regulator, unit_regulator
+from .relations import (ExteriorSquare, MultiplicativePresentation, bloch_kernel,
+                        exterior_square, relation_lattice, steinberg_image,
                         torsion_only_kernel, verify_bloch_element)
 
 __all__ = [
@@ -20,13 +20,13 @@ __all__ = [
     "NumberField", "FieldElement", "EmbeddingSet", "parse_field", "embeddings",
     "evaluate",
     # relation lattices and the wedge-map kernel
-    "MultiplicativePresentation", "BlochElement", "ExteriorSquare",
+    "MultiplicativePresentation", "ExteriorSquare",
     "relation_lattice", "exterior_square", "steinberg_image", "bloch_kernel",
     "torsion_only_kernel", "verify_bloch_element",
     # dilogarithm
     "li2", "bloch_wigner",
     # regulators
-    "RegulatorVector", "unit_regulator", "k3_regulator", "s_map",
+    "unit_regulator", "k3_regulator",
     # metrized bundles
     "FractionalIdeal", "Metric", "MetrizedLineBundle", "index_quotient", "arithmetic_degree", "tensor", "twist_metric",
     "transport", "standard_metric",

@@ -29,13 +29,12 @@ from .arakelov import FractionalIdeal, Metric, MetrizedLineBundle, _degree_and_i
 from .dilog import li2_and_bloch_wigner
 from .errors import (ArithregError, DomainError, FormatError, PrecisionError, SchemaError,
                      oversized_number, quoted)
-from .heights import c_hat_height
+from .heights import c_hat_height, height
 from .kmodel import build_model
 from .nf import FieldElement, NumberField, _parse_rational, embeddings, parse_field
 from .precision import DEFAULT_DIGITS, MIN_DIGITS, working_dps
-from .regulator import k3_regulator, s_map, unit_regulator
-from .relations import (BlochElement, _bloch_kernels, relation_lattice,
-                        verify_bloch_element)
+from .regulator import k3_regulator, unit_regulator
+from .relations import _bloch_kernels, relation_lattice, verify_bloch_element
 
 # ---------------------------------------------------------------------------
 # element expression parser
@@ -269,9 +268,9 @@ def _cmd_bloch_check(payload, e):
         "generators": [g.to_record() for g in pres.generators],
         "relation_basis": [list(r) for r in pres.relation_basis],
         "torsion_order": pres.torsion_order,
-        "kernel_basis": [list(b.multiplicities) for b in kernel],
-        "torsion_only_kernel": [list(b.multiplicities) for b in flagged],
-        "regulators": [v.to_record() for v in k3_regulator(kernel, e)],
+        "kernel_basis": kernel,
+        "torsion_only_kernel": flagged,
+        "regulators": [_vector_record("k3", v, e) for v in k3_regulator(candidates, kernel, e)],
     }
 
 
@@ -281,19 +280,25 @@ def _cmd_regulator(payload, e):
     mults = _require(record, "multiplicities", list)
     if len(support) != len(mults) or any(not _is_int(n) for n in mults):
         raise SchemaError("key 'multiplicities' must be integers matching the support")
-    x = BlochElement(tuple(support), tuple(mults))
-    if not verify_bloch_element(x, _candidate_presentation(e.field, support, e.precision)):
+    if not verify_bloch_element(support, mults,
+                                _candidate_presentation(e.field, support, e.precision)):
         raise DomainError("formal sum is not in the wedge-map kernel")
-    (vector,) = k3_regulator([x], e)
-    return vector.to_record()
+    (vector,) = k3_regulator(support, [mults], e)
+    return _vector_record("k3", vector, e)
 
 
 def _cmd_unit_reg(payload, e):
     element = parse_element(_require(payload, "element", (str, dict)), e.field, "element")
-    vec = unit_regulator(element, e)
-    rec = vec.to_record()
-    rec["mean"] = mp.nstr(s_map(vec), e.precision)
-    return rec
+    vector = unit_regulator(element, e)
+    return dict(_vector_record("unit", vector, e),
+                mean=mp.nstr(height(1, vector, e), e.precision))
+
+
+def _vector_record(weight: str, values, e) -> dict:
+    """The record of a regulator vector of the weight "unit" or "k3"."""
+    return {"weight": weight, "values": [mp.nstr(v, e.precision) for v in values],
+            "value_basis": "1",
+            "embedding_order": "real embeddings ascending, then complex by (re, im)"}
 
 
 def _bundle_from(payload, e):

@@ -1,4 +1,5 @@
-"""Per-embedding regulator vectors.
+"""Per-embedding regulator vectors, each a tuple of one mpf per embedding in
+the order of the EmbeddingSet.
 
 Two kinds of vectors are produced: log-modulus vectors of units, which are
 conjugation-invariant and sum to zero by the product formula, and value
@@ -9,10 +10,11 @@ construction: each value is computed once per conjugacy class and mirrored
 onto the partner embedding, by EmbeddingSet.invariant_vector for the
 log-modulus vectors and with a sign flip in k3_regulator.
 
-k3_regulator takes every formal sum over one support in one call, as
-bloch-check's kernel basis comes: each support element is evaluated once
-(nf.evaluate gives all its conjugates) and checked for degeneracy. D is
-computed once per anharmonic orbit, then shared by every sum that uses it:
+k3_regulator takes every formal sum over one support in one call, each an
+integer row of multiplicities, as bloch-check's kernel basis comes: each
+support element is evaluated once (nf.evaluate gives all its conjugates)
+and checked for degeneracy. D is computed once per anharmonic orbit, then
+shared by every sum that uses it:
 D(z) = D(1-1/z) = D(1/(1-z)) = -D(1/z) = -D(1-z) = -D(z/(z-1)), and every
 embedding is a field map, so a support element mu in the orbit of an
 earlier lambda takes D(sigma(mu)) = +-D(sigma(lambda)). Whether mu is in
@@ -22,8 +24,6 @@ comparing floats. Nothing is kept between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_add, mpf_lt, mpf_mul, mpf_sub, round_nearest
 
@@ -31,64 +31,39 @@ from .dilog import bloch_wigner
 from .errors import DomainError, PrecisionError
 from .nf import EmbeddingSet, FieldElement, evaluate
 
-WEIGHT_UNIT = "unit"
-WEIGHT_K3 = "k3"
 
-
-@dataclass(frozen=True)
-class RegulatorVector:
-    embedding_set: EmbeddingSet
-    values: tuple
-    weight: str
-
-    def __post_init__(self):
-        if self.weight not in (WEIGHT_UNIT, WEIGHT_K3):
-            raise DomainError(f"unknown weight {self.weight!r}")
-        if len(self.values) != self.embedding_set.degree:
-            raise DomainError("value vector length does not match embedding count")
-
-    def to_record(self) -> dict:
-        digits = self.embedding_set.precision
-        return {
-            "weight": self.weight,
-            "values": [mp.nstr(v, digits) for v in self.values],
-            "value_basis": "1",
-            "embedding_order": "real embeddings ascending, then complex by (re, im)",
-        }
-
-
-def unit_regulator(lam: FieldElement, e: EmbeddingSet) -> RegulatorVector:
+def unit_regulator(lam: FieldElement, e: EmbeddingSet) -> tuple:
     """Vector of log|sigma(lam)| over all embeddings of a unit."""
     if not lam.is_unit():
         raise DomainError("unit regulator requires a unit")
     conjugates = evaluate(lam, e)
-    values = e.invariant_vector(lambda idx: mp.log(abs(conjugates[idx])))
-    return RegulatorVector(e, values, WEIGHT_UNIT)
+    return e.invariant_vector(lambda idx: mp.log(abs(conjugates[idx])))
 
 
-def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
-    """For each formal sum x = sum_i n_i [lambda_i] of elements, the vector
-    sigma -> -sum_i n_i D(sigma(lambda_i)), coefficient of i.
+def k3_regulator(support, rows, e: EmbeddingSet) -> list[tuple]:
+    """For each row n of multiplicities over the support lambda, the vector
+    sigma -> -sum_i n_i D(sigma(lambda_i)) of the formal sum
+    sum_i n_i [lambda_i], coefficient of i; DomainError for a row whose
+    length is not the support's.
 
-    The elements share one support (DomainError otherwise), so each support
-    element is evaluated and checked for degeneracy once per pair
-    representative, used or not; the check runs on the raw parts of the
-    value (_near_zero_or_one). A support element that some n_i != 0 needs
-    takes its D values from the first earlier one in its anharmonic orbit
+    With no rows nothing is evaluated. Otherwise each support element is
+    evaluated and checked for degeneracy once per pair representative, used
+    or not; the check runs on the raw parts of the value
+    (_near_zero_or_one). A support element that some n_i != 0 needs takes
+    its D values from the first earlier one in its anharmonic orbit
     (_orbit_sign), negated for an odd orbit map, and computes them at each
     pair representative otherwise; every sum runs in support order over the
     nonzero n_i.
     Exactly zero at real embeddings; values at conjugate embeddings are exact
-    negatives. The kernel condition on each x is the caller's responsibility
-    (use relations.verify_bloch_element when a presentation is available).
+    negatives. The kernel condition on each row is the caller's
+    responsibility (use relations.verify_bloch_element when a presentation
+    is available).
     """
-    elements = list(elements)
-    support = elements[0].support if elements else ()
-    if any(x.support != support for x in elements):
-        raise DomainError("k3_regulator needs elements over one support")
+    if any(len(row) != len(support) for row in rows):
+        raise DomainError("support and multiplicities differ in length")
     reps = e.pair_representatives
-    rows = [[mpf(0)] * e.degree for _ in elements]
-    if reps:
+    vectors = [[mpf(0)] * e.degree for _ in rows]
+    if rows and reps:
         with mp.workdps(e.working_dps):
             tol2 = (mpf(10) ** (-2 * (e.precision // 2)))._mpf_  # squared: no square roots
             dvalues = []  # per support element: D at each pair representative, or None
@@ -101,7 +76,7 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
                         "support element embeds onto 0 or 1; this signals a "
                         "precision failure for a valid support")
                 d = None
-                if any(x.multiplicities[k] for x in elements):
+                if any(row[k] for row in rows):
                     for base, one_minus, base_d in bases:
                         sign = _orbit_sign(lam, base, one_minus)
                         if sign:
@@ -111,15 +86,15 @@ def k3_regulator(elements, e: EmbeddingSet) -> list[RegulatorVector]:
                         d = [bloch_wigner(z, e.precision) for z in zs]
                         bases.append((lam, 1 - lam, d))
                 dvalues.append(d)
-            for x, values in zip(elements, rows):
+            for row, values in zip(rows, vectors):
                 for r, idx in enumerate(reps):
                     acc = mpf(0)
-                    for d, mult in zip(dvalues, x.multiplicities):
+                    for d, mult in zip(dvalues, row):
                         if mult:
                             acc += mult * d[r]
                     values[idx] = -acc
                     values[e.conjugate_index(idx)] = acc
-    return [RegulatorVector(e, tuple(values), WEIGHT_K3) for values in rows]
+    return [tuple(values) for values in vectors]
 
 
 def _near_zero_or_one(z, tol2) -> bool:
@@ -154,10 +129,3 @@ def _orbit_sign(mu: FieldElement, lam: FieldElement, one_minus: FieldElement) ->
             return sign
     return 0
 
-
-def s_map(v: RegulatorVector) -> mpf:
-    """Average of a unit-weight vector over all embeddings."""
-    if v.weight != WEIGHT_UNIT:
-        raise DomainError("the averaging map is defined on unit-weight vectors")
-    with mp.workdps(v.embedding_set.working_dps):
-        return mp.fsum(v.values) / v.embedding_set.degree

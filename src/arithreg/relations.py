@@ -67,26 +67,6 @@ class MultiplicativePresentation:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class BlochElement:
-    """Integer combination sum n_i [lambda_i] with support in the elements
-    whose complements are also units; valid ones satisfy
-    sum n_i (lambda_i ^ (1 - lambda_i)) = 0 including torsion."""
-
-    support: tuple[FieldElement, ...]
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.multiplicities):
-            raise DomainError("support and multiplicities differ in length")
-
-    def to_record(self) -> dict:
-        return {
-            "support": [el.to_record() for el in self.support],
-            "multiplicities": [int(n) for n in self.multiplicities],
-        }
-
-
 # ---------------------------------------------------------------------------
 # relation discovery
 
@@ -544,8 +524,11 @@ def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[i
     and the generators, proved complete by _proved_lattice, so "not
     expressible" is a proved statement; exponents are capped by
     DEFAULT_EXPONENT_BOUND. They are well defined only up to the relation
-    lattice, which is enough for wedge classes.
+    lattice, which is enough for wedge classes. DomainError for an element
+    of another field than the generators'.
     """
+    if p.rank and elem.field != p.generators[0].field:
+        raise DomainError("element and generators live in different fields")
     if p.rank == 0:
         if elem.is_one():
             return ()
@@ -577,22 +560,22 @@ def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> tuple[i
                                     coordinates_of(lam.field.one() - lam, p))
 
 
-def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
-    """Basis of the lattice of integer combinations sum n_i [lambda_i] whose
-    wedge images cancel exactly (torsion included)."""
+def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[list[int]]:
+    """Basis of the integer rows n over the candidates lambda whose sums
+    sum n_i [lambda_i] have wedge images that cancel exactly (torsion included)."""
     return _bloch_kernels(candidates, p)[0]
 
 
-def torsion_only_kernel(candidates, p: MultiplicativePresentation) -> list[BlochElement]:
-    """Combinations whose wedge images vanish modulo torsion but not exactly;
-    these are flagged rather than treated as kernel members."""
+def torsion_only_kernel(candidates, p: MultiplicativePresentation) -> list[list[int]]:
+    """Rows over the candidates whose wedge images vanish modulo torsion but
+    not exactly; these are flagged rather than treated as kernel members."""
     return _bloch_kernels(candidates, p)[1]
 
 
 def _bloch_kernels(candidates, p: MultiplicativePresentation
-                   ) -> tuple[list[BlochElement], list[BlochElement]]:
-    """(bloch_kernel, torsion_only_kernel) of the candidates, both from one
-    list of Steinberg images."""
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """(bloch_kernel, torsion_only_kernel) of the candidates, both integer
+    rows over them, from one list of Steinberg images."""
     candidates = list(candidates)
     if not candidates:
         return [], []
@@ -600,12 +583,8 @@ def _bloch_kernels(candidates, p: MultiplicativePresentation
     sq = exterior_square(p)
     free_cols = [j for j, d in enumerate(sq.invariants) if d == 0]
     free_kernel = left_kernel([[img[j] for j in free_cols] for img in images])
-
     strict_basis = _strict_kernel(images, sq)
-    support = tuple(candidates)
-    return ([BlochElement(support, tuple(row)) for row in strict_basis],
-            [BlochElement(support, tuple(row))
-             for row in free_kernel if not in_lattice(row, strict_basis)])
+    return strict_basis, [row for row in free_kernel if not in_lattice(row, strict_basis)]
 
 
 def _strict_kernel(images, sq: ExteriorSquare) -> list[list[int]]:
@@ -633,8 +612,11 @@ def _wedge_sum_vanishes(multiplicities, images, sq: ExteriorSquare) -> bool:
     return not any(sq.reduce_smith(_vec_mat(multiplicities, images)))
 
 
-def verify_bloch_element(x: BlochElement, p: MultiplicativePresentation) -> bool:
-    """Exact check of the defining kernel condition for a formal sum."""
+def verify_bloch_element(support, multiplicities, p: MultiplicativePresentation) -> bool:
+    """Exact check of the defining kernel condition for the formal sum
+    sum n_i [lambda_i] of the multiplicities n over the support lambda;
+    DomainError when their lengths differ."""
+    if len(support) != len(multiplicities):
+        raise DomainError("support and multiplicities differ in length")
     return _wedge_sum_vanishes(
-        x.multiplicities, [steinberg_image(lam, p) for lam in x.support],
-        exterior_square(p))
+        multiplicities, [steinberg_image(lam, p) for lam in support], exterior_square(p))

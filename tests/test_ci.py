@@ -54,3 +54,40 @@ def test_src_imports_are_used(path):
     unused = {name: line for name, line in imported.items()
               if name != "annotations" and name not in read}
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _bench_targets():
+    """The attribute names bench/spans.py TARGETS pins, read from its source:
+    importing it needs bench/ on the path."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    return {name for _, path in ast.literal_eval(targets).values() for name in path.split(".")}
+
+
+def test_src_definitions_are_read():
+    """Every module-level function or class of src/arithreg, and every
+    single-underscore method, is read somewhere in src/, exported by
+    arithreg.__all__ or pinned by the bench span TARGETS; a definition that
+    a removal left behind is none of these."""
+    import arithreg
+
+    paths = sorted((ROOT / "src" / "arithreg").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    kept = read | set(arithreg.__all__) | _bench_targets()
+    defined = ast.FunctionDef, ast.ClassDef
+    checked = []
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            if isinstance(node, defined):
+                checked.append((path, node))
+            if isinstance(node, ast.ClassDef):
+                checked += [(path, m) for m in node.body if isinstance(m, defined)
+                            and m.name.startswith("_") and not m.name.startswith("__")]
+    unread = [f"{path.name}:{node.lineno} {node.name}" for path, node in checked
+              if node.name not in kept]
+    assert not unread, f"definitions nothing reads, exports or pins: {unread}"

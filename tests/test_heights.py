@@ -49,7 +49,7 @@ class TestHeight:
             e = embset[name]
             vec = unit_regulator(u, e)
             with mp.workdps(60):
-                assert abs(height(1, vec.values, e)) < TOL
+                assert abs(height(1, vec, e)) < TOL
 
     def test_invariance_validated(self, embset):
         e = embset["Qi"]

@@ -1,15 +1,17 @@
+import io
 import random
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from arithreg.cli import run_job
 from arithreg.dilog import bloch_wigner
 from arithreg.errors import DomainError, PrecisionError
+from arithreg.heights import height
 from arithreg.nf import embeddings, evaluate, parse_field
 from arithreg.precision import working_dps
-from arithreg.regulator import (RegulatorVector, _near_zero_or_one, k3_regulator, s_map,
-                                unit_regulator)
-from arithreg.relations import BlochElement
+from arithreg.regulator import _near_zero_or_one, k3_regulator, unit_regulator
+from arithreg.relations import relation_lattice, verify_bloch_element
 
 TOL = mpf(10) ** -40
 
@@ -23,6 +25,20 @@ ORBIT_MAPS = {
     "lam/(lam-1)": (lambda lam: lam * (lam - 1).inverse(), -1),
 }
 SHIFTED_ROOTS = {"x^3-x+1": [1, -1, 0, 1], "x^5-x+1": [1, -1, 0, 0, 0, 1]}
+
+
+def counted_calls(monkeypatch):
+    """Count the regulator's evaluate and bloch_wigner calls into the
+    returned dict."""
+    import arithreg.regulator
+
+    calls = {"evaluate": 0, "bloch_wigner": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(arithreg.regulator, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(arithreg.regulator, name, counted)
+    return calls
 
 
 def counted_bloch_wigner(monkeypatch):
@@ -42,27 +58,27 @@ class TestUnitRegulator:
         units.append(("Qi", fields["Qi"].gen()))  # i, a root of unity of order 4
         for name, u in units:
             v = unit_regulator(u, embset[name])
-            assert all(x == 0 for x in v.values)
+            assert all(x == 0 for x in v)
 
     def test_fundamental_unit_sqrt2(self, fields, embset):
         K, e = fields["Qsqrt2"], embset["Qsqrt2"]
         v = unit_regulator(K.one() + K.gen(), e)
         with mp.workdps(60):
             # (log(sqrt2 - 1), log(1 + sqrt2)) in embedding order, sum 0
-            assert abs(v.values[0] - mp.log(mp.sqrt(2) - 1)) < TOL
-            assert abs(v.values[1] - mp.log(1 + mp.sqrt(2))) < TOL
-            assert abs(mp.fsum(v.values)) < TOL
+            assert abs(v[0] - mp.log(mp.sqrt(2) - 1)) < TOL
+            assert abs(v[1] - mp.log(1 + mp.sqrt(2))) < TOL
+            assert abs(mp.fsum(v)) < TOL
 
     def test_cubic_product_formula(self, fields, embset):
         v = unit_regulator(fields["cubic"].gen(), embset["cubic"])
         with mp.workdps(60):
-            assert abs(mp.fsum(v.values)) < TOL
+            assert abs(mp.fsum(v)) < TOL
 
     def test_pair_values_equal_exactly(self, fields, embset):
         e = embset["cubic"]
         v = unit_regulator(fields["cubic"].gen(), e)
         for i, j in enumerate(e.conjugation_pairing):
-            assert v.values[i] == v.values[j]
+            assert v[i] == v[j]
 
     def test_homomorphism(self, fields, embset):
         K, e = fields["Qphi"], embset["Qphi"]
@@ -73,7 +89,7 @@ class TestUnitRegulator:
             for _ in range(20):
                 a, b = rng.choice(units), rng.choice(units)
                 va, vb, vab = (unit_regulator(x, e) for x in (a, b, a * b))
-                for p, q, r in zip(va.values, vb.values, vab.values):
+                for p, q, r in zip(va, vb, vab):
                     assert abs(p + q - r) < TOL
 
     def test_non_unit_rejected(self, fields, embset):
@@ -83,84 +99,68 @@ class TestUnitRegulator:
 
 class TestK3Regulator:
     def test_zero_element(self, fields, embset):
-        x = BlochElement((), ())
-        v = k3_regulator([x], embset["cubic"])[0]
-        assert all(val == 0 for val in v.values)
+        v = k3_regulator((), [()], embset["cubic"])[0]
+        assert all(val == 0 for val in v)
 
     def test_shifted_root_family_value(self, fields, embset):
         # x = n[lam] + [1/(1-lam)] evaluates to (n+1) * (-D(sigma lam))
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
-        x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator([x], e)[0]
+        v = k3_regulator((lam, (K.one() - lam).inverse()), [(2, 1)], e)[0]
         with mp.workdps(60):
             for idx in e.pair_representatives:
                 target = 3 * (-bloch_wigner(evaluate(lam, e)[idx], 50))
-                assert abs(v.values[idx] - target) < TOL
+                assert abs(v[idx] - target) < TOL
 
     def test_real_embeddings_exactly_zero(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
-        x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator([x], e)[0]
+        v = k3_regulator((lam, (K.one() - lam).inverse()), [(2, 1)], e)[0]
         for idx in e.real_indices:
-            assert v.values[idx] == 0
+            assert v[idx] == 0
 
     def test_conjugation_antisymmetry_exact(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
-        x = BlochElement((lam, (K.one() - lam).inverse()), (2, 1))
-        v = k3_regulator([x], e)[0]
+        v = k3_regulator((lam, (K.one() - lam).inverse()), [(2, 1)], e)[0]
         with mp.workdps(e.working_dps):
             for i, j in enumerate(e.conjugation_pairing):
-                assert v.values[i] == -v.values[j]
+                assert v[i] == -v[j]
 
     def test_additive_in_formal_sums(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         mu = (K.one() - lam).inverse()
-        a = BlochElement((lam, mu), (2, 1))
-        b = BlochElement((lam, mu), (4, 2))
-        grp_sum = BlochElement((lam, mu), (6, 3))
-        va, vb, vs = k3_regulator([a, b, grp_sum], e)
+        va, vb, vs = k3_regulator((lam, mu), [(2, 1), (4, 2), (6, 3)], e)
         with mp.workdps(60):
-            for p, q, r in zip(va.values, vb.values, vs.values):
+            for p, q, r in zip(va, vb, vs):
                 assert abs(p + q - r) < TOL
 
     def test_totally_real_field_vanishes(self, fields, embset):
         # phi lies in R-circ of a totally real field: D = 0 at every embedding
         K, e = fields["Qphi"], embset["Qphi"]
-        x = BlochElement((K.gen(),), (1,))
-        v = k3_regulator([x], e)[0]
-        assert all(val == 0 for val in v.values)
+        v = k3_regulator((K.gen(),), [(1,)], e)[0]
+        assert all(val == 0 for val in v)
 
     def test_several_elements_match_one_at_a_time(self, fields, embset):
         # one call over a shared support gives, bit for bit, the vectors of
-        # one call per element
+        # one call per row
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         support = (lam, (K.one() - lam).inverse(), K.one() - lam)
-        xs = [BlochElement(support, m) for m in ((2, 1, 0), (0, 0, 3), (-1, 4, 1))]
-        together = k3_regulator(xs, e)
-        assert [v.values for v in together] == [k3_regulator([x], e)[0].values for x in xs]
+        rows = [(2, 1, 0), (0, 0, 3), (-1, 4, 1)]
+        assert k3_regulator(support, rows, e) == [k3_regulator(support, [row], e)[0]
+                                                   for row in rows]
 
     def test_each_value_computed_once(self, fields, embset, monkeypatch):
         # three support elements, the last unused by every row: three
         # evaluations, and D once per (anharmonic orbit with a used element,
         # pair representative); lam and 1/(1-lam) share one orbit
-        import arithreg.regulator
-
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
         support = (lam, (K.one() - lam).inverse(), K.one() - lam)
-        xs = [BlochElement(support, m) for m in ((2, 1, 0), (4, 2, 0))]
-        calls = {"evaluate": 0, "bloch_wigner": 0}
-        for name in calls:
-            def counted(*args, name=name, real=getattr(arithreg.regulator, name)):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(arithreg.regulator, name, counted)
-        k3_regulator(xs, e)
+        calls = counted_calls(monkeypatch)
+        k3_regulator(support, [(2, 1, 0), (4, 2, 0)], e)
         assert calls == {"evaluate": 3, "bloch_wigner": len(e.pair_representatives)}
 
     def test_unused_support_element_still_checked(self, fields, embset, monkeypatch):
@@ -174,7 +174,7 @@ class TestK3Regulator:
         monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
             (mpc(1),) * e.degree if a == unused else real(a, e)))
         with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
-            k3_regulator([BlochElement((lam, unused), (2, 0))], e)
+            k3_regulator((lam, unused), [(2, 0)], e)
 
     @pytest.mark.parametrize("centre", [0, 1])
     @pytest.mark.parametrize("direction", [mpc(-1), mpc(0.6, 0.8)], ids=["real", "complex"])
@@ -193,12 +193,11 @@ class TestK3Regulator:
         real = arithreg.regulator.evaluate
         monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
             (z,) * e.degree if a == unused else real(a, e)))
-        xs = [BlochElement((lam, unused), (2, 0))]
         if degenerate:
             with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
-                k3_regulator(xs, e)
+                k3_regulator((lam, unused), [(2, 0)], e)
         else:
-            assert len(k3_regulator(xs, e)) == 1
+            assert len(k3_regulator((lam, unused), [(2, 0)], e)) == 1
 
     @pytest.mark.parametrize("digits", [16, 30, 60, 200])
     def test_degeneracy_test_matches_the_operator_form(self, digits):
@@ -230,15 +229,15 @@ class TestK3Regulator:
         lam = K.gen()
         mu = ORBIT_MAPS[name][0](lam)
         calls = counted_bloch_wigner(monkeypatch)
-        (v,) = k3_regulator([BlochElement((lam, mu), (2, 3))], e)
+        (v,) = k3_regulator((lam, mu), [(2, 3)], e)
         assert len(calls) == len(e.pair_representatives) > 0
         zl, zm = evaluate(lam, e), evaluate(mu, e)
         with mp.workdps(e.working_dps):
             for idx in e.pair_representatives:
                 dl, dm = bloch_wigner(zl[idx], e.precision), bloch_wigner(zm[idx], e.precision)
                 assert dm == ORBIT_MAPS[name][1] * dl != 0
-                assert v.values[idx] == -(2 * dl + 3 * dm)
-                assert v.values[e.conjugate_index(idx)] == 2 * dl + 3 * dm
+                assert v[idx] == -(2 * dl + 3 * dm)
+                assert v[e.conjugate_index(idx)] == 2 * dl + 3 * dm
 
     @pytest.mark.parametrize("support, orbits", [
         # x and 1-x share an orbit, x^2 and 1-x^2 another: on x^5 - x + 1,
@@ -255,14 +254,14 @@ class TestK3Regulator:
         support = support(K.gen())
         mults = tuple(range(1, len(support) + 1))
         calls = counted_bloch_wigner(monkeypatch)
-        (v,) = k3_regulator([BlochElement(support, mults)], e)
+        (v,) = k3_regulator(support, [mults], e)
         assert len(calls) == orbits * len(e.pair_representatives)
         with mp.workdps(e.working_dps):
             for idx in e.pair_representatives:
                 acc = mpf(0)
                 for n, a in zip(mults, support):
                     acc += n * bloch_wigner(evaluate(a, e)[idx], e.precision)
-                assert v.values[idx] == -acc
+                assert v[idx] == -acc
 
     @pytest.mark.parametrize("multiplicity", [0, 1])
     @pytest.mark.parametrize("name", [n for n in ORBIT_MAPS if n != "lam"])
@@ -279,31 +278,52 @@ class TestK3Regulator:
         monkeypatch.setattr(arithreg.regulator, "evaluate", lambda a, e: (
             (mpc(1),) * e.degree if a == mu else real(a, e)))
         with pytest.raises(PrecisionError, match="embeds onto 0 or 1"):
-            k3_regulator([BlochElement((lam, mu), (2, multiplicity))], e)
+            k3_regulator((lam, mu), [(2, multiplicity)], e)
 
-    def test_no_elements_no_work(self, embset):
-        assert k3_regulator([], embset["cubic"]) == []
+    def test_no_elements_no_work(self, fields, embset, monkeypatch):
+        # no rows: nothing is evaluated, over an empty support or not
+        K, e = fields["cubic"], embset["cubic"]
+        calls = counted_calls(monkeypatch)
+        assert k3_regulator((), [], e) == []
+        assert k3_regulator((K.gen(), K.one() - K.gen()), [], e) == []
+        assert calls == {"evaluate": 0, "bloch_wigner": 0}
 
-    def test_supports_must_agree(self, fields, embset):
+    def test_row_length_must_match_support(self, fields, embset):
         K, e = fields["cubic"], embset["cubic"]
         lam = K.gen()
-        mu = (K.one() - lam).inverse()
-        xs = [BlochElement((lam, mu), (2, 1)), BlochElement((mu, lam), (1, 2))]
-        with pytest.raises(DomainError, match="one support"):
-            k3_regulator(xs, e)
+        support = (lam, (K.one() - lam).inverse())
+        p = relation_lattice([K.element([-1]), lam, K.one() - lam])
+        for row in ((2,), (2, 1, 0)):
+            with pytest.raises(DomainError, match="differ in length"):
+                k3_regulator(support, [(2, 1), row], e)
+            with pytest.raises(DomainError, match="differ in length"):
+                verify_bloch_element(support, row, p)
+
+
+def averaging_oracle(v, e):
+    """The mean of a unit-weight vector over the embeddings: fsum, then one
+    division by the degree, at the working precision."""
+    with mp.workdps(e.working_dps):
+        return mp.fsum(v) / e.degree
+
+
+# x^3 - x + 1, x^4 - x - 1, x^5 - x + 1, x^2 - x - 1, x^6 - x + 1: x and 1 - x
+# are units of each, as f(0) and f(1) are +-1
+MEAN_FIELDS = {"x^3-x+1": [1, -1, 0, 1], "x^4-x-1": [-1, -1, 0, 0, 1],
+               "x^5-x+1": [1, -1, 0, 0, 0, 1], "x^2-x-1": [-1, -1, 1],
+               "x^6-x+1": [1, -1, 0, 0, 0, 0, 1]}
 
 
 class TestSMap:
+    """The averaging map on unit-weight vectors: the height with N = 1."""
+
     def test_constant_vector(self, embset):
-        e = embset["cubic"]
-        v = RegulatorVector(e, (mpf(2), mpf(2), mpf(2)), "unit")
-        assert s_map(v) == 2
+        assert height(1, (mpf(2), mpf(2), mpf(2)), embset["cubic"]) == 2
 
     def test_mean(self, embset):
-        e = embset["cubic"]
-        v = RegulatorVector(e, (mpf(2), mpf(0), mpf(0)), "unit")
+        v = (mpf(2), mpf(0), mpf(0))
         with mp.workdps(60):
-            assert abs(s_map(v) - mpf(2) / 3) < TOL
+            assert abs(height(1, v, embset["cubic"]) - mpf(2) / 3) < TOL
 
     def test_kills_unit_regulators(self, fields, embset):
         # the composite of averaging with the unit log-vector map is zero
@@ -312,17 +332,29 @@ class TestSMap:
                  ("cubic", fields["cubic"].gen())]
         with mp.workdps(60):
             for name, u in cases:
-                assert abs(s_map(unit_regulator(u, embset[name]))) < TOL
+                e = embset[name]
+                assert abs(height(1, unit_regulator(u, e), e)) < TOL
 
-    def test_weight_mismatch(self, fields, embset):
-        K, e = fields["cubic"], embset["cubic"]
-        x = BlochElement((K.gen(),), (0,))
-        with pytest.raises(DomainError):
-            s_map(k3_regulator([x], e)[0])
+    @pytest.mark.parametrize("digits", [16, 30, 50, 200])
+    @pytest.mark.parametrize("name", list(MEAN_FIELDS))
+    def test_mean_has_the_bits_of_the_averaging_oracle(self, name, digits):
+        # seeded units (-1)^a x^b (1 - x)^c: the height with N = 1 and the
+        # oracle give the same mpf, bit for bit
+        K = parse_field({"poly": MEAN_FIELDS[name]})
+        e = embeddings(K, digits)
+        rng = random.Random(f"mean-{name}-{digits}")
+        x = K.gen()
+        for _ in range(10):
+            u = (-1) ** rng.randint(0, 1) * x ** rng.randint(-6, 6) * (1 - x) ** rng.randint(-6, 6)
+            v = unit_regulator(u, e)
+            assert height(1, v, e)._mpf_ == averaging_oracle(v, e)._mpf_, u
 
-    def test_record(self, fields, embset):
-        v = unit_regulator(fields["Qsqrt2"].one() + fields["Qsqrt2"].gen(),
-                           embset["Qsqrt2"])
-        rec = v.to_record()
-        assert rec["weight"] == "unit"
-        assert len(rec["values"]) == 2
+    def test_record(self):
+        # unit-reg prints the vector record, its keys in order, then the mean
+        out = io.StringIO()
+        job = {"command": "unit-reg", "field": {"poly": [-2, 0, 1]}, "payload": {"element": "1+x"}}
+        assert run_job(job, out) == 0
+        lines = out.getvalue().splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "weight", "values", "value_basis", "embedding_order", "mean"]
+        assert lines[0] == "weight: unit"
