@@ -163,7 +163,7 @@ class NumberField:
         return self.element([])
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self) -> "FieldElement":
         return self.element([0, 1])

@@ -2,36 +2,61 @@
 finitely generated abelian groups, the wedge map lambda -> lambda ^ (1-lambda),
 and the kernel of formal sums under that map.
 
-Relations are discovered numerically: LLL (Cohen, Alg. 2.6.7) on a scaled
-logarithmic embedding, which one loop (_columns) takes from values in doubles
-first (scale 10^12), and at the working precision when that search fails. Of
+Relations are read off a proved basis of the group G that the generators
+g_1, ..., g_k generate (_UnitBasis): a torsion generator zeta of exact order
+w, and free units b_1, ..., b_r' whose log-modulus vectors are independent.
+Then G = <zeta> x <b_1, ..., b_r'>, since a power product of the b_i with
+zero logs has zero exponents, and zeta has exact order w; so each g_i has one
+coordinate vector (a_i, e_i) in Z/w x Z^r' with g_i = zeta^a_i prod b^e_i,
+and prod g_i^n_i = 1 exactly when sum n_i (a_i, e_i) = 0 in Z/w x Z^r'. The
+relation lattice is that integer kernel of the coordinate rows, with a column
+for Z/w, and is stored as its HNF; G is isomorphic to Z^k modulo it, so w is
+its torsion order.
+
+The generators are placed one at a time, in order of increasing log length.
+A float solve of Log g against a pivoted log minor of the b_i gives e, the
+argument of g prod b^-e at the first embedding gives a, and one exact
+identity, g zeta^(w-a) prod b^-e = 1, proves them: it is tested without
+inverting, as the product over the positive exponents against that over the
+negative ones (_sign_split), and it proves g a unit. A g that fails it
+enlarges G: it is proved a unit, and -1 as the first torsion is decided
+directly ((-1)^2 = 1 != -1); a g whose log minor with the b_i is certified
+nonsingular joins them as a free unit; and any other g runs one relation
+search among g, zeta and the b_i, whose Smith form gives the new basis,
+reduced by LLL on its log rows so that its exponents stay short.
+
+The search is LLL (Cohen, Alg. 2.6.7) on a scaled logarithmic embedding. Of
 the r1 + r2 log-modulus columns, one per conjugacy class of embeddings, the
 product formula fixes the last; one argument column, with one row absorbing
 its whole turns, suffices, as a unit whose conjugates all have modulus 1 is a
 root of unity (Kronecker) and an embedding is injective on those. Each LLL
-row is proved by exact field multiplication, without inverting (the product
-over positive exponents must equal that over negative ones), then the proved
-rows are reduced to their HNF basis, which is stored. The torsion
-order, read off the Smith invariants of the basis, is proved the same way on
-powers of the two sign-split products of a torsion generator, whose exponents
-are solved once per relation basis, beside its Smith form. Last, the lattice
-is proved complete: the log-modulus vectors of as many generators as the
-presented group has free rank are shown independent by one minor, evaluated
-at the precision of the pass, against an a priori error bound (Pohst and
-Zassenhaus, Algorithmic Algebraic Number Theory, 1989), so no relation is
-missing. A relation that floating error hides raises PrecisionError; none is
-invented.
-Exterior squares keep their torsion and are read off the Smith form
-U L V = diag(d_1, ..., d_k) of the relation basis L itself: x -> xV takes
-the presented group to the sum of the Z/d_i (d_i = 0 a free coordinate);
-Lambda^2 Z/a = 0 and Z/a (x) Z/b = Z/gcd(a, b), so the exterior square is
-the sum over pairs i < j of Z/gcd(d_i, d_j), and pair coordinate (i, j) of
-u ^ v is a_i b_j - a_j b_i (_raw_wedge) on a = uV, b = vV, mod gcd(d_i, d_j).
+row is proved by exact field multiplication, without inverting, then the
+proved rows are reduced to their HNF basis. The torsion order, read off the
+Smith invariants of the basis, is proved on powers of the two sign-split
+products of a torsion generator, whose exponents are solved once per basis,
+beside its Smith form. Last, the small lattice is proved complete: the
+log-modulus vectors of as many of its elements as it has free rank are
+shown independent by one minor, evaluated at the precision of the pass,
+against an a priori error bound (Pohst and Zassenhaus, Algorithmic Algebraic
+Number Theory, 1989); the same minor test admits a free unit.
+
+Each pass, placing and searching, runs on values in doubles first (search
+scale 10^12), and at the working precision when a proof fails there. A
+relation that floating error hides raises PrecisionError; none is invented.
+Exterior squares keep their torsion and are read off a Smith form
+U L V = diag(d_1, ..., d_k) of a relation lattice L: x -> xV takes Z^k / L to
+the sum of the Z/d_i (d_i = 0 a free coordinate); Lambda^2 Z/a = 0 and
+Z/a (x) Z/b = Z/gcd(a, b), so the exterior square is the sum over pairs
+i < j of Z/gcd(d_i, d_j), and pair coordinate (i, j) of u ^ v is
+a_i b_j - a_j b_i (_raw_wedge) on a = uV, b = vV, mod gcd(d_i, d_j). A
+presentation's square is that of Z^(1 + r') modulo (w, 0, ..., 0), on the
+basis coordinates: (Z/w)^r' + Lambda^2 Z^r'.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,25 +67,34 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, PrecisionError, PresentationIncompleteError, quoted
-from .intmat import (_fraction_free, det_fraction, hnf, identity, in_lattice, left_kernel,
+from .intmat import (_integer_inverse, det_fraction, hnf, identity, in_lattice, left_kernel,
                      lll, snf)
 from .nf import (EmbeddingSet, FieldElement, _horner, _prime_divisors, _vec_mat, embeddings,
                  evaluate)
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS
 
-DEFAULT_EXPONENT_BOUND = 64
 FLOAT_DIGITS = 12  # the double search: scale 10^12, residual threshold 10^6
+FLOAT_ERROR = 1e-9  # double columns must hold each value to this relative error
+SOLVE_TOLERANCE = 1e-6  # a float solve whose residual exceeds this places nothing
 
 
 @dataclass(frozen=True)
 class MultiplicativePresentation:
-    """A finitely generated subgroup of the unit group, by generators and a
-    canonical (HNF) basis of their exact multiplicative relations."""
+    """A finitely generated subgroup G of the unit group, by generators, a
+    canonical (HNF) basis of their exact multiplicative relations, and a
+    proved basis of G: units = (zeta, b_1, ..., b_r'), zeta of exact order
+    torsion_order and the b_i free, so G = <zeta> x <b>. coordinates[i] =
+    (a, e_1, ..., e_r') gives generator i as zeta^a prod b_j^e_j, and
+    sections[j] gives units[j] as a power product of the generators. The
+    basis is one choice among many, so equality ignores it."""
 
     generators: tuple[FieldElement, ...]
     relation_basis: tuple[tuple[int, ...], ...]
     torsion_order: int
     precision: int
+    units: tuple[FieldElement, ...] = dataclasses.field(compare=False)
+    coordinates: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False)
+    sections: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False)
 
     @property
     def rank(self) -> int:
@@ -68,7 +102,235 @@ class MultiplicativePresentation:
 
 
 # ---------------------------------------------------------------------------
-# relation discovery
+# the proved unit basis
+
+class _UnitBasis:
+    """A proved basis [zeta, b_1, ..., b_r'] of a group of units, within one
+    pass: zeta of exact order w (1 when w = 1), the b_i units with
+    independent logs. logs holds the pass's log rows of the b_i, args the
+    arguments in turns of zeta and the b_i at the first class representative,
+    and sections their exponent rows over the generators; digits, e and
+    log_moduli are the pass's."""
+
+    def __init__(self, units, w: int, logs, args, sections, digits: int, e: EmbeddingSet,
+                 log_moduli):
+        self.units, self.w, self.logs, self.args = list(units), w, list(logs), list(args)
+        self.sections = [list(s) for s in sections]
+        self.digits, self.e, self.log_moduli = digits, e, log_moduli
+        self._index()
+
+    def _index(self):
+        """The data of coordinates: the pivot columns of the b_i logs, chosen
+        on doubles, and the inverse of their minor, exact on those doubles
+        and then rounded (None when a pivot is zero or the minor singular),
+        and the inverse mod w of j, where arg(zeta) = j / w turns;
+        gcd(j, w) = 1 as zeta has exact order w and an embedding is
+        injective on roots of unity, so PrecisionError otherwise."""
+        self._inverse = None
+        self._flogs = [[float(v) for v in row] for row in self.logs]
+        try:
+            _, self._cols = _pivots(self._flogs, len(self._flogs))
+            m, den = _integer_inverse([[Fraction(row[c]) for c in self._cols]
+                                       for row in self._flogs])
+            self._inverse = [[x / den for x in row] for row in m]
+        except (PrecisionError, ZeroDivisionError):
+            pass
+        j = round(self.w * float(self.args[0])) % self.w
+        if math.gcd(j, self.w) != 1:
+            raise PrecisionError("argument of the torsion generator not resolved")
+        self._turn = pow(j, -1, self.w)
+
+    def reduced(self, coords) -> tuple[int, ...]:
+        """Coordinates with a taken into [0, w)."""
+        return (coords[0] % self.w, *coords[1:])
+
+    def coordinates(self, g: FieldElement, log, arg) -> tuple[int, ...] | None:
+        """(a, e_1, ..., e_r') with g = zeta^a prod b_i^e_i, or None. e rounds
+        the float solve e L = Log g on the pivot columns, and a = n / j mod w
+        for the integer n nearest w t, t the argument of g prod b^-e; both
+        are proved by the one exact identity g zeta^(w-a) prod b^-e = 1, as
+        _sign_split's P == N. None, with no field arithmetic, when the solve
+        has no inverse, its residual on some class exceeds SOLVE_TOLERANCE
+        (1 + |Log g|), or w t is not that close to an integer; and None when
+        the identity fails."""
+        if self._inverse is None:
+            return None
+        log = [float(v) for v in log]
+        rhs = [log[c] for c in self._cols]
+        e = [sum(x * row[i] for x, row in zip(rhs, self._inverse)) for i in range(len(rhs))]
+        if not all(map(math.isfinite, e)):
+            return None
+        e = [round(x) for x in e]
+        tol = SOLVE_TOLERANCE * (1 + max(map(abs, log)))
+        if any(abs(v - sum(x * row[c] for x, row in zip(e, self._flogs))) > tol
+               for c, v in enumerate(log)):
+            return None
+        wt = self.w * (float(arg) - sum(x * float(t) for x, t in zip(e, self.args[1:])))
+        n = round(wt)
+        if abs(wt - n) > SOLVE_TOLERANCE:
+            return None
+        a = n * self._turn % self.w
+        pos, neg = _sign_split([g] + self.units, [1, -a % self.w] + [-x for x in e])
+        return (a, *e) if pos == neg else None
+
+    def extend(self, g: FieldElement, log, arg, section) -> tuple[tuple[int, ...], list | None]:
+        """Make the basis one of <G, g> for a unit g that coordinates did not
+        place, whose exponent row over the generators is section: returns
+        (coordinates of g, T), T the matrix that takes the coordinates of an
+        element of G to the new basis (new = old T, a then taken mod w), or
+        T = None when g was in G and the basis is kept. -1 with w = 1
+        becomes zeta, of exact order 2; g joins the b_i when _independent
+        proves its logs independent of theirs; otherwise _search decides."""
+        r = len(self.logs)
+        if self.w == 1 and (-g).is_one():
+            self.units[0], self.w, self.args[0], self.sections[0] = g, 2, arg, list(section)
+            self._index()
+            return (1,) + (0,) * r, identity(r + 1)
+        r1, r2 = self.e.signature
+        if r < r1 + r2 - 1 and self._independent(g, log):
+            self.units.append(g)
+            self.logs.append(log)
+            self.args.append(arg)
+            self.sections.append(list(section))
+            self._index()
+            return (0,) * (r + 1) + (1,), [row + [0] for row in identity(r + 1)]
+        return self._search(g, log, arg, section)
+
+    def _independent(self, g: FieldElement, log) -> bool:
+        """Whether the logs of b_1, ..., b_r', g are proved independent: the
+        minor _certified_minor picks is certainly nonsingular. A minor that
+        is not, or cannot be bounded, proves nothing, so False."""
+        try:
+            return _certified_minor(self.units[1:] + [g], self.logs + [log],
+                                    len(self.logs) + 1, self.e, self.log_moduli)
+        except PrecisionError:
+            return False
+
+    def _search(self, g: FieldElement, log, arg, section):
+        """extend by the proved relation lattice of g, zeta, b_1, ..., b_r'
+        (_complete_basis). When its HNF starts with a row (1, x), g =
+        zeta^-x_0 prod b^-x_i and the basis stays. Otherwise its Smith form
+        U L V = diag(d) gives the new basis: the rows of V^-1 at the invariant
+        d > 1 (at most one, as _certify_torsion proved the torsion cyclic) and
+        at the free invariants d = 0 are the exponents, over those elements,
+        of the new zeta and free units, and an element's new coordinates are
+        its row of V at those columns. LLL then reduces the free units on
+        their log rows (_short_logs), a unimodular T, whose inverse moves the
+        free coordinates. The lattice is never empty: it holds w e_zeta."""
+        elems = [g] + self.units
+        logs = [log, [0.0] * len(log)] + self.logs
+        args = [[arg]] + [[t] for t in self.args]
+        rows, _ = _complete_basis(elems, (logs, args), self.digits, self.e, self.log_moduli)
+        if rows and rows[0][0] == 1:
+            return self.reduced([-x for x in rows[0][1:]]), None
+        d, v, inverse = _smith_form(tuple(map(tuple, rows)))
+        torsion = [i for i, di in enumerate(d) if di > 1]
+        free = [i for i, di in enumerate(d) if di == 0]
+        free_rows = [inverse[i] for i in free]
+        t = (_short_logs([_vec_mat(row, logs) for row in free_rows]) if len(free) > 1
+             else identity(len(free)))
+        t_inverse, _ = _integer_inverse(t)
+        coords = [[row[torsion[0]] if torsion else 0]
+                  + _vec_mat([row[i] for i in free], t_inverse) for row in v]
+        unit_rows = [list(inverse[torsion[0]]) if torsion else [0] * len(elems)] + [
+            _vec_mat(row, free_rows) for row in t]
+        sections = [section] + self.sections
+        self.units = [power_product(elems, row) for row in unit_rows]
+        self.w = d[torsion[0]] if torsion else 1
+        self.logs = [_vec_mat(row, logs) for row in unit_rows[1:]]
+        self.args = [_vec_mat(row, args)[0] % 1 for row in unit_rows]
+        self.sections = [_vec_mat(row, sections) for row in unit_rows]
+        self._index()
+        return self.reduced(coords[0]), coords[1:]
+
+
+def _short_logs(logs) -> list[list[int]]:
+    """A unimodular T whose rows T L have short log rows: the exponent part
+    of the LLL-reduced rows [e_i | 10^(FLOAT_DIGITS / 2) Log_i] on the first
+    r1 + r2 - 1 classes, rounded (over mpf rows, at their working precision)."""
+    r, scale = len(logs), 10 ** (FLOAT_DIGITS // 2)
+    rows = [[int(j == i) for j in range(r)] + [_nint(scale * v) for v in row[:-1]]
+            for i, row in enumerate(logs)]
+    return [row[:r] for row in lll(rows)]
+
+
+def _place_all(elems, columns, digits: int, e: EmbeddingSet, log_moduli):
+    """(basis, coordinate rows) of the units elems in one pass. Each
+    generator, by increasing log length, is placed by
+    _UnitBasis.coordinates or, proved a unit first, extends the basis,
+    after which the coordinates found so far move to the new basis.
+    DomainError names the first non-unit in generator order."""
+    logs, args = columns
+    k = len(elems)
+    basis = _UnitBasis([elems[0].field.one()], 1, [], [0.0], [[0] * k], digits, e, log_moduli)
+    coords = {}
+    for i in sorted(range(k), key=lambda i: sum(v * v for v in logs[i])):
+        g = elems[i]
+        c = basis.coordinates(g, logs[i], args[i][0])
+        if c is None:
+            if not (-g).is_one() and not g.is_unit():  # (-1)^2 = 1: -1 is a unit
+                _require_units(elems)
+            c, t = basis.extend(g, logs[i], args[i][0], [int(j == i) for j in range(k)])
+            if t is not None:
+                coords = {j: basis.reduced(_vec_mat(x, t)) for j, x in coords.items()}
+        coords[i] = c
+    return basis, [coords[i] for i in range(k)]
+
+
+def _require_units(elems):
+    """DomainError naming the first of elems that is not a unit, if any."""
+    for g in elems:
+        if not g.is_unit():
+            raise DomainError(f"generator {quoted(g)} is not a unit")
+
+
+def _in_passes(elems, precision: int, run):
+    """run(elems, columns, digits, e, log_moduli) on the double columns of
+    elems (_float_columns, scale 10^FLOAT_DIGITS, _double_log_moduli) and,
+    when they do not exist or run raises PrecisionError, once more on the
+    working-precision columns (_embedding_columns, scale
+    10^(precision - guard), _mp_log_moduli) inside their mp.workdps, where
+    a PrecisionError is raised."""
+    e = embeddings(elems[0].field, precision)
+    columns = _float_columns(elems, e)
+    if columns is not None:
+        try:
+            return run(elems, columns, FLOAT_DIGITS, e, _double_log_moduli)
+        except PrecisionError:
+            pass
+    with mp.workdps(e.working_dps):
+        return run(elems, _embedding_columns(elems, e), precision - GUARD_DIGITS, e,
+                   _mp_log_moduli)
+
+
+def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:
+    """Find the multiplicative relation lattice of a list of units.
+
+    _place_all proves a basis of the group they generate and the
+    coordinates of each generator over it; the relation lattice is the HNF
+    of the integer kernel of those coordinates, a Z/w column included (see
+    the module docstring). A failed proof raises PrecisionError (retry with
+    more digits), so a returned presentation misses no relation and
+    invents none.
+    """
+    elems = list(elems)
+    if not elems:
+        return MultiplicativePresentation((), (), 1, precision, (), (), ())
+    field = elems[0].field
+    if any(g.field != field for g in elems):
+        raise DomainError("generators live in different fields")
+    if any(g.is_zero() for g in elems):
+        _require_units(elems)
+    basis, coords = _in_passes(elems, precision, _place_all)
+    stacked = [list(c) for c in coords] + [[basis.w] + [0] * len(basis.logs)]
+    rows = hnf([row[:len(elems)] for row in left_kernel(stacked)])
+    return MultiplicativePresentation(
+        tuple(elems), tuple(map(tuple, rows)), basis.w, precision, tuple(basis.units),
+        tuple(coords), tuple(map(tuple, basis.sections)))
+
+
+# ---------------------------------------------------------------------------
+# relation search
 
 def _columns(rows, log, phase, turn):
     """(log-modulus rows, argument/2pi rows) of rows of values v at the class
@@ -89,12 +351,22 @@ def _columns(rows, log, phase, turn):
 def _float_columns(elems, e: EmbeddingSet):
     """The _columns of the elements in doubles: Horner's rule on the
     coefficients as floats at EmbeddingSet.float_roots, then math.log and
-    cmath.phase. None when a coefficient overflows a double or a value is
-    not a finite nonzero double."""
+    cmath.phase. None when a coefficient overflows a double, a value is not
+    a finite nonzero double, or Horner's rule may have lost more than
+    FLOAT_ERROR of a value v: its a priori error 8(n+1)u |c|_1 max(1, |z|)^(n-1),
+    u = 2^-53 (_prove_rank's bound without the root radius), exceeds
+    FLOAT_ERROR |v|. A search on such columns would take their noise for
+    relations, with exponents too large to disprove."""
+    n = e.degree
     points = [e.float_roots[idx] for idx in e.class_representatives]
+    scales = [8 * (n + 1) * 2 ** -53 * max(1, abs(z)) ** (n - 1) / FLOAT_ERROR for z in points]
     try:
-        rows = [[_horner(coeffs, z) for z in points]
-                for coeffs in ([c / g.den for c in g.num] for g in elems)]
+        rows = []
+        for coeffs in ([c / g.den for c in g.num] for g in elems):
+            norm1 = sum(map(abs, coeffs))
+            rows.append([_horner(coeffs, z) for z in points])
+            if any(norm1 * s > abs(v) for v, s in zip(rows[-1], scales)):
+                return None
         logs, args = _columns(rows, math.log, cmath.phase, math.tau)
     except (OverflowError, DomainError):
         return None
@@ -127,23 +399,14 @@ def _search_lattice(logs, args, digits: int) -> list[list[int]]:
     return rows + [[0] * (k + free) + [scale]]
 
 
-def _relation_candidates(logs, args, digits: int):
-    """(candidates, dropped): the exponent vectors of candidate relations,
-    the LLL-reduced rows of _search_lattice whose r1 + r2 residuals are at
-    most 10^(digits // 2) and whose exponents are within DEFAULT_EXPONENT_BOUND,
-    and whether a vector within the residual threshold was dropped for its
-    exponents alone. _verified_basis proves each candidate row as it stands."""
+def _relation_candidates(logs, args, digits: int) -> list[list[int]]:
+    """The exponent vectors of candidate relations: the LLL-reduced rows of
+    _search_lattice whose r1 + r2 residuals are at most 10^(digits // 2).
+    _verified_basis proves each candidate row as it stands."""
     k = len(logs)
     threshold = 10 ** (digits // 2)
-    out, dropped = [], False
-    for v in lll(_search_lattice(logs, args, digits)):
-        exps, resid = v[:k], v[k:]
-        if any(exps) and max(abs(r) for r in resid) <= threshold:
-            if max(abs(x) for x in exps) <= DEFAULT_EXPONENT_BOUND:
-                out.append(exps)
-            else:
-                dropped = True
-    return out, dropped
+    return [v[:k] for v in lll(_search_lattice(logs, args, digits))
+            if any(v[:k]) and max(abs(r) for r in v[k:]) <= threshold]
 
 
 def _verified_basis(elems, candidates) -> list[list[int]]:
@@ -160,45 +423,16 @@ def _verified_basis(elems, candidates) -> list[list[int]]:
     return hnf(candidates)
 
 
-def _proved_lattice(elems, precision: int) -> tuple[list[list[int]], int]:
-    """(HNF basis, torsion order) of the whole relation lattice of the units
-    elems, proved: the rows by _verified_basis, the torsion order by
-    _certify_torsion and completeness by _prove_rank. Discovery runs on
-    double columns (_float_columns, scale 10^FLOAT_DIGITS) first; when they
-    do not exist or any proof fails, it runs again on the working-precision
-    columns (_embedding_columns, scale 10^(precision - guard)) inside its
-    mp.workdps, whose failure raises PrecisionError. Each pass hands the
-    rank proof its evaluator, _double_log_moduli or _mp_log_moduli."""
-    e = embeddings(elems[0].field, precision)
-    columns = _float_columns(elems, e)
-    if columns is not None:
-        try:
-            return _complete_basis(elems, columns, FLOAT_DIGITS, e, _double_log_moduli)
-        except PrecisionError:
-            pass
-    with mp.workdps(e.working_dps):
-        return _complete_basis(elems, _embedding_columns(elems, e),
-                               precision - GUARD_DIGITS, e, _mp_log_moduli)
-
-
 def _complete_basis(elems, columns, digits: int, e: EmbeddingSet, log_moduli):
-    """(basis, torsion order) of one search on columns scaled by 10^digits,
-    with every proof of _proved_lattice, the rank proof by the pass's
-    log_moduli; PrecisionError when one fails, naming DEFAULT_EXPONENT_BOUND
-    when the search dropped a vector for its exponents alone."""
+    """(HNF basis, torsion order) of the whole relation lattice of the units
+    elems, from one LLL search on their columns scaled by 10^digits: the
+    rows proved by _verified_basis, the torsion order by _certify_torsion
+    and completeness by _prove_rank with the pass's log_moduli;
+    PrecisionError when one fails."""
     logs, args = columns
-    candidates, dropped = _relation_candidates(logs, args, digits)
-    try:
-        basis = _verified_basis(elems, candidates)
-        torsion = _certify_torsion(elems, basis)
-        _prove_rank(elems, basis, logs, e, log_moduli)
-    except PrecisionError as err:
-        if not dropped:
-            raise
-        raise PrecisionError(
-            "the relation lattice may be incomplete: a relation with an exponent "
-            f"beyond the exponent bound {DEFAULT_EXPONENT_BOUND} was found and dropped, "
-            "as it is at any precision, so more digits will not help") from err
+    basis = _verified_basis(elems, _relation_candidates(logs, args, digits))
+    torsion = _certify_torsion(elems, basis)
+    _prove_rank(elems, basis, logs, e, log_moduli)
     return basis, torsion
 
 
@@ -220,9 +454,9 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet, log_moduli):
     the evaluator its pass hands it, _double_log_moduli in doubles or
     _mp_log_moduli at the working precision the pass holds. The r x r minor
     of their computed logs, each within eta of the true log
-    (_log_modulus_error), is shown nonsingular by _certainly_nonsingular; a
-    failure in doubles sends _proved_lattice on to the working-precision
-    pass.
+    (_log_modulus_error), is shown nonsingular by _certainly_nonsingular
+    (_certified_minor); a failure in doubles sends _in_passes on to the
+    working-precision pass.
 
     Error bound. Let g = sum c_i x^i (i < n) have rational coefficients,
     |c|_1 = sum |c_i|, and let u be the pass's unit: 2^-53 in doubles,
@@ -273,14 +507,23 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet, log_moduli):
             f"relations of {len(elems)} units span rank {len(basis)}, short of "
             f"{len(elems) - (r1 + r2 - 1)}: the relation lattice is incomplete, "
             "retry at higher precision")
-    rows, cols = _pivots(logs, r)
-    reps = [e.class_representatives[j] for j in cols]
-    minor = [log_moduli(elems[i], reps, e) for i in rows]
-    if not _certainly_nonsingular([[value for value, _ in row] for row in minor],
-                                  max(eta for row in minor for _, eta in row)):
+    if not _certified_minor(elems, logs, r, e, log_moduli):
         raise PrecisionError(
             "log-modulus minor does not exceed its error bound: the "
             "relation lattice may be incomplete, retry at higher precision")
+
+
+def _certified_minor(elems, logs, r: int, e: EmbeddingSet, log_moduli) -> bool:
+    """Whether the r x r minor of the log|sigma(g)| that _pivots picks on a
+    float copy of logs is certainly nonsingular: its r elements are
+    evaluated anew by log_moduli at its r classes, each log within eta of
+    the true one (_prove_rank's error bound), and _certainly_nonsingular
+    decides; PrecisionError when a pivot is zero or a log cannot be bounded."""
+    rows, cols = _pivots(logs, r)
+    reps = [e.class_representatives[j] for j in cols]
+    minor = [log_moduli(elems[i], reps, e) for i in rows]
+    return _certainly_nonsingular([[value for value, _ in row] for row in minor],
+                                  max(eta for row in minor for _, eta in row))
 
 
 def _pivots(logs, r: int) -> tuple[list[int], list[int]]:
@@ -362,29 +605,6 @@ def _exact(v) -> Fraction:
     return Fraction(v) if isinstance(v, float) else Fraction(*to_rational(v._mpf_))
 
 
-def relation_lattice(elems, precision: int = DEFAULT_DIGITS) -> MultiplicativePresentation:
-    """Find the multiplicative relation lattice of a list of units.
-
-    The HNF basis, its torsion order and its completeness are proved by
-    _proved_lattice; a failed proof raises PrecisionError (retry with more
-    digits, unless the message names the exponent bound, which no
-    precision lifts), so a returned presentation misses no relation.
-    """
-    elems = list(elems)
-    if not elems:
-        return MultiplicativePresentation((), (), 1, precision)
-    field = elems[0].field
-    for g in elems:
-        if g.field != field:
-            raise DomainError("generators live in different fields")
-        if not g.is_unit():
-            raise DomainError(f"generator {quoted(g)} is not a unit")
-
-    basis, torsion = _proved_lattice(elems, precision)
-    return MultiplicativePresentation(
-        tuple(elems), tuple(tuple(r) for r in basis), torsion, precision)
-
-
 def power_product(elems, exponents) -> FieldElement:
     """Exact product of elems[i] ** exponents[i] over the nonzero exponents,
     started from the first factor, never from 1; one() when all are 0."""
@@ -414,41 +634,33 @@ def _is_root_of_one(pos, neg, n) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _smith_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple | None]:
-    """(invariants, V, x) of snf(rows), formed once per relation basis: the
-    torsion proof and the exterior square both read it. When exactly one
-    invariant d_i exceeds 1, x is row i of V^-1, the exponents of the
-    torsion generator, solved as x V = e_i by one fraction-free elimination
-    on V^T; V is unimodular, so det V = +-1 and x is integral. Otherwise x
-    is None."""
+def _smith_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
+    """(invariants, V, V^-1) of snf(rows), formed once per relation basis:
+    the torsion proof reads the exponents of its generator off V^-1, and an
+    extension step its new basis. V is unimodular, so V^-1 is integral."""
     invariants, v = snf(rows)
-    nontrivial = [i for i, d in enumerate(invariants) if d > 1]
-    row = None
-    if len(nontrivial) == 1:
-        i = nontrivial[0]
-        det, x = _fraction_free([list(col) + [int(j == i)] for j, col in enumerate(zip(*v))])
-        row = tuple(det * c for (c,) in x)  # x V = det e_i, and 1 / det = det
-    return tuple(invariants), tuple(map(tuple, v)), row
+    inverse, _ = _integer_inverse(v)
+    return tuple(invariants), tuple(map(tuple, v)), tuple(map(tuple, inverse))
 
 
 def _certify_torsion(elems, basis) -> int:
     """Order w of the torsion of Z^k modulo the relation basis, read off its
     Smith invariants and proved on the generator t = P / N of the torsion
-    factor (_sign_split, formed once), whose exponents _smith_form solves
-    beside the Smith form: t^w == 1 and t^(w/q) != 1 for each prime q | w
+    factor (_sign_split, formed once), whose exponents are the row of V^-1
+    at that factor: t^w == 1 and t^(w/q) != 1 for each prime q | w
     (_is_root_of_one)."""
     if not basis:
         return 1
-    invariants, _, generator = _smith_form(tuple(map(tuple, basis)))
-    nontrivial = [d for d in invariants if d > 1]
+    invariants, _, inverse = _smith_form(tuple(map(tuple, basis)))
+    nontrivial = [i for i, d in enumerate(invariants) if d > 1]
     if not nontrivial:
         return 1
     if len(nontrivial) > 1:
         raise PrecisionError(
             "presented torsion is not cyclic; the relation lattice is "
             "incomplete, retry at higher precision")
-    w = nontrivial[0]
-    pos, neg = _sign_split(elems, generator)
+    w = invariants[nontrivial[0]]
+    pos, neg = _sign_split(elems, inverse[nontrivial[0]])
     if not _is_root_of_one(pos, neg, w):
         raise PrecisionError("torsion certification failed")
     for q in _prime_divisors(w):
@@ -505,59 +717,76 @@ def exterior_square_of_lattice(k: int,
                                relation_rows: tuple[tuple[int, ...], ...]) -> ExteriorSquare:
     """Exterior square over the integers of Z^k modulo a relation lattice,
     torsion included, from the Smith form of the k-column relation rows."""
-    d, v = _smith_form(relation_rows)[:2] if relation_rows else ([0] * k, identity(k))
+    d, v = snf(relation_rows) if relation_rows else ([0] * k, identity(k))
     return ExteriorSquare(k, tuple(math.gcd(d[i], d[j]) for i, j in _pairs(k)),
                           tuple(tuple(row) for row in v))
 
 
 def exterior_square(p: MultiplicativePresentation) -> ExteriorSquare:
-    return exterior_square_of_lattice(p.rank, p.relation_basis)
+    """Exterior square of the group p presents, on its basis coordinates:
+    that of Z^(1 + r') modulo (w, 0, ..., 0), one lattice per (r', w)."""
+    n = len(p.units)
+    return exterior_square_of_lattice(n, ((p.torsion_order,) + (0,) * (n - 1),) if n else ())
 
 
 # ---------------------------------------------------------------------------
 # coordinates and the wedge map
 
-def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
-    """Exponent coordinates of elem over the presentation generators.
-
-    Coordinates are read off the first row of the relation basis of elem
-    and the generators, proved complete by _proved_lattice, so "not
-    expressible" is a proved statement; exponents are capped by
-    DEFAULT_EXPONENT_BOUND. They are well defined only up to the relation
-    lattice, which is enough for wedge classes. DomainError for an element
-    of another field than the generators'.
-    """
+def _basis_coordinates(elem: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
+    """(a, e_1, ..., e_r') of elem over p.units: a generator's row of
+    p.coordinates, 0 for 1, and otherwise as relation_lattice places a
+    generator, in the passes of _in_passes on p's basis. DomainError for an
+    element of another field or a non-unit; PresentationIncompleteError when
+    elem would enlarge the group, a proved statement."""
     if p.rank and elem.field != p.generators[0].field:
         raise DomainError("element and generators live in different fields")
-    if p.rank == 0:
-        if elem.is_one():
-            return ()
-        raise PresentationIncompleteError("empty presentation expresses only 1")
-    for i, g in enumerate(p.generators):
+    for g, c in zip(p.generators, p.coordinates):
         if g == elem:
-            return tuple(1 if j == i else 0 for j in range(p.rank))
+            return c
     if elem.is_one():
-        return tuple([0] * p.rank)
+        return (0,) * len(p.units)
+    if p.rank == 0:
+        raise PresentationIncompleteError("empty presentation expresses only 1")
 
-    if not elem.is_unit():
-        raise DomainError("only units have coordinates in a unit presentation")
-    basis, _ = _proved_lattice([elem] + list(p.generators), p.precision)
-    if basis and basis[0][0] == 1:
-        coords = tuple(-x for x in basis[0][1:])
-        if max(abs(c) for c in coords) <= DEFAULT_EXPONENT_BOUND:
-            return coords
-        raise PresentationIncompleteError(
-            "coordinates exceed the exponent-height bound")
-    raise PresentationIncompleteError(
-        f"element {quoted(elem)} is not expressible over the supplied generators")
+    def place(elems, columns, digits, e, log_moduli):
+        logs, args = columns
+        basis = _UnitBasis(p.units, p.torsion_order, logs[1:-1], [a[0] for a in args[:-1]],
+                           p.sections, digits, e, log_moduli)
+        c = basis.coordinates(elem, logs[-1], args[-1][0])
+        if c is None:
+            if not elem.is_unit():
+                raise DomainError("only units have coordinates in a unit presentation")
+            c, t = basis.extend(elem, logs[-1], args[-1][0], [0] * p.rank)
+            if t is not None:
+                raise PresentationIncompleteError(
+                    f"element {quoted(elem)} is not expressible over the supplied generators")
+        return c
+
+    return _in_passes(list(p.units) + [elem], p.precision, place)
+
+
+def coordinates_of(elem: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
+    """Exponent coordinates of elem over the presentation generators: e_i
+    for generator i, and otherwise its basis coordinates
+    (_basis_coordinates) times p.sections, so "not expressible" is a proved
+    statement. They are well defined only up to the relation lattice, which
+    is enough for wedge classes. DomainError for an element of another field
+    than the generators'.
+    """
+    if elem in p.generators:
+        i = p.generators.index(elem)
+        return tuple(int(j == i) for j in range(p.rank))
+    return tuple(_vec_mat(_basis_coordinates(elem, p), p.sections))
 
 
 def steinberg_image(lam: FieldElement, p: MultiplicativePresentation) -> tuple[int, ...]:
-    """Class of lambda ^ (1 - lambda), the tuple ExteriorSquare.wedge gives.
-    coordinates_of tests every non-generator for unit status (relation_lattice
-    proved the generators units), so a lambda outside R-circ raises DomainError."""
-    return exterior_square(p).wedge(coordinates_of(lam, p),
-                                    coordinates_of(lam.field.one() - lam, p))
+    """Class of lambda ^ (1 - lambda), the tuple ExteriorSquare.wedge gives
+    on the basis coordinates of lambda and 1 - lambda. _basis_coordinates
+    proves a non-generator a unit, by its exact identity or by is_unit
+    (relation_lattice proved the generators units), so a lambda outside
+    R-circ raises DomainError."""
+    return exterior_square(p).wedge(_basis_coordinates(lam, p),
+                                    _basis_coordinates(lam.field.one() - lam, p))
 
 
 def bloch_kernel(candidates, p: MultiplicativePresentation) -> list[list[int]]:

@@ -881,10 +881,11 @@ def test_bloch_check_work_counts(monkeypatch):
     anharmonic orbit with a support column that has a nonzero entry in some
     kernel row): both candidates, x and 1/(1-x), are used and lie in the
     orbit of x, so that is one value per pair representative. Unit status
-    is tested once per generator of the presentation (-1, x, 1-x, (1-x)^-1,
-    x/(x-1)), 5 tests, by relation_lattice: each candidate and its
-    complement is one of those generators, so steinberg_image tests none of
-    them again. The one inverse is the parse of (1-x)^-1; proving relations
+    is tested only for the generators that enter the basis of the
+    presentation, -1 and x, and -1 needs no test ((-1)^2 = 1), so 1 test:
+    the exact identities that place 1-x, (1-x)^-1 and x/(x-1) on that
+    basis prove them units, and each candidate and its complement is a
+    generator, so steinberg_image tests none of them again. The one inverse is the parse of (1-x)^-1; proving relations
     inverts nothing."""
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     job = _build_job(argv[1:])
@@ -897,15 +898,17 @@ def test_bloch_check_work_counts(monkeypatch):
             < sum(len(row) for row in rec["kernel_basis"]))
     assert used == 2
     assert calls == {"steinberg_image": len(candidates), "bloch_wigner": pairs,
-                     "is_unit": 5, "inverse": 1, "evaluate": len(candidates)}
+                     "is_unit": 1, "inverse": 1, "evaluate": len(candidates)}
     assert calls["evaluate"] == 2
 
 
 def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
-    """The README bloch-check example makes 13 field multiplications, none
+    """The README bloch-check example makes 11 field multiplications, none
     with an operand equal to 1: powers and power products start from their
-    first factor, and the relations proved are LLL's rows, whose exponents
-    are shorter than those of their HNF (proving the HNF rows made 14)."""
+    first factor. 9 of them are the three exact identities that place
+    x/(x-1) = x^-2, (1-x)^-1 = -x^-3 and 1-x = -x^3 on the basis -1, x;
+    the one LLL search of all five generators and the proofs of its rows
+    made 11."""
     from arithreg.nf import FieldElement
 
     operands = []
@@ -918,7 +921,7 @@ def test_bloch_check_multiplies_nothing_by_one(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", recorded)
     (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
     assert run_job(dict(_build_job(argv[1:]), output="json"), out=io.StringIO()) == 0
-    assert len(operands) == 13
+    assert len(operands) == 11
     assert not any(a.is_one() or b.is_one() for a, b in operands)
 
 

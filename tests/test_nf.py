@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_neg
 
-from arithreg.errors import DomainError, FormatError, SquarefreeError
+from arithreg.errors import DomainError, FormatError, PrecisionError, SquarefreeError
 import arithreg.nf
 from arithreg.nf import (EmbeddingSet, FieldElement, _parse_rational, embeddings, evaluate,
                          parse_field)
@@ -530,6 +530,16 @@ class TestEmbeddings:
                     for c in reversed(K.defining_poly):
                         acc = acc * z + c
                     assert abs(acc) < mpf(10) ** -50
+
+    def test_close_real_roots_refused_by_separation(self):
+        """x^3 - 2 (10^30 x - 1)^2 has two real roots at 10^-30 (1 +- 7.1e-46),
+        about 1.4e-75 apart, both certified by their residuals at 50 digits:
+        the root-separation check refuses them by name, the one guard against
+        two close real roots polished onto one."""
+        K = parse_field({"poly": [-2, 4 * 10 ** 30, -2 * 10 ** 60, 1]})
+        with pytest.raises(PrecisionError,
+                           match="^root separation below tolerance at requested precision$"):
+            embeddings(K, 50)
 
     @pytest.mark.parametrize("poly", [[10 ** 12 + 1, 0, 1], [10 ** 30 + 1, 0, 1],
                                       [-10 ** 11 - 3, 0, 0, 1]],

@@ -11,7 +11,7 @@ from mpmath import mp
 import arithreg.relations
 from arithreg.cli import _candidate_presentation, parse_element, run_job
 from arithreg.errors import DomainError, PrecisionError, PresentationIncompleteError
-from arithreg.intmat import _integer_inverse, det_fraction, identity, in_lattice, lll
+from arithreg.intmat import det_fraction, identity, in_lattice, lll
 from arithreg.nf import FieldElement, embeddings, parse_field
 from arithreg.precision import GUARD_DIGITS
 from arithreg.relations import (FLOAT_DIGITS, _certainly_nonsingular,
@@ -22,7 +22,9 @@ from arithreg.relations import (FLOAT_DIGITS, _certainly_nonsingular,
 from intmat_oracles import (det_by_elimination, group_invariants, invariant_factors_by_minors,
                             left_kernel_by_transform, lll_fraction)
 from nf_oracles import mpc_horner, mpc_newton
+from relation_oracles import one_search_lattice
 from test_cli import _build_job, count_calls, readme_examples
+from time_limits import time_limit
 from wedge_oracles import (bloch_sum_vanishes, exceptional_units, raw_wedge, reduce_raw,
                            relator_smith_form, wedge_relators)
 
@@ -124,14 +126,12 @@ class TestCompleteness:
     the search misses raises PrecisionError instead of being dropped."""
 
     def test_exponent_65_raises(self, fields):
-        """x and x^65 on x^3 - x + 1 have the one relation (65, -1), beyond
-        DEFAULT_EXPONENT_BOUND: the search drops it, and presenting a free
-        group of rank 2 in a field of unit rank 1 is refused with an error
-        that names the bound, since more digits would drop it again."""
+        """x and x^65 on x^3 - x + 1 have the one relation (65, -1). No
+        exponent bound stands in its way: x^65 is placed on the basis x by
+        its exact identity, as x^64 is."""
         x = fields["cubic"].gen()
         assert relation_lattice([x, x ** 64], 50).relation_basis == ((64, -1),)
-        with pytest.raises(PrecisionError, match="exponent bound"):
-            relation_lattice([x, x ** 65], 50)
+        assert relation_lattice([x, x ** 65], 50).relation_basis == ((65, -1),)
 
     def test_certainly_nonsingular(self):
         """The minor test of the rank proof: a matrix is accepted only when no
@@ -167,25 +167,123 @@ class TestCompleteness:
                 outcomes.append(nonsingular)
         assert True in outcomes and False in outcomes
 
+    def test_certainly_nonsingular_at_its_bound(self):
+        """Boundary matrices of exact dyadic rationals, for the proof that
+        admits a free unit and completes a search. With r = 2 and eta = 1/4,
+        s = ceil(sqrt(2)) eta = 1/2, and diag(2, q) has
+        B = s ((q + s) + (2 + s)) = (q + 3) / 2: at q = 1 its det 2 equals B
+        and is refused, as the test is |det a| > B, and just above q = 1 it
+        is certified. With B halved, or s = eta, the first is certified."""
+        eta = 0.25
+        assert not _certainly_nonsingular([[2.0, 0.0], [0.0, 1.0]], eta)
+        assert _certainly_nonsingular([[2.0, 0.0], [0.0, 1.0 + 2.0 ** -20]], eta)
+
+    def test_certainly_nonsingular_refuses_near_singular(self):
+        """A matrix within eta of a singular one, entry by entry, is refused.
+        For r = 1, B = eta exactly, so [[3 eta / 4]], within eta of [[0]], is
+        refused, where a halved B would certify it; diag(2 eta, 2 eta) is
+        within eta of the singular [[eta, eta], [eta, eta]]."""
+        eta = 2.0 ** -30
+        assert not _certainly_nonsingular([[0.75 * eta]], eta)
+        assert _certainly_nonsingular([[1.25 * eta]], eta)
+        assert not _certainly_nonsingular([[2 * eta, 0.0], [0.0, 2 * eta]], eta)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
     def test_seeded_power_products_of_known_units(self, m):
         """Seeded g_i = (-1)^a_i x^b_i on the irreducible x^m - x + 1 with
-        |b_i| <= 64: every returned HNF equals the lattice known by
-        construction, and the cases whose relations the search cannot reach
-        raise PrecisionError."""
-        outcomes = []
+        |b_i| <= 64: every list returns the HNF of the lattice known by
+        construction, those whose relations need exponents beyond 64
+        included."""
         for signs, powers, gens in seeded_power_products(m):
-            try:
-                p = relation_lattice(gens, 50)
-            except PrecisionError:
-                outcomes.append("refused")
-                continue
+            p = relation_lattice(gens, 50)
             assert [list(r) for r in p.relation_basis] == known_relation_lattice(
                 m, signs, powers), (signs, powers)
-            outcomes.append("returned")
-        assert "returned" in outcomes
-        if m > 2:  # x has infinite order, so some pairs need large exponents
-            assert "refused" in outcomes
+
+
+class TestUnitBasis:
+    """The engine of relation_lattice: a proved basis of the group, with
+    every generator placed by a float solve and one exact identity, and an
+    LLL search only for a generator that enlarges the group beyond a free
+    unit."""
+
+    # sha256 of the JSON of the relation basis of the 184 units below, which
+    # relation_oracles.one_search_lattice gives too (2.9 s against 0.13 s on
+    # a 2-CPU host under Python 3.11)
+    X6_UNITS_SHA256 = "581acf02ad863fe4f7e46fb980ca2cb619712d8d12d655af0a653401393b1a34"
+
+    def test_units_of_x6_minus_x_plus_1(self, monkeypatch):
+        """The 184 units of x^6 - x + 1 with power-basis coefficients in
+        [-2, 2] generate Z/2 x Z^2 on the basis -1, -x, -x - x^3: they are
+        placed with no LLL call, and only the two free units of the basis
+        are tested for unit status (-1 needs no test)."""
+        K = parse_field({"poly": [1, -1, 0, 0, 0, 0, 1]})
+        units = [K.element(list(c)) for c in itertools.product(range(-2, 3), repeat=6)]
+        units = [u for u in units if not u.is_zero() and u.is_unit()]
+        assert len(units) == 184
+        calls = {"lll": 0, "is_unit": 0}
+        count_calls(monkeypatch, calls, arithreg.relations, "lll")
+        count_calls(monkeypatch, calls, FieldElement, "is_unit")
+        with time_limit(2):
+            p = relation_lattice(units, 50)
+        assert calls == {"lll": 0, "is_unit": 2}
+        assert (len(p.relation_basis), p.torsion_order) == (182, 2)
+        x = K.gen()
+        assert p.units == (K.element([-1]), -x, -x - x ** 3)
+        digest = hashlib.sha256(json.dumps([list(r) for r in p.relation_basis]).encode())
+        assert digest.hexdigest() == self.X6_UNITS_SHA256
+        for u, section in zip(p.units, p.sections):
+            assert power_product(p.generators, section) == u
+        for g, (a, *e) in zip(p.generators, p.coordinates):
+            assert power_product(p.units, [a] + e) == g
+
+    def test_coordinates_of_a_non_generator_searches_nothing(self, monkeypatch, fields):
+        """x^-5 and -x^7 over the generators -1, x, 1 - x of x^3 - x + 1 are
+        placed by their exact identities, with no LLL call."""
+        K = fields["cubic"]
+        x = K.gen()
+        p = relation_lattice([K.element([-1]), x, K.one() - x], 50)
+        calls = {"lll": 0}
+        count_calls(monkeypatch, calls, arithreg.relations, "lll")
+        for elem in (x ** -5, -(x ** 7)):
+            assert power_product(p.generators, coordinates_of(elem, p)) == elem
+        assert calls == {"lll": 0}
+
+    def test_degenerate_solve_extends(self, monkeypatch, fields):
+        """A basis whose double logs are degenerate (zero) has no solve:
+        coordinates returns None rather than raising, and extend's search on
+        those columns ends in PrecisionError, never in another error. In
+        relation_lattice a zero double log row sends the pass on to the
+        working precision, which returns the true presentation."""
+        K = fields["cubic"]
+        x = K.gen()
+        e = embeddings(K, 50)
+        logs, args = arithreg.relations._float_columns([x ** 2], e)
+        basis = arithreg.relations._UnitBasis(
+            [K.element([-1]), x], 2, [[0.0, 0.0]], [0.5, args[0][0] / 2], [[1, 0], [0, 1]],
+            FLOAT_DIGITS, e, arithreg.relations._double_log_moduli)
+        assert basis.coordinates(x ** 2, logs[0], args[0][0]) is None
+        with pytest.raises(PrecisionError):
+            basis.extend(x ** 2, logs[0], args[0][0], [0, 0])
+        gens = [K.element([-1]), x, x ** 2]
+        want = relation_lattice(gens, 50)
+        real_columns = arithreg.relations._float_columns
+
+        def zeroed(elems, e):
+            logs, args = real_columns(elems, e)
+            logs[1] = [0.0] * len(logs[1])
+            return logs, args
+
+        monkeypatch.setattr(arithreg.relations, "_float_columns", zeroed)
+        assert relation_lattice(gens, 50) == want
+        assert want.relation_basis == ((2, 0, 0), (0, 2, -1))
+
+    def test_first_non_unit_in_generator_order(self, fields):
+        """A non-unit is reported as the first in generator order, though
+        the generators are placed by log length."""
+        K = fields["cubic"]
+        x = K.gen()
+        with pytest.raises(DomainError, match=r"generator .*'3'.* is not a unit"):
+            relation_lattice([x, K.element([3]), K.element([2])], 50)
 
 
 class TestDoubleRankBound:
@@ -239,7 +337,14 @@ class TestDoubleRankBound:
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
     def test_power_products_of_known_units(self, monkeypatch, m):
         entries = self.recorded_entries(monkeypatch)
-        for _, _, gens in seeded_power_products(m):
+        # the seeded lists whose powers are large have double columns too
+        # inaccurate to search (_float_columns), so they go to the working
+        # precision; -1, x, 1 - x keeps a free unit to prove in doubles
+        K = parse_field({"poly": [1, -1] + [0] * (m - 2) + [1]})
+        x = K.gen()
+        lists = [[K.element([-1]), x, K.one() - x]] + [
+            gens for _, _, gens in seeded_power_products(m)]
+        for gens in lists:
             try:
                 relation_lattice(gens, 50)
             except PrecisionError:
@@ -286,35 +391,43 @@ SEARCH_FIELDS = [
 
 
 class TestSearchDifferential:
-    """The search lattice keeps r1 + r2 - 1 log columns and one argument
-    column with one turn row. On seeded generator lists over fields with
-    torsion orders 2 to 12, relation_lattice gives the same presentation or
-    error as with the lattice of every column and one turn row per class,
-    and takes the working-precision columns no more often in all. On a
-    single list either double search may fail where the other succeeds, so
-    only the total over all lists is compared."""
+    """relation_lattice against the one-search engine it replaced
+    (relation_oracles.one_search_lattice, here on the search lattice of
+    every column with one turn row per class), on seeded generator lists
+    over fields with torsion orders 2 to 12: wherever the oracle returns a
+    presentation, relation_lattice returns the same one; it refuses no list,
+    the oracle some, and it takes the working-precision columns no more
+    often in all."""
 
     @staticmethod
-    def outcome(gens, monkeypatch, search=None):
+    def outcome(run, gens, monkeypatch):
         """((basis, torsion order) or error class, _embedding_columns calls)
-        of relation_lattice on gens, with search as the lattice if given."""
+        of run(gens)."""
         calls = {"_embedding_columns": 0}
         with monkeypatch.context() as patch:
             count_calls(patch, calls, arithreg.relations, "_embedding_columns")
-            if search is not None:
-                patch.setattr(arithreg.relations, "_search_lattice", search)
             try:
-                p = relation_lattice(gens, 50)
-                got = (p.relation_basis, p.torsion_order)
+                got = run(gens)
             except (PrecisionError, DomainError) as err:
                 got = type(err)
         return got, calls["_embedding_columns"]
 
+    @staticmethod
+    def engine(gens):
+        p = relation_lattice(gens, 50)
+        return p.relation_basis, p.torsion_order
+
+    @staticmethod
+    def oracle(gens):
+        basis, torsion = one_search_lattice(gens, 50, full_search_lattice)
+        return tuple(map(tuple, basis)), torsion
+
     def test_same_presentation_as_the_full_lattice(self, monkeypatch):
         """100 lists per field of 2 to 5 power products of -1 and the listed
         units, each exponent within a bound drawn from 1 to 12 per list, so
-        some lists need the working-precision pass and some are refused."""
-        calls = {"new": 0, "full": 0}
+        some lists need the working-precision pass and the oracle refuses
+        some."""
+        calls = {"new": 0, "oracle": 0}
         refused, torsion = 0, {}
         for poly, w, units in SEARCH_FIELDS:
             K = parse_field({"poly": poly})
@@ -329,17 +442,18 @@ class TestSearchDifferential:
                     for b in base:
                         g = g * b ** rng.randint(-bound, bound)
                     gens.append(g)
-                got, new_calls = self.outcome(gens, monkeypatch)
-                want, full_calls = self.outcome(gens, monkeypatch, full_search_lattice)
-                assert got == want, (poly, gens)
-                calls["new"] += new_calls
-                calls["full"] += full_calls
-                if isinstance(got, tuple):
-                    torsion[str(poly)] = max(torsion.get(str(poly), 1), got[1])
+                got, new_calls = self.outcome(self.engine, gens, monkeypatch)
+                want, oracle_calls = self.outcome(self.oracle, gens, monkeypatch)
+                assert isinstance(got, tuple), (poly, gens)
+                if isinstance(want, tuple):
+                    assert got == want, (poly, gens)
                 else:
                     refused += 1
+                calls["new"] += new_calls
+                calls["oracle"] += oracle_calls
+                torsion[str(poly)] = max(torsion.get(str(poly), 1), got[1])
             assert torsion[str(poly)] == w
-        assert refused and calls["new"] and calls["new"] <= calls["full"], (refused, calls)
+        assert refused and calls["new"] and calls["new"] <= calls["oracle"], (refused, calls)
 
 
 class TestColumns:
@@ -365,6 +479,16 @@ class TestColumns:
             assert all(abs(x - float(y)) < 1e-12 for x, y in zip(row, mp_row))
         for row, mp_row in zip(args, mp_args):
             assert all(abs((x - float(y) + 0.5) % 1 - 0.5) < 1e-12 for x, y in zip(row, mp_row))
+
+    def test_ill_conditioned_values_have_no_double_columns(self, fields):
+        """x^-56 on x^3 - x + 1 is about 1.4e-7 at the real root, where
+        Horner's rule in doubles sums coefficients of total size 5073: its
+        a priori error exceeds FLOAT_ERROR, so there are no double columns,
+        while those of x^-5 exist."""
+        K = fields["cubic"]
+        e = embeddings(K, 50)
+        assert arithreg.relations._float_columns([K.gen() ** -5], e) is not None
+        assert arithreg.relations._float_columns([K.gen() ** -56], e) is None
 
     def test_zero_has_no_columns(self, fields):
         K = fields["cubic"]
@@ -407,9 +531,10 @@ class TestFallback:
     ])
     def test_perturbed_double_log(self, monkeypatch, poly, power):
         """A double column source that moves one log by 10^-3 hides the
-        relation between x and x^power: the rank proof refuses the double
-        result, and the working-precision search returns the presentation
-        it gives alone."""
+        relation between x and x^power: the float solve cannot place
+        x^power, the proofs of the relation search that follows refuse the
+        double result, and the working-precision pass, which places x^power
+        by its exact identity, returns the presentation it gives alone."""
         K = parse_field({"poly": poly})
         gens = [K.element([-1]), K.gen(), K.gen() ** power]
         want = self.mpmath_only(monkeypatch, gens)
@@ -420,23 +545,24 @@ class TestFallback:
             logs[2][0] += 1e-3
             return logs, args
 
-        real_proof = arithreg.relations._prove_rank
+        real_proof = arithreg.relations._complete_basis
         seen = []
 
         def recorded(*a):
             try:
-                real_proof(*a)
+                out = real_proof(*a)
             except PrecisionError:
                 seen.append("failed")
                 raise
             seen.append("proved")
+            return out
 
         monkeypatch.setattr(arithreg.relations, "_float_columns", perturbed)
-        monkeypatch.setattr(arithreg.relations, "_prove_rank", recorded)
+        monkeypatch.setattr(arithreg.relations, "_complete_basis", recorded)
         assert power_product(gens, [0, power, -1]).is_one()
         assert (len(want.relation_basis), want.torsion_order) == (2, 2)
         assert relation_lattice(gens, 50) == want
-        assert seen == ["failed", "proved"]
+        assert seen == ["failed"]
 
 
 class TestRankProofEvaluator:
@@ -472,32 +598,43 @@ class TestVerifiedBasis:
 
         def with_false_row(logs, args, digits):
             searches.append(digits)
-            candidates, dropped = real(logs, args, digits)
-            return candidates + [[1] + [0] * (len(logs) - 1)], dropped
+            return real(logs, args, digits) + [[1] + [0] * (len(logs) - 1)]
 
         monkeypatch.setattr(arithreg.relations, "_relation_candidates", with_false_row)
         return searches
 
-    def test_false_candidate_fails_relation_lattice(self, monkeypatch, cubic_setup):
-        """The false row fails exact proof in the double search, then again in
-        the working-precision search, which raises."""
-        _, _, p = cubic_setup
+    def test_false_candidate_fails_relation_lattice(self, monkeypatch, fields):
+        """x^2, x^3 on x^3 - x + 1: x^2 is a free unit, and x^3 = x^2 x,
+        which no integer power of x^2 gives, runs a relation search. Its
+        false row fails exact proof in the double pass, then again in the
+        working-precision pass, which raises."""
+        x = fields["cubic"].gen()
         searches = self.add_false_candidate(monkeypatch)
         with pytest.raises(PrecisionError):
-            relation_lattice(p.generators, 50)
+            relation_lattice([x ** 2, x ** 3], 50)
         assert searches == [FLOAT_DIGITS, 50 - GUARD_DIGITS]
 
-    def test_false_candidate_fails_coordinates_of(self, monkeypatch, cubic_setup):
-        _, lam, p = cubic_setup
-        assert power_product(p.generators, coordinates_of(lam ** 2, p)) == lam ** 2
+    def test_false_candidate_fails_coordinates_of(self, monkeypatch, fields):
+        """Over -1, x^2, the element x^4 is placed by its exact identity, with
+        no search; x^3 is not in the group, which a relation search proves,
+        and its false row fails in both passes."""
+        K = fields["cubic"]
+        x = K.gen()
+        p = relation_lattice([K.element([-1]), x ** 2], 50)
+        assert power_product(p.generators, coordinates_of(x ** 4, p)) == x ** 4
+        with pytest.raises(PresentationIncompleteError):
+            coordinates_of(x ** 3, p)
         searches = self.add_false_candidate(monkeypatch)
+        assert power_product(p.generators, coordinates_of(x ** 4, p)) == x ** 4
+        assert searches == []
         with pytest.raises(PrecisionError):
-            coordinates_of(lam ** 2, p)
+            coordinates_of(x ** 3, p)
         assert searches == [FLOAT_DIGITS, 50 - GUARD_DIGITS]
 
     def test_each_candidate_proved_as_found(self, monkeypatch):
-        """On the README bloch-check, _verified_basis sign-splits each LLL
-        candidate once, as it stands, and powers no generator beyond the
+        """On the seeded power products of x^3 - x + 1, whose pairs of
+        exponents need relation searches, _verified_basis sign-splits each
+        LLL candidate once, as it stands, and powers no generator beyond the
         largest |entry| of the candidates."""
         real_verified = arithreg.relations._verified_basis
         real_split = arithreg.relations._sign_split
@@ -526,8 +663,8 @@ class TestVerifiedBasis:
         monkeypatch.setattr(arithreg.relations, "_verified_basis", verified)
         monkeypatch.setattr(arithreg.relations, "_sign_split", split)
         monkeypatch.setattr(FieldElement, "__pow__", power)
-        (argv,) = [a for a in readme_examples() if a[1] == "bloch-check"]
-        assert run_job(_build_job(argv[1:]), out=io.StringIO()) == 0
+        for _, _, gens in seeded_power_products(3):
+            relation_lattice(gens, 50)
         assert proofs and all(candidates for candidates, _, _ in proofs)
         for candidates, rows, powers in proofs:
             assert rows == candidates
@@ -653,18 +790,21 @@ TORSION_PRESENTATIONS = {
 
 
 class TestTorsionRow:
-    """_smith_form solves the exponents of the torsion generator, row i of
-    V^-1 for the one invariant d_i > 1, as x V = e_i beside the Smith form;
-    intmat._integer_inverse(V) is the oracle."""
+    """_smith_form returns V^-1 beside the Smith form, and the exponents of
+    the torsion generator are its row i, the solution of x V = e_i, for the
+    one invariant d_i > 1; V V^-1 = V^-1 V = I is the check."""
 
     @staticmethod
     def assert_torsion_row(rows):
-        invariants, v, x = arithreg.relations._smith_form(rows)
+        invariants, v, inverse = arithreg.relations._smith_form(rows)
+        n = len(v)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in v] == eye
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in inverse] == eye
         i = next(i for i, d in enumerate(invariants) if d > 1)
-        assert [sum(c * row[j] for c, row in zip(x, v)) for j in range(len(v))] == \
-            [int(j == i) for j in range(len(v))]
-        inverse, den = _integer_inverse(v)
-        assert den == 1 and list(x) == inverse[i]
+        x = inverse[i]
+        assert [sum(c * row[j] for c, row in zip(x, v)) for j in range(n)] == \
+            [int(j == i) for j in range(n)]
         return det_fraction([list(row) for row in v])
 
     @pytest.mark.parametrize("name", list(TORSION_PRESENTATIONS))
@@ -685,10 +825,23 @@ class TestTorsionRow:
         arithreg.relations._smith_form.cache_clear()
         assert self.assert_torsion_row(((-6, -2, 2), (1, 0, 6))) == -1
 
-    def test_no_row_without_exactly_one_torsion_invariant(self):
+    def test_no_row_without_exactly_one_torsion_invariant(self, monkeypatch, fields):
+        """The torsion proof reads no row of V^-1 unless exactly one
+        invariant exceeds 1: with none the order is 1, with two the torsion
+        is refused as not cyclic, and neither sign-splits anything."""
         arithreg.relations._smith_form.cache_clear()
-        for rows in (((1, 0), (0, 1)), ((2, 0), (0, 2)), ((1, 1),)):
-            assert arithreg.relations._smith_form(rows)[2] is None
+        K = fields["cubic"]
+        elems = [K.element([-1]), K.gen()]
+
+        def no_split(*args):
+            raise AssertionError("a torsion row was sign-split")
+
+        monkeypatch.setattr(arithreg.relations, "_sign_split", no_split)
+        certify = arithreg.relations._certify_torsion
+        for rows in ([[1, 0], [0, 1]], [[1, 1]]):
+            assert certify(elems, rows) == 1
+        with pytest.raises(PrecisionError, match="not cyclic"):
+            certify(elems, [[2, 0], [0, 2]])
 
 
 class TestExteriorSquare:
@@ -769,32 +922,36 @@ class TestExteriorSquare:
 
     def test_wedge_bilinearity_and_antisymmetry(self):
         # a presentation whose square has a free coordinate and two Z/2
-        # coordinates, and whose Smith transform is not the identity: wedge
-        # classes add in pair coordinates, reduced modulo the invariants only
+        # coordinates, on its basis coordinates, and the square of its
+        # relation lattice over the generators, whose Smith transform is not
+        # the identity: wedge classes add in pair coordinates, reduced modulo
+        # the invariants only
         K = parse_field(SHIFTED_ROOT_FIELDS[5])
         candidates = [parse_element(c, K, "candidates") for c in ("-x", "x", "1+x")]
         p = _candidate_presentation(K, candidates, 50)
-        sq = exterior_square(p)
-        assert group_invariants(sq.invariants) == ([2, 2], 1)
-        assert sq.v_matrix != tuple(map(tuple, identity(p.rank)))
-
-        def plus(a, b):
-            return sq.reduce_smith([x + y for x, y in zip(a, b)])
-
+        lattice_square = exterior_square_of_lattice(p.rank, p.relation_basis)
+        assert lattice_square.v_matrix != tuple(map(tuple, identity(p.rank)))
         rng = random.Random(32)
-        k = p.rank
-        for _ in range(50):
-            u = [rng.randint(-5, 5) for _ in range(k)]
-            u2 = [rng.randint(-5, 5) for _ in range(k)]
-            v = [rng.randint(-5, 5) for _ in range(k)]
-            left = sq.wedge([a + b for a, b in zip(u, u2)], v)
-            assert left == plus(sq.wedge(u, v), sq.wedge(u2, v))
-            assert not any(plus(sq.wedge(u, v), sq.wedge(v, u)))
-            assert not any(sq.wedge(u, u))
+        for sq in (exterior_square(p), lattice_square):
+            assert group_invariants(sq.invariants) == ([2, 2], 1)
+
+            def plus(a, b):
+                return sq.reduce_smith([x + y for x, y in zip(a, b)])
+
+            k = sq.rank
+            for _ in range(50):
+                u = [rng.randint(-5, 5) for _ in range(k)]
+                u2 = [rng.randint(-5, 5) for _ in range(k)]
+                v = [rng.randint(-5, 5) for _ in range(k)]
+                left = sq.wedge([a + b for a, b in zip(u, u2)], v)
+                assert left == plus(sq.wedge(u, v), sq.wedge(u2, v))
+                assert not any(plus(sq.wedge(u, v), sq.wedge(v, u)))
+                assert not any(sq.wedge(u, u))
 
     def test_bloch_check_reduces_each_relation_basis_once(self, monkeypatch):
-        # the torsion proof and the exterior square of a presentation read
-        # one cached Smith form of its relation basis
+        # no presentation needs a Smith form of its relation basis: the nine
+        # generators of this bloch-check generate Z/2 x Z, and snf reduces
+        # only the one row (2, 0) of the lattice of its exterior square, once
         K = parse_field({"poly": [1, -1, 0, 1]})
         candidates = exceptional_units(K)[:4]
         bases = []
@@ -811,14 +968,17 @@ class TestExteriorSquare:
                "output": "json", "payload": {"candidates": [c.to_record() for c in candidates]}}
         out = io.StringIO()
         assert run_job(job, out) == 0
-        basis = tuple(map(tuple, json.loads(out.getvalue())["relation_basis"]))
-        assert basis in bases and len(bases) == len(set(bases))
+        record = json.loads(out.getvalue())
+        assert (len(record["generators"]), record["torsion_order"]) == (9, 2)
+        assert bases == [((2, 0),)]
 
     def test_many_candidate_bloch_check_reduces_no_matrix_wider_than_the_generators(
             self, monkeypatch):
-        # twelve candidates on x^7 - x + 1 give 25 generators: snf reduces
-        # the 25-column relation basis only, never the 300-column relators
-        # of the pairs; the kernel rows vanish under the raw-coordinate oracle
+        # twelve candidates on x^7 - x + 1 give 25 generators of Z/2 x Z^3:
+        # snf reduces the one row (2, 0, 0, 0) of the lattice of its exterior
+        # square only, never the 25-column relation basis or the 300-column
+        # relators of the pairs; the kernel rows vanish under the
+        # raw-coordinate oracle
         K = parse_field({"poly": [1, -1, 0, 0, 0, 0, 0, 1]})
         candidates = exceptional_units(K)[:12]
         widths = []
@@ -837,7 +997,7 @@ class TestExteriorSquare:
         assert run_job(job, out) == 0
         record = json.loads(out.getvalue())
         assert len(record["generators"]) == 25
-        assert widths and max(widths) <= 25
+        assert widths == [4]
         p = _candidate_presentation(K, candidates, 50)
         assert record["kernel_basis"]
         for mults in record["kernel_basis"]:
@@ -864,7 +1024,9 @@ class TestCoordinatesOf:
         p = relation_lattice(gens, 50)
         elem = -(K.gen() ** -2)
         coords = coordinates_of(elem, p)
-        assert coords == (-1, -2)
+        # one representative modulo the relation lattice, here that of (-1, -2)
+        assert in_lattice([c - d for c, d in zip(coords, (-1, -2))],
+                          [list(r) for r in p.relation_basis])
         assert power_product(gens, coords) == elem
 
     def test_element_of_another_field_rejected(self, fields):
@@ -910,8 +1072,10 @@ class TestSteinberg:
         from arithreg.relations import MultiplicativePresentation
         K = fields["cubic"]
         lam = K.gen()
+        gens = (K.element([-1]), lam, K.one() - lam)
         p0 = MultiplicativePresentation(
-            (K.element([-1]), lam, K.one() - lam), (), 1, 50)
+            gens, (), 1, 50, (K.one(),) + gens, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
         img = steinberg_image(lam, p0)
         assert any(img)
         assert group_invariants(exterior_square(p0).invariants) == ([], 3)
@@ -1040,11 +1204,18 @@ class TestRelationSearchLattices:
         return seen
 
     def test_readme_bloch_check_lattices(self, monkeypatch):
+        """The README bloch-check places its generators with no search. With
+        the candidate x - x^2 = -x^4 alone instead, the free unit -x^4 comes
+        first, and its complement 1 - x + x^2 = -x^5, which no power of it
+        gives, runs one search."""
         seen = self.recorded_lattices(monkeypatch)
         job = {"schema": 1, "command": "bloch-check", "field": {"poly": [1, -1, 0, 1]},
                "payload": {"candidates": ["x", "(1-x)^-1"]}}
         assert run_job(job, out=io.StringIO()) == 0
-        assert seen
+        assert seen == []
+        job["payload"]["candidates"] = ["x-x^2"]
+        assert run_job(job, out=io.StringIO()) == 0
+        assert len(seen) == 1
         for rows in seen:
             assert lll(rows) == lll_fraction(rows)
 
@@ -1056,9 +1227,10 @@ class TestRelationSearchLattices:
     K14_REDUCED_SHA256 = "16130f4ce50b03612ef5faddd98a42ec7abac353fe8b6c4756a94bb5486069ac"
 
     def test_fourteen_units_of_x3_minus_3x_plus_1(self, monkeypatch):
-        """relation_lattice searches the double lattice only, where lll
-        agrees with lll_fraction; the working-precision lattice, built from
-        _embedding_columns directly, keeps its recorded digests."""
+        """relation_lattice searches and reduces double lattices only, where
+        lll agrees with lll_fraction; the working-precision search lattice of
+        all fourteen, built from _embedding_columns directly, keeps its
+        recorded digests."""
         K = parse_field({"poly": [1, -3, 0, 1]})
         x, one = K.gen(), K.one()
         rng = random.Random(14)
@@ -1071,8 +1243,9 @@ class TestRelationSearchLattices:
         seen = self.recorded_lattices(monkeypatch)
         p = relation_lattice(units, 50)
         assert (len(p.relation_basis), p.torsion_order) == (12, 2)
-        (rows,) = seen
-        assert lll(rows) == lll_fraction(rows)
+        assert seen
+        for rows in seen:
+            assert lll(rows) == lll_fraction(rows)
 
         def digest(rows):
             return hashlib.sha256(json.dumps(rows).encode()).hexdigest()

@@ -6,8 +6,8 @@ raw coordinates over the pairs (i, j), i < j, of generator indices, modulo
 the relators r ^ e_j, which it builds index by index with the sign rule
 e_i ^ e_j = -(e_j ^ e_i). A raw vector is reduced through the Smith form of
 those relators (relator_smith_form), from intmat.snf directly, never through
-relations.ExteriorSquare, whose Smith form is that of the relation lattice
-itself. bloch_sum_vanishes never adds vectors in reduced coordinates: it sums
+relations.ExteriorSquare, which a presentation takes over its unit basis.
+bloch_sum_vanishes never adds vectors in reduced coordinates: it sums
 the wedges n_i * (coords(lambda_i) ^ coords(1 - lambda_i)) in raw
 coordinates and reduces the total once.
 """
