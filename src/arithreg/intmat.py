@@ -9,10 +9,12 @@ the left kernel is read off the HNF of the rows next to an identity block,
 and the Smith normal form off alternating row and column HNFs, each column
 carrying its column of the transform (Kannan and Bachem 1979). LLL is the
 integral variant, whose Gram-Schmidt data are integers, and accepts only
-linearly independent rows. Determinants, inverses and linear solves, over the
-integers or the rationals, all run through one fraction-free (Bareiss)
-elimination in integers; rational input is scaled to integers first and
-results come back as integer numerators over one denominator.
+linearly independent rows. Matrix determinants, inverses and linear solves,
+over the integers or the rationals, all run through one fraction-free
+(Bareiss) elimination in integers; rational input is scaled to integers
+first and results come back as integer numerators over one denominator.
+Norms and inverses of field elements take no matrix: arithreg.nf reads them
+off a subresultant remainder sequence.
 """
 
 from __future__ import annotations

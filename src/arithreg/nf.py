@@ -5,22 +5,23 @@ An element is stored as integer numerators over the power basis and one
 positive common denominator, in lowest terms, always reduced mod the monic
 defining polynomial (Cohen, A Course in Computational Algebraic Number
 Theory, section 4.2). Every exact operation therefore runs in Python
-integers: the norm of a is the determinant of the integer matrix of
-multiplication by its numerator and the inverse solves a linear system with
-that matrix, both by the one fraction-free elimination of arithreg.intmat.
-Each field screens its defining polynomial once, when it is built: the same
-determinant proves it squarefree, and a Hensel lift finds any integer root.
-The embedding set carries the numerical side: certified roots of f, closed
-under exact conjugation, and read off them the complex-conjugation pairing,
-the (r1, r2) signature, double copies and radii about them that hold roots
-of f, each computed once; it is also the one place that builds and checks
-conjugation-invariant per-embedding vectors. One Horner kernel
-(_horner_mp), in Python integers rounding each step exactly as mpmath
-would, computes every polynomial value at a multiprecision point: the
-Aberth and Newton steps, residual checks and root radii of root finding,
-and evaluate, which gives an element's whole vector of conjugates in one
-call, one Horner evaluation per conjugacy class mirrored onto the partner.
-Exact predicates (integrality, norm = +-1) never touch floating point.
+integers. The norm of a = g(x) / d is Res(f, g) / d^n, as f is monic, and
+its inverse is d s / Res(f, g) for the cofactor s with s g = Res(f, g) mod
+f: both come from one subresultant remainder sequence of f and g
+(_resultant), in exact integer divisions. Each field screens its defining
+polynomial once, when it is built: Res(f, f') != 0 proves it squarefree,
+and a Hensel lift finds any integer root. The embedding set carries the
+numerical side: certified roots of f, closed under exact conjugation, and
+read off them the complex-conjugation pairing, the (r1, r2) signature,
+double copies and radii about them that hold roots of f, each computed
+once; it is also the one place that builds and checks conjugation-invariant
+per-embedding vectors. One Horner kernel (_horner_mp), in Python integers
+rounding each step exactly as mpmath would, computes every polynomial value
+at a multiprecision point: the Aberth and Newton steps, residual checks and
+root radii of root finding, and evaluate, which gives an element's whole
+vector of conjugates in one call, one Horner evaluation per conjugacy class
+mirrored onto the partner. Exact predicates (integrality, norm = +-1) never
+touch floating point.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from mpmath.libmp import MPZ, from_int, fzero, mpf_div, mpf_neg, round_nearest
 
 from .errors import (DomainError, FormatError, PrecisionError, SquarefreeError, oversized_number,
                      quoted)
-from .intmat import _fraction_free, _integer_inverse, _scaled_rows, det_fraction
+from .intmat import _integer_inverse, _scaled_rows, det_fraction
 from .precision import working_dps, working_prec
 
 
@@ -62,7 +63,8 @@ class NumberField:
         n = self.degree
         if len(self.integral_basis) != n or any(len(r) != n for r in self.integral_basis):
             raise FormatError("integral basis must be a square matrix of size degree")
-        if det_fraction([list(r) for r in self.integral_basis]) == 0:
+        if (self.integral_basis != _power_basis(n)
+                and det_fraction([list(r) for r in self.integral_basis]) == 0):
             raise FormatError("integral basis is singular")
         _screen_irreducible(self)
 
@@ -123,7 +125,8 @@ class NumberField:
 
     def _multiplication_matrix(self, num) -> list[list[int]]:
         """Rows num * x^j mod f for j < n: the integer matrix of
-        multiplication by num over the power basis (Cohen, section 4.2)."""
+        multiplication by num over the power basis (Cohen, section 4.2),
+        from which multiplication_table is built."""
         rows = [list(num)]
         for _ in range(self.degree - 1):
             prev = rows[-1]
@@ -189,6 +192,71 @@ def _vec_mat(vec, rows) -> list:
         if c:
             out = [s + c * t for s, t in zip(out, row)]
     return out
+
+
+def _resultant(f, g, cofactor: bool = False) -> tuple[int, list[int] | None]:
+    """(Res(f, g), s) for the monic f of degree n >= 1 and a nonzero g of
+    degree < n, both ascending integer coefficients, from their subresultant
+    remainder sequence (Cohen, Alg. 3.3.7, without content removal). As f is
+    monic, Res(f, g) is the product of g over the roots of f. When cofactor
+    is set, s holds the ascending coefficients of the cofactor with
+    s g = Res(f, g) mod f, carried through the same exact divisions;
+    otherwise, and when Res(f, g) = 0, s is None.
+
+    Each step pseudo-divides A by B, from A = f and B = g, delta = deg A -
+    deg B >= 1: the dividend is scaled once by lc(B)^(delta + 1), so every
+    quotient digit is an exact quotient, and the remainder R is divided
+    exactly by lc(A) h^delta, which the subresultant theorem guarantees (von
+    zur Gathen and Gerhard, Modern Computer Algebra, chapter 6); then h,
+    from h = 1, becomes lc(B)^delta / h^(delta - 1), and A, B become B, R.
+    The sign flips at each step whose degrees are both odd, as
+    Res(A, B) = (-1)^(deg A deg B) Res(B, A). The cofactors follow the
+    remainders: s_R = lc(B)^(delta + 1) s_A - Q s_B, divided by the same
+    lc(A) h^delta. Lists run from the leading coefficient down.
+    """
+    a, b = f[::-1], list(g)
+    while not b[-1]:
+        b.pop()
+    b.reverse()
+    sa, sb = [], [1]  # the cofactors of g in a and b modulo f
+    lead = h = sign = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if not len(a) % 2 and not len(b) % 2:  # both degrees odd
+            sign = -sign
+        top, tail = b[0], b[1:]
+        scale = top ** (delta + 1)
+        r, q = [c * scale for c in a], []
+        for k in range(delta + 1):
+            c = r[k] // top
+            if c:
+                for i, y in enumerate(tail, k + 1):
+                    r[i] -= c * y
+            q.append(c)
+        del r[:delta + 1]
+        while r and not r[0]:
+            del r[0]
+        if not r:
+            return 0, None
+        divisor = lead * h ** delta
+        r = [c // divisor for c in r]
+        if cofactor:
+            s = [0] * (len(q) + len(sb) - 1 - len(sa)) + [c * scale for c in sa]
+            for i, c in enumerate(q):
+                if c:
+                    for j, y in enumerate(sb, i):
+                        s[j] -= c * y
+            sa, sb = sb, [c // divisor for c in s]
+        a, b, lead = b, r, top
+        h = top ** delta // h ** (delta - 1)
+    # the constant b: Res = sign * b^d / h^(d - 1), d the degree of a
+    d = len(a) - 1
+    last = h ** (d - 1)
+    res = sign * b[0] ** d // last
+    if not cofactor:
+        return res, None
+    m = sign * b[0] ** (d - 1)
+    return res, [m * c // last for c in reversed(sb)]
 
 
 @dataclass(frozen=True)
@@ -273,18 +341,17 @@ class FieldElement:
         return _power(self if exponent > 0 else self.inverse(), abs(exponent), mul)
 
     def inverse(self) -> "FieldElement":
-        """The b with a * b = 1: b * M_num = den * e_0 for the matrix M_num of
-        multiplication by num, solved fraction-free in integers."""
+        """The b with a * b = 1: den * s / Res(f, num), for the cofactor s
+        with s * num = Res(f, num) mod f (_resultant)."""
         if self.is_zero():
             raise DomainError("division by zero")
         if not any(self.num[1:]):
             return self.field.element([Fraction(self.den, self.num[0])])
-        cols = zip(*self.field._multiplication_matrix(self.num))
-        det, x = _fraction_free([list(c) + [self.den if i == 0 else 0] for i, c in enumerate(cols)])
-        if x is None:
+        res, s = _resultant(self.field.defining_poly, self.num, cofactor=True)
+        if res == 0:
             raise DomainError("element not invertible; defining polynomial is reducible")
-        sign = 1 if det > 0 else -1
-        return self.field._reduce([sign * v for (v,) in x], sign * det)
+        sign = 1 if res > 0 else -1
+        return self.field._reduce([sign * self.den * c for c in s], sign * res)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -293,13 +360,13 @@ class FieldElement:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def norm(self) -> Fraction:
-        """det M_num / den^n, for the integer matrix M_num of multiplication
-        by num (Cohen, section 4.2)."""
+        """Res(f, num) / den^n (_resultant): the product of num over the
+        roots of the monic f (Cohen, section 4.3)."""
         n = self.field.degree
         if not any(self.num[1:]):
             return Fraction(self.num[0] ** n, self.den ** n)
-        det, _ = _fraction_free(self.field._multiplication_matrix(self.num))
-        return Fraction(det, self.den ** n)
+        res, _ = _resultant(self.field.defining_poly, self.num)
+        return Fraction(res, self.den ** n)
 
     def _integral_numerators(self) -> tuple[list[int], int]:
         """Integral-basis coordinates as integer numerators over one
@@ -381,21 +448,25 @@ def _shared_field(poly: tuple[int, ...], basis, maximal: bool) -> NumberField:
     Every job that parses an equal record gets the same object, so the field
     guards of evaluate and arakelov pass on identity against the
     embeddings cached for it, and its lazily built tables are built once."""
-    if basis is None:
-        n = len(poly) - 1
-        basis = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return NumberField(poly, basis, maximal)
+    return NumberField(poly, _power_basis(len(poly) - 1) if basis is None else basis, maximal)
+
+
+@lru_cache(maxsize=32)
+def _power_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The power basis of a field of degree n, the rows of the n x n
+    identity; the one basis NumberField takes as nonsingular unchecked."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def _screen_irreducible(field: NumberField):
     """Cheap sanity screen of a new field's defining polynomial f; rejects
-    only on a positive proof of reducibility: a repeated factor (the norm of
-    f'(x), +-disc f, is 0), then, for degree > 1, divisibility by x and a
+    only on a positive proof of reducibility: a repeated factor
+    (Res(f, f') = +-disc f is 0), then, for degree > 1, divisibility by x and a
     rational root. Any other reducible polynomial (x^4 + 3x^2 + 2, say) is
     accepted: irreducibility stays the caller's assertion until an exact
     certificate replaces this screen."""
     f, n = field.defining_poly, field.degree
-    disc, _ = _fraction_free(field._multiplication_matrix([i * f[i] for i in range(1, n + 1)]))
+    disc, _ = _resultant(f, [i * f[i] for i in range(1, n + 1)])
     if disc == 0:
         raise SquarefreeError("defining polynomial has a repeated factor")
     if n > 1:

@@ -110,13 +110,16 @@ class _UnitBasis:
     independent logs. logs holds the pass's log rows of the b_i, args the
     arguments in turns of zeta and the b_i at the first class representative,
     and sections their exponent rows over the generators; digits, e and
-    log_moduli are the pass's."""
+    log_moduli are the pass's. bounds holds per b_i its (log, eta) at every
+    class representative by log_moduli, or None until a minor needs it, so
+    each free unit is evaluated at most once per pass."""
 
     def __init__(self, units, w: int, logs, args, sections, digits: int, e: EmbeddingSet,
                  log_moduli):
         self.units, self.w, self.logs, self.args = list(units), w, list(logs), list(args)
         self.sections = [list(s) for s in sections]
         self.digits, self.e, self.log_moduli = digits, e, log_moduli
+        self.bounds = [None] * len(self.logs)
         self._index()
 
     def _index(self):
@@ -187,24 +190,35 @@ class _UnitBasis:
             self._index()
             return (1,) + (0,) * r, identity(r + 1)
         r1, r2 = self.e.signature
-        if r < r1 + r2 - 1 and self._independent(g, log):
+        bounds = self._independent(g, log) if r < r1 + r2 - 1 else None
+        if bounds is not None:
             self.units.append(g)
             self.logs.append(log)
             self.args.append(arg)
             self.sections.append(list(section))
+            self.bounds.append(bounds)
             self._index()
             return (0,) * (r + 1) + (1,), [row + [0] for row in identity(r + 1)]
         return self._search(g, log, arg, section)
 
-    def _independent(self, g: FieldElement, log) -> bool:
-        """Whether the logs of b_1, ..., b_r', g are proved independent: the
-        minor _certified_minor picks is certainly nonsingular. A minor that
-        is not, or cannot be bounded, proves nothing, so False."""
+    def _independent(self, g: FieldElement, log) -> list | None:
+        """g's (log, eta) at every class representative when the logs of
+        b_1, ..., b_r', g are proved independent: the minor _certified_minor
+        picks, read off the bounds of the b_i and of g, is certainly
+        nonsingular. A minor that is not, or a log at some class that cannot
+        be bounded, proves nothing, so None."""
+        reps = self.e.class_representatives
         try:
-            return _certified_minor(self.units[1:] + [g], self.logs + [log],
-                                    len(self.logs) + 1, self.e, self.log_moduli)
+            for i, b in enumerate(self.units[1:]):
+                if self.bounds[i] is None:
+                    self.bounds[i] = self.log_moduli(b, reps, self.e)
+            rows = self.bounds + [self.log_moduli(g, reps, self.e)]
+            if _certified_minor(self.logs + [log], len(rows),
+                                lambda i, cols: [rows[i][j] for j in cols]):
+                return rows[-1]
         except PrecisionError:
-            return False
+            pass
+        return None
 
     def _search(self, g: FieldElement, log, arg, section):
         """extend by the proved relation lattice of g, zeta, b_1, ..., b_r'
@@ -240,6 +254,7 @@ class _UnitBasis:
         self.logs = [_vec_mat(row, logs) for row in unit_rows[1:]]
         self.args = [_vec_mat(row, args)[0] % 1 for row in unit_rows]
         self.sections = [_vec_mat(row, sections) for row in unit_rows]
+        self.bounds = [None] * len(self.logs)
         self._index()
         return self.reduced(coords[0]), coords[1:]
 
@@ -507,21 +522,26 @@ def _prove_rank(elems, basis, logs, e: EmbeddingSet, log_moduli):
             f"relations of {len(elems)} units span rank {len(basis)}, short of "
             f"{len(elems) - (r1 + r2 - 1)}: the relation lattice is incomplete, "
             "retry at higher precision")
-    if not _certified_minor(elems, logs, r, e, log_moduli):
+    reps = e.class_representatives
+
+    def entries(i, cols):
+        return log_moduli(elems[i], [reps[j] for j in cols], e)
+
+    if not _certified_minor(logs, r, entries):
         raise PrecisionError(
             "log-modulus minor does not exceed its error bound: the "
             "relation lattice may be incomplete, retry at higher precision")
 
 
-def _certified_minor(elems, logs, r: int, e: EmbeddingSet, log_moduli) -> bool:
+def _certified_minor(logs, r: int, entries) -> bool:
     """Whether the r x r minor of the log|sigma(g)| that _pivots picks on a
-    float copy of logs is certainly nonsingular: its r elements are
-    evaluated anew by log_moduli at its r classes, each log within eta of
-    the true one (_prove_rank's error bound), and _certainly_nonsingular
-    decides; PrecisionError when a pivot is zero or a log cannot be bounded."""
+    float copy of logs is certainly nonsingular: entries(i, cols) gives the
+    (log, eta) of element i at the classes cols by the pass's evaluator,
+    each log within eta of the true one (_prove_rank's error bound), and
+    _certainly_nonsingular decides; PrecisionError when a pivot is zero or
+    a log cannot be bounded."""
     rows, cols = _pivots(logs, r)
-    reps = [e.class_representatives[j] for j in cols]
-    minor = [log_moduli(elems[i], reps, e) for i in rows]
+    minor = [entries(i, cols) for i in rows]
     return _certainly_nonsingular([[value for value, _ in row] for row in minor],
                                   max(eta for row in minor for _, eta in row))
 

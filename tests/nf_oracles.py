@@ -5,7 +5,7 @@ This is the coefficient-vector arithmetic the package used before elements
 became integer numerators over one denominator: schoolbook products of
 Fraction polynomials, long division by the defining polynomial, the norm as
 a Sylvester resultant over Fractions, and the inverse from the extended
-Euclidean algorithm over Q. It reads only an element's `coeffs` and the
+Euclidean algorithm over Q, each remainder made monic. It reads only an element's `coeffs` and the
 field's `defining_poly` and `integral_basis`. The rational-root search is
 the trial-division scan over the divisors of the constant term.
 
@@ -74,22 +74,21 @@ def poly_divmod(p, d):
     return _trim(q), _trim(p)
 
 
-def poly_xgcd(p, q):
-    """Extended gcd: returns (g, s, t) with s*p + t*q = g, g monic or []."""
+def poly_gcd_cofactor(p, q):
+    """(g, t) with t*q = g mod p, g the monic gcd of p and the nonzero q:
+    the extended Euclidean algorithm over Q on remainders made monic, which
+    keeps the Fractions small, carrying the cofactor of q only."""
     r0, r1 = _trim(p), _trim(q)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
+    t0, t1 = [], [1 / r1[-1]]
+    r1 = [c * t1[0] for c in r1]
     while r1:
         qq, rr = poly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, poly_add(s0, [-c for c in poly_mul(qq, s1)])
-        t0, t1 = t1, poly_add(t0, [-c for c in poly_mul(qq, t1)])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
+        tt = poly_add(t0, [-c for c in poly_mul(qq, t1)])
+        if rr:
+            lead = rr[-1]
+            rr, tt = [c / lead for c in rr], [c / lead for c in tt]
+        r0, r1, t0, t1 = r1, rr, t1, tt
+    return r0, t0
 
 
 def poly_rem(p, d):
@@ -123,10 +122,10 @@ def mul(a, b) -> tuple:
 
 
 def inverse(a) -> tuple:
-    """The t with s * f + t * a = 1, from the extended gcd over Q."""
+    """The t with t * a = 1 mod f, from the extended gcd over Q."""
     if not any(a.coeffs):
         raise DomainError("division by zero")
-    g, _, t = poly_xgcd([Fraction(c) for c in a.field.defining_poly], list(a.coeffs))
+    g, t = poly_gcd_cofactor([Fraction(c) for c in a.field.defining_poly], list(a.coeffs))
     if len(g) != 1:
         raise DomainError("element not invertible; defining polynomial is reducible")
     return reduce(a.field, t)

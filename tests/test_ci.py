@@ -91,3 +91,19 @@ def test_src_definitions_are_read():
     unread = [f"{path.name}:{node.lineno} {node.name}" for path, node in checked
               if node.name not in kept]
     assert not unread, f"definitions nothing reads, exports or pins: {unread}"
+
+
+def test_proof_mutants_name_text_and_tests_that_exist():
+    """Each entry of tests/proof_mutants.py replaces a text that occurs
+    exactly once in its file, and names a test that exists, so the list
+    cannot rot unseen when the code it mutates is edited."""
+    from proof_mutants import MUTANTS
+
+    assert MUTANTS
+    for m in MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, (m.path, m.old)
+        path, *names = m.test.split("::")
+        source = (ROOT / path).read_text()
+        kinds = ["class"] * (len(names) - 1) + ["def"]
+        for kind, name in zip(kinds, names):
+            assert re.search(rf"^\s*{kind} {name}\b", source, re.M), m.test

@@ -52,6 +52,13 @@ class TestParseField:
         with pytest.raises(SquarefreeError):
             parse_field({"poly": [1, 0, 2, 0, 1]})  # (x^2+1)^2
 
+    @pytest.mark.parametrize("poly", [[2, 0, 5, 0, 4, 0, 1], [1, -2, 1, 2, -2, 0, 1]],
+                             ids=["(x^2+1)^2(x^2+2)", "(x^3-x+1)^2"])
+    def test_repeated_factor_of_higher_degree_rejected(self, poly):
+        # Res(f, f') = 0: the remainder sequence of f and f' ends in 0
+        with pytest.raises(SquarefreeError, match="^defining polynomial has a repeated factor$"):
+            parse_field({"poly": poly})
+
     def test_large_constant_term_screened_quickly(self):
         # x^3 + x + (10^39 + 7): no divisor scan of a 40-digit constant
         with time_limit(5):
@@ -258,11 +265,16 @@ class TestArith:
     def test_zero_divisor_of_accepted_reducible_field(self):
         # x^4 + 3x^2 + 2 = (x^2 + 1)(x^2 + 2) passes the screen
         K = parse_field({"poly": [2, 0, 3, 0, 1]})
-        a = K.element([1, 0, 1])
-        assert a.norm() == 0
-        with pytest.raises(DomainError, match="^element not invertible; "
-                           "defining polynomial is reducible$"):
-            a.inverse()
+        for a in (K.element([1, 0, 1]), K.element([2, 0, 1])):
+            assert a.norm() == 0
+            with pytest.raises(DomainError, match="^element not invertible; "
+                               "defining polynomial is reducible$"):
+                a.inverse()
+        # x is prime to both factors: N(x) = f(0) = 2, and x^-1 = -(x^3 + 3x) / 2
+        x = K.gen()
+        assert x.norm() == 2
+        assert x.inverse().coeffs == (0, Fraction(-3, 2), 0, Fraction(-1, 2))
+        assert x * x.inverse() == K.one()
 
 
 # fields for the differential tests: sparse and dense defining polynomials,
@@ -291,6 +303,17 @@ def wide_element(field, rng):
         else:
             coeffs.append(Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6)))
     return coeffs
+
+
+def seeded_field(n: int, rng):
+    """A field of degree n whose defining polynomial has coefficients in
+    [-3, 3] and constant term +-1, drawn until the screen accepts it."""
+    while True:
+        poly = [rng.choice((-1, 1))] + [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+        try:
+            return parse_field({"poly": poly})
+        except (FormatError, SquarefreeError):
+            pass
 
 
 class TestAgainstFractionOracle:
@@ -331,10 +354,8 @@ class TestAgainstFractionOracle:
         rng = random.Random(f"inv-{name}")
         x = K.gen()
         samples = [x, K.one() - x, x * x + x + 3, K.element([Fraction(-3, 7)])]
-        # numerators to 10^30 on at most four terms: the Fraction extended
-        # gcd of the oracle takes seconds on a dense element of degree 16
         samples += [K.element([Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6))
-                               for _ in range(min(K.degree, 4))]) for _ in range(2)]
+                               for _ in range(K.degree)]) for _ in range(2)]
         for a in samples:
             if a.is_zero():
                 continue
@@ -371,6 +392,75 @@ class TestAgainstFractionOracle:
         assert not all(oracle.is_unit(s) for s in samples)
         for s in samples:
             assert s.is_unit() == oracle.is_unit(s), s
+
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_norm_and_inverse_by_degree(self, n):
+        """Norms and inverses against the Sylvester resultant and the
+        extended gcd over Q at every degree from 2 to 24, on seeded fields:
+        40-bit numerators over denominators to 2^12, one dense element and
+        three with two to four terms, whose first remainder can drop more
+        than one degree."""
+        rng = random.Random(f"resultant-{n}")
+        K = seeded_field(n, rng)
+
+        def coefficient():
+            return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 12))
+
+        samples = [K.element([0 if rng.random() < 0.2 else coefficient() for _ in range(n)])]
+        for _ in range(3):
+            coeffs = [0] * n
+            for i in rng.sample(range(n), min(n, rng.randint(2, 4))):
+                coeffs[i] = coefficient()
+            samples.append(K.element(coeffs))
+        for a in samples:
+            if a.is_zero():
+                continue
+            assert a.norm() == oracle.norm(a), a
+            assert a.inverse().coeffs == oracle.inverse(a), a
+
+
+class TestResultant:
+    """Norms, inverses and the squarefree screen by one subresultant
+    remainder sequence (nf._resultant)."""
+
+    def test_degree_drops_by_more_than_one(self):
+        """Remainder sequences that are not normal: theta^3 on x^4 + 1
+        (degrees 4, 3, 0), theta^3 + 1 on x^6 + 1 (6, 3, 0) and
+        3 theta^8 + theta^4 on x^12 + 1 (12, 8, 4, 0)."""
+        K = parse_field({"poly": [1, 0, 0, 0, 1]})
+        a = K.gen() ** 3
+        assert a.norm() == 1
+        assert a.inverse() == -K.gen()
+        L = parse_field({"poly": [1, 0, 0, 0, 0, 0, 1]})
+        b = L.element([1, 0, 0, 1])
+        assert b.norm() == 8
+        assert b.inverse().coeffs == oracle.inverse(b)
+        M = parse_field({"poly": [1] + [0] * 11 + [1]})
+        c = M.element([0, 0, 0, 0, 1, 0, 0, 0, 3])
+        assert c.norm() == 26 ** 4 == oracle.norm(c)
+        assert c.inverse().coeffs == oracle.inverse(c)
+        assert (c * c.inverse()).is_one()
+
+    def test_no_matrix_elimination(self, monkeypatch):
+        """Parsing a field of degree 24 and the norms and inverses of its
+        elements run no fraction-free elimination of a matrix."""
+        import arithreg.intmat
+
+        record = {"poly": [-3, 2, 0, 0, 0, 1] + [0] * 18 + [1]}  # parsed nowhere else
+        rng = random.Random(18)
+        coeffs = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(3)] + [[-1, 1]]
+        norms = [oracle.resultant(record["poly"], c) for c in coeffs]
+
+        def refuse(aug):
+            raise AssertionError("fraction-free elimination called")
+
+        monkeypatch.setattr(arithreg.intmat, "_fraction_free", refuse)
+        K = parse_field(record)
+        for c, norm in zip(coeffs, norms):
+            a = K.element(c)
+            assert a.norm() == norm
+            assert (a * a.inverse()).is_one()
 
 
 class TestCanonicalForm:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from arithreg.intmat import det_fraction, identity, in_lattice, lll
 from arithreg.nf import FieldElement, embeddings, parse_field
 from arithreg.precision import GUARD_DIGITS
 from arithreg.relations import (FLOAT_DIGITS, _certainly_nonsingular,
-                                _embedding_columns, _search_lattice, _verified_basis,
+                                _embedding_columns, _log_modulus_error, _search_lattice, _verified_basis,
                                 bloch_kernel, coordinates_of, exterior_square,
                                 exterior_square_of_lattice, power_product, relation_lattice,
                                 steinberg_image, torsion_only_kernel, verify_bloch_element)
@@ -187,6 +188,33 @@ class TestCompleteness:
         assert not _certainly_nonsingular([[0.75 * eta]], eta)
         assert _certainly_nonsingular([[1.25 * eta]], eta)
         assert not _certainly_nonsingular([[2 * eta, 0.0], [0.0, 2 * eta]], eta)
+
+    @pytest.mark.parametrize("digits", [None, 50], ids=["doubles", "50 digits"])
+    def test_log_modulus_error_at_its_root_radius(self, digits):
+        """g = x^(n-1) on x^3 - x + 1 at z = t + R t/|t|, t its complex root
+        (|t| ~ 0.869), so that t lies R from z: R = 10^-8 in doubles and
+        10^-30 at the working precision of 50 digits, far above the
+        rounding terms. The true log error, 2 log(1 + R/|t|), is about
+        0.43 eta, so eta must keep the (n - 1) R term of _prove_rank's
+        bound; a 200-digit evaluation decides."""
+        e = embeddings(parse_field({"poly": [1, -1, 0, 1]}), 50)
+        (idx,) = e.pair_representatives
+        with mp.workdps(200):
+            t = mpc_newton([mp.mpf(c) for c in (1, -1, 0, 1)], [mp.mpf(c) for c in (-1, 0, 3)],
+                           +e.roots[idx])
+        if digits is None:
+            radius = 1e-8
+            z = complex(t + radius * t / abs(t))
+            log_value, eta = _log_modulus_error(z * z, z, radius, 1.0, 3, 2.0 ** -53, math.log)
+        else:
+            with mp.workdps(e.working_dps):
+                radius = mp.mpf("1e-30")
+                z = t + radius * t / abs(t)
+                log_value, eta = _log_modulus_error(z * z, z, radius, mp.mpf(1), 3,
+                                                    mp.mpf(2) ** (1 - mp.prec), mp.log)
+        with mp.workdps(200):
+            error = abs(log_value - mp.log(abs(t * t)))
+            assert eta / 8 < error <= eta
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
     def test_seeded_power_products_of_known_units(self, m):
@@ -1002,6 +1030,25 @@ class TestExteriorSquare:
         assert record["kernel_basis"]
         for mults in record["kernel_basis"]:
             assert bloch_sum_vanishes(candidates, mults, p)
+
+
+    def test_many_candidate_bloch_check_evaluates_each_free_unit_once(self, monkeypatch):
+        # the twelve candidates on x^7 - x + 1 reach three free units, each
+        # bounded in doubles at every class once, when it joins, and one
+        # exact minor test per join; the output is that of the engine that
+        # evaluated the earlier units anew at each join
+        K = parse_field({"poly": [1, -1, 0, 0, 0, 0, 0, 1]})
+        candidates = exceptional_units(K)[:12]
+        calls = {"_double_log_moduli": 0, "_certainly_nonsingular": 0, "_mp_log_moduli": 0}
+        for name in calls:
+            count_calls(monkeypatch, calls, arithreg.relations, name)
+        out = io.StringIO()
+        job = {"command": "bloch-check", "field": {"poly": list(K.defining_poly)},
+               "payload": {"candidates": [c.to_record() for c in candidates]}}
+        assert run_job(job, out) == 0
+        assert calls == {"_double_log_moduli": 3, "_certainly_nonsingular": 3, "_mp_log_moduli": 0}
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "230aecda4a814e54bccadf165d30713160c312765c06f6065ea26cc24560ee41")
 
 
 class TestCoordinatesOf:
